@@ -22,9 +22,19 @@ from .yuseq import YuLadder, decompose_lambda, extract
 
 
 def _load_input(path: str | None) -> dict:
+    """Request document from a path, - for stdin, or inline JSON text."""
     if path is None:
         return {}
-    raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path.startswith("{"):
+        raw = path
+    elif path == "-":
+        raw = sys.stdin.read()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot read input {path!r}: {exc.strerror}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--type", help="Cartan type label, e.g. A2 or G2")
-        p.add_argument("--input", help="JSON request document, a path or - for stdin")
+        p.add_argument("--input", help="JSON request document: a path, - for stdin, or inline JSON")
         p.add_argument("--seed", type=int, help="seed for sampled commands")
         p.add_argument("--samples", type=int, help="sample count for sampled commands")
         p.add_argument("--window", help="exponent window LO:HI for lattice checks")

@@ -434,7 +434,16 @@ def cyclo_to_json(c: CycloNumber) -> dict:
     return {"conductor": c.conductor, "coeffs": [str(x) for x in c.coeffs]}
 
 
+def parse_fraction(s) -> Fraction:
+    """A rational from wire input; a malformed one or a zero denominator is
+    an invalid argument."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgumentError(f"malformed rational {s!r}") from exc
+
+
 def cyclo_from_json(doc: dict) -> CycloNumber:
     conductor = int(doc["conductor"])
-    coeffs = tuple(Fraction(s) for s in doc["coeffs"])
+    coeffs = tuple(parse_fraction(s) for s in doc["coeffs"])
     return CycloNumber(conductor, coeffs)

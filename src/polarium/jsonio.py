@@ -13,6 +13,7 @@ from importlib import resources
 
 import jsonschema
 
+from .cyclo import parse_fraction
 from .errors import InvalidArgumentError
 from .polar import PolarDatum, classify
 from .rootdata import RootDatum, WeylElement, build
@@ -22,13 +23,6 @@ from .tori import TorusClass
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def parse_fraction(s) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgumentError(f"malformed rational {s!r}") from exc
 
 
 _SCHEMAS = None

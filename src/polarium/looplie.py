@@ -43,6 +43,25 @@ def _require_type_a(rd: RootDatum) -> int:
     return rd.factors[0][1] + 1
 
 
+def root_positions(rd: RootDatum) -> dict[int, tuple[int, int]]:
+    """Off-diagonal matrix position (i, j) of each root of a type-A datum.
+
+    E_ij carries the root e_i - e_j, written in the simple-root basis.
+    """
+    n = _require_type_a(rd)
+    coords = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                vec = tuple(
+                    (1 if k == i else 0) - (1 if k + 1 == i else 0)
+                    - (1 if k == j else 0) + (1 if k + 1 == j else 0)
+                    for k in range(n - 1)
+                )
+                coords[vec] = (i, j)
+    return {idx: coords[root] for idx, root in enumerate(rd.roots)}
+
+
 def _zero_matrix(n: int) -> list[list[CycloNumber]]:
     return [[_ZERO for _ in range(n)] for _ in range(n)]
 
@@ -63,24 +82,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _freeze(out)
 
 
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return _freeze([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-
-
-def _commutator(a: Matrix, b: Matrix) -> Matrix:
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def _trace_product(a: Matrix, b: Matrix) -> CycloNumber:
-    n = len(a)
-    total = _ZERO
-    for i in range(n):
-        for j in range(n):
-            if not a[i][j].is_zero() and not b[j][i].is_zero():
-                total = total + a[i][j] * b[j][i]
-    return total
-
-
 class DualLoopElement:
     """Finite family p -> matrix standing for (sum M_p t^p) dt/t."""
 
@@ -90,10 +91,6 @@ class DualLoopElement:
         self.n = n
         self.terms = {Fraction(p): _freeze(m) for p, m in terms.items()
                       if any(not x.is_zero() for row in m for x in row)}
-
-    def pair(self, mat: Matrix, exponent) -> CycloNumber:
-        m = self.terms.get(Fraction(-exponent))
-        return _trace_product(m, mat) if m is not None else _ZERO
 
     def restrict_exponents(self, keep) -> "DualLoopElement":
         """Keep dual exponents q = -p selected by the predicate."""
@@ -118,7 +115,9 @@ class Realization:
             self._init_twisted(x)
         else:
             self._init_split(x)
-        self._position_map()
+        self.position = root_positions(rd)
+        self._root_at = {pos: idx for idx, pos in self.position.items()}
+        self._structure: dict[tuple[Gen, Gen], tuple] = {}
         self.dual = self._realize_dual()
 
     # -- setup ---------------------------------------------------------
@@ -151,24 +150,6 @@ class Realization:
             )
         self.x = expected
         self.level_of_root = {idx: 1 for idx in range(len(rd.roots))}
-
-    def _position_map(self) -> None:
-        """Match abstract roots with off-diagonal matrix positions."""
-        n, rd = self.n, self.rd
-        coords = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                vec = tuple(
-                    (1 if k == i else 0) - (1 if k + 1 == i else 0)
-                    - (1 if k == j else 0) + (1 if k + 1 == j else 0)
-                    for k in range(n - 1)
-                )
-                coords[vec] = (i, j)
-        self.position = {}
-        for idx, root in enumerate(rd.roots):
-            self.position[idx] = coords[root]
 
     def _realize_dual(self) -> DualLoopElement:
         if self.twisted:
@@ -265,43 +246,69 @@ class Realization:
     def degree_step(self) -> Fraction:
         return Fraction(1, self.n) if self.twisted else _degree_step_split(self)
 
-    def gen_matrix(self, gen: Gen) -> Matrix:
-        n = self.n
-        mat = _zero_matrix(n)
-        if gen[0] == "r":
-            i, j = self.position[gen[1]]
-            mat[i][j] = _ONE
-        else:
-            k = gen[1]
-            mat[k][k] = _ONE
-            mat[k + 1][k + 1] = -_ONE
-        return _freeze(mat)
-
     def matrix_to_coords(self, mat: Matrix) -> dict[Gen, CycloNumber]:
         """Expand a trace-zero matrix in the generator basis."""
         n = self.n
-        out: dict[Gen, CycloNumber] = {}
-        pos_to_root = {pos: idx for idx, pos in self.position.items()}
-        for i in range(n):
-            for j in range(n):
-                if i != j and not mat[i][j].is_zero():
-                    out[("r", pos_to_root[(i, j)])] = mat[i][j]
-        acc = _ZERO
-        for k in range(n - 1):
-            acc = acc + mat[k][k]
-            if not acc.is_zero():
+        entries = {(i, j): mat[i][j] for i in range(n) for j in range(n)
+                   if not mat[i][j].is_zero()}
+        return self._entries_to_coords(entries)
+
+    def _entries_to_coords(self, entries: dict) -> dict:
+        """Generator coordinates of a trace-zero matrix given by its nonzero
+        entries in row-major order; h_k takes the diagonal partial sum to k."""
+        out = {}
+        for (i, j), c in entries.items():
+            if i != j:
+                out[("r", self._root_at[(i, j)])] = c
+        acc = 0
+        for k in range(self.n - 1):
+            acc = acc + entries.get((k, k), 0)
+            if acc:
                 out[("h", k)] = acc
         return out
 
+    def _gen_entries(self, gen: Gen) -> tuple[tuple[int, int, int], ...]:
+        """Nonzero entries (i, j, c) of the generator's matrix."""
+        if gen[0] == "r":
+            return (self.position[gen[1]] + (1,),)
+        k = gen[1]
+        return ((k, k, 1), (k + 1, k + 1, -1))
+
+    def _structure_constants(self, gu: Gen, gv: Gen) -> tuple:
+        """[gu, gv] in generator coordinates from [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+        comm: dict[tuple[int, int], int] = {}
+        for i, j, a in self._gen_entries(gu):
+            for k, l, b in self._gen_entries(gv):
+                if j == k:
+                    comm[(i, l)] = comm.get((i, l), 0) + a * b
+                if l == i:
+                    comm[(k, j)] = comm.get((k, j), 0) - a * b
+        entries = {pos: comm[pos] for pos in sorted(comm) if comm[pos]}
+        return tuple((gen, CycloNumber.from_rational(c))
+                     for gen, c in self._entries_to_coords(entries).items())
+
     def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, CycloNumber]:
         (gu, nu), (gv, nv) = u, v
-        comm = _commutator(self.gen_matrix(gu), self.gen_matrix(gv))
-        return {(gen, nu + nv): c for gen, c in self.matrix_to_coords(comm).items()}
+        coords = self._structure.get((gu, gv))
+        if coords is None:
+            coords = self._structure[(gu, gv)] = self._structure_constants(gu, gv)
+        n = nu + nv
+        return {(gen, n): c for gen, c in coords}
+
+    def trace_pair(self, gen: Gen, mat: Matrix) -> CycloNumber:
+        """tr(G mat) for the generator's matrix G, read off at most two entries."""
+        if gen[0] == "r":
+            i, j = self.position[gen[1]]
+            return mat[j][i]
+        k = gen[1]
+        return mat[k][k] - mat[k + 1][k + 1]
 
     def pair_dual_monomial(self, mono: Monomial, dual: DualLoopElement | None = None) -> CycloNumber:
+        """Residue pairing tr(M_(-n) Y) of the dual with a monomial Y t^n."""
         dual = dual or self.dual
         gen, n = mono
-        return dual.pair(self.gen_matrix(gen), n)
+        m = dual.terms.get(-n)
+        return _ZERO if m is None else self.trace_pair(gen, m)
 
     def pair_dual_bracket(self, u: Monomial, v: Monomial,
                           dual: DualLoopElement | None = None) -> CycloNumber:
@@ -399,6 +406,7 @@ class JLattice:
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
+        self._pieces: dict[Fraction, tuple] = {}
         if kind == "J":
             self._assemble_breaks(lagrangians or {})
 
@@ -436,13 +444,19 @@ class JLattice:
                 "j": j, "degree": s, "piece": piece, "form": form, "lagrangian": vectors,
             })
 
-    def piece_at_degree(self, deg: Fraction) -> tuple[list[Monomial], list[tuple]]:
+    def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], tuple[tuple, ...]]:
         """Monomial basis of the ambient graded slot plus lattice vectors.
 
         The returned vectors are independent: contributions already inside the
         accumulated span (a Lagrangian line next to its own pure monomial, say)
-        are dropped.
+        are dropped. Each degree is computed once per lattice.
         """
+        piece = self._pieces.get(deg)
+        if piece is None:
+            piece = self._pieces[deg] = self._compute_piece(deg)
+        return piece
+
+    def _compute_piece(self, deg: Fraction) -> tuple[tuple[Monomial, ...], tuple[tuple, ...]]:
         real = self.real
         monos = real.monomials_at_degree(deg)
         index = {m: i for i, m in enumerate(monos)}
@@ -465,7 +479,7 @@ class JLattice:
             if rec["degree"] == deg:
                 for line in rec["lagrangian"]:
                     push(_map_to_coords(line, index))
-        return monos, vectors
+        return tuple(monos), tuple(vectors)
 
     def contains_coords(self, deg: Fraction, coords: dict) -> bool:
         monos, vectors = self.piece_at_degree(deg)
@@ -500,6 +514,7 @@ class JLattice:
         out.breaks = self.breaks
         out.half_depths = self.half_depths
         out.break_pieces = self.break_pieces
+        out._pieces = {}  # the pure-monomial rule changed with the adjustment
         return out
 
     def to_json(self) -> dict:
@@ -583,9 +598,8 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
     for k in range(1, real.n):
         rows: dict[int, list] = {}
         for col, m in enumerate(monos):
-            gen_mat = real.gen_matrix(m[0])
             for p, xmat in powers[k - 1].items():
-                val = _trace_product(gen_mat, xmat)
+                val = real.trace_pair(m[0], xmat)
                 if not val.is_zero():
                     rows.setdefault(m[1] + p, [_ZERO] * len(monos))
                     rows[m[1] + p][col] = rows[m[1] + p][col] + val
@@ -977,17 +991,7 @@ def graded_piece_directions(rd: RootDatum, m: int) -> list:
 def eigen_regular_check(rd: RootDatum, m: int, max_samples: int = 3000) -> bool:
     """Brute-force search for a regular semisimple element in the -1 graded class."""
     n = _require_type_a(rd)
-    datum_positions = {}
-    coords = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                vec = tuple(
-                    (1 if k == i else 0) - (1 if k + 1 == i else 0)
-                    - (1 if k == j else 0) + (1 if k + 1 == j else 0)
-                    for k in range(n - 1)
-                )
-                coords[vec] = (i, j)
+    position = root_positions(rd)
     dirs = graded_piece_directions(rd, m)
     if not dirs:
         return False
@@ -996,7 +1000,7 @@ def eigen_regular_check(rd: RootDatum, m: int, max_samples: int = 3000) -> bool:
         mat = [[Fraction(0)] * n for _ in range(n)]
         for c, (kind, idx) in zip(sample, dirs):
             if kind == "r":
-                i, j = coords[rd.roots[idx]]
+                i, j = position[idx]
                 mat[i][j] += Fraction(c)
             else:
                 mat[idx][idx] += Fraction(c)
@@ -1012,9 +1016,3 @@ def eigen_regular_check(rd: RootDatum, m: int, max_samples: int = 3000) -> bool:
         if _resultant(p, _poly_deriv(p)) != 0:
             return True
     return False
-
-
-def eigen_regular_agrees(rd: RootDatum, m: int) -> bool:
-    from .tori import regular_numbers
-
-    return eigen_regular_check(rd, m) == (m in regular_numbers(rd)["regular"])

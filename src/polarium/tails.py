@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloNumber, cyclo_from_json, cyclo_to_json, root_of_unity
+from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, parse_fraction,
+                    root_of_unity)
 from .errors import InvalidArgumentError, PrecisionError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement
@@ -326,10 +327,11 @@ def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
     terms = {}
     for entry in doc.get("terms", []):
         coeff = [
-            cyclo_from_json(x) if isinstance(x, dict) else CycloNumber.from_rational(Fraction(x))
+            cyclo_from_json(x) if isinstance(x, dict)
+            else CycloNumber.from_rational(parse_fraction(x))
             for x in entry["coeff"]
         ]
-        terms[Fraction(entry["q"])] = coeff
+        terms[parse_fraction(entry["q"])] = coeff
     return Tail(rd, int(doc.get("m", 1)), terms)
 
 
@@ -349,6 +351,7 @@ def window_from_json(doc: dict) -> LaurentWindow:
     terms = {}
     for entry in doc.get("terms", []):
         c = entry["coeff"]
-        terms[Fraction(entry["q"])] = cyclo_from_json(c) if isinstance(c, dict) \
-            else CycloNumber.from_rational(Fraction(c))
-    return LaurentWindow(Fraction(doc["lo"]), Fraction(doc["hi"]), terms, int(doc.get("den", 1)))
+        terms[parse_fraction(entry["q"])] = cyclo_from_json(c) if isinstance(c, dict) \
+            else CycloNumber.from_rational(parse_fraction(c))
+    return LaurentWindow(parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), terms,
+                         int(doc.get("den", 1)))

@@ -44,6 +44,17 @@ def test_epipelagic_golden(capsys):
     assert out == (GOLDENS / "epi_output.json").read_text()
 
 
+def test_inline_json_input(capsys):
+    request = (GOLDENS / "epi_request.json").read_text().strip()
+    status, out = run_main(capsys, "epipelagic", "--input", request)
+    assert status == 0
+    assert out == (GOLDENS / "epi_output.json").read_text()
+    # the documented form: flags merged over an inline document
+    status2, out2 = run_main(capsys, "epipelagic", "--type", "A1", "--input", '{"m":2}')
+    assert status2 == 0
+    assert out2 == out
+
+
 def test_regular_numbers_golden(capsys):
     status, out = run_main(capsys, "regular-numbers", "--type", "G2")
     assert status == 0
@@ -128,6 +139,18 @@ def test_error_exit_codes(capsys, tmp_path):
     path3.write_text("{nope")
     status3, out3 = run_main(capsys, "classify", "--input", str(path3))
     assert status3 == 1
+
+    # unreadable input and zero denominators end in the envelope, not a traceback
+    enveloped = [
+        ("classify", ["--input", str(tmp_path / "missing.json")]),
+        ("classify", ["--input", '{"type":"A1","lambda":{"m":1,"terms":[{"q":"1/0","coeff":["1"]}]}}']),
+        ("classify", ["--input", '{"type":"A1","lambda":{"m":1,"terms":[{"q":"1","coeff":["2/0"]}]}}']),
+        ("verify-sl2", ["--input", '{"grid":[{"lo":"0","hi":"1/0","terms":[]}]}']),
+    ]
+    for command, argv in enveloped:
+        status4, out4 = run_main(capsys, command, *argv)
+        assert status4 == 1, argv
+        assert json.loads(out4)["error"]["code"] == "invalid-argument", argv
 
 
 def test_table_format(capsys):

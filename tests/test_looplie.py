@@ -6,13 +6,13 @@ import pytest
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation, InvalidArgumentError
 from polarium.looplie import (Realization, bracket_closure_violations,
-                              build_j_lattice, eigen_regular_agrees,
-                              eigen_regular_check, lagrangian,
+                              build_j_lattice, eigen_regular_check, lagrangian,
                               moveability_check, mp_graded_piece,
                               psi_lambda_check, symplectic_form, vj_split)
 from polarium.polar import PolarDatum, classify, epipelagic_datum
+from polarium.rootdata import build
 from polarium.tails import Tail
-from polarium.tori import split_torus_class
+from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import LaurentMatrix, cyclo_rank
@@ -32,6 +32,26 @@ def sl2_depth_one(a1):
 def sl3_two_break(a2):
     d = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
     return d, extract(d)
+
+
+def as_laurent(real, coords):
+    """The Laurent matrix sum of c * G t^n over a monomial map, where G is
+    E_ij for a root at position (i, j) and E_kk - E_(k+1)(k+1) for h_k."""
+    n = real.n
+    terms = {}
+    for ((kind, idx), p), c in coords.items():
+        mat = terms.setdefault(p, [[F(0)] * n for _ in range(n)])
+        if kind == "r":
+            i, j = real.position[idx]
+            mat[i][j] += c
+        else:
+            mat[idx][idx] += c
+            mat[idx + 1][idx + 1] -= c
+    return LaurentMatrix(n, terms)
+
+
+def nonzero_terms(lm):
+    return {p: m for p, m in lm.terms.items() if any(x for row in m for x in row)}
 
 
 # -- gradings ------------------------------------------------------------
@@ -58,6 +78,30 @@ def test_graded_additivity(a1, a2):
             for mono, c in result.items():
                 assert not c.is_zero()
                 assert real.degree(mono) == real.degree(u) + real.degree(v)
+
+
+def test_structure_table_matches_matrix_commutator():
+    # every generator pair, split and twisted (cyclic-shift) presentations
+    reals = []
+    for label in ("A1", "A2", "A3", "A4"):
+        rd = build(label)
+        d = classify(split_torus_class(rd), Tail.zero(rd))
+        reals.append(Realization(d, extract(d)))
+    for label, m in (("A2", 3), ("A3", 4), ("A4", 5)):
+        d = epipelagic_datum(build(label), m)
+        reals.append(Realization(d, extract(d)))
+    for real in reals:
+        gens = real.generators()
+        for a, gu in enumerate(gens):
+            for b, gv in enumerate(gens):
+                u, v = (gu, a % 3 - 1), (gv, b % 2)
+                result = real.bracket_monomials(u, v)
+                assert all(c.is_rational() and c.as_rational().denominator == 1
+                           and not c.is_zero() for c in result.values())
+                got = {mono: c.as_rational() for mono, c in result.items()}
+                expected = as_laurent(real, {u: 1}).commutator(as_laurent(real, {v: 1}))
+                assert nonzero_terms(as_laurent(real, got)) == nonzero_terms(expected), \
+                    (real.rd.type_label(), real.twisted, gu, gv)
 
 
 def test_vj_split_examples(a1, a2):
@@ -195,19 +239,35 @@ def test_sl3_two_break_lattice(a2):
     assert psi_lambda_check(J)
 
 
-def test_psi_oracle_sl3_epipelagic(a2):
-    # independent check that the realized dual is X^2 t^-1 and pairs as claimed
+def test_psi_oracle_sl3_epipelagic(a2, a3):
+    # independent check that the realized dual is X^(n-1) t^-1 in the
+    # epipelagic case, diag(lambda) t^-q in the split case, and pairs as claimed
     d = epipelagic_datum(a2, 3)
-    real = Realization(d, extract(d))
-    dual = LaurentMatrix(3, {
+    cases = [(Realization(d, extract(d)), LaurentMatrix(3, {
         -1: [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
         0: [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
-    })
-    for (gen, n) in [(("r", 0), 0), (("r", 1), 0), (("r", 2), 1)]:
-        mat = real.gen_matrix(gen)
-        mono = LaurentMatrix(3, {n: [[x.as_rational() for x in row] for row in mat]})
-        assert real.pair_dual_monomial((gen, n)).as_rational() \
-            == mono.residue_pair(dual)
+    }))]
+    for rd, n in ((a3, 4), (build("A4"), 5)):
+        d = epipelagic_datum(rd, n)
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+        x = LaurentMatrix(n, {0: shift, 1: corner})
+        power = x
+        for _ in range(n - 2):
+            power = power.mul(x)
+        dual = LaurentMatrix(n, {p - 1: m for p, m in power.terms.items()})
+        cases.append((Realization(d, extract(d)), dual))
+    d, ladder = sl3_two_break(a2)
+    cases.append((Realization(d, ladder, rho_over(a2, 2)), LaurentMatrix(3, {
+        -2: [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
+        -1: [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+    })))
+    for real, dual in cases:
+        for gen in real.generators():
+            for n in (-1, 0, 1, 2):
+                mono = as_laurent(real, {(gen, n): 1})
+                assert real.pair_dual_monomial((gen, n)).as_rational() \
+                    == mono.residue_pair(dual), (real.rd.type_label(), gen, n)
 
 
 def test_negative_controls_each_golden(a1, a2):
@@ -237,6 +297,20 @@ def test_negative_controls_each_golden(a1, a2):
             broke = bool(bracket_closure_violations(lowered, -3, 4)) \
                 or not psi_lambda_check(lowered)
             assert broke, (d, gen)
+
+
+def test_piece_memo_isolated_from_adjusted_copies(a1):
+    d, ladder = sl2_depth_one(a1)
+    J = build_j_lattice(d, ladder, rho_over(a1, 2))
+    degrees = [F(k, 2) for k in range(-4, 6)]
+    before = [J.piece_at_degree(deg) for deg in degrees]
+    lowered = J.with_adjust(("r", 1), 1)  # f t enters at degree 1/2
+    after_copy = [lowered.piece_at_degree(deg) for deg in degrees]
+    changed = [deg for deg, p, q in zip(degrees, before, after_copy) if p != q]
+    assert changed == [F(1, 2)]
+    assert [J.piece_at_degree(deg) for deg in degrees] == before
+    fresh = build_j_lattice(d, ladder, rho_over(a1, 2))
+    assert [fresh.piece_at_degree(deg) for deg in degrees] == before
 
 
 def test_raised_threshold_breaks_closure(a1):
@@ -279,6 +353,10 @@ def test_moveability_negative_control(a2):
 
 
 # -- graded regularity search ---------------------------------------------
+
+
+def eigen_regular_agrees(rd, m):
+    return eigen_regular_check(rd, m) == (m in regular_numbers(rd)["regular"])
 
 
 def test_eigen_regular_examples(a1, a2):
