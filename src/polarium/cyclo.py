@@ -189,35 +189,19 @@ class CycloNumber:
             raise InvalidArgumentError(f"target {L1} does not divide conductor {L}")
         if L1 == L:
             return self
+        from .linalg import rref  # linalg imports this module
+
         phi1 = euler_phi(L1)
         basis = [CycloNumber(L1, tuple(_ONE if j == i else _ZERO for j in range(phi1))).lift(L)
                  for i in range(phi1)]
-        # Solve for rational coordinates in the lifted basis by Gaussian elimination.
-        rows = [list(b.coeffs) for b in basis]
-        target = list(self.coeffs)
-        n = len(target)
-        aug = [[rows[i][j] for i in range(phi1)] + [target[j]] for j in range(n)]
-        pivots: list[int] = []
-        r = 0
-        for col in range(phi1):
-            pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = 1 / aug[r][col]
-            aug[r] = [v * inv for v in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-            pivots.append(col)
-            r += 1
+        # Rational coordinates of self in the lifted basis, if any.
+        aug = [[b.coeffs[j] for b in basis] + [c] for j, c in enumerate(self.coeffs)]
+        reduced, pivots = rref(aug)
+        if phi1 in pivots:
+            return None
         sol = [_ZERO] * phi1
         for i, col in enumerate(pivots):
-            sol[col] = aug[i][phi1]
-        for i in range(r, n):
-            if aug[i][phi1] != 0:
-                return None
+            sol[col] = reduced[i][phi1]
         candidate = CycloNumber(L1, tuple(sol))
         return candidate if candidate.lift(L) == self else None
 
@@ -288,6 +272,8 @@ class CycloNumber:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other == 1:
+            return self.inverse()  # same value and conductor, one multiply fewer
         return _coerce(other) / self
 
     def __pow__(self, n: int):

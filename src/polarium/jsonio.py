@@ -66,6 +66,8 @@ def torus_to_json(tc: TorusClass) -> dict:
 
 
 def torus_from_json(rd: RootDatum, doc: dict) -> TorusClass:
+    if len(doc["w"]) != rd.dim or any(len(row) != rd.dim for row in doc["w"]):
+        raise InvalidArgumentError(f"torus matrix w must be {rd.dim}x{rd.dim}")
     w = WeylElement(rd, tuple(tuple(int(v) for v in row) for row in doc["w"]))
     w.root_permutation()  # validates that the matrix permutes the roots
     return TorusClass(rd, w, int(doc["m"]))

@@ -1,28 +1,17 @@
-"""Small dense exact linear algebra over CycloNumber entries.
+"""Small dense exact linear algebra over Q and Q(zeta_L).
 
-Everything works on lists of row vectors (tuples). Sizes stay in the tens,
-so plain fraction-free-less Gaussian elimination is plenty.
+Everything works on lists of row vectors. `rref` is the package's one
+Gaussian elimination; it is generic over the field: entries may be
+`Fraction`s or `CycloNumber`s, zero tests use truthiness and a pivot's
+reciprocal is `1 / p`. Sizes stay in the tens, so plain elimination is
+plenty.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclo import CycloNumber
 
 Vector = tuple[CycloNumber, ...]
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero() if isinstance(a, CycloNumber) else a == 0 for a in u)
 
 
 def dot_int(ints, u: Vector):
@@ -34,8 +23,11 @@ def dot_int(ints, u: Vector):
     return total
 
 
-def rref(rows: list[list[CycloNumber]]) -> tuple[list[list[CycloNumber]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Entries must be field elements: plain ints would divide to floats.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -43,14 +35,14 @@ def rref(rows: list[list[CycloNumber]]) -> tuple[list[list[CycloNumber]], list[i
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
+        inv = 1 / rows[r][col]
         rows[r] = [inv * v for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
+            if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
@@ -60,7 +52,7 @@ def rref(rows: list[list[CycloNumber]]) -> tuple[list[list[CycloNumber]], list[i
     return rows, pivots
 
 
-def rank(rows: list[list[CycloNumber]]) -> int:
+def rank(rows: list[list]) -> int:
     return len(rref(rows)[1])
 
 
@@ -78,27 +70,11 @@ def nullspace(rows: list[list[CycloNumber]], ncols: int) -> list[Vector]:
     return basis
 
 
-def solve_in_span(basis: list[Vector], target: Vector) -> list[CycloNumber] | None:
-    """Coordinates of target in the span of basis, or None if outside."""
-    if vec_is_zero(target):
-        return [CycloNumber.zero() for _ in basis]
-    if not basis:
-        return None
-    n = len(target)
-    aug = [[basis[j][i] for j in range(len(basis))] + [target[i]] for i in range(n)]
-    reduced, pivots = rref(aug)
-    k = len(basis)
-    if k in pivots:
-        return None
-    coords = [CycloNumber.zero()] * k
-    for i, pc in enumerate(pivots):
-        coords[pc] = reduced[i][k]
-    return coords
-
-
 def in_span(basis: list[Vector], target: Vector) -> bool:
-    return solve_in_span(basis, target) is not None
-
-
-def from_int_matrix(m) -> list[list[CycloNumber]]:
-    return [[CycloNumber.from_rational(Fraction(x)) for x in row] for row in m]
+    """Whether target lies in the span of the basis vectors."""
+    if not any(target):
+        return True
+    if not basis:
+        return False
+    aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    return len(basis) not in rref(aug)[1]

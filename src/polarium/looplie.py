@@ -945,32 +945,14 @@ def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _resultant(p: list[Fraction], q: list[Fraction]) -> Fraction:
-    """Sylvester resultant via fraction Gaussian elimination."""
+def _sylvester(p: list[Fraction], q: list[Fraction]) -> list[list[Fraction]]:
+    """Sylvester matrix of two ascending coefficient lists of degree >= 1;
+    it is singular exactly when p and q share a root."""
     dp, dq = len(p) - 1, len(q) - 1
-    if dp < 1 or dq < 1:
-        return Fraction(1)
     size = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + p[::-1] + [Fraction(0)] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + q[::-1] + [Fraction(0)] * (size - dq - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+    return ([[Fraction(0)] * i + p[::-1] + [Fraction(0)] * (size - dp - 1 - i) for i in range(dq)]
+            + [[Fraction(0)] * i + q[::-1] + [Fraction(0)] * (size - dq - 1 - i)
+               for i in range(dp)])
 
 
 def graded_piece_directions(rd: RootDatum, m: int) -> list:
@@ -1013,6 +995,10 @@ def eigen_regular_check(rd: RootDatum, m: int, max_samples: int = 3000) -> bool:
         if tried > max_samples:
             break
         p = _char_poly(assemble(sample))
-        if _resultant(p, _poly_deriv(p)) != 0:
+        deriv = _poly_deriv(p)
+        if len(deriv) < 2:  # degree < 2: no repeated eigenvalue possible
+            return True
+        sylvester = _sylvester(p, deriv)
+        if rank(sylvester) == len(sylvester):
             return True
     return False

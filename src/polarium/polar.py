@@ -10,9 +10,7 @@ bug, not data.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -104,7 +102,8 @@ def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
         raise InternalInvariantViolation(
             f"vanishing set {sorted(levi)} not stable under the twisting element"
         )
-    return PolarDatum(tc, levi, lam)
+    # Every check of PolarDatum validation has just been made above.
+    return PolarDatum(tc, levi, lam, validate=False)
 
 
 def stabilizer(rd: RootDatum, lam: Tail) -> dict:
@@ -206,14 +205,6 @@ def homogeneous_datum(rd: RootDatum, m: int, i: int) -> PolarDatum:
 # -- partition sampling --------------------------------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("POLARIUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sample_equivariant_tail(tc: TorusClass, rng: random.Random,
                             max_terms: int = 3, max_level: int | None = None) -> Tail:
     """A random tail satisfying the torus equivariance constraint."""
@@ -270,14 +261,8 @@ def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
                     zero_only: bool = False, disjoint_pairs: int = 50) -> dict:
     """Sampled verification of the partition properties; report-valued."""
     classes = list_torus_classes(rd)
-    workers = _worker_count()
-    seeds = [seed * 1_000_003 + k for k in range(samples)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda s: _one_sample(rd, classes, s, zero_only), seeds))
-    else:
-        records = [_one_sample(rd, classes, s, zero_only) for s in seeds]
+    records = [_one_sample(rd, classes, seed * 1_000_003 + k, zero_only)
+               for k in range(samples)]
 
     violations = []
     full_levi = 0

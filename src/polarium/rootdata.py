@@ -10,8 +10,10 @@ bases the canonical pairing is the plain integer dot product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedFeatureError
+from .linalg import rref
 
 IntVec = tuple[int, ...]
 
@@ -141,9 +143,6 @@ class RootDatum:
     def pairing(coweight, weight) -> int:
         return sum(a * b for a, b in zip(coweight, weight))
 
-    def coroot_of(self, root_idx: int) -> IntVec:
-        return self.coroots[root_idx]
-
     def negative_of(self, root_idx: int) -> int:
         return self.root_index[tuple(-v for v in self.roots[root_idx])]
 
@@ -163,18 +162,24 @@ class RootDatum:
         r = self.ss_rank
         aug = [[Fraction(self.cartan[k][j]) for k in range(r)] + [Fraction(1)]
                for j in range(r)]
-        for col in range(r):
-            piv = next(i for i in range(col, r) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for i in range(r):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-        return tuple(aug[k][r] for k in range(r)) + (Fraction(0),) * self.torus_rank
+        reduced, _ = rref(aug)  # the Cartan matrix is invertible
+        return tuple(row[r] for row in reduced) + (Fraction(0),) * self.torus_rank
 
     # -- Weyl group --------------------------------------------------------
+
+    def weyl_order(self) -> int:
+        """|W| as the product over simple factors of the product of degrees."""
+        order = 1
+        for letter, n in self.factors:
+            if letter == "A":
+                order *= factorial(n + 1)
+            elif letter in ("B", "C"):
+                order *= 2**n * factorial(n)
+            elif letter == "D":
+                order *= 2 ** (n - 1) * factorial(n)
+            else:  # G2
+                order *= 12
+        return order
 
     def simple_reflection_matrix(self, i: int) -> tuple[IntVec, ...]:
         n = self.dim
@@ -191,6 +196,8 @@ class RootDatum:
         """The full Weyl group, identity first, closed under composition."""
         if self._weyl_cache is not None:
             return self._weyl_cache
+        if self.weyl_order() > WEYL_ORDER_BOUND:
+            raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
         n = self.dim
         identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         gens = [self.simple_reflection_matrix(i) for i in range(self.ss_rank)]
@@ -202,10 +209,6 @@ class RootDatum:
             for g in gens:
                 prod = _mat_mul(g, mat)
                 if prod not in seen:
-                    if len(seen) >= WEYL_ORDER_BOUND:
-                        raise ResourceLimitError(
-                            f"Weyl group larger than bound {WEYL_ORDER_BOUND}"
-                        )
                     seen.add(prod)
                     order.append(prod)
                     frontier.append(prod)
@@ -249,24 +252,13 @@ def _mat_inv_int(a):
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
            for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            assert v.denominator == 1
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
+    reduced, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise InvalidArgumentError("matrix is not invertible")
+    inv = [row[n:] for row in reduced]
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise InvalidArgumentError("matrix inverse is not integral")
+    return tuple(tuple(int(v) for v in row) for row in inv)
 
 
 class WeylElement:
@@ -350,41 +342,18 @@ def q_closure(rd: RootDatum, subset) -> frozenset[int]:
     indices = sorted(set(subset))
     if not indices:
         return frozenset()
-    basis: list[list[Fraction]] = []
-    for idx in indices:
-        _span_insert(basis, [Fraction(v) for v in rd.roots[idx]])
-    out = set()
-    for k, root in enumerate(rd.roots):
-        if _span_contains(basis, [Fraction(v) for v in root]):
-            out.add(k)
-    return frozenset(out)
+    reduced, pivots = rref([[Fraction(v) for v in rd.roots[idx]] for idx in indices])
+    # A vector lies in the row space of a reduced echelon basis exactly when
+    # it equals the combination of basis rows weighted by its pivot entries.
+    return frozenset(
+        k for k, root in enumerate(rd.roots)
+        if all(v == sum(root[p] * row[c] for p, row in zip(pivots, reduced))
+               for c, v in enumerate(root))
+    )
 
 
 def is_q_closed(rd: RootDatum, subset) -> bool:
     return q_closure(rd, subset) == frozenset(subset)
-
-
-def _span_insert(basis: list[list[Fraction]], vec: list[Fraction]) -> None:
-    vec = _span_reduce(basis, vec)
-    if any(vec):
-        lead = next(i for i, v in enumerate(vec) if v)
-        inv = 1 / vec[lead]
-        basis.append([v * inv for v in vec])
-        basis.sort(key=lambda row: next(i for i, v in enumerate(row) if v))
-
-
-def _span_reduce(basis, vec):
-    vec = list(vec)
-    for row in basis:
-        lead = next(i for i, v in enumerate(row) if v)
-        if vec[lead]:
-            f = vec[lead]
-            vec = [v - f * w for v, w in zip(vec, row)]
-    return vec
-
-
-def _span_contains(basis, vec) -> bool:
-    return not any(_span_reduce(basis, vec))
 
 
 def stable_under(rd: RootDatum, w: WeylElement, subset) -> bool:
@@ -402,7 +371,3 @@ def rootdatum_to_json(rd: RootDatum) -> dict:
     if len(spec) == 1 and spec[0][0] != "torus":
         return {"type": f"{spec[0][0]}{spec[0][1]}"}
     return {"type": spec}
-
-
-def rootdatum_from_json(doc: dict) -> RootDatum:
-    return build(doc["type"])

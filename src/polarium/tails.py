@@ -172,10 +172,6 @@ def pair_coroot(tail: Tail, coroot) -> ScalarTail:
     return ScalarTail(tail.m, {q: dot_int(coroot, c) for q, c in tail.terms.items()})
 
 
-def depth(s: ScalarTail) -> Fraction | None:
-    return s.depth()
-
-
 def tail_arith(a: Tail, b, op: str):
     """Dispatch used by the CLI: op in {add, scale, weyl_act}."""
     if op == "add":
@@ -253,9 +249,6 @@ class LaurentWindow:
                     terms[q] = terms.get(q, CycloNumber.zero()) + c
         return LaurentWindow(lo, hi, terms, den)
 
-    def sub(self, other: "LaurentWindow") -> "LaurentWindow":
-        return self.add(other.neg())
-
     def mul(self, other: "LaurentWindow") -> "LaurentWindow":
         den = lcm(self.den, other.den)
         va, vb = self.effective_valuation(), other.effective_valuation()
@@ -274,13 +267,6 @@ class LaurentWindow:
     def scale(self, factor) -> "LaurentWindow":
         return LaurentWindow(self.lo, self.hi,
                              {q: factor * c for q, c in self.terms.items()}, self.den)
-
-    def shift(self, k) -> "LaurentWindow":
-        """Multiply by t^k."""
-        k = Fraction(k)
-        den = lcm(self.den, k.denominator)
-        return LaurentWindow(self.lo + k, self.hi + k,
-                             {q + k: c for q, c in self.terms.items()}, den)
 
     def scale_exponents(self, r) -> "LaurentWindow":
         """Substitute t -> t^(1/r) viewed on exponents: q maps to q*r."""
@@ -333,11 +319,6 @@ def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
         ]
         terms[parse_fraction(entry["q"])] = coeff
     return Tail(rd, int(doc.get("m", 1)), terms)
-
-
-def scalar_tail_to_json(s: ScalarTail) -> dict:
-    return {"m": s.m,
-            "terms": [{"q": str(q), "coeff": cyclo_to_json(c)} for q, c in sorted(s.terms.items())]}
 
 
 def window_to_json(w: LaurentWindow) -> dict:

@@ -147,6 +147,11 @@ def test_error_exit_codes(capsys, tmp_path):
         ("classify", ["--input", '{"type":"A1","lambda":{"m":1,"terms":[{"q":"1","coeff":["2/0"]}]}}']),
         ("verify-sl2", ["--input", '{"grid":[{"lo":"0","hi":"1/0","terms":[]}]}']),
     ]
+    # a torus matrix of the wrong shape, singular, or not unimodular
+    for w in ([[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], [[0, 0], [0, 0]],
+              [[1, 1], [1, 1]], [[2, 0], [0, 1]]):
+        doc = {"type": "A2", "torus": {"m": 1, "w": w}, "lambda": {"m": 1, "terms": []}}
+        enveloped.append(("classify", ["--input", json.dumps(doc)]))
     for command, argv in enveloped:
         status4, out4 = run_main(capsys, command, *argv)
         assert status4 == 1, argv

@@ -9,6 +9,9 @@ from polarium.cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json,
                             sqrt_cyclo, zeta)
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired,
                              InvalidArgumentError)
+from polarium.linalg import rank
+
+from .oracles import cyclo_rank
 
 
 def test_make_examples():
@@ -100,6 +103,22 @@ def test_inverse_and_lift_stability(a):
     lifted = a.lift(a.conductor * 2)
     assert lifted == a
     assert (lifted + (-a)).is_zero()
+
+
+@st.composite
+def small_int_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_int_matrices())
+def test_rank_matches_oracle_over_q(m):
+    as_cyclo = [[CycloNumber.from_rational(v) for v in row] for row in m]
+    expected = cyclo_rank(as_cyclo)
+    assert rank([[Fraction(v) for v in row] for row in m]) == expected
+    assert rank(as_cyclo) == expected
 
 
 def test_sqrt_supported_values():

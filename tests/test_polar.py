@@ -135,10 +135,3 @@ def test_partition_check_reports(a1, a2):
     assert rep2["violations"] == []
     degenerate = partition_check(a1, samples=15, seed=2, zero_only=True)
     assert degenerate["full_levi_count"] == degenerate["classified"] == 15
-
-
-def test_partition_check_threads_deterministic(a1, monkeypatch):
-    serial = partition_check(a1, samples=40, seed=5)
-    monkeypatch.setenv("POLARIUM_THREADS", "4")
-    threaded = partition_check(a1, samples=40, seed=5)
-    assert serial == threaded

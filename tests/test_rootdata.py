@@ -8,6 +8,8 @@ from polarium.rootdata import (WeylElement, build, is_q_closed, q_closure,
 
 from .oracles import closure_roots_from_cartan, span_contains
 
+KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
+
 
 def test_build_a1(a1):
     assert len(a1.roots) == 2
@@ -26,7 +28,7 @@ def test_closure_counts_match_oracle(label, expected_roots, expected_order):
     rd = build(label)
     oracle = closure_roots_from_cartan(rd.cartan)
     assert len(rd.roots) == len(oracle) == expected_roots
-    assert len(rd.weyl_elements()) == expected_order
+    assert len(rd.weyl_elements()) == rd.weyl_order() == expected_order
 
 
 def test_coroot_normalization(g2):
@@ -43,6 +45,17 @@ def test_unsupported_types():
 
 def test_weyl_order_bound(monkeypatch):
     import polarium.rootdata as rootdata
+
+    a8 = build("A8")
+    assert a8.weyl_order() == 362_880
+
+    def no_enumeration(*args):
+        raise AssertionError("Weyl group enumerated before the bound was checked")
+
+    monkeypatch.setattr(rootdata, "_mat_mul", no_enumeration)
+    with pytest.raises(ResourceLimitError):
+        a8.weyl_elements()
+    monkeypatch.undo()
 
     monkeypatch.setattr(rootdata, "WEYL_ORDER_BOUND", 100)
     with pytest.raises(ResourceLimitError):
@@ -136,7 +149,16 @@ def test_q_closure_preserves_w_stability(a2, b2):
             assert stable_under(rd, w, closed)
 
 
-def test_inverse_matrix(g2):
-    for w in g2.weyl_elements():
-        inv = WeylElement(g2, w.inverse_matrix())
-        assert w.compose(inv).is_identity()
+def test_inverse_matrix():
+    for label in KERNEL_TYPES:
+        rd = build(label)
+        for w in rd.weyl_elements():
+            inv = WeylElement(rd, w.inverse_matrix())
+            assert w.compose(inv).is_identity(), label
+
+
+def test_rho_coweight_pairs_to_one():
+    for label in KERNEL_TYPES:
+        rd = build(label)
+        rho = rd.rho_coweight()
+        assert [rd.pairing(rho, alpha) for alpha in rd.simple_roots] == [1] * rd.ss_rank, label
