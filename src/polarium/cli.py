@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import chevmap, jsonio, looplie, polar, yuseq
-from .errors import InternalInvariantViolation, InvalidArgumentError, PolariumError
+from .errors import InvalidArgumentError, PolariumError
 from .rootdata import build, rootdatum_to_json
 from .tails import window_from_json
 from .tori import list_torus_classes, regular_numbers
@@ -236,10 +236,6 @@ def main(argv=None) -> int:
         doc = _merge_flags(args, _load_input(args.input))
         jsonio.validate_request(args.command, doc)
         result, status = _HANDLERS[args.command](doc)
-    except InternalInvariantViolation as exc:
-        _emit(jsonio.canonical_dumps(
-            {"error": {"code": exc.code, "message": str(exc)}}), args.out)
-        return exc.exit_status
     except PolariumError as exc:
         _emit(jsonio.canonical_dumps(
             {"error": {"code": exc.code, "message": str(exc)}}), args.out)

@@ -93,8 +93,11 @@ def datum_from_json(doc: dict, validate: bool = True) -> PolarDatum:
         tc = torus_from_json(rd, torus_doc)
     lam = tail_from_json(rd, doc["lambda"])
     if "levi" in doc:
-        return PolarDatum(tc, frozenset(int(i) for i in doc["levi"]), lam,
-                          validate=validate and doc.get("validate", True))
+        levi = frozenset(int(i) for i in doc["levi"])
+        if any(i >= len(rd.roots) for i in levi):
+            raise InvalidArgumentError(f"levi index out of range: {rd.type_label()} has "
+                                       f"{len(rd.roots)} roots")
+        return PolarDatum(tc, levi, lam, validate=validate and doc.get("validate", True))
     return classify(tc, lam)
 
 

@@ -1,15 +1,17 @@
-"""Matrix realization of split type-A loop algebras: Moy-Prasad gradings at
-rational apartment points, symplectic break forms, the graded lattice with
-its linear character, and the tangent-level moveability checks.
+"""Type-A loop algebras sl_n((t)) on the graded monomial basis: Moy-Prasad
+gradings at rational apartment points, symplectic break forms, the graded
+lattice with its linear character, and the tangent-level moveability checks.
 
-Dual-side objects are represented on the same graded monomial basis via the
-residue-trace pairing with the dt/t twist: a dual element is a finite family
-of matrices M_p t^p standing for (sum M_p t^p) dt/t, so pairing against a
-monomial Y t^n reads off tr(M_(-n) Y).
+A monomial is a generator G t^n, with G = E_ij for a root and
+E_kk - E_(k+1)(k+1) for the torus direction h_k. The dual element
+(sum M_p t^p) dt/t enters only through the residue-trace pairing, so it is
+kept as the functional it induces: exponent n -> generator -> tr(M_(-n) G),
+nonzero values only.
 
 Twisted tori enter through the cyclic-shift presentation X = N + t*E(n,1)
-(the principal order-n class); its powers span the twisted Cartan and every
-computation stays rational.
+(the principal order-n class). X^s has a one at (a, (a+s) mod n) times
+t^((a+s) div n); its powers span the twisted Cartan and every computation
+stays rational.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, cyclo_to_json
 from .errors import (InternalInvariantViolation, InvalidArgumentError,
                      UnsupportedFeatureError)
 from .linalg import in_span, nullspace, rank
@@ -27,9 +29,9 @@ from .rootdata import RootDatum
 from .tails import Tail
 from .yuseq import YuLadder, extract
 
-Matrix = tuple[tuple[CycloNumber, ...], ...]
 Gen = tuple[str, int]  # ("r", root index) or ("h", torus index)
 Monomial = tuple[Gen, int]
+Functional = dict  # exponent n -> {generator: pairing with G t^n}
 
 _ZERO = CycloNumber.zero()
 _ONE = CycloNumber.one()
@@ -62,42 +64,9 @@ def root_positions(rd: RootDatum) -> dict[int, tuple[int, int]]:
     return {idx: coords[root] for idx, root in enumerate(rd.roots)}
 
 
-def _zero_matrix(n: int) -> list[list[CycloNumber]]:
-    return [[_ZERO for _ in range(n)] for _ in range(n)]
-
-
-def _freeze(m) -> Matrix:
-    return tuple(tuple(row) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = _zero_matrix(n)
-    for i in range(n):
-        for k in range(n):
-            if not a[i][k].is_zero():
-                for j in range(n):
-                    if not b[k][j].is_zero():
-                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return _freeze(out)
-
-
-class DualLoopElement:
-    """Finite family p -> matrix standing for (sum M_p t^p) dt/t."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {Fraction(p): _freeze(m) for p, m in terms.items()
-                      if any(not x.is_zero() for row in m for x in row)}
-
-    def restrict_exponents(self, keep) -> "DualLoopElement":
-        """Keep dual exponents q = -p selected by the predicate."""
-        return DualLoopElement(self.n, {p: m for p, m in self.terms.items() if keep(-p)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+def _shift_power(n: int, s: int):
+    """Entries (row, col, t-exponent) of X^s, each with coefficient one."""
+    return [(a, (a + s) % n, (a + s) // n) for a in range(n)]
 
 
 class Realization:
@@ -110,7 +79,6 @@ class Realization:
         self.datum = datum
         self.ladder = ladder
         self.twisted = not datum.torus.w.is_identity()
-        self._x_powers = None
         if self.twisted:
             self._init_twisted(x)
         else:
@@ -151,70 +119,36 @@ class Realization:
         self.x = expected
         self.level_of_root = {idx: 1 for idx in range(len(rd.roots))}
 
-    def _realize_dual(self) -> DualLoopElement:
+    def _realize_dual(self) -> Functional:
         if self.twisted:
             return self._realize_dual_twisted()
         return self._realize_dual_split()
 
-    def _realize_dual_split(self) -> DualLoopElement:
-        n = self.n
-        terms: dict[Fraction, list] = {}
+    def _realize_dual_split(self) -> Functional:
+        # lambda_q is diagonal with consecutive differences cov; the matrix
+        # entries lived at the lcm of the covector's conductors.
+        dual: Functional = {}
         for q, cov in self.datum.lam.terms.items():
             if q.denominator != 1:
                 raise UnsupportedFeatureError("split realization needs integral exponents")
-            d = [_ZERO] * n
-            for i in range(n):
-                acc = _ZERO
-                for k in range(i, n - 1):
-                    acc = acc + cov[k]
-                d[i] = acc
-            trace = d[0]
-            for v in d[1:]:
-                trace = trace + v
-            shift = Fraction(1, n) * trace
-            mat = _zero_matrix(n)
-            for i in range(n):
-                mat[i][i] = d[i] - shift
-            terms[-q] = mat
-        return DualLoopElement(n, terms)
+            conductor = lcm(*(c.conductor for c in cov))
+            dual[q] = {("h", k): c.lift(conductor) for k, c in enumerate(cov)
+                       if not c.is_zero()}
+        return dual
 
-    def _realize_dual_twisted(self) -> DualLoopElement:
-        # X = shift matrix with t in the corner; X^(n-i) t^(-1-j) has pure
-        # grading degree -q and is regular semisimple exactly when gcd(i,n)=1.
+    def _realize_dual_twisted(self) -> Functional:
+        # X^(n-i) t^(-1-j) has pure grading degree -q and is regular
+        # semisimple exactly when gcd(i,n)=1; tr(E_ab G) reads G at (b, a).
         n = self.n
         (q, _cov), = self.datum.lam.terms.items()
         i = int(q * n) % n
+        if i == 0:  # only an unvalidated datum gets here: w fixes no nonzero covector
+            raise InvalidArgumentError("twisted tail exponent must not be an integer")
         j = int(q - Fraction(i, n))
-        power = self.x_powers()[n - i - 1]
-        terms = {Fraction(p - 1 - j): m for p, m in power.items()}
-        return DualLoopElement(n, terms)
-
-    def x_powers(self) -> list[dict[int, Matrix]]:
-        """Matrix polynomials X^1 .. X^(n-1) spanning the twisted Cartan."""
-        if getattr(self, "_x_powers", None) is not None:
-            return self._x_powers
-        n = self.n
-        base = _zero_matrix(n)
-        for a in range(n - 1):
-            base[a][a + 1] = _ONE
-        corner = _zero_matrix(n)
-        corner[n - 1][0] = _ONE
-        x_poly = {0: _freeze(base), 1: _freeze(corner)}
-        out = [x_poly]
-        for _ in range(n - 2):
-            cur = out[-1]
-            nxt: dict[int, Matrix] = {}
-            for p1, m1 in cur.items():
-                for p2, m2 in x_poly.items():
-                    prod = _mat_mul(m1, m2)
-                    if p1 + p2 in nxt:
-                        nxt[p1 + p2] = _freeze([[a + b for a, b in zip(r1, r2)]
-                                                for r1, r2 in zip(nxt[p1 + p2], prod)])
-                    else:
-                        nxt[p1 + p2] = prod
-            out.append(nxt)
-        self._x_powers = out
-        return out
+        dual: Functional = {}
+        for a, b, p in _shift_power(n, n - i):
+            dual.setdefault(1 + j - p, {})[("r", self._root_at[(b, a)])] = _ONE
+        return dual
 
     # -- graded combinatorics -------------------------------------------
 
@@ -245,13 +179,6 @@ class Realization:
 
     def degree_step(self) -> Fraction:
         return Fraction(1, self.n) if self.twisted else _degree_step_split(self)
-
-    def matrix_to_coords(self, mat: Matrix) -> dict[Gen, CycloNumber]:
-        """Expand a trace-zero matrix in the generator basis."""
-        n = self.n
-        entries = {(i, j): mat[i][j] for i in range(n) for j in range(n)
-                   if not mat[i][j].is_zero()}
-        return self._entries_to_coords(entries)
 
     def _entries_to_coords(self, entries: dict) -> dict:
         """Generator coordinates of a trace-zero matrix given by its nonzero
@@ -295,29 +222,30 @@ class Realization:
         n = nu + nv
         return {(gen, n): c for gen, c in coords}
 
-    def trace_pair(self, gen: Gen, mat: Matrix) -> CycloNumber:
-        """tr(G mat) for the generator's matrix G, read off at most two entries."""
-        if gen[0] == "r":
-            i, j = self.position[gen[1]]
-            return mat[j][i]
-        k = gen[1]
-        return mat[k][k] - mat[k + 1][k + 1]
-
-    def pair_dual_monomial(self, mono: Monomial, dual: DualLoopElement | None = None) -> CycloNumber:
+    def pair_dual_monomial(self, mono: Monomial, dual: Functional | None = None) -> CycloNumber:
         """Residue pairing tr(M_(-n) Y) of the dual with a monomial Y t^n."""
-        dual = dual or self.dual
+        if dual is None:  # a restricted functional may be empty
+            dual = self.dual
         gen, n = mono
-        m = dual.terms.get(-n)
-        return _ZERO if m is None else self.trace_pair(gen, m)
+        return dual.get(n, {}).get(gen, _ZERO)
 
     def pair_dual_bracket(self, u: Monomial, v: Monomial,
-                          dual: DualLoopElement | None = None) -> CycloNumber:
-        dual = dual or self.dual
+                          dual: Functional | None = None) -> CycloNumber:
         total = _ZERO
         for mono, c in self.bracket_monomials(u, v).items():
             val = self.pair_dual_monomial(mono, dual)
             if not val.is_zero():
                 total = total + c * val
+        return total
+
+    def pair_lines(self, u: dict, v: dict, dual: Functional | None = None) -> CycloNumber:
+        """<dual, [u, v]> for two lines given as monomial -> coefficient maps."""
+        total = _ZERO
+        for mu, cu in u.items():
+            for mv, cv in v.items():
+                val = self.pair_dual_bracket(mu, mv, dual)
+                if not val.is_zero():
+                    total = total + cu * cv * val
         return total
 
     # -- M-part ----------------------------------------------------------
@@ -336,11 +264,8 @@ class Realization:
         if k == 0:
             return []
         j = int(deg - Fraction(k, n))
-        line: dict[Monomial, CycloNumber] = {}
-        for p, mat in self.x_powers()[k - 1].items():
-            for gen, c in self.matrix_to_coords(mat).items():
-                line[(gen, p + j)] = c
-        return [line]
+        return [{(("r", self._root_at[(a, b)]), p + j): _ONE
+                 for a, b, p in _shift_power(n, k)}]
 
     def m_line_in_lattice(self, deg: Fraction) -> bool:
         """Whether the twisted Cartan line at this degree lies in (LM)_{>=0}."""
@@ -532,7 +457,6 @@ class JLattice:
             thresholds.append(entry)
         lagrangians = []
         for rec in self.break_pieces:
-            from .cyclo import cyclo_to_json
             lagrangians.append({
                 "j": rec["j"],
                 "degree": str(rec["degree"]),
@@ -586,23 +510,22 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
             if kind != "r":
                 continue
             if idx in levels[j] and (j == 0 or idx not in levels[j - 1]):
-                line = [_ZERO] * len(monos)
-                line[index[m]] = _ONE
                 vectors.append({m: _ONE})
         return {"monomials": monos, "vectors": vectors, "degree": deg}
     if j != 1:
         raise InvalidArgumentError("twisted toral ladders have a single complement level")
     # Constraints: trace-orthogonality to every Cartan power as Laurent polys.
+    # tr(E_ab X^k) is t^p when X^k has its one at (b, a) times t^p, else 0.
+    n = real.n
     constraints = []
-    powers = real.x_powers()
-    for k in range(1, real.n):
+    for k in range(1, n):
         rows: dict[int, list] = {}
-        for col, m in enumerate(monos):
-            for p, xmat in powers[k - 1].items():
-                val = real.trace_pair(m[0], xmat)
-                if not val.is_zero():
-                    rows.setdefault(m[1] + p, [_ZERO] * len(monos))
-                    rows[m[1] + p][col] = rows[m[1] + p][col] + val
+        for col, ((kind, idx), e) in enumerate(monos):
+            if kind != "r":
+                continue  # X^k has a zero diagonal
+            a, b = real.position[idx]
+            if (b + k) % n == a:
+                rows.setdefault(e + (b + k) // n, [_ZERO] * len(monos))[col] = _ONE
         constraints.extend(rows.values())
     kernel = nullspace(constraints, len(monos)) if constraints else []
     vectors = [
@@ -620,18 +543,9 @@ def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[lis
     vectors = piece["vectors"]
     band = real.ladder.components[j - 1]
     exponents = set(band.support())
-    dual = real.dual.restrict_exponents(lambda q: q in exponents)
+    dual = {q: vals for q, vals in real.dual.items() if q in exponents}
+    form = [[real.pair_lines(u, v, dual) for v in vectors] for u in vectors]
     k = len(vectors)
-    form = [[_ZERO] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            total = _ZERO
-            for mu, cu in vectors[a].items():
-                for mv, cv in vectors[b].items():
-                    val = real.pair_dual_bracket(mu, mv, dual)
-                    if not val.is_zero():
-                        total = total + cu * cv * val
-            form[a][b] = total
     for a in range(k):
         if not form[a][a].is_zero():
             raise InternalInvariantViolation("symplectic form has nonzero diagonal")
@@ -753,17 +667,8 @@ def psi_lambda_check(lattice: JLattice, lam: Tail | None = None,
         raise InvalidArgumentError("tail does not belong to the lattice's datum")
     lo, hi = _default_window(real.ladder, window)
     basis = lattice.window_basis(lo, hi)
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            total = _ZERO
-            for mu, cu in basis[a].items():
-                for mv, cv in basis[b].items():
-                    val = real.pair_dual_bracket(mu, mv)
-                    if not val.is_zero():
-                        total = total + cu * cv * val
-            if not total.is_zero():
-                return False
-    return True
+    return all(real.pair_lines(basis[a], basis[b]).is_zero()
+               for a in range(len(basis)) for b in range(a, len(basis)))
 
 
 def _mono_json(line: dict) -> list:
@@ -820,18 +725,7 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         cols = _coset_complement_cols(real, lattice, variant, gamma)
         if not rows and not cols:
             continue
-        matrix = []
-        for xline in rows:
-            row = []
-            for phi in cols:
-                total = _ZERO
-                for mu, cu in xline.items():
-                    for mv, cv in phi.items():
-                        val = real.pair_dual_bracket(mu, mv)
-                        if not val.is_zero():
-                            total = total + cu * cv * val
-                row.append(total)
-            matrix.append(row)
+        matrix = [[real.pair_lines(xline, phi) for phi in cols] for xline in rows]
         r = rank(matrix) if rows and cols else 0
         ok = len(rows) == len(cols) == r
         if not ok:
@@ -876,7 +770,6 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
         if vec is not None:
             span.append(vec)
     in_lattice = [m for m in monos if lattice._pure_rule(m)]
-    covered = len(in_lattice) == len(monos)
     for rec in lattice.break_pieces:
         if rec["degree"] == delta:
             rows.extend(rec["lagrangian"])
@@ -908,13 +801,6 @@ def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
         vec = _map_to_coords(line, index)
         if vec is not None:
             constraints.append(list(vec))
-    if not real.twisted:
-        for m in monos:
-            (kind, idx), _n = m
-            if kind == "h" or idx in real.datum.levi:
-                vec = [_ZERO] * len(monos)
-                vec[index[m]] = _ONE
-                constraints.append(vec)
     kernel = nullspace(constraints, len(monos)) if constraints else \
         [tuple(_ONE if i == k else _ZERO for i in range(len(monos))) for k in range(len(monos))]
     return [

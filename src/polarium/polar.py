@@ -17,7 +17,8 @@ from math import gcd
 from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int
-from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
+from .rootdata import (RootDatum, WeylElement, _mat_mul, identity_matrix, is_q_closed,
+                       stable_under)
 from .tails import Tail, is_equivariant, pair_coroot
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
@@ -52,9 +53,6 @@ class PolarDatum:
     @property
     def rd(self) -> RootDatum:
         return self.torus.rd
-
-    def is_toral(self) -> bool:
-        return not self.levi
 
     def is_full(self) -> bool:
         return len(self.levi) == len(self.rd.roots)
@@ -116,10 +114,7 @@ def stabilizer(rd: RootDatum, lam: Tail) -> dict:
 
 def subgroup_generated(rd: RootDatum, gens) -> set:
     """Matrices of the subgroup generated by the given Weyl elements."""
-    from .rootdata import _mat_mul
-
-    n = rd.dim
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    identity = identity_matrix(rd.dim)
     seen = {identity}
     frontier = [identity]
     gen_mats = [g.matrix for g in gens]

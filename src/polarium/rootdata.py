@@ -198,8 +198,7 @@ class RootDatum:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
-        n = self.dim
-        identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        identity = identity_matrix(self.dim)
         gens = [self.simple_reflection_matrix(i) for i in range(self.ss_rank)]
         seen = {identity}
         order = [identity]
@@ -216,7 +215,7 @@ class RootDatum:
         return self._weyl_cache
 
     def identity_element(self) -> "WeylElement":
-        return self.weyl_elements()[0]
+        return WeylElement(self, identity_matrix(self.dim))
 
     def reflection_matrices(self) -> dict[tuple[IntVec, ...], int]:
         """Map from reflection matrix to the index of a root it reflects."""
@@ -238,6 +237,10 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.type_label()}, {len(self.roots)} roots)"
+
+
+def identity_matrix(n: int) -> tuple[IntVec, ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _mat_mul(a, b):
@@ -306,8 +309,7 @@ class WeylElement:
 
     def order(self) -> int:
         if self._order is None:
-            n = len(self.matrix)
-            identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+            identity = identity_matrix(len(self.matrix))
             power, k = self.matrix, 1
             while power != identity:
                 power = _mat_mul(self.matrix, power)
@@ -319,8 +321,7 @@ class WeylElement:
         return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix))
 
     def is_identity(self) -> bool:
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(len(self.matrix)) for j in range(len(self.matrix)))
+        return self.matrix == identity_matrix(len(self.matrix))
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix

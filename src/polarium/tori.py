@@ -12,7 +12,7 @@ import random
 from .cyclo import CycloNumber, root_of_unity
 from .errors import InvalidArgumentError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul
+from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
 from .tails import Covector
 
 
@@ -24,8 +24,7 @@ class TorusClass:
     def __init__(self, rd: RootDatum, w: WeylElement, m: int):
         if m < 1:
             raise InvalidArgumentError(f"period must be >= 1, got {m}")
-        n = rd.dim
-        identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        identity = identity_matrix(rd.dim)
         power = identity
         for _ in range(m):
             power = _mat_mul(w.matrix, power)
@@ -60,9 +59,6 @@ class TorusClass:
 
     def eigenspace(self, i: int) -> list[Covector]:
         return self.eigenspaces[i % self.m]
-
-    def order(self) -> int:
-        return self.w.order()
 
     def is_elliptic(self) -> bool:
         """No nonzero fixed covector: the presented torus is anisotropic."""
@@ -114,8 +110,7 @@ def springer_regular_sampled(tc: TorusClass, samples: int = 20, seed: int = 0) -
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
     """Conjugacy classes of the Weyl group, deterministically ordered."""
     elements = rd.weyl_elements()
-    gens = [rd.weyl_elements()[0].__class__(rd, rd.simple_reflection_matrix(i))
-            for i in range(rd.ss_rank)]
+    gens = [WeylElement(rd, rd.simple_reflection_matrix(i)) for i in range(rd.ss_rank)]
     index = {w.matrix: w for w in elements}
     unseen = {w.matrix for w in elements}
     classes = []

@@ -80,6 +80,14 @@ def test_jlattice_golden(capsys):
     assert doc["psi_lambda"] is True
 
 
+def test_jlattice_mixed_conductor_golden(capsys):
+    # coefficients at conductors 3, 1 and 4: printed values live at conductor 12
+    status, out = run_main(
+        capsys, "jlattice", "--input", str(GOLDENS / "jlattice_mixed_conductor_request.json"))
+    assert status == 0
+    assert out == (GOLDENS / "jlattice_mixed_conductor_output.json").read_text()
+
+
 def test_list_tori(capsys):
     status, out = run_main(capsys, "list-tori", "--type", "A2")
     assert status == 0
@@ -146,6 +154,16 @@ def test_error_exit_codes(capsys, tmp_path):
         ("classify", ["--input", '{"type":"A1","lambda":{"m":1,"terms":[{"q":"1/0","coeff":["1"]}]}}']),
         ("classify", ["--input", '{"type":"A1","lambda":{"m":1,"terms":[{"q":"1","coeff":["2/0"]}]}}']),
         ("verify-sl2", ["--input", '{"grid":[{"lo":"0","hi":"1/0","terms":[]}]}']),
+        # levi indices past the last root, with or without validation
+        ("yu-sequence", ["--input", '{"type":"A2","levi":[99],"lambda":{"m":1,"terms":[]}}']),
+        ("jlattice", ["--input",
+                      '{"datum":{"type":"A2","levi":[7],"lambda":{"m":1,"terms":[]}}}']),
+        ("moveability", ["--input", '{"datum":{"type":"A2","validate":false,'
+                         '"levi":[0,1,2,3,4,5,6],"lambda":{"m":1,"terms":[]}}}']),
+        # an unvalidated Coxeter-class datum with an integral tail exponent
+        ("jlattice", ["--input", '{"datum":{"type":"A2","torus":{"m":3,"w":[[-1,1],[-1,0]]},'
+                      '"levi":[],"validate":false,'
+                      '"lambda":{"m":3,"terms":[{"q":"1","coeff":["1","1"]}]}}}']),
     ]
     # a torus matrix of the wrong shape, singular, or not unimodular
     for w in ([[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], [[0, 0], [0, 0]],

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -60,6 +61,23 @@ def test_weyl_order_bound(monkeypatch):
     monkeypatch.setattr(rootdata, "WEYL_ORDER_BOUND", 100)
     with pytest.raises(ResourceLimitError):
         build("A4").weyl_elements()
+
+
+def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
+    # a torus-less request uses only the identity element, even past the bound
+    import polarium.rootdata as rootdata
+    from polarium.cli import main
+
+    def no_enumeration(*args):
+        raise AssertionError("Weyl group enumerated for a torus-less request")
+
+    monkeypatch.setattr(rootdata, "_mat_mul", no_enumeration)
+    for label, dim in (("A7", 7), ("A8", 8)):
+        doc = {"type": label, "lambda": {"m": 1, "terms": []}}
+        assert main(["classify", "--input", json.dumps(doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["torus"]["w"] == [[int(i == j) for j in range(dim)] for i in range(dim)]
+        assert len(out["levi"]) == dim * (dim + 1)
 
 
 def test_composite_with_torus():
