@@ -323,19 +323,6 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     return CycloNumber(conductor, _reduce(conductor, poly))
 
 
-def field_arith(a: CycloNumber, b: CycloNumber, op: str) -> CycloNumber:
-    """Dispatch form of the four field operations; conductors lift to the lcm."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InvalidArgumentError(f"unknown field operation {op!r}")
-
-
 def root_of_unity(order: int, power: int, conductor: int) -> CycloNumber:
     """zeta_order^power expressed at a conductor divisible by order."""
     if conductor % order != 0:

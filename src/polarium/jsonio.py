@@ -18,7 +18,7 @@ from .errors import InvalidArgumentError
 from .polar import PolarDatum, classify
 from .rootdata import RootDatum, WeylElement, build
 from .tails import tail_from_json, tail_to_json
-from .tori import TorusClass
+from .tori import TorusClass, split_torus_class
 
 
 def canonical_dumps(obj) -> str:
@@ -88,7 +88,7 @@ def datum_from_json(doc: dict, validate: bool = True) -> PolarDatum:
     rd = build(doc["type"])
     torus_doc = doc.get("torus")
     if torus_doc is None:
-        tc = TorusClass(rd, rd.identity_element(), 1)
+        tc = split_torus_class(rd)
     else:
         tc = torus_from_json(rd, torus_doc)
     lam = tail_from_json(rd, doc["lambda"])
@@ -109,8 +109,10 @@ def parse_coweight(rd: RootDatum, value) -> tuple[Fraction, ...] | None:
         if value == "zero":
             return tuple(Fraction(0) for _ in range(rd.dim))
         if value.startswith("rho/"):
-            m = int(value.split("/", 1)[1])
-            return tuple(v / m for v in rd.rho_coweight())
+            m = value[len("rho/"):]
+            if not m.isdecimal() or int(m) == 0:
+                raise InvalidArgumentError(f"apartment preset {value!r} needs a positive integer m")
+            return tuple(v / int(m) for v in rd.rho_coweight())
         raise InvalidArgumentError(f"unknown apartment preset {value!r}")
     coords = tuple(parse_fraction(v) for v in value)
     if len(coords) != rd.dim:

@@ -12,13 +12,20 @@ Twisted tori enter through the cyclic-shift presentation X = N + t*E(n,1)
 (the principal order-n class). X^s has a one at (a, (a+s) mod n) times
 t^((a+s) div n); its powers span the twisted Cartan and every computation
 stays rational.
+
+The lattice core is one for both presentations. It asks a `Realization` for
+four things: generator levels (`level_of_gen`), the Levi lines at a degree
+(`m_lines_at_degree`), brackets and the dual. On split data a root has its
+ladder level and each h_k level 0; on twisted toral data every generator has
+level 1.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 
 from .cyclo import CycloNumber, cyclo_to_json
 from .errors import (InternalInvariantViolation, InvalidArgumentError,
@@ -79,14 +86,17 @@ class Realization:
         self.datum = datum
         self.ladder = ladder
         self.twisted = not datum.torus.w.is_identity()
-        if self.twisted:
-            self._init_twisted(x)
-        else:
-            self._init_split(x)
         self.position = root_positions(rd)
         self._root_at = {pos: idx for idx, pos in self.position.items()}
         self._structure: dict[tuple[Gen, Gen], tuple] = {}
-        self.dual = self._realize_dual()
+        if self.twisted:
+            self._init_twisted(x)
+            self.dual = self._realize_dual_twisted()
+        else:
+            self._init_split(x)
+            self.dual = self._realize_dual_split()
+        self._heights = tuple(Fraction(sum(a * b for a, b in zip(self.x, root)))
+                              for root in rd.roots)
 
     # -- setup ---------------------------------------------------------
 
@@ -94,8 +104,9 @@ class Realization:
         rd = self.rd
         self.x = tuple(Fraction(v) for v in x) if x is not None \
             else tuple(Fraction(0) for _ in range(rd.dim))
-        self.level_of_root = {idx: self.ladder.level_of_root(idx)
-                              for idx in range(len(rd.roots))}
+        # a root sits at its ladder level, the torus directions in the Levi
+        self.level_of_gen = {gen: self.ladder.level_of_root(gen[1]) if gen[0] == "r" else 0
+                             for gen in self.generators()}
 
     def _init_twisted(self, x) -> None:
         datum, rd = self.datum, self.rd
@@ -117,12 +128,8 @@ class Realization:
                 "twisted realization requires the barycentric point rho_vee/m"
             )
         self.x = expected
-        self.level_of_root = {idx: 1 for idx in range(len(rd.roots))}
-
-    def _realize_dual(self) -> Functional:
-        if self.twisted:
-            return self._realize_dual_twisted()
-        return self._realize_dual_split()
+        # the twisted Cartan is not spanned by the h_k: every direction is level 1
+        self.level_of_gen = {gen: 1 for gen in self.generators()}
 
     def _realize_dual_split(self) -> Functional:
         # lambda_q is diagonal with consecutive differences cov; the matrix
@@ -153,7 +160,7 @@ class Realization:
     # -- graded combinatorics -------------------------------------------
 
     def root_height(self, idx: int) -> Fraction:
-        return Fraction(sum(a * b for a, b in zip(self.x, self.rd.roots[idx])))
+        return self._heights[idx]
 
     def degree(self, mono: Monomial) -> Fraction:
         (kind, idx), n = mono
@@ -178,7 +185,9 @@ class Realization:
         return out
 
     def degree_step(self) -> Fraction:
-        return Fraction(1, self.n) if self.twisted else _degree_step_split(self)
+        """Spacing of the grading: 1/lcm of the root-height denominators."""
+        return Fraction(1, lcm(*(self.root_height(idx).denominator
+                                 for idx in range(len(self.rd.roots)))))
 
     def _entries_to_coords(self, entries: dict) -> dict:
         """Generator coordinates of a trace-zero matrix given by its nonzero
@@ -267,21 +276,6 @@ class Realization:
         return [{(("r", self._root_at[(a, b)]), p + j): _ONE
                  for a, b, p in _shift_power(n, k)}]
 
-    def m_line_in_lattice(self, deg: Fraction) -> bool:
-        """Whether the twisted Cartan line at this degree lies in (LM)_{>=0}."""
-        n = self.n
-        k = int((deg * n) % n)
-        if k == 0:
-            return False
-        return deg - Fraction(k, n) >= 0
-
-
-def _degree_step_split(real: Realization) -> Fraction:
-    den = 1
-    for idx in range(len(real.rd.roots)):
-        den = lcm(den, real.root_height(idx).denominator)
-    return Fraction(1, den)
-
 
 def mp_graded_piece(rd: RootDatum, x, degree) -> list[dict]:
     """Generators of the graded piece at the given degree for point x."""
@@ -342,16 +336,10 @@ class JLattice:
         return self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
 
     def _pure_rule(self, mono: Monomial) -> bool:
-        real = self.real
-        (kind, idx), n = mono
-        n += self.adjust.get((kind, idx), 0)
-        deg = real.degree(((kind, idx), n))
-        if real.twisted:
-            return deg > self._level_bound(1)
-        j = 0 if kind == "h" else real.level_of_root[idx]
-        if j == 0:
-            return deg >= 0
-        return deg > self._level_bound(j)
+        gen, n = mono
+        deg = self.real.degree((gen, n + self.adjust.get(gen, 0)))
+        j = self.real.level_of_gen[gen]
+        return deg >= 0 if j == 0 else deg > self._level_bound(j)
 
     def _assemble_breaks(self, chosen: dict) -> None:
         real = self.real
@@ -397,7 +385,7 @@ class JLattice:
                 vec = [_ZERO] * len(monos)
                 vec[index[m]] = _ONE
                 push(vec)
-        if real.twisted and real.m_line_in_lattice(deg):
+        if real.twisted and deg >= 0:  # the Cartan line lies in (LM)_{>=0}
             for line in real.m_lines_at_degree(deg):
                 push(_map_to_coords(line, index))
         for rec in self.break_pieces:
@@ -423,22 +411,15 @@ class JLattice:
         for deg in degrees:
             monos, vectors = self.piece_at_degree(deg)
             for vec in vectors:
-                line = {monos[i]: c for i, c in enumerate(vec) if not c.is_zero()}
+                line = _coords_to_line(monos, vec)
                 if all(lo <= m[1] <= hi for m in line):
                     out.append(line)
         return out
 
     def with_adjust(self, gen: Gen, steps: int) -> "JLattice":
         """Corrupted copy: direction bound moved by the given exponent steps."""
-        adjust = dict(self.adjust)
-        adjust[gen] = adjust.get(gen, 0) + steps
-        out = JLattice.__new__(JLattice)
-        out.real = self.real
-        out.kind = self.kind
-        out.adjust = adjust
-        out.breaks = self.breaks
-        out.half_depths = self.half_depths
-        out.break_pieces = self.break_pieces
+        out = copy.copy(self)
+        out.adjust = {**self.adjust, gen: self.adjust.get(gen, 0) + steps}
         out._pieces = {}  # the pure-monomial rule changed with the adjustment
         return out
 
@@ -480,6 +461,10 @@ def _map_to_coords(line: dict, index: dict) -> tuple | None:
     return tuple(vec)
 
 
+def _coords_to_line(monos, vec) -> dict:
+    return {monos[i]: c for i, c in enumerate(vec) if not c.is_zero()}
+
+
 def _coords_to_map(piece: dict, coords) -> dict:
     out = {}
     for basis_line, c in zip(piece["vectors"], coords):
@@ -497,41 +482,23 @@ def _coords_to_map(piece: dict, coords) -> dict:
 def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
     """Basis of the level-j complement directions at a fixed degree.
 
-    Split case: monomials whose root sits in level j but not below. Twisted
-    case: the trace-orthogonal complement of the Cartan line inside the slot.
+    The level-j monomials of the slot, cut to the kernel of the residue-trace
+    pairing with the Levi lines at -deg; E_ab t^e pairs only with E_ba t^-e.
+    Split Levi lines never pair with a level-j root, so the basis is the
+    level-j monomials themselves. In a twisted slot every monomial is level 1
+    and the kernel is the trace-orthogonal complement of the Cartan line.
     """
-    monos = real.monomials_at_degree(deg)
-    index = {m: i for i, m in enumerate(monos)}
-    if not real.twisted:
-        vectors = []
-        levels = real.ladder.levels
-        for m in monos:
-            (kind, idx), _n = m
-            if kind != "r":
-                continue
-            if idx in levels[j] and (j == 0 or idx not in levels[j - 1]):
-                vectors.append({m: _ONE})
-        return {"monomials": monos, "vectors": vectors, "degree": deg}
-    if j != 1:
+    if real.twisted and j != 1:
         raise InvalidArgumentError("twisted toral ladders have a single complement level")
-    # Constraints: trace-orthogonality to every Cartan power as Laurent polys.
-    # tr(E_ab X^k) is t^p when X^k has its one at (b, a) times t^p, else 0.
-    n = real.n
-    constraints = []
-    for k in range(1, n):
-        rows: dict[int, list] = {}
-        for col, ((kind, idx), e) in enumerate(monos):
-            if kind != "r":
-                continue  # X^k has a zero diagonal
-            a, b = real.position[idx]
-            if (b + k) % n == a:
-                rows.setdefault(e + (b + k) // n, [_ZERO] * len(monos))[col] = _ONE
-        constraints.extend(rows.values())
-    kernel = nullspace(constraints, len(monos)) if constraints else []
-    vectors = [
-        {monos[i]: c for i, c in enumerate(vec) if not c.is_zero()} for vec in kernel
-    ]
-    expected = len(monos) - len(real.m_lines_at_degree(deg))
+    monos = [m for m in real.monomials_at_degree(deg) if real.level_of_gen[m[0]] == j]
+    # the h_k of a level-j slot meet no Levi line at -deg
+    partners = [(("r", real.rd.negative_of(idx)), -e) if kind == "r" else None
+                for (kind, idx), e in monos]
+    rows = [[line.get(p, _ZERO) for p in partners] for line in real.m_lines_at_degree(-deg)]
+    vectors = [_coords_to_line(monos, vec) for vec in nullspace(rows, len(monos))]
+    levi = [line for line in real.m_lines_at_degree(deg)
+            if all(real.level_of_gen[gen] == j for gen, _e in line)]
+    expected = len(monos) - len(levi)
     if len(vectors) != expected:
         raise InternalInvariantViolation(
             f"complement dimension {len(vectors)} != expected {expected} at degree {deg}"
@@ -703,16 +670,7 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         gamma_min = step
     else:
         gamma_min = -max([Fraction(0)] + list(ladder.half_depths))
-    candidates = set()
-    k = 0
-    while k * step <= gamma_max:
-        if k * step >= gamma_min:
-            candidates.add(k * step)
-        k += 1
-    k = -1
-    while k * step >= gamma_min:
-        candidates.add(k * step)
-        k -= 1
+    candidates = {k * step for k in range(ceil(gamma_min / step), floor(gamma_max / step) + 1)}
     if variant == "J":
         for rec in lattice.break_pieces:
             candidates.add(rec["degree"] - lattice.breaks[rec["j"] - 1])
@@ -742,43 +700,29 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
 
 
 def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction) -> list[dict]:
-    """Lattice vectors outside the Levi whose principal target is codegree gamma."""
+    """Lattice vectors outside the Levi whose principal target is codegree gamma.
+
+    Level j contributes at delta = gamma + r_j: its Lagrangian rows, then each
+    pure level-j monomial outside the span of the Levi lines, kept greedily.
+    """
     rows = []
-    if not real.twisted:
-        for idx, j in real.level_of_root.items():
-            if j == 0:
-                continue
-            delta = gamma + lattice.breaks[j - 1]
-            shift = delta - real.root_height(idx)
-            if shift.denominator != 1:
-                continue
-            mono = (("r", idx), int(shift))
-            if lattice._pure_rule(mono):
-                rows.append({mono: _ONE})
+    for j in range(1, len(real.ladder.levels)):
+        delta = gamma + lattice.breaks[j - 1]
         for rec in lattice.break_pieces:
-            if rec["degree"] == gamma + lattice.breaks[rec["j"] - 1]:
+            if rec["j"] == j and rec["degree"] == delta:
                 rows.extend(rec["lagrangian"])
-        return rows
-    delta = gamma + lattice.breaks[0]
-    monos = real.monomials_at_degree(delta)
-    if not monos:
-        return rows
-    index = {m: i for i, m in enumerate(monos)}
-    span = []
-    for line in real.m_lines_at_degree(delta):
-        vec = _map_to_coords(line, index)
-        if vec is not None:
-            span.append(vec)
-    in_lattice = [m for m in monos if lattice._pure_rule(m)]
-    for rec in lattice.break_pieces:
-        if rec["degree"] == delta:
-            rows.extend(rec["lagrangian"])
-    for m in in_lattice:
-        vec = [_ZERO] * len(monos)
-        vec[index[m]] = _ONE
-        if not in_span(span, tuple(vec)):
-            span.append(tuple(vec))
-            rows.append({m: _ONE})
+        monos = real.monomials_at_degree(delta)
+        pure = [m for m in monos if real.level_of_gen[m[0]] == j and lattice._pure_rule(m)]
+        if not pure:
+            continue
+        index = {m: i for i, m in enumerate(monos)}
+        span = [vec for vec in (_map_to_coords(line, index)
+                                for line in real.m_lines_at_degree(delta)) if vec is not None]
+        for m in pure:
+            vec = tuple(_ONE if mono == m else _ZERO for mono in monos)
+            if not in_span(span, vec):
+                span.append(vec)
+                rows.append({m: _ONE})
     return rows
 
 
@@ -801,11 +745,7 @@ def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
         vec = _map_to_coords(line, index)
         if vec is not None:
             constraints.append(list(vec))
-    kernel = nullspace(constraints, len(monos)) if constraints else \
-        [tuple(_ONE if i == k else _ZERO for i in range(len(monos))) for k in range(len(monos))]
-    return [
-        {monos[i]: c for i, c in enumerate(vec) if not c.is_zero()} for vec in kernel
-    ]
+    return [_coords_to_line(monos, vec) for vec in nullspace(constraints, len(monos))]
 
 
 # -- graded regularity search --------------------------------------------

@@ -17,7 +17,7 @@ from math import gcd
 from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int
-from .rootdata import (RootDatum, WeylElement, _mat_mul, identity_matrix, is_q_closed,
+from .rootdata import (RootDatum, WeylElement, generated_matrices, is_q_closed,
                        stable_under)
 from .tails import Tail, is_equivariant, pair_coroot
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
@@ -114,18 +114,7 @@ def stabilizer(rd: RootDatum, lam: Tail) -> dict:
 
 def subgroup_generated(rd: RootDatum, gens) -> set:
     """Matrices of the subgroup generated by the given Weyl elements."""
-    identity = identity_matrix(rd.dim)
-    seen = {identity}
-    frontier = [identity]
-    gen_mats = [g.matrix for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_mats:
-            y = _mat_mul(g, x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+    return set(generated_matrices(rd.dim, [g.matrix for g in gens]))
 
 
 def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:

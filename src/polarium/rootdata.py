@@ -9,6 +9,7 @@ bases the canonical pairing is the plain integer dot product.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import factorial
 
@@ -103,6 +104,7 @@ class RootDatum:
         self._close_roots()
         self._weyl_cache: list[WeylElement] | None = None
         self._reflection_cache: dict[IntVec, int] | None = None
+        self._identity: WeylElement | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -181,57 +183,28 @@ class RootDatum:
                 order *= 12
         return order
 
-    def simple_reflection_matrix(self, i: int) -> tuple[IntVec, ...]:
-        n = self.dim
-        cols = []
-        for j in range(n):
-            e = [1 if k == j else 0 for k in range(n)]
-            c = self.pairing(e, self.simple_roots[i])
-            for k in range(n):
-                e[k] -= c * self.simple_coroots[i][k]
-            cols.append(e)
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
-
     def weyl_elements(self) -> list["WeylElement"]:
         """The full Weyl group, identity first, closed under composition."""
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
-        identity = identity_matrix(self.dim)
-        gens = [self.simple_reflection_matrix(i) for i in range(self.ss_rank)]
-        seen = {identity}
-        order = [identity]
-        frontier = [identity]
-        while frontier:
-            mat = frontier.pop(0)
-            for g in gens:
-                prod = _mat_mul(g, mat)
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    frontier.append(prod)
-        self._weyl_cache = [WeylElement(self, m) for m in order]
+        gens = [reflection_matrix(self.simple_roots[i], self.simple_coroots[i])
+                for i in range(self.ss_rank)]
+        self._weyl_cache = [WeylElement(self, m) for m in generated_matrices(self.dim, gens)]
         return self._weyl_cache
 
     def identity_element(self) -> "WeylElement":
-        return WeylElement(self, identity_matrix(self.dim))
+        if self._identity is None:
+            self._identity = WeylElement(self, identity_matrix(self.dim))
+        return self._identity
 
     def reflection_matrices(self) -> dict[tuple[IntVec, ...], int]:
         """Map from reflection matrix to the index of a root it reflects."""
         if self._reflection_cache is None:
             out = {}
-            n = self.dim
             for idx, (root, coroot) in enumerate(zip(self.roots, self.coroots)):
-                cols = []
-                for j in range(n):
-                    e = [1 if k == j else 0 for k in range(n)]
-                    c = self.pairing(e, root)
-                    for k in range(n):
-                        e[k] -= c * coroot[k]
-                    cols.append(e)
-                mat = tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
-                out.setdefault(mat, idx)
+                out.setdefault(reflection_matrix(root, coroot), idx)
             self._reflection_cache = out
         return self._reflection_cache
 
@@ -241,6 +214,31 @@ class RootDatum:
 
 def identity_matrix(n: int) -> tuple[IntVec, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def reflection_matrix(root: IntVec, coroot: IntVec) -> tuple[IntVec, ...]:
+    """s_alpha on the cocharacter side, y -> y - <y, alpha> alpha^vee."""
+    n = len(root)
+    return tuple(tuple((1 if k == j else 0) - root[j] * coroot[k] for j in range(n))
+                 for k in range(n))
+
+
+def generated_matrices(dim: int, gens) -> list[tuple[IntVec, ...]]:
+    """The group the matrices generate, breadth first by left multiplication
+    from the identity, so the order is fixed by the order of the generators."""
+    identity = identity_matrix(dim)
+    order = [identity]
+    seen = {identity}
+    frontier = deque(order)
+    while frontier:
+        mat = frontier.popleft()
+        for g in gens:
+            prod = _mat_mul(g, mat)
+            if prod not in seen:
+                seen.add(prod)
+                order.append(prod)
+                frontier.append(prod)
+    return order
 
 
 def _mat_mul(a, b):

@@ -172,17 +172,6 @@ def pair_coroot(tail: Tail, coroot) -> ScalarTail:
     return ScalarTail(tail.m, {q: dot_int(coroot, c) for q, c in tail.terms.items()})
 
 
-def tail_arith(a: Tail, b, op: str):
-    """Dispatch used by the CLI: op in {add, scale, weyl_act}."""
-    if op == "add":
-        return a.add(b)
-    if op == "scale":
-        return a.scale(b)
-    if op == "weyl_act":
-        return a.weyl_act(b)
-    raise InvalidArgumentError(f"unknown tail operation {op!r}")
-
-
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
     """Fixed-point condition for the torus presented by (w, m)."""
     lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))

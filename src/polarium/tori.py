@@ -12,7 +12,7 @@ import random
 from .cyclo import CycloNumber, root_of_unity
 from .errors import InvalidArgumentError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
+from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix, reflection_matrix
 from .tails import Covector
 
 
@@ -69,10 +69,6 @@ class TorusClass:
         return f"TorusClass(m={self.m}, eigendims={dims})"
 
 
-def make_torus_class(rd: RootDatum, w: WeylElement, m: int) -> TorusClass:
-    return TorusClass(rd, w, m)
-
-
 def split_torus_class(rd: RootDatum) -> TorusClass:
     return TorusClass(rd, rd.identity_element(), 1)
 
@@ -110,7 +106,8 @@ def springer_regular_sampled(tc: TorusClass, samples: int = 20, seed: int = 0) -
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
     """Conjugacy classes of the Weyl group, deterministically ordered."""
     elements = rd.weyl_elements()
-    gens = [WeylElement(rd, rd.simple_reflection_matrix(i)) for i in range(rd.ss_rank)]
+    gens = [WeylElement(rd, reflection_matrix(rd.simple_roots[i], rd.simple_coroots[i]))
+            for i in range(rd.ss_rank)]
     index = {w.matrix: w for w in elements}
     unseen = {w.matrix for w in elements}
     classes = []

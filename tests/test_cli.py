@@ -160,6 +160,11 @@ def test_error_exit_codes(capsys, tmp_path):
                       '{"datum":{"type":"A2","levi":[7],"lambda":{"m":1,"terms":[]}}}']),
         ("moveability", ["--input", '{"datum":{"type":"A2","validate":false,'
                          '"levi":[0,1,2,3,4,5,6],"lambda":{"m":1,"terms":[]}}}']),
+        # an apartment preset rho/m whose m is not a positive integer
+        ("jlattice", ["--input", '{"datum":{"type":"A2","lambda":{"m":1,"terms":[]}},'
+                      '"x":"rho/0"}']),
+        ("moveability", ["--input", '{"datum":{"type":"A2","lambda":{"m":1,"terms":[]}},'
+                         '"x":"rho/x"}']),
         # an unvalidated Coxeter-class datum with an integral tail exponent
         ("jlattice", ["--input", '{"datum":{"type":"A2","torus":{"m":3,"w":[[-1,1],[-1,0]]},'
                       '"levi":[],"validate":false,'

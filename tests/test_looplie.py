@@ -8,7 +8,8 @@ from polarium.errors import InternalInvariantViolation, InvalidArgumentError
 from polarium.looplie import (Realization, bracket_closure_violations,
                               build_j_lattice, eigen_regular_check, lagrangian,
                               moveability_check, mp_graded_piece,
-                              psi_lambda_check, symplectic_form, vj_split)
+                              psi_lambda_check, symplectic_form,
+                              v_piece_at_degree, vj_split)
 from polarium.polar import PolarDatum, classify, epipelagic_datum
 from polarium.rootdata import build
 from polarium.tails import Tail
@@ -154,6 +155,33 @@ def test_symplectic_sl3_both_breaks(a2):
             for b in range(k):
                 assert (form[a][b] + form[b][a]).is_zero()
         assert cyclo_rank([list(r) for r in form]) == k
+
+
+def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
+    # the complement in a twisted slot pairs to zero with every power X^s t^p
+    # of the cyclic shift, and has codimension one wherever the slot meets
+    # the Cartan
+    for rd, n in ((a2, 3), (a3, 4), (build("A4"), 5)):
+        d = epipelagic_datum(rd, n)
+        real = Realization(d, extract(d))
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+        x = LaurentMatrix(n, {0: shift, 1: corner})
+        cartan, power = [], x
+        for _ in range(n - 1):
+            for p in range(-3, 3):
+                cartan.append(LaurentMatrix(n, {e + p: m for e, m in power.terms.items()}))
+            power = power.mul(x)
+        for k in range(1, n):
+            for e in (-1, 0, 1):
+                deg = F(k, n) + e
+                piece = v_piece_at_degree(real, 1, deg)
+                monos = real.monomials_at_degree(deg)
+                assert piece["monomials"] == monos
+                assert len(piece["vectors"]) == len(monos) - 1
+                for vec in piece["vectors"]:
+                    lm = as_laurent(real, {m: c.as_rational() for m, c in vec.items()})
+                    assert all(lm.residue_pair(dual) == 0 for dual in cartan), (n, deg)
 
 
 def test_lagrangian_outputs(a1):

@@ -1,0 +1,34 @@
+"""Replay of the lattice benchmark's request universe against its oracle.
+
+Every member of `perfbench/workloads.lattice_universe()` goes through
+`cli.main`, and its exit status and stdout sha256 must equal the entry in
+`perfbench/oracle/lattice.json`. A member recorded as a known failure only has
+to finish without raising. Nothing under `perfbench/` is written.
+"""
+
+import sys
+from pathlib import Path
+
+from polarium import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import harness  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_lattice_universe_matches_oracle():
+    oracle = harness.load_oracle("lattice")
+    assert oracle["universe_sha256"] == workloads.universe_digest("lattice")
+    entries = oracle["entries"]
+    outputs = {}
+    for rid, req in workloads.lattice_universe().items():
+        text = req.text if req.chain_from is None else outputs[req.chain_from]
+        resp = harness.send(cli.main, req.command, text)
+        assert resp.error is None, (rid, resp.error)
+        outputs[rid] = resp.stdout
+        entry = entries[rid]
+        if entry.get("known_failure"):
+            continue
+        assert resp.status == entry["exit"], (rid, resp.stdout[:200])
+        assert harness.sha256(resp.stdout) == entry["stdout_sha256"], rid

@@ -5,7 +5,7 @@ import pytest
 
 from polarium.errors import ResourceLimitError, UnsupportedFeatureError
 from polarium.rootdata import (WeylElement, build, is_q_closed, q_closure,
-                               stable_under)
+                               reflection_matrix, stable_under)
 
 from .oracles import closure_roots_from_cartan, span_contains
 
@@ -30,6 +30,18 @@ def test_closure_counts_match_oracle(label, expected_roots, expected_order):
     oracle = closure_roots_from_cartan(rd.cartan)
     assert len(rd.roots) == len(oracle) == expected_roots
     assert len(rd.weyl_elements()) == rd.weyl_order() == expected_order
+
+
+def test_reflections_and_shared_identity():
+    for label in KERNEL_TYPES:
+        rd = build(label)
+        assert rd.identity_element() is rd.identity_element()
+        assert rd.weyl_elements()[0] == rd.identity_element()
+        for root, coroot in zip(rd.roots, rd.coroots):
+            s = WeylElement(rd, reflection_matrix(root, coroot))
+            assert s.apply_weight(root) == tuple(-v for v in root)
+            assert s.compose(s).is_identity()
+        assert len(rd.reflection_matrices()) == len(rd.roots) // 2
 
 
 def test_coroot_normalization(g2):

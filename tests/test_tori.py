@@ -2,17 +2,17 @@ import pytest
 
 from polarium.errors import InvalidArgumentError
 from polarium.rootdata import build
-from polarium.tori import (conjugacy_classes, is_springer_regular,
-                           list_torus_classes, make_torus_class,
-                           regular_class_of_order, regular_numbers,
-                           springer_regular_sampled, split_torus_class)
+from polarium.tori import (TorusClass, conjugacy_classes, is_springer_regular,
+                           list_torus_classes, regular_class_of_order,
+                           regular_numbers, springer_regular_sampled,
+                           split_torus_class)
 
 from .oracles import eigen_dims_by_charpoly
 
 
 def test_make_torus_class_a1(a1):
     s = a1.weyl_elements()[1]
-    tc = make_torus_class(a1, s, 2)
+    tc = TorusClass(a1, s, 2)
     assert [len(tc.eigenspaces[i]) for i in range(2)] == [0, 1]
     assert tc.is_elliptic()
 
@@ -25,12 +25,12 @@ def test_make_torus_class_identity(a2):
 def test_period_must_kill_w(a2):
     w = a2.weyl_elements()[1]
     with pytest.raises(InvalidArgumentError):
-        make_torus_class(a2, w, 3)
+        TorusClass(a2, w, 3)
 
 
 def test_period_may_be_multiple_of_order(a1):
     s = a1.weyl_elements()[1]
-    tc = make_torus_class(a1, s, 4)
+    tc = TorusClass(a1, s, 4)
     # eigenvalue -1 = zeta_4^2 sits at index 2 of the refined grading
     assert [len(tc.eigenspaces[i]) for i in range(4)] == [0, 0, 1, 0]
 
@@ -67,7 +67,7 @@ def test_conjugacy_classes_partition(b2):
 
 
 def test_springer_regular_examples(a1, a2):
-    s = make_torus_class(a1, a1.weyl_elements()[1], 2)
+    s = TorusClass(a1, a1.weyl_elements()[1], 2)
     assert is_springer_regular(s)
     assert is_springer_regular(split_torus_class(a2))
     # reflections in A2 are regular of order 2
