@@ -12,9 +12,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import chevmap, jsonio, looplie, polar, yuseq
-from .errors import InvalidArgumentError, PolariumError
+from .errors import InternalInvariantViolation, InvalidArgumentError, PolariumError
 from .rootdata import build, rootdatum_to_json
 from .tails import window_from_json
 from .tori import list_torus_classes, regular_numbers
@@ -179,7 +180,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="polarium",
         description="Exact classification of Laurent-tail coadjoint data into "
@@ -230,13 +233,15 @@ def _merge_flags(args: argparse.Namespace, doc: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc = _merge_flags(args, _load_input(args.input))
         jsonio.validate_request(args.command, doc)
         result, status = _HANDLERS[args.command](doc)
-    except PolariumError as exc:
+    except Exception as exc:
+        if not isinstance(exc, PolariumError):
+            # last resort: an unforeseen fault still ends in the envelope, never a traceback
+            exc = InternalInvariantViolation(f"unexpected {type(exc).__name__}: {exc}")
         _emit(jsonio.canonical_dumps(
             {"error": {"code": exc.code, "message": str(exc)}}), args.out)
         return exc.exit_status

@@ -21,6 +21,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient by trial factorization (conductors stay small here)."""
     if n < 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -25,28 +26,31 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-_SCHEMAS = None
-
-
+@cache
 def schemas() -> dict:
-    global _SCHEMAS
-    if _SCHEMAS is None:
-        text = resources.files("polarium.schemas").joinpath("schemas.json").read_text()
-        _SCHEMAS = json.loads(text)
-    return _SCHEMAS
+    text = resources.files("polarium.schemas").joinpath("schemas.json").read_text()
+    return json.loads(text)
+
+
+@cache
+def _validator(section: str, key: str):
+    """The checked, compiled validator of one schema, built once per process."""
+    store = schemas()
+    schema = dict(store[section][key])
+    schema["$defs"] = store["$defs"]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _validate_against(section: str, command: str, doc) -> None:
-    store = schemas()
     key = command.replace("-", "_")
-    if key not in store[section]:
+    if key not in schemas()[section]:
         raise InvalidArgumentError(f"no {section} schema for command {command}")
-    schema = dict(store[section][key])
-    schema["$defs"] = store["$defs"]
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise InvalidArgumentError(f"{section} rejected by schema: {exc.message}") from exc
+    # best_match over every error, as jsonschema.validate reports it
+    error = jsonschema.exceptions.best_match(_validator(section, key).iter_errors(doc))
+    if error is not None:
+        raise InvalidArgumentError(f"{section} rejected by schema: {error.message}") from error
 
 
 def validate_request(command: str, doc) -> None:

@@ -17,8 +17,7 @@ from math import gcd
 from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int
-from .rootdata import (RootDatum, WeylElement, generated_matrices, is_q_closed,
-                       stable_under)
+from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
 from .tails import Tail, is_equivariant, pair_coroot
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
@@ -110,11 +109,6 @@ def stabilizer(rd: RootDatum, lam: Tail) -> dict:
     reflections = rd.reflection_matrices()
     contained = [u for u in elements if u.matrix in reflections]
     return {"elements": elements, "reflections": contained}
-
-
-def subgroup_generated(rd: RootDatum, gens) -> set:
-    """Matrices of the subgroup generated by the given Weyl elements."""
-    return set(generated_matrices(rd.dim, [g.matrix for g in gens]))
 
 
 def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:

@@ -7,8 +7,6 @@ points of the torus are never materialized.
 
 from __future__ import annotations
 
-import random
-
 from .cyclo import CycloNumber, root_of_unity
 from .errors import InvalidArgumentError
 from .linalg import dot_int, nullspace
@@ -84,23 +82,6 @@ def is_springer_regular(tc: TorusClass) -> bool:
         if all(dot_int(coroot, v).is_zero() for v in basis):
             return False
     return True
-
-
-def springer_regular_sampled(tc: TorusClass, samples: int = 20, seed: int = 0) -> bool:
-    """Independent sampling oracle: random eigenspace vectors vs coroot kernels."""
-    basis = tc.eigenspace(1 % tc.m)
-    if not basis:
-        return not tc.rd.coroots
-    rng = random.Random(seed)
-    for _ in range(samples):
-        coeffs = [rng.randint(1, 10**6) for _ in basis]
-        vec = [CycloNumber.zero() for _ in range(tc.rd.dim)]
-        for c, b in zip(coeffs, basis):
-            for k in range(tc.rd.dim):
-                vec[k] = vec[k] + c * b[k]
-        if all(not dot_int(coroot, vec).is_zero() for coroot in tc.rd.coroots):
-            return True
-    return False
 
 
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:

@@ -7,9 +7,12 @@ Laurent-matrix pairing. Nothing imports package internals beyond public
 arithmetic types.
 """
 
+import random
 from fractions import Fraction
 
 import sympy
+
+from polarium.cyclo import CycloNumber
 
 
 def closure_roots_from_cartan(cartan) -> set:
@@ -50,6 +53,44 @@ def span_contains(vectors, target) -> bool:
                 for i in range(len(other)):
                     other[i] -= f * row[i]
     return not any(vec)
+
+
+def subgroup_generated(rd, gens) -> set:
+    """Matrices of the subgroup generated by Weyl elements, closed under
+    products by a plain integer matrix product."""
+    def mul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                     for row in a)
+
+    group = {tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))}
+    frontier = list(group)
+    while frontier:
+        mat = frontier.pop()
+        for g in gens:
+            prod = mul(g.matrix, mat)
+            if prod not in group:
+                group.add(prod)
+                frontier.append(prod)
+    return group
+
+
+def springer_regular_sampled(tc, samples: int = 20, seed: int = 0) -> bool:
+    """Random vectors of the zeta_m-eigenspace against the coroot kernels."""
+    basis = tc.eigenspace(1 % tc.m)
+    if not basis:
+        return not tc.rd.coroots
+    rng = random.Random(seed)
+    for _ in range(samples):
+        coeffs = [rng.randint(1, 10**6) for _ in basis]
+        vec = [CycloNumber.zero() for _ in range(tc.rd.dim)]
+        for c, b in zip(coeffs, basis):
+            for k in range(tc.rd.dim):
+                vec[k] = vec[k] + c * b[k]
+        pairings = [sum((a * v for a, v in zip(coroot, vec)), CycloNumber.zero())
+                    for coroot in tc.rd.coroots]
+        if all(not p.is_zero() for p in pairings):
+            return True
+    return False
 
 
 def eigen_dims_by_charpoly(matrix, m: int) -> list[int]:

@@ -19,15 +19,14 @@ from polarium.looplie import (bracket_closure_violations, build_j_lattice,
                               v_piece_at_degree)
 from polarium.polar import (PolarDatum, classify, epipelagic_datum,
                             partition_check, sample_equivariant_tail,
-                            stabilizer, subgroup_generated)
+                            stabilizer)
 from polarium.rootdata import build
 from polarium.tails import Tail
 from polarium.tori import (is_springer_regular, list_torus_classes,
-                           regular_numbers, springer_regular_sampled,
-                           split_torus_class)
+                           regular_numbers, split_torus_class)
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import cyclo_rank
+from .oracles import cyclo_rank, springer_regular_sampled, subgroup_generated
 
 
 @contextmanager

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polarium.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -249,3 +251,76 @@ def test_twisted_datum_chains_through_lattice_commands(capsys, tmp_path):
         assert status2 == 0, (command, out2)
     report = json.loads(out2)
     assert report["full_rank"] is True
+
+
+def test_schema_reject_names_the_best_match_among_several_errors(capsys):
+    import jsonschema
+
+    from polarium.jsonio import schemas
+
+    # a bad type label and an unknown property: the first error found and
+    # jsonschema's best match are different errors
+    doc = {"type": 5, "lambda": {"m": 1, "terms": []}, "extra": 1}
+    schema = dict(schemas()["requests"]["classify"], **{"$defs": schemas()["$defs"]})
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(doc, schema)
+    status, out = run_main(capsys, "classify", "--input", json.dumps(doc))
+    assert status == 1
+    assert json.loads(out)["error"] == {
+        "code": "invalid-argument",
+        "message": f"requests rejected by schema: {exc.value.message}"}
+
+
+def test_one_validator_per_command(capsys, monkeypatch):
+    import jsonschema
+
+    from polarium import jsonio
+
+    checked = []
+    cls = jsonschema.validators.validator_for(jsonio.schemas())
+    original = cls.check_schema.__func__
+    monkeypatch.setattr(cls, "check_schema",
+                        classmethod(lambda c, s: checked.append(s) or original(c, s)))
+    jsonio._validator.cache_clear()
+    for request in ('{"type":"A1","m":2}', '{"type":"A2","m":3}'):
+        status, _ = run_main(capsys, "epipelagic", "--input", request)
+        assert status == 0
+    assert len(checked) == 1
+    jsonio._validator.cache_clear()
+
+
+def _fresh_process(*argv) -> str:
+    proc = subprocess.run([sys.executable, "-m", "polarium", *argv],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_shared_parser_keeps_no_flag_between_calls(capsys):
+    datum = json.dumps({"datum": {"type": "A1",
+                                  "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}},
+                        "x": ["1/4"]})
+    status, with_k = run_main(capsys, "moveability", "--variant", "K", "--input", datum)
+    assert status == 0 and json.loads(with_k)["variant"] == "K"
+    status, out = run_main(capsys, "moveability", "--input", datum)
+    assert status == 0
+    assert out == _fresh_process("moveability", "--input", datum)
+
+    argv = ("partition-check", "--type", "A1", "--samples", "3")
+    status, seeded = run_main(capsys, *argv, "--seed", "7")
+    assert status == 0 and json.loads(seeded)["seed"] == 7
+    status, out = run_main(capsys, *argv)
+    assert status == 0
+    assert out == _fresh_process(*argv)
+
+
+def test_unexpected_exception_ends_in_the_envelope(capsys, monkeypatch):
+    from polarium import cli
+
+    def broken(doc):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "regular-numbers", broken)
+    status, out = run_main(capsys, "regular-numbers", "--type", "A1")
+    assert status == 3
+    assert out == ('{"error":{"code":"internal-invariant-violation",'
+                   '"message":"unexpected RuntimeError: boom"}}\n')

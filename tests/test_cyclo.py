@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,15 @@ def test_reduce_conductor():
 def test_cyclotomic_degrees():
     for L in range(1, 30):
         assert len(cyclotomic_polynomial(L)) == euler_phi(L) + 1
+
+
+def test_euler_phi_memoised_and_still_rejects_zero():
+    for _ in range(2):  # the second pass answers from the cache
+        for n in range(1, 60):
+            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        with pytest.raises(InvalidArgumentError) as exc:
+            euler_phi(0)
+        assert exc.value.code == "invalid-argument"
 
 
 small_rationals = st.fractions(

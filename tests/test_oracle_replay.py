@@ -1,9 +1,11 @@
-"""Replay of the lattice benchmark's request universe against its oracle.
+"""Replay of the lattice and light benchmark request universes against their
+oracles.
 
-Every member of `perfbench/workloads.lattice_universe()` goes through
-`cli.main`, and its exit status and stdout sha256 must equal the entry in
-`perfbench/oracle/lattice.json`. A member recorded as a known failure only has
-to finish without raising. Nothing under `perfbench/` is written.
+Every member of `perfbench/workloads.lattice_universe()` and
+`light_universe()` goes through `cli.main`, and its exit status and stdout
+sha256 must equal the entry in `perfbench/oracle/<workload>.json`. A member
+recorded as a known failure only has to finish without raising. Nothing under
+`perfbench/` is written.
 """
 
 import sys
@@ -17,12 +19,12 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 
-def test_lattice_universe_matches_oracle():
-    oracle = harness.load_oracle("lattice")
-    assert oracle["universe_sha256"] == workloads.universe_digest("lattice")
+def _replay(workload: str) -> None:
+    oracle = harness.load_oracle(workload)
+    assert oracle["universe_sha256"] == workloads.universe_digest(workload)
     entries = oracle["entries"]
     outputs = {}
-    for rid, req in workloads.lattice_universe().items():
+    for rid, req in workloads.UNIVERSES[workload]().items():
         text = req.text if req.chain_from is None else outputs[req.chain_from]
         resp = harness.send(cli.main, req.command, text)
         assert resp.error is None, (rid, resp.error)
@@ -32,3 +34,12 @@ def test_lattice_universe_matches_oracle():
             continue
         assert resp.status == entry["exit"], (rid, resp.stdout[:200])
         assert harness.sha256(resp.stdout) == entry["stdout_sha256"], rid
+
+
+def test_lattice_universe_matches_oracle():
+    _replay("lattice")
+
+
+def test_light_universe_matches_oracle():
+    # schema rejects included: their messages are part of the recorded bytes
+    _replay("light")

@@ -7,10 +7,11 @@ from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
                             homogeneous_datum, is_g_regular, partition_check,
-                            sample_equivariant_tail, stabilizer,
-                            subgroup_generated)
+                            sample_equivariant_tail, stabilizer)
 from polarium.tails import Tail
 from polarium.tori import list_torus_classes, split_torus_class
+
+from .oracles import subgroup_generated
 
 
 def sl3_worked_tail(a2):

@@ -4,10 +4,9 @@ from polarium.errors import InvalidArgumentError
 from polarium.rootdata import build
 from polarium.tori import (TorusClass, conjugacy_classes, is_springer_regular,
                            list_torus_classes, regular_class_of_order,
-                           regular_numbers, springer_regular_sampled,
-                           split_torus_class)
+                           regular_numbers, split_torus_class)
 
-from .oracles import eigen_dims_by_charpoly
+from .oracles import eigen_dims_by_charpoly, springer_regular_sampled
 
 
 def test_make_torus_class_a1(a1):
