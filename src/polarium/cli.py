@@ -232,23 +232,32 @@ def _merge_flags(args: argparse.Namespace, doc: dict) -> dict:
     return merged
 
 
+def _envelope(exc: PolariumError) -> str:
+    return jsonio.canonical_dumps({"error": {"code": exc.code, "message": str(exc)}})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = _merge_flags(args, _load_input(args.input))
         jsonio.validate_request(args.command, doc)
         result, status = _HANDLERS[args.command](doc)
+        if args.format == "table":
+            text = _format_table(result) + "\n"
+        else:
+            text = jsonio.canonical_dumps(result)
     except Exception as exc:
         if not isinstance(exc, PolariumError):
             # last resort: an unforeseen fault still ends in the envelope, never a traceback
             exc = InternalInvariantViolation(f"unexpected {type(exc).__name__}: {exc}")
-        _emit(jsonio.canonical_dumps(
-            {"error": {"code": exc.code, "message": str(exc)}}), args.out)
-        return exc.exit_status
-    if args.format == "table":
-        _emit(_format_table(result) + "\n", args.out)
-    else:
-        _emit(jsonio.canonical_dumps(result), args.out)
+        text, status = _envelope(exc), exc.exit_status
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        # the --out target is unusable, so stdout is the only place left for the envelope
+        err = InvalidArgumentError(f"cannot write output to {args.out!r}: {exc.strerror}")
+        _emit(_envelope(err), None)
+        return err.exit_status
     return status
 
 

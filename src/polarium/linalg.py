@@ -5,22 +5,38 @@ Gaussian elimination; it is generic over the field: entries may be
 `Fraction`s or `CycloNumber`s, zero tests use truthiness and a pivot's
 reciprocal is `1 / p`. Sizes stay in the tens, so plain elimination is
 plenty.
+
+`dot_int`, the pairing of an integer vector with a covector, accumulates in
+one pass: every entry with a nonzero weight is read at the lcm of those
+entries' conductors, and one `CycloNumber` is built at the end.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloNumber
+from fractions import Fraction
+from math import lcm
+
+from .cyclo import CycloNumber, euler_phi
 
 Vector = tuple[CycloNumber, ...]
 
+_ZERO = Fraction(0)
 
-def dot_int(ints, u: Vector):
-    """Pair an integer vector with a CycloNumber covector."""
-    total = CycloNumber.zero()
-    for k, a in zip(ints, u):
-        if k:
-            total = total + k * a
-    return total
+
+def dot_int(ints, u: Vector) -> CycloNumber:
+    """Pair an integer vector with a CycloNumber covector.
+
+    The result lives at the lcm of the conductors of the entries with a
+    nonzero weight (1 when there are none), whatever their values.
+    """
+    terms = [(k, a) for k, a in zip(ints, u) if k]
+    L = lcm(*(a.conductor for _, a in terms))
+    acc = [_ZERO] * euler_phi(L)
+    for k, a in terms:
+        for i, c in enumerate(a.coeffs if a.conductor == L else a.lift(L).coeffs):
+            if c:
+                acc[i] += k * c
+    return CycloNumber(L, tuple(acc))
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:

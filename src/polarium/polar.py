@@ -252,7 +252,7 @@ def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
         if "m" in rec:
             torus_orders[rec["m"]] = torus_orders.get(rec["m"], 0) + 1
         if "datum" in rec:
-            data.append((k, rec["datum"]))
+            data.append((k, rec["datum"], rec["depths"]))
             if rec["datum"].is_full():
                 full_levi += 1
 
@@ -262,8 +262,8 @@ def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
     attempts = 0
     while checked < disjoint_pairs and attempts < 20 * disjoint_pairs and len(data) >= 2:
         attempts += 1
-        (i1, d1), (i2, d2) = rng.sample(data, 2)
-        if d1.depth_multiset() == d2.depth_multiset():
+        (i1, d1, depths1), (i2, d2, depths2) = rng.sample(data, 2)
+        if depths1 == depths2:
             continue
         checked += 1
         if conjugate_oracle(d1, d2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedFeatureError
 from .linalg import rref
@@ -105,6 +106,7 @@ class RootDatum:
         self._weyl_cache: list[WeylElement] | None = None
         self._reflection_cache: dict[IntVec, int] | None = None
         self._identity: WeylElement | None = None
+        self._q_closed: dict[frozenset[int], bool] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -242,10 +244,8 @@ def generated_matrices(dim: int, gens) -> list[tuple[IntVec, ...]]:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_inv_int(a):
@@ -352,7 +352,12 @@ def q_closure(rd: RootDatum, subset) -> frozenset[int]:
 
 
 def is_q_closed(rd: RootDatum, subset) -> bool:
-    return q_closure(rd, subset) == frozenset(subset)
+    """Whether the subset equals its rational closure; memoised on the datum."""
+    key = frozenset(subset)
+    closed = rd._q_closed.get(key)
+    if closed is None:
+        closed = rd._q_closed[key] = q_closure(rd, key) == key
+    return closed
 
 
 def stable_under(rd: RootDatum, w: WeylElement, subset) -> bool:

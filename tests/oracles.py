@@ -192,3 +192,24 @@ def cyclo_rank(rows) -> int:
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def dot_int_oracle(ints, u) -> CycloNumber:
+    """Integer vector paired with a covector by CycloNumber arithmetic, one
+    weighted entry at a time."""
+    total = CycloNumber.zero()
+    for k, a in zip(ints, u):
+        if k:
+            total = total + k * a
+    return total
+
+
+def mat_mul_oracle(a, b) -> tuple:
+    """Product of integer matrices by the textbook triple loop."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(row) for row in out)

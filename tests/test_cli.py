@@ -198,6 +198,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["regular"] == [1, 2]
 
 
+def test_out_file_that_cannot_be_opened(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    status, out = run_main(capsys, "regular-numbers", "--type", "A1",
+                           "--out", str(target))
+    assert status == 1
+    assert json.loads(out)["error"]["code"] == "invalid-argument"
+    assert not target.exists()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polarium", "regular-numbers", "--type", "B2"],

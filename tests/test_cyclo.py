@@ -10,9 +10,9 @@ from polarium.cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json,
                             sqrt_cyclo, zeta)
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired,
                              InvalidArgumentError)
-from polarium.linalg import rank
+from polarium.linalg import dot_int, rank
 
-from .oracles import cyclo_rank
+from .oracles import cyclo_rank, dot_int_oracle
 
 
 def test_make_examples():
@@ -129,6 +129,27 @@ def test_rank_matches_oracle_over_q(m):
     expected = cyclo_rank(as_cyclo)
     assert rank([[Fraction(v) for v in row] for row in m]) == expected
     assert rank(as_cyclo) == expected
+
+
+@st.composite
+def int_covector_pairs(draw):
+    """An integer vector, zeros and negatives included, and a covector whose
+    entries have mixed conductors, zero entries at conductor > 1 included."""
+    n = draw(st.integers(0, 6))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    u = draw(st.lists(cyclo_numbers((1, 3, 4, 6, 8)) | st.builds(
+        CycloNumber.zero, st.sampled_from((3, 4, 6, 8))), min_size=n, max_size=n))
+    return ints, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_covector_pairs())
+def test_dot_int_matches_oracle(pair):
+    ints, u = pair
+    got, expected = dot_int(ints, u), dot_int_oracle(ints, u)
+    assert got == expected
+    assert got.conductor == expected.conductor
+    assert got.coeffs == expected.coeffs
 
 
 def test_sqrt_supported_values():

@@ -1,11 +1,11 @@
-"""Replay of the lattice and light benchmark request universes against their
-oracles.
+"""Replay of the lattice, strata and light benchmark request universes
+against their oracles.
 
-Every member of `perfbench/workloads.lattice_universe()` and
-`light_universe()` goes through `cli.main`, and its exit status and stdout
-sha256 must equal the entry in `perfbench/oracle/<workload>.json`. A member
-recorded as a known failure only has to finish without raising. Nothing under
-`perfbench/` is written.
+Every member of `perfbench/workloads.lattice_universe()`,
+`strata_universe()` and `light_universe()` goes through `cli.main`, and its
+exit status and stdout sha256 must equal the entry in
+`perfbench/oracle/<workload>.json`. A member recorded as a known failure only
+has to finish without raising. Nothing under `perfbench/` is written.
 """
 
 import sys
@@ -38,6 +38,11 @@ def _replay(workload: str) -> None:
 
 def test_lattice_universe_matches_oracle():
     _replay("lattice")
+
+
+def test_strata_universe_matches_oracle():
+    # partition-check, list-tori and regular-numbers bytes
+    _replay("strata")
 
 
 def test_light_universe_matches_oracle():

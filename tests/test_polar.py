@@ -136,3 +136,17 @@ def test_partition_check_reports(a1, a2):
     assert rep2["violations"] == []
     degenerate = partition_check(a1, samples=15, seed=2, zero_only=True)
     assert degenerate["full_levi_count"] == degenerate["classified"] == 15
+
+
+def test_partition_check_takes_each_depth_multiset_once(a2, monkeypatch):
+    calls = []
+    original = PolarDatum.depth_multiset
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PolarDatum, "depth_multiset", counted)
+    rep = partition_check(a2, samples=30, seed=3, disjoint_pairs=20)
+    assert rep["disjoint_pairs_checked"] > 0
+    assert len(calls) == rep["classified"]

@@ -7,7 +7,7 @@ from polarium.errors import ResourceLimitError, UnsupportedFeatureError
 from polarium.rootdata import (WeylElement, build, is_q_closed, q_closure,
                                reflection_matrix, stable_under)
 
-from .oracles import closure_roots_from_cartan, span_contains
+from .oracles import closure_roots_from_cartan, mat_mul_oracle, span_contains
 
 KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 
@@ -90,6 +90,16 @@ def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["torus"]["w"] == [[int(i == j) for j in range(dim)] for i in range(dim)]
         assert len(out["levi"]) == dim * (dim + 1)
+
+
+def test_mat_mul_matches_triple_loop():
+    import polarium.rootdata as rootdata
+
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a, b = ([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        assert rootdata._mat_mul(a, b) == mat_mul_oracle(a, b)
 
 
 def test_composite_with_torus():
