@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError
+from .errors import (ArithmeticDomainError, FieldExtensionRequired, InternalInvariantViolation,
+                     InvalidArgumentError)
 
 Coeffs = tuple[Fraction, ...]
 
@@ -93,7 +94,9 @@ def cyclotomic_polynomial(L: int) -> tuple[Fraction, ...]:
     for d in range(1, L):
         if L % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise InternalInvariantViolation(
+                    f"Phi_{d} does not divide x^{L} - 1 in the cyclotomic recursion")
     return tuple(num)
 
 

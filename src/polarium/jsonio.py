@@ -66,7 +66,7 @@ def validate_response(command: str, doc) -> None:
 
 def torus_to_json(tc: TorusClass) -> dict:
     return {"m": tc.m, "w": [list(row) for row in tc.w.matrix],
-            "eigendims": [len(tc.eigenspaces[i]) for i in range(tc.m)]}
+            "eigendims": tc.eigendims}
 
 
 def torus_from_json(rd: RootDatum, doc: dict) -> TorusClass:

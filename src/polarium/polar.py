@@ -17,7 +17,7 @@ from math import gcd
 from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int
-from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
+from .rootdata import RootDatum, WeylElement, _mat_mul, is_q_closed, stable_under
 from .tails import Tail, is_equivariant, pair_coroot
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
@@ -124,13 +124,22 @@ def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:
 
 
 def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
-    """Brute-force Weyl search for u with u w1 u^-1 = w2 and u(lam1) = lam2."""
+    """Brute-force Weyl search for u with u w1 u^-1 = w2 and u(lam1) = lam2.
+
+    A u with u w1 = w2 u permutes roots as p_u p_1 = p_2 p_u, so each u is
+    first filtered on the simple roots; the matrix equation then decides,
+    since roots alone do not see a central torus.
+    """
     rd = d1.rd
     if rd.roots != d2.rd.roots:
         raise InvalidArgumentError("data live in different ambient root data")
+    w1, w2 = d1.torus.w, d2.torus.w
+    p1, p2 = w1.root_permutation(), w2.root_permutation()
     for u in rd.weyl_elements():
-        if u.compose(d1.torus.w).compose(WeylElement(rd, u.inverse_matrix())).matrix \
-                != d2.torus.w.matrix:
+        pu = u.root_permutation()
+        if any(pu[p1[s]] != p2[pu[s]] for s in range(rd.ss_rank)):
+            continue
+        if _mat_mul(u.matrix, w1.matrix) != _mat_mul(w2.matrix, u.matrix):
             continue
         if d1.lam.weyl_act(u) == d2.lam:
             return True

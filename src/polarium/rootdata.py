@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import factorial
+from math import prod
 from operator import mul
 
-from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedFeatureError
+from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
+                     UnsupportedFeatureError)
 from .linalg import rref
 
 IntVec = tuple[int, ...]
@@ -128,7 +129,9 @@ class RootDatum:
         self.coroots = tuple(p[1] for p in ordered)
         self.root_index = {root: k for k, root in enumerate(self.roots)}
         for root, coroot in ordered:
-            assert self.pairing(coroot, root) == 2, "coroot normalization broken"
+            if self.pairing(coroot, root) != 2:
+                raise InternalInvariantViolation(
+                    f"coroot normalization broken: <{coroot}, {root}> != 2")
 
     def _reflect_root(self, i: int, x: IntVec) -> IntVec:
         # s_i on the character side: x - <alpha_i^vee, x> alpha_i.
@@ -171,19 +174,24 @@ class RootDatum:
 
     # -- Weyl group --------------------------------------------------------
 
-    def weyl_order(self) -> int:
-        """|W| as the product over simple factors of the product of degrees."""
-        order = 1
+    def degrees(self) -> list[int]:
+        """Degrees of the basic invariants of W on the cocharacter space,
+        factor by factor; each central-torus coordinate adds a degree 1."""
+        out = []
         for letter, n in self.factors:
             if letter == "A":
-                order *= factorial(n + 1)
+                out += range(2, n + 2)
             elif letter in ("B", "C"):
-                order *= 2**n * factorial(n)
+                out += range(2, 2 * n + 1, 2)
             elif letter == "D":
-                order *= 2 ** (n - 1) * factorial(n)
+                out += [*range(2, 2 * n - 1, 2), n]
             else:  # G2
-                order *= 12
-        return order
+                out += [2, 6]
+        return out + [1] * self.torus_rank
+
+    def weyl_order(self) -> int:
+        """|W| as the product of the degrees."""
+        return prod(self.degrees())
 
     def weyl_elements(self) -> list["WeylElement"]:
         """The full Weyl group, identity first, closed under composition."""

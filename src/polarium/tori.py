@@ -1,70 +1,109 @@
 """Tame maximal tori presented by finite-order Weyl elements.
 
-A torus class is a pair (w, m) with w^m = 1; its eigenspace decomposition of
+A torus class is a pair (w, m) with w^m = 1. Its eigenspace decomposition of
 the dual Cartan over Q(zeta_m) drives every regularity computation. Rational
 points of the torus are never materialized.
+
+The eigenspace dimensions are integers read off the traces of w, w^2, ...,
+w^(m-1), which the w^m = 1 check computes anyway. A basis of the zeta_m^i
+eigenspace is solved by a cyclotomic nullspace only when a caller asks for
+it, once per class, and its length is checked against that trace count.
+
+Regular numbers come from the degrees of W alone (Lehrer-Springer, Canad. J.
+Math. 51, 1999; Lehrer-Taylor, Unitary Reflection Groups, ch. 11), without
+enumerating W.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloNumber, root_of_unity
-from .errors import InvalidArgumentError
+from fractions import Fraction
+from math import gcd
+
+from .cyclo import CycloNumber, euler_phi, root_of_unity
+from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix, reflection_matrix
+from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
 from .tails import Covector
+
+
+def _eigendims(traces: list[int], m: int) -> list[int]:
+    """Dimension of the zeta_m^i eigenspace for each i, from tr(w^k), 0 <= k < m.
+
+    dim ker(w^d - 1) is the mean trace over the cyclic group generated by w^d.
+    Moebius inversion over the divisors of m, run as the recursion
+    N(e) = dim ker(w^e - 1) - sum of N(d) over the proper divisors d of e,
+    turns these counts into the number N(e) of eigenvalues of exact order e,
+    which the phi(e) primitive e-th roots of unity share equally because w is
+    rational.
+    """
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    per_root = {}
+    for e in divisors:
+        exact = Fraction(e * sum(traces[::e]), m) - sum(
+            per_root[d] * euler_phi(d) for d in divisors if d < e and e % d == 0)
+        per_root[e] = exact / euler_phi(e)
+        if per_root[e].denominator != 1 or per_root[e] < 0:
+            raise InternalInvariantViolation(
+                f"trace count gives {exact} eigenvalues of exact order {e}, "
+                f"not a nonnegative multiple of phi({e}) = {euler_phi(e)}")
+    return [int(per_root[m // gcd(i, m)]) for i in range(m)]
 
 
 class TorusClass:
     """A tame maximal torus given by its twisting Weyl element and period."""
 
-    __slots__ = ("rd", "m", "w", "eigenspaces")
+    __slots__ = ("rd", "m", "w", "eigendims", "eigenspaces")
 
     def __init__(self, rd: RootDatum, w: WeylElement, m: int):
         if m < 1:
             raise InvalidArgumentError(f"period must be >= 1, got {m}")
-        identity = identity_matrix(rd.dim)
-        power = identity
-        for _ in range(m):
+        traces = [rd.dim]
+        power = w.matrix
+        while len(traces) < m:
+            traces.append(sum(power[k][k] for k in range(rd.dim)))
             power = _mat_mul(w.matrix, power)
-        if power != identity:
+        if power != identity_matrix(rd.dim):
             raise InvalidArgumentError("w^m is not the identity")
         self.rd = rd
         self.m = m
         self.w = w
-        self.eigenspaces = self._compute_eigenspaces()
-
-    def _compute_eigenspaces(self) -> dict[int, list[Covector]]:
-        rd, m = self.rd, self.m
-        action = self.w.covector_matrix()
-        spaces: dict[int, list[Covector]] = {}
-        total = 0
-        for i in range(m):
-            z = root_of_unity(m, i, m)
-            rows = []
-            for r in range(rd.dim):
-                row = []
-                for c in range(rd.dim):
-                    entry = CycloNumber.from_rational(action[r][c])
-                    if r == c:
-                        entry = entry - z
-                    row.append(entry)
-                rows.append(row)
-            basis = nullspace(rows, rd.dim)
-            spaces[i] = basis
-            total += len(basis)
-        assert total == rd.dim, "eigenspace dimensions do not fill the Cartan"
-        return spaces
+        self.eigendims = _eigendims(traces, m)
+        self.eigenspaces: dict[int, list[Covector]] = {}
 
     def eigenspace(self, i: int) -> list[Covector]:
-        return self.eigenspaces[i % self.m]
+        """Basis of the zeta_m^i eigenspace on the dual Cartan, solved on first use."""
+        i %= self.m
+        basis = self.eigenspaces.get(i)
+        if basis is None:
+            basis = self.eigenspaces[i] = self._solve_eigenspace(i)
+        return basis
+
+    def _solve_eigenspace(self, i: int) -> list[Covector]:
+        rd, m = self.rd, self.m
+        action = self.w.covector_matrix()
+        z = root_of_unity(m, i, m)
+        rows = []
+        for r in range(rd.dim):
+            row = []
+            for c in range(rd.dim):
+                entry = CycloNumber.from_rational(action[r][c])
+                if r == c:
+                    entry = entry - z
+                row.append(entry)
+            rows.append(row)
+        basis = nullspace(rows, rd.dim)
+        if len(basis) != self.eigendims[i]:
+            raise InternalInvariantViolation(
+                f"eigenspace dimension check: the zeta_{m}^{i} eigenspace has "
+                f"{len(basis)} basis vectors, the trace count gives {self.eigendims[i]}")
+        return basis
 
     def is_elliptic(self) -> bool:
         """No nonzero fixed covector: the presented torus is anisotropic."""
-        return not self.eigenspaces[0]
+        return self.eigendims[0] == 0
 
     def __repr__(self):
-        dims = tuple(len(self.eigenspaces[i]) for i in range(self.m))
-        return f"TorusClass(m={self.m}, eigendims={dims})"
+        return f"TorusClass(m={self.m}, eigendims={tuple(self.eigendims)})"
 
 
 def split_torus_class(rd: RootDatum) -> TorusClass:
@@ -84,11 +123,27 @@ def is_springer_regular(tc: TorusClass) -> bool:
     return True
 
 
+def _conjugate_by_reflection(x, root, root_support, coroot_support):
+    """s x s for s = 1 - c a^T (a the root, c its coroot) as two rank-one
+    updates: x s = x - (x c) a^T, then s y = y - c (a^T y). The supports list
+    the nonzero (index, entry) pairs of a and c."""
+    y = []
+    for row in x:
+        xc = sum(row[k] * ck for k, ck in coroot_support)
+        y.append(tuple(v - xc * a for v, a in zip(row, root)) if xc else row)
+    ay = [sum(a * y[k][j] for k, a in root_support) for j in range(len(root))]
+    for k, ck in coroot_support:
+        y[k] = tuple(v - ck * t for v, t in zip(y[k], ay))
+    return tuple(y)
+
+
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
     """Conjugacy classes of the Weyl group, deterministically ordered."""
     elements = rd.weyl_elements()
-    gens = [WeylElement(rd, reflection_matrix(rd.simple_roots[i], rd.simple_coroots[i]))
-            for i in range(rd.ss_rank)]
+    gens = []
+    for root, coroot in zip(rd.simple_roots, rd.simple_coroots):
+        gens.append((root, [(k, a) for k, a in enumerate(root) if a],
+                     [(k, c) for k, c in enumerate(coroot) if c]))
     index = {w.matrix: w for w in elements}
     unseen = {w.matrix for w in elements}
     classes = []
@@ -100,7 +155,7 @@ def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
         while queue:
             x = queue.pop()
             for g in gens:
-                y = _mat_mul(g.matrix, _mat_mul(x, g.matrix))
+                y = _conjugate_by_reflection(x, *g)
                 if y not in orbit:
                     orbit.add(y)
                     queue.append(y)
@@ -119,15 +174,19 @@ def list_torus_classes(rd: RootDatum) -> list[TorusClass]:
 
 
 def regular_numbers(rd: RootDatum) -> dict:
-    """Orders of Springer-regular classes, with the elliptic sublist."""
-    regular: set[int] = set()
-    elliptic: set[int] = set()
-    for tc in list_torus_classes(rd):
-        if is_springer_regular(tc):
-            regular.add(tc.m)
-            if tc.is_elliptic():
-                elliptic.add(tc.m)
-    return {"regular": sorted(regular), "elliptic": sorted(elliptic)}
+    """Orders of Springer-regular classes, with the elliptic sublist.
+
+    Lehrer-Springer: d is regular iff as many degrees d_i as codegrees
+    d_i - 2 are divisible by d, and d divides some degree. A regular element
+    of order d has eigenvalues zeta_d^(1 - d_i), so it is elliptic iff no
+    d_i = 1 mod d; a central torus brings a degree 1 and is never elliptic.
+    """
+    degrees = rd.degrees()
+    candidates = sorted({d for k in degrees for d in range(1, k + 1) if k % d == 0})
+    regular = [d for d in candidates
+               if sum(k % d == 0 for k in degrees) == sum((k - 2) % d == 0 for k in degrees)]
+    elliptic = [d for d in regular if all((k - 1) % d for k in degrees)]
+    return {"regular": regular, "elliptic": elliptic}
 
 
 def regular_class_of_order(rd: RootDatum, m: int) -> TorusClass | None:

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different route than
 the package: reflection closure in the simple-root basis, plain fraction
 Gaussian elimination, sympy characteristic polynomials, and a standalone
 Laurent-matrix pairing. Nothing imports package internals beyond public
-arithmetic types.
+arithmetic types, except the enumeration of regular numbers: it decides each
+conjugacy class with the package's `TorusClass` and `is_springer_regular`.
 """
 
 import random
@@ -13,6 +14,7 @@ from fractions import Fraction
 import sympy
 
 from polarium.cyclo import CycloNumber
+from polarium.tori import TorusClass, is_springer_regular
 
 
 def closure_roots_from_cartan(cartan) -> set:
@@ -213,3 +215,55 @@ def mat_mul_oracle(a, b) -> tuple:
             for k in range(inner):
                 out[i][j] += a[i][k] * b[k][j]
     return tuple(tuple(row) for row in out)
+
+
+def conjugacy_classes_by_products(rd) -> list[list]:
+    """Weyl conjugacy classes by an orbit search that conjugates with full
+    simple reflection matrices, two matrix products per (element, generator);
+    classes and their members ordered by matrix."""
+    n = rd.dim
+    gens = [tuple(tuple(int(k == j) - root[j] * coroot[k] for j in range(n)) for k in range(n))
+            for root, coroot in zip(rd.simple_roots, rd.simple_coroots)]
+    index = {w.matrix: w for w in rd.weyl_elements()}
+    seen = set()
+    classes = []
+    for mat in sorted(index):
+        if mat in seen:
+            continue
+        orbit, frontier = {mat}, [mat]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = mat_mul_oracle(g, mat_mul_oracle(x, g))
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        classes.append([index[y] for y in sorted(orbit)])
+    return classes
+
+
+def regular_numbers_by_enumeration(rd) -> dict:
+    """Springer-regular orders by enumerating the conjugacy classes: the
+    representative of exact order m is regular when its zeta_m-eigenspace
+    avoids every coroot kernel, elliptic when it fixes no covector."""
+    regular, elliptic = set(), set()
+    for cls in conjugacy_classes_by_products(rd):
+        tc = TorusClass(rd, cls[0], cls[0].order())
+        if is_springer_regular(tc):
+            regular.add(tc.m)
+            if not tc.eigenspace(0):
+                elliptic.add(tc.m)
+    return {"regular": sorted(regular), "elliptic": sorted(elliptic)}
+
+
+def conjugate_by_products(d1, d2) -> bool:
+    """Weyl search for u with u w1 u^-1 = w2, both sides compared as integer
+    matrices for every u, and then u(lam1) = lam2."""
+    w1, w2 = d1.torus.w.matrix, d2.torus.w.matrix
+    for u in d1.rd.weyl_elements():
+        if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), u.inverse_matrix()) != w2:
+            continue
+        if d1.lam.weyl_act(u) == d2.lam:
+            return True
+    return False

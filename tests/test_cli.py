@@ -333,3 +333,53 @@ def test_unexpected_exception_ends_in_the_envelope(capsys, monkeypatch):
     assert status == 3
     assert out == ('{"error":{"code":"internal-invariant-violation",'
                    '"message":"unexpected RuntimeError: boom"}}\n')
+
+
+def _refuse(*args):
+    raise AssertionError("closed-form request reached Weyl enumeration or a nullspace")
+
+
+def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
+    # |W| of D8 is 5 160 960: only the degrees may be read
+    import polarium.rootdata as rootdata
+    import polarium.tori as tori
+
+    monkeypatch.setattr(rootdata, "_mat_mul", _refuse)
+    monkeypatch.setattr(tori, "nullspace", _refuse)
+    expected = {"A7": ([1, 2, 4, 7, 8], [8]),
+                "B8": ([1, 2, 4, 8, 16], [2, 4, 8, 16]),
+                "D8": ([1, 2, 4, 7, 8, 14], [2, 4, 8, 14])}
+    for label, (regular, elliptic) in expected.items():
+        status, out = run_main(capsys, "regular-numbers", "--type", label)
+        assert status == 0, out
+        assert json.loads(out) == {"type": label, "regular": regular, "elliptic": elliptic}
+
+
+def test_high_period_classify_solves_no_eigenspace(capsys, monkeypatch):
+    import polarium.tori as tori
+
+    monkeypatch.setattr(tori, "nullspace", _refuse)
+    status, out = run_main(
+        capsys, "classify", "--input", str(GOLDENS / "a1_period720_classify_request.json"))
+    assert status == 0
+    assert out == (GOLDENS / "a1_period720_classify_output.json").read_text()
+
+
+def test_eigenspace_dimension_check_survives_optimized_python():
+    # under -O a bare assert would vanish; the check must still end in exit 3
+    script = (
+        "import sys\n"
+        "import polarium.tori as tori\n"
+        "from polarium.cli import main\n"
+        "solve = tori.nullspace\n"
+        "tori.nullspace = lambda rows, n: solve(rows, n)[1:]\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for argv in (["homogeneous", "--input", '{"type":"A2","m":3,"i":1}'],
+                 ["partition-check", "--type", "A2", "--samples", "5"]):
+        proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "internal-invariant-violation"
+        assert error["message"].startswith("eigenspace dimension check"), error

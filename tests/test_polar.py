@@ -8,10 +8,11 @@ from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
                             homogeneous_datum, is_g_regular, partition_check,
                             sample_equivariant_tail, stabilizer)
+from polarium.rootdata import WeylElement, build
 from polarium.tails import Tail
-from polarium.tori import list_torus_classes, split_torus_class
+from polarium.tori import TorusClass, list_torus_classes, split_torus_class
 
-from .oracles import subgroup_generated
+from .oracles import conjugate_by_products, subgroup_generated
 
 
 def sl3_worked_tail(a2):
@@ -150,3 +151,33 @@ def test_partition_check_takes_each_depth_multiset_once(a2, monkeypatch):
     rep = partition_check(a2, samples=30, seed=3, disjoint_pairs=20)
     assert rep["disjoint_pairs_checked"] > 0
     assert len(calls) == rep["classified"]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", [["A", 2], ["torus", 1]]],
+                         ids=["A2", "B2", "G2", "A3", "A2xT1"])
+def test_conjugate_oracle_matches_product_oracle(label):
+    rd = build(label)
+    classes = list_torus_classes(rd)
+    if rd.torus_rank:
+        # -1 on the central coordinate fixes every root, yet no Weyl element
+        # conjugates it to the identity: the root filter alone would accept
+        flip = tuple(tuple(-1 if i == j == rd.dim - 1 else int(i == j) for j in range(rd.dim))
+                     for i in range(rd.dim))
+        classes += [TorusClass(rd, rd.identity_element(), 2),
+                    TorusClass(rd, WeylElement(rd, flip), 2)]
+        same_roots = [classify(tc, Tail.zero(rd, 2)) for tc in classes[-2:]]
+        assert not conjugate_oracle(*same_roots)
+    rng = random.Random(17)
+    data = []
+    for tc in classes:
+        d = classify(tc, sample_equivariant_tail(tc, rng))
+        u = rd.weyl_elements()[rng.randrange(len(rd.weyl_elements()))]
+        moved = conjugate_datum(d, u)
+        data += [d, classify(moved.torus, moved.lam)]
+    verdicts = set()
+    for d1 in data:
+        for d2 in data:
+            verdict = conjugate_oracle(d1, d2)
+            assert verdict == conjugate_by_products(d1, d2)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

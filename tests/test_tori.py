@@ -6,19 +6,30 @@ from polarium.tori import (TorusClass, conjugacy_classes, is_springer_regular,
                            list_torus_classes, regular_class_of_order,
                            regular_numbers, split_torus_class)
 
-from .oracles import eigen_dims_by_charpoly, springer_regular_sampled
+from .oracles import (conjugacy_classes_by_products, eigen_dims_by_charpoly,
+                      regular_numbers_by_enumeration, springer_regular_sampled)
+
+CLASS_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2",
+               (("A", 1), ("A", 2)), (("A", 2), ("torus", 1)))
+REGULAR_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
+                 (("A", 1), ("A", 2)), (("A", 2), ("G", 2)), (("A", 2), ("torus", 1)),
+                 (("B", 2), ("B", 2)), (("A", 3), ("A", 1)))
+
+
+def _type_id(spec) -> str:
+    return build(spec).type_label()
 
 
 def test_make_torus_class_a1(a1):
     s = a1.weyl_elements()[1]
     tc = TorusClass(a1, s, 2)
-    assert [len(tc.eigenspaces[i]) for i in range(2)] == [0, 1]
+    assert [len(tc.eigenspace(i)) for i in range(2)] == [0, 1]
     assert tc.is_elliptic()
 
 
 def test_make_torus_class_identity(a2):
     tc = split_torus_class(a2)
-    assert len(tc.eigenspaces[0]) == a2.dim
+    assert len(tc.eigenspace(0)) == a2.dim
 
 
 def test_period_must_kill_w(a2):
@@ -31,13 +42,13 @@ def test_period_may_be_multiple_of_order(a1):
     s = a1.weyl_elements()[1]
     tc = TorusClass(a1, s, 4)
     # eigenvalue -1 = zeta_4^2 sits at index 2 of the refined grading
-    assert [len(tc.eigenspaces[i]) for i in range(4)] == [0, 0, 1, 0]
+    assert [len(tc.eigenspace(i)) for i in range(4)] == [0, 0, 1, 0]
 
 
 def test_eigenspace_dims_match_charpoly_oracle(a2, b2, g2):
     for rd in (a2, b2, g2):
         for tc in list_torus_classes(rd):
-            dims = [len(tc.eigenspaces[i]) for i in range(tc.m)]
+            dims = [len(tc.eigenspace(i)) for i in range(tc.m)]
             oracle = eigen_dims_by_charpoly(
                 [list(row) for row in tc.w.covector_matrix()], tc.m)
             assert dims == oracle
@@ -46,7 +57,7 @@ def test_eigenspace_dims_match_charpoly_oracle(a2, b2, g2):
 def test_coxeter_class_dims(a2):
     cox = regular_class_of_order(a2, 3)
     assert cox is not None
-    assert [len(cox.eigenspaces[i]) for i in range(3)] == [0, 1, 1]
+    assert [len(cox.eigenspace(i)) for i in range(3)] == [0, 1, 1]
 
 
 def test_class_counts(a1, a2, b2):
@@ -96,10 +107,31 @@ def test_coxeter_number_always_regular(a1, a2, a3, b2, g2):
 
 def test_elliptic_iff_no_fixed_covector(b2):
     for tc in list_torus_classes(b2):
-        assert tc.is_elliptic() == (len(tc.eigenspaces[0]) == 0)
+        assert tc.is_elliptic() == (len(tc.eigenspace(0)) == 0)
 
 
 def test_torus_rank_blocks_ellipticity():
     rd = build([["A", 1], ["torus", 1]])
     for tc in list_torus_classes(rd):
         assert not tc.is_elliptic()
+
+
+@pytest.mark.parametrize("label", CLASS_TYPES, ids=_type_id)
+def test_conjugacy_classes_match_product_oracle(label):
+    rd = build(label)
+    assert conjugacy_classes(rd) == conjugacy_classes_by_products(rd)
+
+
+@pytest.mark.parametrize("label", CLASS_TYPES, ids=_type_id)
+def test_trace_eigendims_match_charpoly_oracle(label):
+    rd = build(label)
+    for tc in list_torus_classes(rd):
+        oracle = eigen_dims_by_charpoly([list(row) for row in tc.w.covector_matrix()], tc.m)
+        assert tc.eigendims == oracle
+        assert not tc.eigenspaces  # nothing solved until a caller asks
+
+
+@pytest.mark.parametrize("label", REGULAR_TYPES, ids=_type_id)
+def test_closed_form_regular_numbers_match_enumeration(label):
+    rd = build(label)
+    assert regular_numbers(rd) == regular_numbers_by_enumeration(rd)
