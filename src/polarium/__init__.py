@@ -3,7 +3,7 @@
 from .cyclo import CycloNumber, zeta
 from .polar import PolarDatum, classify, epipelagic_datum, homogeneous_datum
 from .rootdata import RootDatum, WeylElement, build
-from .tails import LaurentWindow, ScalarTail, Tail
+from .tails import LaurentWindow, Tail
 from .tori import TorusClass, list_torus_classes, regular_numbers
 from .yuseq import YuLadder, extract
 

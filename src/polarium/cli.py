@@ -58,8 +58,12 @@ def _parse_window(spec: str | None) -> tuple[int, int] | None:
 def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
     if not doc:
         return extract(datum)
+    nroots = len(datum.rd.roots)
     breaks = [Fraction(b) for b in doc["breaks"]]
     levels = [frozenset(level) for level in doc["levels"]]
+    if any(i >= nroots for level in levels for i in level):
+        raise InvalidArgumentError(f"ladder level index out of range: "
+                                   f"{datum.rd.type_label()} has {nroots} roots")
     components = decompose_lambda(datum, breaks)
     return YuLadder(datum, breaks, levels, components,
                     validate=doc.get("validate", True))

@@ -18,7 +18,7 @@ from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement, _mat_mul, is_q_closed, stable_under
-from .tails import Tail, is_equivariant, pair_coroot
+from .tails import Tail, is_equivariant
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
 
@@ -42,8 +42,8 @@ class PolarDatum:
             raise InvalidArgumentError("levi subset not stable under the twisting element")
         if not is_equivariant(self.lam, self.torus.w, self.torus.m):
             raise InvalidArgumentError("tail violates the torus equivariance condition")
-        for idx, coroot in enumerate(rd.coroots):
-            empty = pair_coroot(self.lam, coroot).is_zero()
+        for idx, depth in enumerate(self.lam.coroot_depths()):
+            empty = depth is None
             if idx in self.levi and not empty:
                 raise InvalidArgumentError(f"tail not central: coroot {idx} pairs nonzero")
             if idx not in self.levi and empty:
@@ -57,12 +57,8 @@ class PolarDatum:
         return len(self.levi) == len(self.rd.roots)
 
     def depth_multiset(self) -> tuple:
-        """Sorted coroot pairing depths; None entries mark levi coroots."""
-        depths = []
-        for idx, coroot in enumerate(self.rd.coroots):
-            d = pair_coroot(self.lam, coroot).depth()
-            depths.append(Fraction(-1) if d is None else d)
-        return tuple(sorted(depths))
+        """Sorted coroot pairing depths; levi coroots enter as -1."""
+        return tuple(sorted(Fraction(-1) if d is None else d for d in self.lam.coroot_depths()))
 
     def __repr__(self):
         return f"PolarDatum(m={self.torus.m}, levi={sorted(self.levi)}, lam={self.lam!r})"
@@ -70,13 +66,8 @@ class PolarDatum:
 
 def is_g_regular(tc: TorusClass, lam: Tail, relative_to=frozenset()) -> bool:
     """True when every coroot outside the given subset pairs to a nonzero tail."""
-    rd = tc.rd
     rel = frozenset(relative_to)
-    return all(
-        not pair_coroot(lam, coroot).is_zero()
-        for idx, coroot in enumerate(rd.coroots)
-        if idx not in rel
-    )
+    return all(d is not None for idx, d in enumerate(lam.coroot_depths()) if idx not in rel)
 
 
 def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
@@ -88,9 +79,7 @@ def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
     if not is_equivariant(lam, tc.w, tc.m):
         raise InvalidArgumentError("tail is not equivariant for the torus class")
     rd = tc.rd
-    levi = frozenset(
-        idx for idx, coroot in enumerate(rd.coroots) if pair_coroot(lam, coroot).is_zero()
-    )
+    levi = frozenset(idx for idx, d in enumerate(lam.coroot_depths()) if d is None)
     if not is_q_closed(rd, levi):
         raise InternalInvariantViolation(
             f"vanishing set {sorted(levi)} fails rational closure"

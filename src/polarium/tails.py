@@ -5,6 +5,13 @@ exponents q >= 0 with denominator dividing the conductor m; the term q
 stands for c_q * t^(-q) * dt/t. Covectors live on the character side of the
 ambient root datum (fundamental-weight coordinates), so pairing with a
 coroot is an integer dot product on the coefficients.
+
+Strata labels and Yu ladders read one table per tail: the depth of
+<alpha^vee, tail> for every root alpha, i.e. the largest exponent whose
+covector pairs nonzero with the coroot, or None where the pairing vanishes.
+`Tail.coroot_depths` builds it once and keeps it. The coroot of -alpha is
+-alpha^vee, whose pairing is the negation and has the same depth, so each
++- pair of roots is paired once.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ def covector(values, dim: int | None = None) -> Covector:
 class Tail:
     """An element of t*/t*_tn: finitely many covector terms at exponents q >= 0."""
 
-    __slots__ = ("rd", "m", "terms")
+    __slots__ = ("rd", "m", "terms", "_depths")
 
     def __init__(self, rd: RootDatum, m: int, terms: dict):
         if m < 1:
@@ -53,6 +60,7 @@ class Tail:
             if not all(x.is_zero() for x in c):
                 clean[q] = c
         self.terms = clean
+        self._depths: tuple | None = None
 
     @staticmethod
     def zero(rd: RootDatum, m: int = 1) -> "Tail":
@@ -66,6 +74,17 @@ class Tail:
 
     def depth(self) -> Fraction | None:
         return max(self.terms) if self.terms else None
+
+    def coroot_depths(self) -> tuple:
+        """Depth of the pairing with each coroot, indexed by root; None where it vanishes."""
+        if self._depths is None:
+            rd = self.rd
+            depths: dict[int, Fraction | None] = {}
+            for i, coroot in enumerate(rd.coroots):
+                if i not in depths:
+                    depths[i] = depths[rd.negative_of(i)] = pair_coroot(self, coroot)
+            self._depths = tuple(depths[i] for i in range(len(rd.coroots)))
+        return self._depths
 
     def lift_conductor(self, m2: int) -> "Tail":
         if m2 % self.m != 0:
@@ -132,44 +151,13 @@ class Tail:
         return f"Tail(m={self.m}; " + " + ".join(bits) + ")"
 
 
-class ScalarTail:
-    """A finite scalar tail in omega(E)/omega(O_E), same normalization."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict):
-        self.m = m
-        clean = {}
-        for q, c in terms.items():
-            q = Fraction(q)
-            if not (isinstance(c, CycloNumber) and c.is_zero()):
-                clean[q] = c if isinstance(c, CycloNumber) else CycloNumber.from_rational(c)
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def depth(self) -> Fraction | None:
-        return max(self.terms) if self.terms else None
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarTail):
-            return NotImplemented
-        return set(self.terms) == set(other.terms) and all(
-            self.terms[q] == other.terms[q] for q in self.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "ScalarTail(0)"
-        return "ScalarTail(" + " + ".join(f"{c!r}*t^-{q}" for q, c in sorted(self.terms.items())) + ")"
-
-
-def pair_coroot(tail: Tail, coroot) -> ScalarTail:
-    """The scalar tail <d(coroot), tail>, zero terms dropped."""
-    return ScalarTail(tail.m, {q: dot_int(coroot, c) for q, c in tail.terms.items()})
+def pair_coroot(tail: Tail, coroot) -> Fraction | None:
+    """Depth of <d(coroot), tail>: the largest exponent whose covector pairs
+    nonzero with the coroot, None when every term pairs to zero."""
+    for q in sorted(tail.terms, reverse=True):
+        if not dot_int(coroot, tail.terms[q]).is_zero():
+            return q
+    return None
 
 
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:

@@ -4,10 +4,12 @@ A torus class is a pair (w, m) with w^m = 1. Its eigenspace decomposition of
 the dual Cartan over Q(zeta_m) drives every regularity computation. Rational
 points of the torus are never materialized.
 
-The eigenspace dimensions are integers read off the traces of w, w^2, ...,
-w^(m-1), which the w^m = 1 check computes anyway. A basis of the zeta_m^i
-eigenspace is solved by a cyclotomic nullspace only when a caller asks for
-it, once per class, and its length is checked against that trace count.
+The eigenspace dimensions are integers read off the traces of w^0, ...,
+w^(k-1), k the order of w, which the w^m = 1 check computes anyway: k divides
+m and the traces repeat with period k. A period above PERIOD_BOUND is refused
+before any power is taken. A basis of the zeta_m^i eigenspace is solved by a
+cyclotomic nullspace only when a caller asks for it, once per class, and its
+length is checked against that trace count.
 
 Regular numbers come from the degrees of W alone (Lehrer-Springer, Canad. J.
 Math. 51, 1999; Lehrer-Taylor, Unitary Reflection Groups, ch. 11), without
@@ -20,10 +22,12 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclo import CycloNumber, euler_phi, root_of_unity
-from .errors import InternalInvariantViolation, InvalidArgumentError
+from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
 from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
 from .tails import Covector
+
+PERIOD_BOUND = 1_000_000
 
 
 def _eigendims(traces: list[int], m: int) -> list[int]:
@@ -46,7 +50,8 @@ def _eigendims(traces: list[int], m: int) -> list[int]:
             raise InternalInvariantViolation(
                 f"trace count gives {exact} eigenvalues of exact order {e}, "
                 f"not a nonnegative multiple of phi({e}) = {euler_phi(e)}")
-    return [int(per_root[m // gcd(i, m)]) for i in range(m)]
+    by_gcd = {m // e: int(n) for e, n in per_root.items()}
+    return [by_gcd[gcd(i, m)] for i in range(m)]
 
 
 class TorusClass:
@@ -57,17 +62,20 @@ class TorusClass:
     def __init__(self, rd: RootDatum, w: WeylElement, m: int):
         if m < 1:
             raise InvalidArgumentError(f"period must be >= 1, got {m}")
+        if m > PERIOD_BOUND:
+            raise ResourceLimitError(f"torus period {m} larger than bound {PERIOD_BOUND}")
+        identity = identity_matrix(rd.dim)
         traces = [rd.dim]
         power = w.matrix
-        while len(traces) < m:
+        while power != identity and len(traces) < m:
             traces.append(sum(power[k][k] for k in range(rd.dim)))
             power = _mat_mul(w.matrix, power)
-        if power != identity_matrix(rd.dim):
+        if power != identity or m % len(traces):
             raise InvalidArgumentError("w^m is not the identity")
         self.rd = rd
         self.m = m
         self.w = w
-        self.eigendims = _eigendims(traces, m)
+        self.eigendims = _eigendims(traces * (m // len(traces)), m)
         self.eigenspaces: dict[int, list[Covector]] = {}
 
     def eigenspace(self, i: int) -> list[Covector]:

@@ -12,17 +12,15 @@ from fractions import Fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .polar import PolarDatum
 from .rootdata import is_q_closed, stable_under
-from .tails import Tail, pair_coroot
+from .tails import Tail
 
 
 def breaks(d: PolarDatum) -> list[Fraction]:
     """Sorted distinct pairing depths over coroots outside the levi."""
-    rd = d.rd
     values = set()
-    for idx, coroot in enumerate(rd.coroots):
+    for idx, r in enumerate(d.lam.coroot_depths()):
         if idx in d.levi:
             continue
-        r = pair_coroot(d.lam, coroot).depth()
         if r is None:
             raise InvalidArgumentError(f"coroot {idx} outside levi pairs to zero")
         values.add(r)
@@ -32,10 +30,7 @@ def breaks(d: PolarDatum) -> list[Fraction]:
 def levi_ladder(d: PolarDatum, break_seq) -> list[frozenset[int]]:
     """Nested levi subsets: level j is the sublevel set at the previous break."""
     rd = d.rd
-    depths = {}
-    for idx, coroot in enumerate(rd.coroots):
-        if idx not in d.levi:
-            depths[idx] = pair_coroot(d.lam, coroot).depth()
+    depths = {idx: r for idx, r in enumerate(d.lam.coroot_depths()) if idx not in d.levi}
     levels = [frozenset(d.levi)]
     for j in range(1, len(break_seq) + 1):
         cutoff = break_seq[j - 1]
@@ -97,11 +92,10 @@ class YuLadder:
         if total != d.lam:
             raise InternalInvariantViolation("band components do not reassemble the tail")
         # Centralizer identity: level j kills all components from j upward.
+        tables = [part.coroot_depths() for part in self.components]
         for j, level in enumerate(self.levels):
             expected = frozenset(
-                idx for idx in range(nroots)
-                if all(pair_coroot(self.components[jj], rd.coroots[idx]).is_zero()
-                       for jj in range(j, len(self.components)))
+                idx for idx in range(nroots) if all(t[idx] is None for t in tables[j:])
             )
             if expected != level:
                 raise InternalInvariantViolation(

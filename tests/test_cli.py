@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,15 @@ def test_error_exit_codes(capsys, tmp_path):
                       '"x":"rho/0"}']),
         ("moveability", ["--input", '{"datum":{"type":"A2","lambda":{"m":1,"terms":[]}},'
                          '"x":"rho/x"}']),
+        # a user ladder without breaks or levels, or with a level index past
+        # the last root when its validation is switched off
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,"terms":[]}},'
+                         '"ladder":{"levels":[[],[0,1]]}}']),
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,"terms":[]}},'
+                         '"ladder":{"breaks":["1"]}}']),
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,'
+                         '"terms":[{"q":"1","coeff":["1"]}]}},'
+                         '"ladder":{"breaks":["1"],"levels":[[],[0,1,5]],"validate":false}}']),
         # an unvalidated Coxeter-class datum with an integral tail exponent
         ("jlattice", ["--input", '{"datum":{"type":"A2","torus":{"m":3,"w":[[-1,1],[-1,0]]},'
                       '"levi":[],"validate":false,'
@@ -363,6 +373,24 @@ def test_high_period_classify_solves_no_eigenspace(capsys, monkeypatch):
         capsys, "classify", "--input", str(GOLDENS / "a1_period720_classify_request.json"))
     assert status == 0
     assert out == (GOLDENS / "a1_period720_classify_output.json").read_text()
+
+
+def test_torus_period_bound(capsys):
+    # the powers of w stop at its order, so the largest allowed period is cheap,
+    # and a period past the bound is refused before any power is taken
+    def classify_period(m):
+        doc = {"type": "A1", "torus": {"m": m, "w": [[1]]}, "lambda": {"m": 1, "terms": []}}
+        return run_main(capsys, "classify", "--input", json.dumps(doc))
+
+    start = time.perf_counter()
+    status, out = classify_period(10**6)
+    assert time.perf_counter() - start < 1
+    assert status == 0
+    assert json.loads(out)["torus"]["m"] == 10**6
+    for m in (10**6 + 1, 10**8):
+        status, out = classify_period(m)
+        assert status == 1
+        assert json.loads(out)["error"]["code"] == "resource-limit"
 
 
 def test_eigenspace_dimension_check_survives_optimized_python():

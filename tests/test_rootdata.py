@@ -44,6 +44,13 @@ def test_reflections_and_shared_identity():
         assert len(rd.reflection_matrices()) == len(rd.roots) // 2
 
 
+def test_negative_root_has_negated_coroot():
+    for label in KERNEL_TYPES:
+        rd = build(label)
+        for i, coroot in enumerate(rd.coroots):
+            assert rd.coroots[rd.negative_of(i)] == tuple(-v for v in coroot)
+
+
 def test_coroot_normalization(g2):
     for root, coroot in zip(g2.roots, g2.coroots):
         assert g2.pairing(coroot, root) == 2

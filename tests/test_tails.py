@@ -5,34 +5,41 @@ import pytest
 
 from polarium.cyclo import CycloNumber, root_of_unity
 from polarium.errors import InvalidArgumentError
-from polarium.tails import (LaurentWindow, ScalarTail, Tail, is_equivariant,
-                            pair_coroot, tail_from_json, tail_to_json,
-                            window_from_json, window_to_json)
+from polarium.linalg import dot_int
+from polarium.rootdata import build
+from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
+                            tail_from_json, tail_to_json, window_from_json,
+                            window_to_json)
 from polarium.tori import list_torus_classes
+
+from .oracles import dot_int_oracle
 
 
 def test_pair_coroot_fundamental_weight(a1):
     lam = Tail(a1, 1, {F(1): [1]})
-    s = pair_coroot(lam, a1.coroots[0])
-    assert s.terms == {F(1): CycloNumber.one()}
+    assert pair_coroot(lam, a1.coroots[0]) == F(1)
 
 
 def test_pair_coroot_zero_tail(a1):
-    assert pair_coroot(Tail.zero(a1), a1.coroots[0]).is_zero()
+    assert pair_coroot(Tail.zero(a1), a1.coroots[0]) is None
 
 
 def test_pair_coroot_cartan_oracle(a2):
     # oracle: pairing of pi_1 against each simple coroot is the Cartan row entry
     lam = Tail(a2, 1, {F(1): [1, 0]})
-    assert pair_coroot(lam, a2.coroots[0]).terms[F(1)] == 1
-    assert pair_coroot(lam, a2.coroots[1]).is_zero()
+    assert dot_int(a2.coroots[0], lam.terms[F(1)]) == 1
+    assert pair_coroot(lam, a2.coroots[0]) == F(1)
+    assert pair_coroot(lam, a2.coroots[1]) is None
 
 
-def test_depth():
-    s = ScalarTail(2, {F(1): 1})
-    assert s.depth() == 1
-    assert ScalarTail(1, {}).depth() is None
-    assert ScalarTail(2, {F(0): 1, F(3, 2): 2}).depth() == F(3, 2)
+def test_depth(a2):
+    # the depth is the top exponent that pairs nonzero, not the tail's own depth
+    lam = Tail(a2, 2, {F(0): [1, 0], F(3, 2): [0, 2]})
+    assert lam.depth() == F(3, 2)
+    assert pair_coroot(lam, a2.coroots[0]) == F(0)
+    assert pair_coroot(lam, a2.coroots[1]) == F(3, 2)
+    assert pair_coroot(Tail(a2, 1, {F(2): [0, 1]}), a2.coroots[0]) is None
+    assert Tail.zero(a2).depth() is None
 
 
 def test_tail_arith(a1):
@@ -78,20 +85,45 @@ def test_equivariance_rescaling(a2):
 
 def test_pairing_linearity_and_depth_bound(a2):
     rng = random.Random(9)
+    zero = (CycloNumber.zero(),) * a2.dim
     for _ in range(10):
         terms = {F(rng.randint(0, 3)): [rng.randint(-3, 3), rng.randint(-3, 3)]
                  for _ in range(rng.randint(1, 3))}
         lam = Tail(a2, 1, terms)
         mu = Tail(a2, 1, {F(1): [1, 1]})
+        total = lam.add(mu)
         for coroot in a2.coroots:
-            left = pair_coroot(lam.add(mu), coroot)
-            right_terms = dict(pair_coroot(lam, coroot).terms)
-            for q, c in pair_coroot(mu, coroot).terms.items():
-                right_terms[q] = right_terms.get(q, CycloNumber.zero()) + c
-            assert left == ScalarTail(1, right_terms)
-            d = pair_coroot(lam, coroot).depth()
+            # linear at each exponent
+            for q in set(lam.terms) | set(mu.terms):
+                assert dot_int(coroot, total.terms.get(q, zero)) == (
+                    dot_int(coroot, lam.terms.get(q, zero))
+                    + dot_int(coroot, mu.terms.get(q, zero)))
+            d = pair_coroot(lam, coroot)
+            nonzero = [q for q, c in lam.terms.items() if not dot_int(coroot, c).is_zero()]
+            assert d == (max(nonzero) if nonzero else None)
             if d is not None:
                 assert d <= lam.depth()
+
+
+def test_coroot_depths_match_brute_force(a2, b2, g2):
+    rng = random.Random(21)
+    for rd in (a2, b2, g2, build([["A", 2], ["torus", 1]])):
+        for m in (1, 3, 4):
+            for _ in range(6):
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    terms[F(rng.randint(0, 3 * m), m)] = [
+                        sum((rng.randint(-1, 1) * root_of_unity(m, k, m) for k in range(m)),
+                            CycloNumber.zero())
+                        for _ in range(rd.dim)]
+                lam = Tail(rd, m, terms)
+                table = lam.coroot_depths()
+                assert table is lam.coroot_depths()
+                assert len(table) == len(rd.roots)
+                for idx, coroot in enumerate(rd.coroots):
+                    paired = [q for q, c in lam.terms.items()
+                              if not dot_int_oracle(coroot, c).is_zero()]
+                    assert table[idx] == (max(paired) if paired else None)
 
 
 def test_restrict_bands(a2):

@@ -45,6 +45,16 @@ def test_period_may_be_multiple_of_order(a1):
     assert [len(tc.eigenspace(i)) for i in range(4)] == [0, 0, 1, 0]
 
 
+def test_trace_eigendims_at_multiples_of_the_order(a2, b2, g2):
+    # the powers stop at the order of w; the traces repeat up to the period
+    for rd in (a2, b2, g2):
+        for tc in list_torus_classes(rd):
+            for m in (2 * tc.m, 3 * tc.m):
+                oracle = eigen_dims_by_charpoly(
+                    [list(row) for row in tc.w.covector_matrix()], m)
+                assert TorusClass(rd, tc.w, m).eigendims == oracle
+
+
 def test_eigenspace_dims_match_charpoly_oracle(a2, b2, g2):
     for rd in (a2, b2, g2):
         for tc in list_torus_classes(rd):

@@ -85,10 +85,35 @@ def test_centralizer_identity_on_samples(a1, a2):
                 for j, level in enumerate(ladder.levels):
                     for idx in range(len(rd.roots)):
                         vanishes = all(
-                            pair_coroot(ladder.components[jj], rd.coroots[idx]).is_zero()
+                            pair_coroot(ladder.components[jj], rd.coroots[idx]) is None
                             for jj in range(j, len(ladder.components))
                         )
                         assert vanishes == (idx in level)
+
+
+def test_each_tail_paired_once_per_coroot_pair(a3, monkeypatch):
+    import polarium.tails as tails
+
+    paired = []
+    original = tails.pair_coroot
+
+    def counted(tail, coroot):
+        paired.append(tail)
+        return original(tail, coroot)
+
+    monkeypatch.setattr(tails, "pair_coroot", counted)
+    lam = Tail(a3, 1, {F(1): [1, 0, 0], F(2): [0, 1, 0]})
+    d = classify(split_torus_class(a3), lam)
+    d.depth_multiset()
+    ladder = extract(d)
+    assert ladder.breaks == [1, 2]
+    half = len(a3.roots) // 2
+    assert sum(t is lam for t in paired) == half
+    # each band component is a tail of its own, paired once per +- pair so
+    # that the centralizer identity is checked independently of lam's table
+    for part in ladder.components:
+        assert sum(t is part for t in paired) <= half
+    assert all(any(t is x for x in [lam, *ladder.components]) for t in paired)
 
 
 def test_ladder_validation_rejects_bad_levels(a2):
