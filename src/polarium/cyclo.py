@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
-from .errors import (ArithmeticDomainError, FieldExtensionRequired, InternalInvariantViolation,
+from .errors import (ArithmeticDomainError, FieldExtensionRequired,
                      InvalidArgumentError)
 
 Coeffs = tuple[Fraction, ...]
@@ -22,22 +23,28 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _primes_dividing(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient by trial factorization (conductors stay small here)."""
     if n < 1:
         raise InvalidArgumentError(f"phi undefined for {n}")
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
+    result = n
+    for p in _primes_dividing(n):
+        result = result // p * (p - 1)
     return result
 
 
@@ -86,31 +93,50 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[Fraction, ...]:
-    """Monic L-th cyclotomic polynomial as a coefficient tuple."""
+    """Monic L-th cyclotomic polynomial as a coefficient tuple.
+
+    With r the product of the primes dividing L, Phi_L(x) = Phi_r(x^(L/r)).
+    For r > 1, Phi_r is the product of (1 - x^d)^mu(r/d) over the divisors d
+    of r, read as an integer power series to degree phi(r): one pass over
+    phi(r) + 1 coefficients per squarefree divisor, so the work grows with
+    phi(r) and the number of primes, not with L or its number of divisors.
+    """
     if L < 1:
         raise InvalidArgumentError(f"conductor must be >= 1, got {L}")
-    # x^L - 1 divided by the product of Phi_d over proper divisors d | L.
-    num: list[Fraction] = [-_ONE] + [_ZERO] * (L - 1) + [_ONE]
-    for d in range(1, L):
-        if L % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise InternalInvariantViolation(
-                    f"Phi_{d} does not divide x^{L} - 1 in the cyclotomic recursion")
-    return tuple(num)
+    primes = _primes_dividing(L)
+    r = prod(primes)
+    if r == 1:
+        return (-_ONE, _ONE)
+    deg = euler_phi(r)
+    c = [1] + [0] * deg
+    for chosen in product((False, True), repeat=len(primes)):
+        d = prod(q for q, take in zip(primes, chosen) if not take)  # mu(r/d) = (-1)^sum(chosen)
+        if sum(chosen) % 2 == 0:  # times 1 - x^d
+            for i in range(deg, d - 1, -1):
+                c[i] -= c[i - d]
+        else:  # divided by 1 - x^d
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+    out = [_ZERO] * (deg * (L // r) + 1)
+    out[::L // r] = [Fraction(v) for v in c]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _reduction_table(L: int) -> tuple[Coeffs, ...]:
-    """Reduced forms of z^k for k in [phi(L), 2*phi(L)-1], used by products."""
+    """Reduced forms of z^k for k in [phi(L), 2*phi(L)-1], used by products.
+
+    z^phi is minus the lower part of the monic cyclotomic polynomial, and each
+    later power is z times the one before, reduced the same way.
+    """
     phi = euler_phi(L)
-    mod = list(cyclotomic_polynomial(L))
-    table = []
-    for k in range(phi, 2 * phi):
-        poly = [_ZERO] * k + [_ONE]
-        _, rem = _poly_divmod(poly, mod)
-        rem += [_ZERO] * (phi - len(rem))
-        table.append(tuple(rem))
+    top = [-c for c in cyclotomic_polynomial(L)[:phi]]
+    table = [tuple(top)]
+    for _ in range(phi - 1):
+        prev = table[-1]
+        lead = prev[-1]
+        shifted = (_ZERO,) + prev[:-1]
+        table.append(tuple(a + lead * b for a, b in zip(shifted, top)) if lead else shifted)
     return tuple(table)
 
 
@@ -216,7 +242,7 @@ class CycloNumber:
         return self.lift(L), other.lift(L), L
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_cyclo(other)
         a, b, L = self._common(other)
         return CycloNumber(L, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -226,13 +252,13 @@ class CycloNumber:
         return CycloNumber(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_cyclo(other))
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return as_cyclo(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_cyclo(other)
         a, b, L = self._common(other)
         phi = euler_phi(L)
         out = [_ZERO] * (2 * phi - 1)
@@ -241,14 +267,15 @@ class CycloNumber:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         out[i + j] += x * y
-        table = _reduction_table(L)
-        low = list(out[:phi])
-        for k in range(phi, 2 * phi - 1):
-            if out[k]:
-                red = table[k - phi]
-                for j in range(phi):
-                    if red[j]:
-                        low[j] += out[k] * red[j]
+        low = out[:phi]
+        if any(out[phi:]):  # the reduction table is built only when a product needs it
+            table = _reduction_table(L)
+            for k in range(phi, 2 * phi - 1):
+                if out[k]:
+                    red = table[k - phi]
+                    for j in range(phi):
+                        if red[j]:
+                            low[j] += out[k] * red[j]
         return CycloNumber(L, tuple(low))
 
     __rmul__ = __mul__
@@ -272,13 +299,13 @@ class CycloNumber:
         return CycloNumber(L, _reduce(L, [c * inv_const for c in s1]))
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = as_cyclo(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)) and other == 1:
             return self.inverse()  # same value and conductor, one multiply fewer
-        return _coerce(other) / self
+        return as_cyclo(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -310,7 +337,8 @@ class CycloNumber:
         return " + ".join(terms) if terms else "0"
 
 
-def _coerce(x) -> CycloNumber:
+def as_cyclo(x) -> CycloNumber:
+    """x as a CycloNumber; an int or a Fraction is read at conductor 1."""
     if isinstance(x, CycloNumber):
         return x
     if isinstance(x, (int, Fraction)):

@@ -10,8 +10,18 @@ nonzero values only.
 
 Twisted tori enter through the cyclic-shift presentation X = N + t*E(n,1)
 (the principal order-n class). X^s has a one at (a, (a+s) mod n) times
-t^((a+s) div n); its powers span the twisted Cartan and every computation
-stays rational.
+t^((a+s) div n); its powers span the twisted Cartan, and its dual has
+rational entries.
+
+The field is generic. Structure constants, the twisted dual, unit vectors
+and every value computed from them are `Fraction`s; a `CycloNumber` enters
+only through a split dual whose covector has an entry of conductor > 1, and
+then every entry of that covector is lifted to their lcm conductor. The
+invariant: a value is a `Fraction` exactly where a conductor-1 value stands,
+and every other value has the conductor of the operands it came from, since
+mixed arithmetic reads a `Fraction` at conductor 1. Zero tests use
+truthiness and inverses `1 / x`. Coefficients are printed as
+`CycloNumber`s, a `Fraction` at conductor 1.
 
 The lattice core is one for both presentations. It asks a `Realization` for
 four things: generator levels (`level_of_gen`), the Levi lines at a degree
@@ -27,10 +37,10 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
 
-from .cyclo import CycloNumber, cyclo_to_json
+from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
 from .errors import (InternalInvariantViolation, InvalidArgumentError,
                      UnsupportedFeatureError)
-from .linalg import in_span, nullspace, rank
+from .linalg import in_span, independent, nullspace, rank, rref
 from .polar import PolarDatum
 from .rootdata import RootDatum
 from .tails import Tail
@@ -39,9 +49,10 @@ from .yuseq import YuLadder, extract
 Gen = tuple[str, int]  # ("r", root index) or ("h", torus index)
 Monomial = tuple[Gen, int]
 Functional = dict  # exponent n -> {generator: pairing with G t^n}
+Scalar = Fraction | CycloNumber  # a Fraction stands for its conductor-1 value
 
-_ZERO = CycloNumber.zero()
-_ONE = CycloNumber.one()
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _require_type_a(rd: RootDatum) -> int:
@@ -133,14 +144,15 @@ class Realization:
 
     def _realize_dual_split(self) -> Functional:
         # lambda_q is diagonal with consecutive differences cov; the matrix
-        # entries lived at the lcm of the covector's conductors.
+        # entries lived at the lcm of the covector's conductors, a Fraction
+        # when that is 1.
         dual: Functional = {}
         for q, cov in self.datum.lam.terms.items():
             if q.denominator != 1:
                 raise UnsupportedFeatureError("split realization needs integral exponents")
             conductor = lcm(*(c.conductor for c in cov))
-            dual[q] = {("h", k): c.lift(conductor) for k, c in enumerate(cov)
-                       if not c.is_zero()}
+            dual[q] = {("h", k): c.lift(conductor) if conductor > 1 else c.coeffs[0]
+                       for k, c in enumerate(cov) if not c.is_zero()}
         return dual
 
     def _realize_dual_twisted(self) -> Functional:
@@ -220,10 +232,9 @@ class Realization:
                 if l == i:
                     comm[(k, j)] = comm.get((k, j), 0) - a * b
         entries = {pos: comm[pos] for pos in sorted(comm) if comm[pos]}
-        return tuple((gen, CycloNumber.from_rational(c))
-                     for gen, c in self._entries_to_coords(entries).items())
+        return tuple((gen, Fraction(c)) for gen, c in self._entries_to_coords(entries).items())
 
-    def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, CycloNumber]:
+    def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, Fraction]:
         (gu, nu), (gv, nv) = u, v
         coords = self._structure.get((gu, gv))
         if coords is None:
@@ -231,7 +242,7 @@ class Realization:
         n = nu + nv
         return {(gen, n): c for gen, c in coords}
 
-    def pair_dual_monomial(self, mono: Monomial, dual: Functional | None = None) -> CycloNumber:
+    def pair_dual_monomial(self, mono: Monomial, dual: Functional | None = None) -> Scalar:
         """Residue pairing tr(M_(-n) Y) of the dual with a monomial Y t^n."""
         if dual is None:  # a restricted functional may be empty
             dual = self.dual
@@ -239,27 +250,27 @@ class Realization:
         return dual.get(n, {}).get(gen, _ZERO)
 
     def pair_dual_bracket(self, u: Monomial, v: Monomial,
-                          dual: Functional | None = None) -> CycloNumber:
+                          dual: Functional | None = None) -> Scalar:
         total = _ZERO
         for mono, c in self.bracket_monomials(u, v).items():
             val = self.pair_dual_monomial(mono, dual)
-            if not val.is_zero():
+            if val:
                 total = total + c * val
         return total
 
-    def pair_lines(self, u: dict, v: dict, dual: Functional | None = None) -> CycloNumber:
+    def pair_lines(self, u: dict, v: dict, dual: Functional | None = None) -> Scalar:
         """<dual, [u, v]> for two lines given as monomial -> coefficient maps."""
         total = _ZERO
         for mu, cu in u.items():
             for mv, cv in v.items():
                 val = self.pair_dual_bracket(mu, mv, dual)
-                if not val.is_zero():
+                if val:
                     total = total + cu * cv * val
         return total
 
     # -- M-part ----------------------------------------------------------
 
-    def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, CycloNumber]]:
+    def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, Fraction]]:
         """Graded lines of the levi Cartan/Levi part at the given degree."""
         if not self.twisted:
             out = []
@@ -325,7 +336,7 @@ class JLattice:
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
-        self._pieces: dict[Fraction, tuple] = {}
+        self._pieces: dict[Fraction, tuple] = {}  # degree -> (monomials, vectors, reduced rows)
         if kind == "J":
             self._assemble_breaks(lagrangians or {})
 
@@ -361,48 +372,46 @@ class JLattice:
         """Monomial basis of the ambient graded slot plus lattice vectors.
 
         The returned vectors are independent: contributions already inside the
-        accumulated span (a Lagrangian line next to its own pure monomial, say)
-        are dropped. Each degree is computed once per lattice.
+        span of those before them (a Lagrangian line next to its own pure
+        monomial, say) are dropped. Each degree is computed once per lattice,
+        together with the reduced rows that membership tests read.
         """
+        return self._piece(deg)[:2]
+
+    def _piece(self, deg: Fraction) -> tuple:
         piece = self._pieces.get(deg)
         if piece is None:
             piece = self._pieces[deg] = self._compute_piece(deg)
         return piece
 
-    def _compute_piece(self, deg: Fraction) -> tuple[tuple[Monomial, ...], tuple[tuple, ...]]:
+    def _compute_piece(self, deg: Fraction) -> tuple:
         real = self.real
         monos = real.monomials_at_degree(deg)
         index = {m: i for i, m in enumerate(monos)}
-        vectors: list[tuple] = []
-
-        def push(vec):
-            if vec is not None and not all(c.is_zero() for c in vec) \
-                    and not in_span(vectors, tuple(vec)):
-                vectors.append(tuple(vec))
-
+        candidates = []
         for m in monos:
             if self._pure_rule(m):
                 vec = [_ZERO] * len(monos)
                 vec[index[m]] = _ONE
-                push(vec)
-        if real.twisted and deg >= 0:  # the Cartan line lies in (LM)_{>=0}
-            for line in real.m_lines_at_degree(deg):
-                push(_map_to_coords(line, index))
-        for rec in self.break_pieces:
-            if rec["degree"] == deg:
-                for line in rec["lagrangian"]:
-                    push(_map_to_coords(line, index))
-        return tuple(monos), tuple(vectors)
+                candidates.append(tuple(vec))
+        # the Cartan line lies in (LM)_{>=0}
+        lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
+        lines += [line for rec in self.break_pieces if rec["degree"] == deg
+                  for line in rec["lagrangian"]]
+        candidates += [vec for vec in (_map_to_coords(line, index) for line in lines)
+                       if vec is not None]
+        vectors = tuple(candidates[k] for k in independent(candidates))
+        return tuple(monos), vectors, rref(vectors)[0]
 
     def contains_coords(self, deg: Fraction, coords: dict) -> bool:
-        monos, vectors = self.piece_at_degree(deg)
+        monos, _vectors, rows = self._piece(deg)
         index = {m: i for i, m in enumerate(monos)}
         target = _map_to_coords(coords, index)
         if target is None:
             return False
-        return in_span(vectors, target)
+        return in_span(rows, target)
 
-    def window_basis(self, lo: int, hi: int) -> list[dict[Monomial, CycloNumber]]:
+    def window_basis(self, lo: int, hi: int) -> list[dict[Monomial, Scalar]]:
         """Independent lattice basis vectors with all exponents inside [lo, hi]."""
         real = self.real
         degrees = sorted({real.degree((gen, n))
@@ -444,7 +453,7 @@ class JLattice:
                 "basis": [
                     [{"root": m[0][1] if m[0][0] == "r" else None,
                       "torus": m[0][1] if m[0][0] == "h" else None,
-                      "n": m[1], "coeff": cyclo_to_json(c)} for m, c in line.items()]
+                      "n": m[1], "coeff": cyclo_to_json(as_cyclo(c))} for m, c in line.items()]
                     for line in rec["lagrangian"]
                 ],
             })
@@ -462,18 +471,18 @@ def _map_to_coords(line: dict, index: dict) -> tuple | None:
 
 
 def _coords_to_line(monos, vec) -> dict:
-    return {monos[i]: c for i, c in enumerate(vec) if not c.is_zero()}
+    return {monos[i]: c for i, c in enumerate(vec) if c}
 
 
 def _coords_to_map(piece: dict, coords) -> dict:
     out = {}
     for basis_line, c in zip(piece["vectors"], coords):
-        if isinstance(c, CycloNumber) and c.is_zero():
+        if not c:
             continue
         for mono, val in basis_line.items():
             cur = out.get(mono, _ZERO)
             out[mono] = cur + c * val
-    return {m: c for m, c in out.items() if not c.is_zero()}
+    return {m: c for m, c in out.items() if c}
 
 
 # -- complements and symplectic forms ------------------------------------
@@ -506,7 +515,7 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
     return {"monomials": monos, "vectors": vectors, "degree": deg}
 
 
-def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[list[CycloNumber]]:
+def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[list[Scalar]]:
     vectors = piece["vectors"]
     band = real.ladder.components[j - 1]
     exponents = set(band.support())
@@ -514,10 +523,10 @@ def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[lis
     form = [[real.pair_lines(u, v, dual) for v in vectors] for u in vectors]
     k = len(vectors)
     for a in range(k):
-        if not form[a][a].is_zero():
+        if form[a][a]:
             raise InternalInvariantViolation("symplectic form has nonzero diagonal")
         for b in range(k):
-            if not (form[a][b] + form[b][a]).is_zero():
+            if form[a][b] + form[b][a]:
                 raise InternalInvariantViolation("symplectic form is not alternating")
     if rank([list(row) for row in form]) != k:
         raise InternalInvariantViolation("symplectic form is degenerate on the break piece")
@@ -535,7 +544,7 @@ def symplectic_form(datum: PolarDatum, ladder: YuLadder | None, j: int, x=None):
     return symplectic_form_on_piece(real, j, piece), piece, real
 
 
-def lagrangian(form: list[list[CycloNumber]]) -> list[list[CycloNumber]]:
+def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
     """Greedy symplectic basis; returns coordinates of the first-half span."""
     k = len(form)
     if k % 2:
@@ -545,10 +554,10 @@ def lagrangian(form: list[list[CycloNumber]]) -> list[list[CycloNumber]]:
     def pairing(u, v):
         total = _ZERO
         for a in range(k):
-            if u[a].is_zero():
+            if not u[a]:
                 continue
             for b in range(k):
-                if not v[b].is_zero() and not form[a][b].is_zero():
+                if v[b] and form[a][b]:
                     total = total + u[a] * v[b] * form[a][b]
         return total
 
@@ -556,12 +565,11 @@ def lagrangian(form: list[list[CycloNumber]]) -> list[list[CycloNumber]]:
     first_half = []
     while remaining:
         u = remaining.pop(0)
-        pick = next((idx for idx, v in enumerate(remaining)
-                     if not pairing(u, v).is_zero()), None)
+        pick = next((idx for idx, v in enumerate(remaining) if pairing(u, v)), None)
         if pick is None:
             raise InternalInvariantViolation("degenerate form in Lagrangian construction")
         v = remaining.pop(pick)
-        scale = pairing(u, v).inverse()
+        scale = 1 / pairing(u, v)
         v = [scale * c for c in v]
         reduced = []
         for w in remaining:
@@ -573,7 +581,7 @@ def lagrangian(form: list[list[CycloNumber]]) -> list[list[CycloNumber]]:
         first_half.append(u)
     for u in first_half:
         for v in first_half:
-            if not pairing(u, v).is_zero():
+            if pairing(u, v):
                 raise InternalInvariantViolation("Lagrangian output is not isotropic")
     return first_half
 
@@ -606,13 +614,13 @@ def bracket_closure_violations(lattice: JLattice, lo: int, hi: int,
     out = []
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            coords: dict[Monomial, CycloNumber] = {}
+            coords: dict[Monomial, Scalar] = {}
             for mu, cu in basis[a].items():
                 for mv, cv in basis[b].items():
                     for mono, c in real.bracket_monomials(mu, mv).items():
                         cur = coords.get(mono, _ZERO)
                         coords[mono] = cur + cu * cv * c
-            coords = {m: c for m, c in coords.items() if not c.is_zero()}
+            coords = {m: c for m, c in coords.items() if c}
             if not coords:
                 continue
             if any(not (lo <= m[1] <= hi) for m in coords):
@@ -634,12 +642,12 @@ def psi_lambda_check(lattice: JLattice, lam: Tail | None = None,
         raise InvalidArgumentError("tail does not belong to the lattice's datum")
     lo, hi = _default_window(real.ladder, window)
     basis = lattice.window_basis(lo, hi)
-    return all(real.pair_lines(basis[a], basis[b]).is_zero()
-               for a in range(len(basis)) for b in range(a, len(basis)))
+    return not any(real.pair_lines(basis[a], basis[b])
+                   for a in range(len(basis)) for b in range(a, len(basis)))
 
 
 def _mono_json(line: dict) -> list:
-    return [[list(m[0]), m[1], repr(c)] for m, c in sorted(line.items())]
+    return [[list(m[0]), m[1], repr(as_cyclo(c))] for m, c in sorted(line.items())]
 
 
 # -- moveability ---------------------------------------------------------
@@ -718,11 +726,9 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
         index = {m: i for i, m in enumerate(monos)}
         span = [vec for vec in (_map_to_coords(line, index)
                                 for line in real.m_lines_at_degree(delta)) if vec is not None]
-        for m in pure:
-            vec = tuple(_ONE if mono == m else _ZERO for mono in monos)
-            if not in_span(span, vec):
-                span.append(vec)
-                rows.append({m: _ONE})
+        units = [tuple(_ONE if mono == m else _ZERO for mono in monos) for m in pure]
+        kept = set(independent(span + units))
+        rows += [{m: _ONE} for k, m in enumerate(pure, len(span)) if k in kept]
     return rows
 
 

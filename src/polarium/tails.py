@@ -19,13 +19,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, parse_fraction,
-                    root_of_unity)
-from .errors import InvalidArgumentError, PrecisionError
+from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, euler_phi, parse_fraction,
+                    zeta)
+from .errors import InvalidArgumentError, PrecisionError, ResourceLimitError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement
 
 Covector = tuple[CycloNumber, ...]
+
+# Largest phi(L) at which a root-of-unity twist is computed (see
+# Tail.expected_twist); phi(1000) = 400.
+TWIST_PHI_BOUND = 400
 
 
 def covector(values, dim: int | None = None) -> Covector:
@@ -125,11 +129,24 @@ class Tail:
         return Tail(self.rd, self.m, kept)
 
     def expected_twist(self) -> "Tail":
-        """Each term q scaled by zeta_m^(q*m): the equivariance reference."""
-        out = {}
-        for q, c in self.terms.items():
-            z = root_of_unity(self.m, int(q * self.m) % self.m, self.m) if self.m > 1 \
-                else CycloNumber.one()
+        """Each term q scaled by zeta_m^(q*m): the equivariance reference.
+
+        That root of unity is zeta_d^a for q = a/d in lowest terms, so a term
+        at an integer exponent is left as it is. The product of zeta_d^a with
+        an entry lives at the lcm of d and the entry's conductor; past
+        TWIST_PHI_BOUND for phi of that lcm the tail is refused before any
+        root of unity or cyclotomic polynomial is built.
+        """
+        twisted = {q: c for q, c in self.terms.items() if q.denominator > 1}
+        for q, c in twisted.items():
+            L = lcm(q.denominator, *(x.conductor for x in c))
+            if euler_phi(L) > TWIST_PHI_BOUND:
+                raise ResourceLimitError(
+                    f"twist of the term at exponent {q} lives at conductor {L}: "
+                    f"phi({L}) = {euler_phi(L)} larger than bound {TWIST_PHI_BOUND}")
+        out = dict(self.terms)
+        for q, c in twisted.items():
+            z = zeta(q.denominator, q.numerator)
             out[q] = tuple(z * x for x in c)
         return Tail(self.rd, self.m, out)
 
@@ -163,7 +180,8 @@ def pair_coroot(tail: Tail, coroot) -> Fraction | None:
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
     """Fixed-point condition for the torus presented by (w, m)."""
     lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))
-    return lifted.weyl_act(w) == lifted.expected_twist()
+    twist = lifted.expected_twist()  # refuses an oversized conductor before other work
+    return lifted.weyl_act(w) == twist
 
 
 # -- truncated Laurent series -------------------------------------------

@@ -25,7 +25,7 @@ from .cyclo import CycloNumber, euler_phi, root_of_unity
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
 from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
-from .tails import Covector
+from .tails import Covector, covector
 
 PERIOD_BOUND = 1_000_000
 
@@ -99,7 +99,7 @@ class TorusClass:
                     entry = entry - z
                 row.append(entry)
             rows.append(row)
-        basis = nullspace(rows, rd.dim)
+        basis = [covector(v) for v in nullspace(rows, rd.dim)]
         if len(basis) != self.eigendims[i]:
             raise InternalInvariantViolation(
                 f"eigenspace dimension check: the zeta_{m}^{i} eigenspace has "

@@ -4,8 +4,11 @@ Everything here recomputes expected values through a different route than
 the package: reflection closure in the simple-root basis, plain fraction
 Gaussian elimination, sympy characteristic polynomials, and a standalone
 Laurent-matrix pairing. Nothing imports package internals beyond public
-arithmetic types, except the enumeration of regular numbers: it decides each
-conjugacy class with the package's `TorusClass` and `is_springer_regular`.
+arithmetic types, except two: the enumeration of regular numbers decides
+each conjugacy class with the package's `TorusClass` and
+`is_springer_regular`, and span membership eliminates the whole basis and
+the target with `linalg.rref` for every query, as membership was computed
+before the reduced rows were kept.
 """
 
 import random
@@ -14,6 +17,7 @@ from fractions import Fraction
 import sympy
 
 from polarium.cyclo import CycloNumber
+from polarium.linalg import rref
 from polarium.tori import TorusClass, is_springer_regular
 
 
@@ -55,6 +59,28 @@ def span_contains(vectors, target) -> bool:
                 for i in range(len(other)):
                     other[i] -= f * row[i]
     return not any(vec)
+
+
+def in_span_by_rref(basis, target) -> bool:
+    """Whether target lies in the span of the basis vectors: one rref of the
+    matrix with the basis vectors and then the target as columns."""
+    if not any(target):
+        return True
+    if not basis:
+        return False
+    aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    return len(basis) not in rref(aug)[1]
+
+
+def greedy_independent(vectors) -> list[int]:
+    """Indices of the vectors kept one at a time, in order, when nonzero and
+    outside the span of those kept so far."""
+    kept, out = [], []
+    for k, vec in enumerate(vectors):
+        if not in_span_by_rref(kept, vec):
+            kept.append(vec)
+            out.append(k)
+    return out
 
 
 def subgroup_generated(rd, gens) -> set:
@@ -168,6 +194,16 @@ class LaurentMatrix:
                 for j in range(self.n):
                     total += other[i][j] * mat[j][i]
         return total
+
+
+def cyclo_value(x) -> CycloNumber:
+    """A lattice value read as a CycloNumber. The lattice keeps conductor-1
+    values as Fractions, so a Fraction reads at conductor 1; any other value
+    must already be a CycloNumber and keeps its conductor."""
+    if isinstance(x, Fraction):
+        return CycloNumber.from_rational(x)
+    assert isinstance(x, CycloNumber), type(x)
+    return x
 
 
 def cyclo_rank(rows) -> int:

@@ -91,6 +91,16 @@ def test_jlattice_mixed_conductor_golden(capsys):
     assert out == (GOLDENS / "jlattice_mixed_conductor_output.json").read_text()
 
 
+def test_moveability_mixed_conductor_golden(capsys):
+    # the same datum through the J moveability blocks, whose pairings mix a
+    # conductor-12 dual with rational lattice vectors
+    status, out = run_main(
+        capsys, "moveability", "--input",
+        str(GOLDENS / "moveability_mixed_conductor_request.json"))
+    assert status == 0
+    assert out == (GOLDENS / "moveability_mixed_conductor_output.json").read_text()
+
+
 def test_list_tori(capsys):
     status, out = run_main(capsys, "list-tori", "--type", "A2")
     assert status == 0
@@ -391,6 +401,41 @@ def test_torus_period_bound(capsys):
         status, out = classify_period(m)
         assert status == 1
         assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
+def test_tail_twist_bound(capsys, monkeypatch):
+    # a root-of-unity twist inside the phi bound multiplies rational entries
+    # without a reduction table; one past the bound is refused before any
+    # cyclotomic polynomial is built
+    import polarium.cyclo as cyclo
+
+    def classify_term(m, q):
+        doc = {"type": "A1", "torus": {"m": m, "w": [[1]]},
+               "lambda": {"m": m, "terms": [{"q": q, "coeff": ["1"]}]}}
+        return run_main(capsys, "classify", "--input", json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic work the request does not need")
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclo, "_reduction_table", refuse)
+        for q in ("1/1000", "999/1000"):
+            start = time.perf_counter()
+            status, out = classify_term(1000, q)
+            assert time.perf_counter() - start < 2
+            assert status == 1
+            assert json.loads(out)["error"]["code"] == "invalid-argument"  # not equivariant
+        # an integer exponent needs no root of unity, whatever the period
+        status, out = classify_term(10**6, "1")
+        assert status == 0
+        assert json.loads(out)["lambda"]["m"] == 10**6
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial", refuse)
+    for q in ("1/10000", "9999/10000"):
+        status, out = classify_term(10**4, q)
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource-limit"
+        assert "phi(10000) = 4000" in error["message"]
 
 
 def test_eigenspace_dimension_check_survives_optimized_python():

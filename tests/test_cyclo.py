@@ -2,9 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarium import cyclo
 from polarium.cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json,
                             cyclotomic_polynomial, euler_phi, reduce_conductor,
                             sqrt_cyclo, zeta)
@@ -67,6 +69,37 @@ def test_reduce_conductor():
 def test_cyclotomic_degrees():
     for L in range(1, 30):
         assert len(cyclotomic_polynomial(L)) == euler_phi(L) + 1
+
+
+def _sympy_coeffs(poly, length=None) -> list[Fraction]:
+    out = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+    return out + [Fraction(0)] * ((length or len(out)) - len(out))
+
+
+def test_cyclotomic_polynomials_and_reduction_tables_match_sympy():
+    x = sympy.symbols("x")
+    for L in list(range(1, 61)) + [105, 720, 1000, 1260, 2310]:
+        modulus = sympy.Poly(sympy.cyclotomic_poly(L, x), x)
+        got = cyclotomic_polynomial(L)
+        assert list(got) == _sympy_coeffs(modulus), L
+        assert all(type(c) is Fraction for c in got)
+        if L <= 105:
+            phi = euler_phi(L)
+            table = cyclo._reduction_table(L)
+            assert len(table) == phi
+            for k, row in enumerate(table, phi):
+                assert list(row) == _sympy_coeffs(sympy.Poly(x**k, x).rem(modulus), phi), (L, k)
+
+
+def test_products_below_the_modulus_degree_build_no_table(monkeypatch):
+    def refuse(L):
+        raise AssertionError(f"reduction table for conductor {L}")
+
+    monkeypatch.setattr(cyclo, "_reduction_table", refuse)
+    assert (zeta(10000, 1) * 3).coeffs[1] == 3
+    assert zeta(5, 1) * zeta(5, 2) == zeta(5, 3)
+    monkeypatch.undo()
+    assert zeta(5, 2) * zeta(5, 3) == 1
 
 
 def test_euler_phi_memoised_and_still_rejects_zero():

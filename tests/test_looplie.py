@@ -16,7 +16,7 @@ from polarium.tails import Tail
 from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import LaurentMatrix, cyclo_rank
+from .oracles import LaurentMatrix, cyclo_rank, cyclo_value
 
 ONE = CycloNumber.one()
 
@@ -77,7 +77,7 @@ def test_graded_additivity(a1, a2):
             v = (gens[rng.randrange(len(gens))], rng.randint(-2, 2))
             result = real.bracket_monomials(u, v)
             for mono, c in result.items():
-                assert not c.is_zero()
+                assert not cyclo_value(c).is_zero()
                 assert real.degree(mono) == real.degree(u) + real.degree(v)
 
 
@@ -96,7 +96,7 @@ def test_structure_table_matches_matrix_commutator():
         for a, gu in enumerate(gens):
             for b, gv in enumerate(gens):
                 u, v = (gu, a % 3 - 1), (gv, b % 2)
-                result = real.bracket_monomials(u, v)
+                result = {mono: cyclo_value(c) for mono, c in real.bracket_monomials(u, v).items()}
                 assert all(c.is_rational() and c.as_rational().denominator == 1
                            and not c.is_zero() for c in result.values())
                 got = {mono: c.as_rational() for mono, c in result.items()}
@@ -134,7 +134,7 @@ def test_symplectic_sl2_matches_residue_oracle(a1):
     assert expected == 1
     assert form[0][1] == expected
     assert form[1][0] == -expected
-    assert form[0][0].is_zero() and form[1][1].is_zero()
+    assert cyclo_value(form[0][0]).is_zero() and cyclo_value(form[1][1]).is_zero()
 
 
 def test_symplectic_no_break_precondition(a1):
@@ -151,10 +151,10 @@ def test_symplectic_sl3_both_breaks(a2):
         k = len(form)
         assert k == 2
         for a in range(k):
-            assert form[a][a].is_zero()
+            assert cyclo_value(form[a][a]).is_zero()
             for b in range(k):
-                assert (form[a][b] + form[b][a]).is_zero()
-        assert cyclo_rank([list(r) for r in form]) == k
+                assert cyclo_value(form[a][b] + form[b][a]).is_zero()
+        assert cyclo_rank([[cyclo_value(c) for c in r] for r in form]) == k
 
 
 def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
@@ -180,7 +180,8 @@ def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
                 assert piece["monomials"] == monos
                 assert len(piece["vectors"]) == len(monos) - 1
                 for vec in piece["vectors"]:
-                    lm = as_laurent(real, {m: c.as_rational() for m, c in vec.items()})
+                    lm = as_laurent(real, {m: cyclo_value(c).as_rational()
+                                           for m, c in vec.items()})
                     assert all(lm.residue_pair(dual) == 0 for dual in cartan), (n, deg)
 
 
@@ -189,7 +190,7 @@ def test_lagrangian_outputs(a1):
     form, piece, _ = symplectic_form(d, ladder, 1, rho_over(a1, 2))
     lag = lagrangian(form)
     assert len(lag) == 1
-    assert [repr(c) for c in lag[0]] == ["1*z1^0", "0"]
+    assert [repr(cyclo_value(c)) for c in lag[0]] == ["1*z1^0", "0"]
     assert lagrangian([]) == []
     # block form of two hyperbolic planes: 2-dimensional isotropic output
     z, one, two = CycloNumber.zero(), ONE, CycloNumber.from_rational(2)
@@ -294,7 +295,7 @@ def test_psi_oracle_sl3_epipelagic(a2, a3):
         for gen in real.generators():
             for n in (-1, 0, 1, 2):
                 mono = as_laurent(real, {(gen, n): 1})
-                assert real.pair_dual_monomial((gen, n)).as_rational() \
+                assert cyclo_value(real.pair_dual_monomial((gen, n))).as_rational() \
                     == mono.residue_pair(dual), (real.rd.type_label(), gen, n)
 
 

@@ -11,7 +11,8 @@ has to finish without raising. Nothing under `perfbench/` is written.
 import sys
 from pathlib import Path
 
-from polarium import cli
+from polarium import cli, looplie
+from polarium.cyclo import CycloNumber
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -48,3 +49,32 @@ def test_strata_universe_matches_oracle():
 def test_light_universe_matches_oracle():
     # schema rejects included: their messages are part of the recorded bytes
     _replay("light")
+
+
+def test_rational_lattice_requests_run_on_fractions(monkeypatch):
+    # on rational data every lattice value is a Fraction: while the lattice
+    # is built and checked, CycloNumber addition and multiplication raise,
+    # and the answers are still the recorded bytes
+    def refuse(*args):
+        raise AssertionError("CycloNumber arithmetic inside the lattice")
+
+    def guarded(fn):
+        def run(*args, **kwargs):
+            with monkeypatch.context() as m:
+                for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                    m.setattr(CycloNumber, name, refuse)
+                return fn(*args, **kwargs)
+        return run
+
+    for name in ("build_j_lattice", "psi_lambda_check", "moveability_check"):
+        monkeypatch.setattr(looplie, name, guarded(getattr(looplie, name)))
+    entries = harness.load_oracle("lattice")["entries"]
+    universe = workloads.lattice_universe()
+    for name in ("epi-A3-4", "sl3-two-break"):
+        for command in ("jlattice", "moveability-J", "moveability-K"):
+            rid = f"{name}/{command}"
+            req = universe[rid]
+            resp = harness.send(cli.main, req.command, req.text)
+            assert resp.error is None, (rid, resp.error)
+            assert resp.status == entries[rid]["exit"] == 0, (rid, resp.stdout[:200])
+            assert harness.sha256(resp.stdout) == entries[rid]["stdout_sha256"], rid

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from polarium.cyclo import CycloNumber, root_of_unity
-from polarium.errors import InvalidArgumentError
+from polarium.cyclo import CycloNumber, root_of_unity, zeta
+from polarium.errors import InvalidArgumentError, ResourceLimitError
 from polarium.linalg import dot_int
 from polarium.rootdata import build
 from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
@@ -81,6 +81,27 @@ def test_equivariance_rescaling(a2):
             for q, cov in lam.terms.items():
                 z = root_of_unity(tc.m, int(q * tc.m) % tc.m, tc.m)
                 assert all(a == z * b for a, b in zip(acted.terms[q], cov))
+
+
+def test_expected_twist_values_and_bound(a1, a2):
+    # term q is scaled by zeta_m^(qm) taken at conductor m, whatever
+    # conductor the twist is computed at
+    rng = random.Random(17)
+    for m in (1, 2, 3, 4, 6, 12):
+        for _ in range(4):
+            terms = {F(rng.randint(0, 2 * m), m):
+                     [zeta(rng.choice((1, 3, 4)), rng.randint(0, 3)) * rng.randint(-2, 2)
+                      for _ in range(a2.dim)] for _ in range(rng.randint(1, 3))}
+            lam = Tail(a2, m, terms)
+            twist = lam.expected_twist()
+            for q, cov in lam.terms.items():
+                z = root_of_unity(m, int(q * m) % m, m)
+                assert all(a == z * b for a, b in zip(twist.terms[q], cov))
+    # the bound reads phi of the lcm of the root's order and the entries'
+    # conductors: phi(1010) = 400 is inside, phi(1111) = 1000 is not
+    Tail(a1, 101, {F(1, 101): [zeta(10, 1)]}).expected_twist()
+    with pytest.raises(ResourceLimitError):
+        Tail(a1, 101, {F(1, 101): [zeta(11, 1)]}).expected_twist()
 
 
 def test_pairing_linearity_and_depth_bound(a2):
