@@ -108,9 +108,7 @@ def _run_moveability(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json(datum_doc, validate=datum_doc.get("validate", True))
     ladder = _ladder_from_request(datum, doc.get("ladder"))
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
-    report = looplie.moveability_check(datum, ladder, x,
-                                       variant=doc.get("variant", "J"),
-                                       window=doc.get("window"))
+    report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
     return report, 0 if report["full_rank"] else 2
 
 

@@ -654,7 +654,7 @@ def _mono_json(line: dict) -> list:
 
 
 def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
-                      x=None, variant: str = "J", window: int | None = None) -> dict:
+                      x=None, variant: str = "J") -> dict:
     """Tangent-level coset-matching check.
 
     Degree by degree, the pairing <lam, [X, u]> between the non-Levi part of

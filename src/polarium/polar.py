@@ -101,8 +101,8 @@ def stabilizer(rd: RootDatum, lam: Tail) -> dict:
 
 
 def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:
-    w2 = u.compose(tc.w).compose(WeylElement(tc.rd, u.inverse_matrix()))
-    return TorusClass(tc.rd, w2, tc.m)
+    """The class of u w u^-1; as a product it derives its inverse u w^-1 u^-1."""
+    return TorusClass(tc.rd, u.compose(tc.w).compose(u.inverse()), tc.m)
 
 
 def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:
@@ -115,13 +115,20 @@ def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:
 def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     """Brute-force Weyl search for u with u w1 u^-1 = w2 and u(lam1) = lam2.
 
-    A u with u w1 = w2 u permutes roots as p_u p_1 = p_2 p_u, so each u is
-    first filtered on the simple roots; the matrix equation then decides,
-    since roots alone do not see a central torus.
+    A Weyl element sends a nonzero covector to a nonzero one, so tails with
+    different exponent sets are never conjugate. Otherwise each u is first
+    filtered on the simple roots, since a u with u w1 = w2 u permutes roots
+    as p_u p_1 = p_2 p_u; then on the matrix equation, since roots alone do
+    not see a central torus. u(lam1) is compared with lam2 exponent by
+    exponent from the top, stopping at the first entry that differs.
     """
     rd = d1.rd
     if rd.roots != d2.rd.roots:
         raise InvalidArgumentError("data live in different ambient root data")
+    terms1, terms2 = d1.lam.terms, d2.lam.terms
+    if terms1.keys() != terms2.keys():
+        return False
+    pairs = [(terms1[q], terms2[q]) for q in sorted(terms1, reverse=True)]
     w1, w2 = d1.torus.w, d2.torus.w
     p1, p2 = w1.root_permutation(), w2.root_permutation()
     for u in rd.weyl_elements():
@@ -130,7 +137,8 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
             continue
         if _mat_mul(u.matrix, w1.matrix) != _mat_mul(w2.matrix, u.matrix):
             continue
-        if d1.lam.weyl_act(u) == d2.lam:
+        cov = u.covector_matrix()
+        if all(dot_int(row, c1) == x for c1, c2 in pairs for row, x in zip(cov, c2)):
             return True
     return False
 

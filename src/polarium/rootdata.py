@@ -194,19 +194,41 @@ class RootDatum:
         return prod(self.degrees())
 
     def weyl_elements(self) -> list["WeylElement"]:
-        """The full Weyl group, identity first, closed under composition."""
+        """The full Weyl group, breadth first by left multiplication with the
+        simple reflections: the identity first, then s_1, ..., s_r, so the
+        order is fixed by the order of the simple roots.
+
+        Every later element is born as s·M from its BFS parent M and the
+        simple reflection s, and reads its inverse and root permutation from
+        them on first use (see WeylElement).
+        """
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
-        gens = [reflection_matrix(self.simple_roots[i], self.simple_coroots[i])
-                for i in range(self.ss_rank)]
-        self._weyl_cache = [WeylElement(self, m) for m in generated_matrices(self.dim, gens)]
-        return self._weyl_cache
+        gens = []
+        for root, coroot in zip(self.simple_roots, self.simple_coroots):
+            s = reflection_matrix(root, coroot)
+            gens.append(WeylElement(self, s, s))  # a reflection is its own inverse
+        order = [self.identity_element(), *gens]
+        seen = {w.matrix for w in order}
+        frontier = deque(gens)
+        while frontier:
+            parent = frontier.popleft()
+            for s in gens:
+                mat = _mat_mul(s.matrix, parent.matrix)
+                if mat not in seen:
+                    seen.add(mat)
+                    child = WeylElement(self, mat, factors=(s, parent))
+                    order.append(child)
+                    frontier.append(child)
+        self._weyl_cache = order
+        return order
 
     def identity_element(self) -> "WeylElement":
         if self._identity is None:
-            self._identity = WeylElement(self, identity_matrix(self.dim))
+            identity = identity_matrix(self.dim)
+            self._identity = WeylElement(self, identity, identity)
         return self._identity
 
     def reflection_matrices(self) -> dict[tuple[IntVec, ...], int]:
@@ -233,31 +255,14 @@ def reflection_matrix(root: IntVec, coroot: IntVec) -> tuple[IntVec, ...]:
                  for k in range(n))
 
 
-def generated_matrices(dim: int, gens) -> list[tuple[IntVec, ...]]:
-    """The group the matrices generate, breadth first by left multiplication
-    from the identity, so the order is fixed by the order of the generators."""
-    identity = identity_matrix(dim)
-    order = [identity]
-    seen = {identity}
-    frontier = deque(order)
-    while frontier:
-        mat = frontier.popleft()
-        for g in gens:
-            prod = _mat_mul(g, mat)
-            if prod not in seen:
-                seen.add(prod)
-                order.append(prod)
-                frontier.append(prod)
-    return order
-
-
 def _mat_mul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_inv_int(a):
-    """Inverse of an integer matrix with determinant +-1."""
+    """Inverse of an integer matrix with determinant +-1, by elimination; only
+    a matrix from outside the program is inverted this way."""
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
            for i in range(n)]
@@ -271,22 +276,35 @@ def _mat_inv_int(a):
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix on the cocharacter lattice."""
+    """A Weyl group element as an integer matrix on the cocharacter lattice.
 
-    __slots__ = ("rd", "matrix", "_inv", "_cov", "_perm", "_order")
+    An element is born either with its inverse matrix or as the product a·b
+    of two elements. A product derives its inverse b^-1·a^-1 and its root
+    permutation perm(a)∘perm(b) from its factors on first use, so no element
+    of W, and no product of elements, is inverted by elimination.
+    """
 
-    def __init__(self, rd: RootDatum, matrix):
+    __slots__ = ("rd", "matrix", "_inv", "_factors", "_cov", "_perm", "_order")
+
+    def __init__(self, rd: RootDatum, matrix, inverse=None, factors=None):
+        if inverse is None and factors is None:
+            raise TypeError("a WeylElement needs its inverse matrix or its two factors")
         self.rd = rd
         self.matrix = tuple(tuple(row) for row in matrix)
-        self._inv = None
+        self._inv = inverse
+        self._factors = factors
         self._cov = None
         self._perm = None
         self._order = None
 
     def inverse_matrix(self):
         if self._inv is None:
-            self._inv = _mat_inv_int(self.matrix)
+            a, b = self._factors
+            self._inv = _mat_mul(b.inverse_matrix(), a.inverse_matrix())
         return self._inv
+
+    def inverse(self) -> "WeylElement":
+        return WeylElement(self.rd, self.inverse_matrix(), self.matrix)
 
     def covector_matrix(self):
         """Action on the character side: transpose of the inverse."""
@@ -303,14 +321,19 @@ class WeylElement:
         return tuple(sum(r * v for r, v in zip(row, x)) for row in self.covector_matrix())
 
     def root_permutation(self) -> tuple[int, ...]:
+        """perm[i] is the index of the root w·alpha_i."""
         if self._perm is None:
-            perm = []
-            for root in self.rd.roots:
-                image = self.apply_weight(root)
-                if image not in self.rd.root_index:
-                    raise InvalidArgumentError("matrix does not permute the roots")
-                perm.append(self.rd.root_index[image])
-            self._perm = tuple(perm)
+            if self._factors is not None:
+                pa, pb = (f.root_permutation() for f in self._factors)
+                self._perm = tuple(pa[i] for i in pb)
+            else:
+                perm = []
+                for root in self.rd.roots:
+                    image = self.apply_weight(root)
+                    if image not in self.rd.root_index:
+                        raise InvalidArgumentError("matrix does not permute the roots")
+                    perm.append(self.rd.root_index[image])
+                self._perm = tuple(perm)
         return self._perm
 
     def order(self) -> int:
@@ -324,7 +347,7 @@ class WeylElement:
         return self._order
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix))
+        return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix), factors=(self, other))
 
     def is_identity(self) -> bool:
         return self.matrix == identity_matrix(len(self.matrix))

@@ -46,7 +46,7 @@ def covector(values, dim: int | None = None) -> Covector:
 class Tail:
     """An element of t*/t*_tn: finitely many covector terms at exponents q >= 0."""
 
-    __slots__ = ("rd", "m", "terms", "_depths")
+    __slots__ = ("rd", "m", "terms", "_depths", "_equivariant")
 
     def __init__(self, rd: RootDatum, m: int, terms: dict):
         if m < 1:
@@ -65,6 +65,7 @@ class Tail:
                 clean[q] = c
         self.terms = clean
         self._depths: tuple | None = None
+        self._equivariant: dict | None = None
 
     @staticmethod
     def zero(rd: RootDatum, m: int = 1) -> "Tail":
@@ -178,10 +179,20 @@ def pair_coroot(tail: Tail, coroot) -> Fraction | None:
 
 
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
-    """Fixed-point condition for the torus presented by (w, m)."""
-    lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))
-    twist = lifted.expected_twist()  # refuses an oversized conductor before other work
-    return lifted.weyl_act(w) == twist
+    """Fixed-point condition for the torus presented by (w, m).
+
+    The verdict, False included, is kept on the tail per (w.matrix, m), as
+    its coroot depths are, so a tail is acted on once per torus.
+    """
+    if tail._equivariant is None:
+        tail._equivariant = {}
+    key = (w.matrix, m)
+    verdict = tail._equivariant.get(key)
+    if verdict is None:
+        lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))
+        twist = lifted.expected_twist()  # refuses an oversized conductor before other work
+        verdict = tail._equivariant[key] = lifted.weyl_act(w) == twist
+    return verdict
 
 
 # -- truncated Laurent series -------------------------------------------

@@ -253,6 +253,24 @@ def mat_mul_oracle(a, b) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
+def weyl_bfs_order(rd) -> list[tuple]:
+    """Matrices of W breadth first from the identity: each element M met in
+    turn adds s M for every simple reflection s, y -> y - <y, alpha> alpha^vee,
+    not seen before, the reflections taken in the order of the simple roots."""
+    n = rd.dim
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [tuple(tuple(int(k == j) - coroot[k] * root[j] for j in range(n)) for k in range(n))
+            for root, coroot in zip(rd.simple_roots, rd.simple_coroots)]
+    order, seen = [identity], {identity}
+    for mat in order:  # the list grows while it is read
+        for g in gens:
+            y = mat_mul_oracle(g, mat)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
 def conjugacy_classes_by_products(rd) -> list[list]:
     """Weyl conjugacy classes by an orbit search that conjugates with full
     simple reflection matrices, two matrix products per (element, generator);

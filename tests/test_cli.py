@@ -202,6 +202,16 @@ def test_error_exit_codes(capsys, tmp_path):
         assert status4 == 1, argv
         assert json.loads(out4)["error"]["code"] == "invalid-argument", argv
 
+    # a user torus matrix is checked on the character side: on A1xT1 this w
+    # permutes the coroots, yet sends the root (2,0) to (-2,2)
+    for w, message in (([[-1, 1], [0, 1]], "matrix does not permute the roots"),
+                       ([[1, 0], [0, 0]], "matrix is not invertible")):
+        doc = {"type": [["A", 1], ["torus", 1]], "torus": {"m": 2, "w": w},
+               "lambda": {"m": 2, "terms": []}}
+        status5, out5 = run_main(capsys, "classify", "--input", json.dumps(doc))
+        assert status5 == 1
+        assert json.loads(out5)["error"] == {"code": "invalid-argument", "message": message}
+
 
 def test_table_format(capsys):
     status, out = run_main(capsys, "regular-numbers", "--type", "A2",

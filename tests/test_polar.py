@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import polarium.polar as polar
 from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
                             homogeneous_datum, is_g_regular, partition_check,
                             sample_equivariant_tail, stabilizer)
 from polarium.rootdata import WeylElement, build
-from polarium.tails import Tail
+from polarium.tails import Tail, is_equivariant
 from polarium.tori import TorusClass, list_torus_classes, split_torus_class
 
 from .oracles import conjugate_by_products, subgroup_generated
@@ -84,6 +85,17 @@ def test_conjugate_oracle_distinguishes_torus_classes(a1):
     split = classify(split_torus_class(a1), Tail(a1, 1, {F(1): [1]}))
     ramified = epipelagic_datum(a1, 2)
     assert not conjugate_oracle(split, ramified)
+
+
+def test_conjugate_oracle_compares_every_exponent(a1):
+    # the identity matches the top terms, s_alpha neither; s_alpha maps lam to -lam
+    tc = split_torus_class(a1)
+    lam = classify(tc, Tail(a1, 1, {F(2): [1], F(1): [1]}))
+    for terms, expected in (({F(2): [1], F(1): [-1]}, False),
+                            ({F(2): [-1], F(1): [-1]}, True),
+                            ({F(2): [1]}, False)):
+        other = classify(tc, Tail(a1, 1, terms))
+        assert conjugate_oracle(lam, other) == conjugate_by_products(lam, other) == expected
 
 
 def test_epipelagic_examples(a1, a2):
@@ -164,7 +176,7 @@ def test_conjugate_oracle_matches_product_oracle(label):
         flip = tuple(tuple(-1 if i == j == rd.dim - 1 else int(i == j) for j in range(rd.dim))
                      for i in range(rd.dim))
         classes += [TorusClass(rd, rd.identity_element(), 2),
-                    TorusClass(rd, WeylElement(rd, flip), 2)]
+                    TorusClass(rd, WeylElement(rd, flip, flip), 2)]
         same_roots = [classify(tc, Tail.zero(rd, 2)) for tc in classes[-2:]]
         assert not conjugate_oracle(*same_roots)
     rng = random.Random(17)
@@ -181,3 +193,45 @@ def test_conjugate_oracle_matches_product_oracle(label):
             assert verdict == conjugate_by_products(d1, d2)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_conjugate_oracle_matches_product_oracle_on_partition_check(label, monkeypatch):
+    rd = build(label)
+    pairs = []
+    original = polar.conjugate_oracle
+
+    def recorded(d1, d2):
+        pairs.append((d1, d2))
+        return original(d1, d2)
+
+    monkeypatch.setattr(polar, "conjugate_oracle", recorded)
+    for seed in range(4):
+        partition_check(rd, samples=12, seed=seed, disjoint_pairs=8)
+    verdicts = [original(d1, d2) for d1, d2 in pairs]
+    assert verdicts == [conjugate_by_products(d1, d2) for d1, d2 in pairs]
+    assert True in verdicts
+    assert any(d1.lam.support() != d2.lam.support() for d1, d2 in pairs)
+
+
+def test_equivariance_verdict_memoised_per_torus(a2, monkeypatch):
+    ep = epipelagic_datum(a2, 3)
+    coxeter, split = ep.torus, split_torus_class(a2)
+    lam = Tail(a2, 3, ep.lam.terms)  # a fresh tail: the datum's own has a memo already
+    calls = []
+    original = Tail.weyl_act
+
+    def counted(self, w):
+        calls.append((self, w.matrix))
+        return original(self, w)
+
+    monkeypatch.setattr(Tail, "weyl_act", counted)
+    for _ in range(3):
+        assert is_equivariant(lam, coxeter.w, 3)
+        assert not is_equivariant(lam, split.w, 1)   # a False verdict is kept too
+    assert len(calls) == 2
+    # another m with the same w, and another w with the same m, are computed anew
+    assert is_equivariant(lam, coxeter.w, 6)
+    assert not is_equivariant(lam, split.w, 3)
+    assert len(calls) == 4
+    assert [mat for _, mat in calls] == [coxeter.w.matrix, a2.identity_element().matrix] * 2

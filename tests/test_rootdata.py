@@ -7,9 +7,10 @@ from polarium.errors import ResourceLimitError, UnsupportedFeatureError
 from polarium.rootdata import (WeylElement, build, is_q_closed, q_closure,
                                reflection_matrix, stable_under)
 
-from .oracles import closure_roots_from_cartan, mat_mul_oracle, span_contains
+from .oracles import closure_roots_from_cartan, mat_mul_oracle, span_contains, weyl_bfs_order
 
 KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
+WEYL_TYPES = KERNEL_TYPES + ([["A", 2], ["torus", 1]],)
 
 
 def test_build_a1(a1):
@@ -38,7 +39,8 @@ def test_reflections_and_shared_identity():
         assert rd.identity_element() is rd.identity_element()
         assert rd.weyl_elements()[0] == rd.identity_element()
         for root, coroot in zip(rd.roots, rd.coroots):
-            s = WeylElement(rd, reflection_matrix(root, coroot))
+            mat = reflection_matrix(root, coroot)
+            s = WeylElement(rd, mat, mat)
             assert s.apply_weight(root) == tuple(-v for v in root)
             assert s.compose(s).is_identity()
         assert len(rd.reflection_matrices()) == len(rd.roots) // 2
@@ -197,11 +199,34 @@ def test_q_closure_preserves_w_stability(a2, b2):
 
 
 def test_inverse_matrix():
-    for label in KERNEL_TYPES:
+    # inverses derived from BFS parents, products and the identity alike
+    for label in WEYL_TYPES:
+        rd = build(label)
+        identity = tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))
+        elements = rd.weyl_elements()
+        for w in elements + [u.compose(v) for u, v in zip(elements, reversed(elements))]:
+            assert mat_mul_oracle(w.matrix, w.inverse_matrix()) == identity, label
+            assert w.compose(w.inverse()).is_identity(), label
+
+
+def test_root_permutation_without_inverse():
+    # w alpha_i = alpha_perm[i] on the character side is w^T alpha_perm[i] = alpha_i
+    for label in WEYL_TYPES:
         rd = build(label)
         for w in rd.weyl_elements():
-            inv = WeylElement(rd, w.inverse_matrix())
-            assert w.compose(inv).is_identity(), label
+            perm = w.root_permutation()
+            for i, root in enumerate(rd.roots):
+                image = rd.roots[perm[i]]
+                assert tuple(sum(w.matrix[k][j] * image[k] for k in range(rd.dim))
+                             for j in range(rd.dim)) == root, label
+
+
+def test_weyl_order_matches_plain_bfs():
+    for label in WEYL_TYPES:
+        rd = build(label)
+        elements = rd.weyl_elements()
+        assert [w.matrix for w in elements] == weyl_bfs_order(rd), label
+        assert elements[0] is rd.identity_element()
 
 
 def test_rho_coweight_pairs_to_one():
