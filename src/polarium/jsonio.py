@@ -17,7 +17,7 @@ import jsonschema
 from .cyclo import parse_fraction
 from .errors import InvalidArgumentError
 from .polar import PolarDatum, classify
-from .rootdata import RootDatum, WeylElement, _mat_inv_int, build
+from .rootdata import RootDatum, WeylElement, build
 from .tails import tail_from_json, tail_to_json
 from .tori import TorusClass, split_torus_class
 
@@ -73,9 +73,7 @@ def torus_from_json(rd: RootDatum, doc: dict) -> TorusClass:
     if len(doc["w"]) != rd.dim or any(len(row) != rd.dim for row in doc["w"]):
         raise InvalidArgumentError(f"torus matrix w must be {rd.dim}x{rd.dim}")
     mat = tuple(tuple(int(v) for v in row) for row in doc["w"])
-    w = WeylElement(rd, mat, _mat_inv_int(mat))  # refuses a matrix that is not unimodular
-    w.root_permutation()  # validates that the matrix permutes the roots
-    return TorusClass(rd, w, int(doc["m"]))
+    return TorusClass(rd, WeylElement.from_matrix(rd, mat), int(doc["m"]))
 
 
 def datum_to_json(d: PolarDatum) -> dict:

@@ -92,23 +92,15 @@ def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
     return PolarDatum(tc, levi, lam, validate=False)
 
 
-def stabilizer(rd: RootDatum, lam: Tail) -> dict:
-    """Pointwise stabilizer of the tail in W, with its contained reflections."""
-    elements = [u for u in rd.weyl_elements() if lam.weyl_act(u) == lam]
-    reflections = rd.reflection_matrices()
-    contained = [u for u in elements if u.matrix in reflections]
-    return {"elements": elements, "reflections": contained}
-
-
 def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:
-    """The class of u w u^-1; as a product it derives its inverse u w^-1 u^-1."""
+    """The class of u w u^-1, a product born with its inverse u w^-1 u^-1."""
     return TorusClass(tc.rd, u.compose(tc.w).compose(u.inverse()), tc.m)
 
 
 def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:
     tc2 = conjugate_torus(d.torus, u)
     lam2 = d.lam.weyl_act(u)
-    perm = u.root_permutation()
+    perm = u.root_permutation
     return PolarDatum(tc2, frozenset(perm[i] for i in d.levi), lam2)
 
 
@@ -130,9 +122,9 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
         return False
     pairs = [(terms1[q], terms2[q]) for q in sorted(terms1, reverse=True)]
     w1, w2 = d1.torus.w, d2.torus.w
-    p1, p2 = w1.root_permutation(), w2.root_permutation()
+    p1, p2 = w1.root_permutation, w2.root_permutation
     for u in rd.weyl_elements():
-        pu = u.root_permutation()
+        pu = u.root_permutation
         if any(pu[p1[s]] != p2[pu[s]] for s in range(rd.ss_rank)):
             continue
         if _mat_mul(u.matrix, w1.matrix) != _mat_mul(w2.matrix, u.matrix):

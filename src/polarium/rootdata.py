@@ -5,22 +5,28 @@ each simple factor (so a simple root is the corresponding Cartan column) and
 the cocharacter lattice carries the dual simple-coroot basis, followed by
 central-torus coordinates on which everything acts trivially. With these
 bases the canonical pairing is the plain integer dot product.
+
+The simple coroot alpha_i^vee is then the unit vector e_i, so the simple
+reflection s_i is 1 - e_i·alpha_i^T on the cocharacter side: s_i·M changes
+row i of M alone, and M·s_i reflects each row of M on the character side.
+W, its inverses and its root permutations are all built from these two
+updates; only a matrix supplied from outside is inverted by elimination.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import prod
 from operator import mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
-from .linalg import rref
+from .linalg import in_span, rref
 
 IntVec = tuple[int, ...]
 
 WEYL_ORDER_BOUND = 100_000
+DIMENSION_BOUND = 16
 
 _SIMPLE_RANKS = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
@@ -84,6 +90,9 @@ class RootDatum:
         self.dim = self.ss_rank + torus_rank
         if self.dim == 0:
             raise InvalidArgumentError("empty root datum")
+        if self.dim > DIMENSION_BOUND:
+            raise ResourceLimitError(
+                f"root datum of dimension {self.dim} larger than bound {DIMENSION_BOUND}")
 
         # Block-diagonal Cartan matrix, entries <alpha_i^vee, alpha_j>.
         r = self.ss_rank
@@ -105,7 +114,6 @@ class RootDatum:
         )
         self._close_roots()
         self._weyl_cache: list[WeylElement] | None = None
-        self._reflection_cache: dict[IntVec, int] | None = None
         self._identity: WeylElement | None = None
         self._q_closed: dict[frozenset[int], bool] = {}
 
@@ -136,8 +144,9 @@ class RootDatum:
     def _reflect_root(self, i: int, x: IntVec) -> IntVec:
         # s_i on the character side: x - <alpha_i^vee, x> alpha_i.
         c = x[i]
-        alpha = self.simple_roots[i]
-        return tuple(xv - c * av for xv, av in zip(x, alpha))
+        if not c:
+            return x
+        return tuple(xv - c * av for xv, av in zip(x, self.simple_roots[i]))
 
     def _reflect_coroot(self, i: int, y: IntVec) -> IntVec:
         c = self.pairing(y, self.simple_roots[i])
@@ -198,47 +207,36 @@ class RootDatum:
         simple reflections: the identity first, then s_1, ..., s_r, so the
         order is fixed by the order of the simple roots.
 
-        Every later element is born as s·M from its BFS parent M and the
-        simple reflection s, and reads its inverse and root permutation from
-        them on first use (see WeylElement).
+        Every later element s_i·M is born from its BFS parent M complete:
+        its matrix is M with row i updated (`_reflect_left`), its inverse
+        M^-1·s_i is M^-1 with each row reflected by s_i on the character
+        side, and its root permutation is perm(s_i)∘perm(M), with perm(s_i)
+        read off the roots once.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
-        gens = []
-        for root, coroot in zip(self.simple_roots, self.simple_coroots):
-            s = reflection_matrix(root, coroot)
-            gens.append(WeylElement(self, s, s))  # a reflection is its own inverse
-        order = [self.identity_element(), *gens]
-        seen = {w.matrix for w in order}
-        frontier = deque(gens)
-        while frontier:
-            parent = frontier.popleft()
-            for s in gens:
-                mat = _mat_mul(s.matrix, parent.matrix)
+        simple_perms = [tuple(self.root_index[self._reflect_root(i, root)] for root in self.roots)
+                        for i in range(self.ss_rank)]
+        order = [self.identity_element()]
+        seen = {order[0].matrix}
+        for parent in order:  # the list grows while it is read
+            for i, perm in enumerate(simple_perms):
+                mat = _reflect_left(self, i, parent.matrix)
                 if mat not in seen:
                     seen.add(mat)
-                    child = WeylElement(self, mat, factors=(s, parent))
-                    order.append(child)
-                    frontier.append(child)
+                    inverse = tuple(self._reflect_root(i, row) for row in parent.inverse_matrix)
+                    order.append(WeylElement(self, mat, inverse,
+                                             tuple(perm[p] for p in parent.root_permutation)))
         self._weyl_cache = order
         return order
 
     def identity_element(self) -> "WeylElement":
         if self._identity is None:
             identity = identity_matrix(self.dim)
-            self._identity = WeylElement(self, identity, identity)
+            self._identity = WeylElement(self, identity, identity, tuple(range(len(self.roots))))
         return self._identity
-
-    def reflection_matrices(self) -> dict[tuple[IntVec, ...], int]:
-        """Map from reflection matrix to the index of a root it reflects."""
-        if self._reflection_cache is None:
-            out = {}
-            for idx, (root, coroot) in enumerate(zip(self.roots, self.coroots)):
-                out.setdefault(reflection_matrix(root, coroot), idx)
-            self._reflection_cache = out
-        return self._reflection_cache
 
     def __repr__(self):
         return f"RootDatum({self.type_label()}, {len(self.roots)} roots)"
@@ -248,11 +246,13 @@ def identity_matrix(n: int) -> tuple[IntVec, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def reflection_matrix(root: IntVec, coroot: IntVec) -> tuple[IntVec, ...]:
-    """s_alpha on the cocharacter side, y -> y - <y, alpha> alpha^vee."""
-    n = len(root)
-    return tuple(tuple((1 if k == j else 0) - root[j] * coroot[k] for j in range(n))
-                 for k in range(n))
+def _reflect_left(rd: RootDatum, i: int, mat):
+    """s_i·M on the cocharacter side. The simple coroot is the unit vector
+    e_i, so s_i = 1 - e_i·alpha_i^T changes row i of M alone, to
+    M[i] - alpha_i^T·M. W is enumerated through this function."""
+    alpha = rd.simple_roots[i]
+    row = tuple(v - sum(map(mul, alpha, col)) for v, col in zip(mat[i], zip(*mat)))
+    return (*mat[:i], row, *mat[i + 1:])
 
 
 def _mat_mul(a, b):
@@ -276,65 +276,47 @@ def _mat_inv_int(a):
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix on the cocharacter lattice.
+    """A Weyl group element as an integer matrix on the cocharacter lattice,
+    born with its inverse matrix and its root permutation.
 
-    An element is born either with its inverse matrix or as the product a·b
-    of two elements. A product derives its inverse b^-1·a^-1 and its root
-    permutation perm(a)∘perm(b) from its factors on first use, so no element
-    of W, and no product of elements, is inverted by elimination.
+    `RootDatum.weyl_elements` builds W from simple-reflection updates, and a
+    product or an inverse carries both over from its factors: no element of
+    W is inverted by elimination, and only the simple reflections have their
+    permutations read off the roots. Only a matrix from outside the program
+    goes through `from_matrix`, which does both.
     """
 
-    __slots__ = ("rd", "matrix", "_inv", "_factors", "_cov", "_perm", "_order")
+    __slots__ = ("rd", "matrix", "inverse_matrix", "root_permutation", "_cov", "_order")
 
-    def __init__(self, rd: RootDatum, matrix, inverse=None, factors=None):
-        if inverse is None and factors is None:
-            raise TypeError("a WeylElement needs its inverse matrix or its two factors")
+    def __init__(self, rd: RootDatum, matrix, inverse_matrix, root_permutation):
         self.rd = rd
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self._inv = inverse
-        self._factors = factors
+        self.matrix = matrix
+        self.inverse_matrix = inverse_matrix
+        self.root_permutation = root_permutation  # [i] is the index of the root w·alpha_i
         self._cov = None
-        self._perm = None
         self._order = None
 
-    def inverse_matrix(self):
-        if self._inv is None:
-            a, b = self._factors
-            self._inv = _mat_mul(b.inverse_matrix(), a.inverse_matrix())
-        return self._inv
+    @classmethod
+    def from_matrix(cls, rd: RootDatum, matrix) -> "WeylElement":
+        """An integer matrix from outside the program, refused unless it is
+        unimodular and permutes the roots on the character side."""
+        inverse = _mat_inv_int(matrix)
+        images = _mat_mul(rd.roots, inverse)  # row k is w·alpha_k
+        if any(image not in rd.root_index for image in images):
+            raise InvalidArgumentError("matrix does not permute the roots")
+        return cls(rd, matrix, inverse, tuple(rd.root_index[image] for image in images))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.rd, self.inverse_matrix(), self.matrix)
+        perm = self.root_permutation
+        # sorting the indices by their images lists the preimage of each index
+        return WeylElement(self.rd, self.inverse_matrix, self.matrix,
+                           tuple(sorted(range(len(perm)), key=perm.__getitem__)))
 
     def covector_matrix(self):
         """Action on the character side: transpose of the inverse."""
         if self._cov is None:
-            inv = self.inverse_matrix()
-            n = len(inv)
-            self._cov = tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
+            self._cov = tuple(zip(*self.inverse_matrix))
         return self._cov
-
-    def apply_coweight(self, y):
-        return tuple(sum(r * v for r, v in zip(row, y)) for row in self.matrix)
-
-    def apply_weight(self, x):
-        return tuple(sum(r * v for r, v in zip(row, x)) for row in self.covector_matrix())
-
-    def root_permutation(self) -> tuple[int, ...]:
-        """perm[i] is the index of the root w·alpha_i."""
-        if self._perm is None:
-            if self._factors is not None:
-                pa, pb = (f.root_permutation() for f in self._factors)
-                self._perm = tuple(pa[i] for i in pb)
-            else:
-                perm = []
-                for root in self.rd.roots:
-                    image = self.apply_weight(root)
-                    if image not in self.rd.root_index:
-                        raise InvalidArgumentError("matrix does not permute the roots")
-                    perm.append(self.rd.root_index[image])
-                self._perm = tuple(perm)
-        return self._perm
 
     def order(self) -> int:
         if self._order is None:
@@ -347,7 +329,10 @@ class WeylElement:
         return self._order
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix), factors=(self, other))
+        perm = self.root_permutation
+        return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix),
+                           _mat_mul(other.inverse_matrix, self.inverse_matrix),
+                           tuple(perm[i] for i in other.root_permutation))
 
     def is_identity(self) -> bool:
         return self.matrix == identity_matrix(len(self.matrix))
@@ -373,13 +358,8 @@ def q_closure(rd: RootDatum, subset) -> frozenset[int]:
     if not indices:
         return frozenset()
     reduced, pivots = rref([[Fraction(v) for v in rd.roots[idx]] for idx in indices])
-    # A vector lies in the row space of a reduced echelon basis exactly when
-    # it equals the combination of basis rows weighted by its pivot entries.
-    return frozenset(
-        k for k, root in enumerate(rd.roots)
-        if all(v == sum(root[p] * row[c] for p, row in zip(pivots, reduced))
-               for c, v in enumerate(root))
-    )
+    basis = reduced[:len(pivots)]  # the rows past the rank are zero
+    return frozenset(k for k, root in enumerate(rd.roots) if in_span(basis, root))
 
 
 def is_q_closed(rd: RootDatum, subset) -> bool:
@@ -392,7 +372,7 @@ def is_q_closed(rd: RootDatum, subset) -> bool:
 
 
 def stable_under(rd: RootDatum, w: WeylElement, subset) -> bool:
-    perm = w.root_permutation()
+    perm = w.root_permutation
     s = set(subset)
     return all(perm[i] in s for i in s)
 

@@ -24,7 +24,7 @@ from math import gcd
 from .cyclo import CycloNumber, euler_phi, root_of_unity
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
+from .rootdata import RootDatum, WeylElement, _mat_mul, _reflect_left, identity_matrix
 from .tails import Covector, covector
 
 PERIOD_BOUND = 1_000_000
@@ -131,44 +131,30 @@ def is_springer_regular(tc: TorusClass) -> bool:
     return True
 
 
-def _conjugate_by_reflection(x, root, root_support, coroot_support):
-    """s x s for s = 1 - c a^T (a the root, c its coroot) as two rank-one
-    updates: x s = x - (x c) a^T, then s y = y - c (a^T y). The supports list
-    the nonzero (index, entry) pairs of a and c."""
-    y = []
-    for row in x:
-        xc = sum(row[k] * ck for k, ck in coroot_support)
-        y.append(tuple(v - xc * a for v, a in zip(row, root)) if xc else row)
-    ay = [sum(a * y[k][j] for k, a in root_support) for j in range(len(root))]
-    for k, ck in coroot_support:
-        y[k] = tuple(v - ck * t for v, t in zip(y[k], ay))
-    return tuple(y)
-
-
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
-    """Conjugacy classes of the Weyl group, deterministically ordered."""
-    elements = rd.weyl_elements()
-    gens = []
-    for root, coroot in zip(rd.simple_roots, rd.simple_coroots):
-        gens.append((root, [(k, a) for k, a in enumerate(root) if a],
-                     [(k, c) for k, c in enumerate(coroot) if c]))
-    index = {w.matrix: w for w in elements}
-    unseen = {w.matrix for w in elements}
+    """Conjugacy classes of the Weyl group, deterministically ordered.
+
+    Each class is the orbit of its least matrix under s_i·x·s_i: x·s_i
+    reflects every row of x on the character side, and s_i· then changes
+    row i alone, as in the enumeration of W.
+    """
+    index = {w.matrix: w for w in rd.weyl_elements()}
+    unseen = set(index)
     classes = []
-    for w in sorted(elements, key=lambda e: e.matrix):
-        if w.matrix not in unseen:
+    for mat in sorted(index):
+        if mat not in unseen:
             continue
-        orbit = {w.matrix}
-        queue = [w.matrix]
+        orbit = {mat}
+        queue = [mat]
         while queue:
             x = queue.pop()
-            for g in gens:
-                y = _conjugate_by_reflection(x, *g)
+            for i in range(rd.ss_rank):
+                y = _reflect_left(rd, i, tuple(rd._reflect_root(i, row) for row in x))
                 if y not in orbit:
                     orbit.add(y)
                     queue.append(y)
         unseen -= orbit
-        classes.append(sorted((index[mat] for mat in orbit), key=lambda e: e.matrix))
+        classes.append([index[y] for y in sorted(orbit)])
     return classes
 
 

@@ -8,7 +8,9 @@ arithmetic types, except two: the enumeration of regular numbers decides
 each conjugacy class with the package's `TorusClass` and
 `is_springer_regular`, and span membership eliminates the whole basis and
 the target with `linalg.rref` for every query, as membership was computed
-before the reduced rows were kept.
+before the reduced rows were kept. The Weyl references (reflection
+matrices, the action on weights and coweights, stabilizers) read a
+`WeylElement`'s matrices with plain integer products.
 """
 
 import random
@@ -253,13 +255,45 @@ def mat_mul_oracle(a, b) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
+def reflection_matrix(root, coroot) -> tuple:
+    """s_alpha on the cocharacter side, y -> y - <y, alpha> alpha^vee."""
+    n = len(root)
+    return tuple(tuple(int(k == j) - coroot[k] * root[j] for j in range(n)) for k in range(n))
+
+
+def reflection_matrices(rd) -> dict:
+    """Map from reflection matrix to the index of the first root it reflects."""
+    out = {}
+    for idx, (root, coroot) in enumerate(zip(rd.roots, rd.coroots)):
+        out.setdefault(reflection_matrix(root, coroot), idx)
+    return out
+
+
+def apply_coweight(w, y) -> tuple:
+    """w·y on the cocharacter side: the matrix times y."""
+    return tuple(sum(a * b for a, b in zip(row, y)) for row in w.matrix)
+
+
+def apply_weight(w, x) -> tuple:
+    """w·x on the character side: x as a row times the inverse matrix."""
+    n = len(x)
+    return tuple(sum(x[k] * w.inverse_matrix[k][j] for k in range(n)) for j in range(n))
+
+
+def stabilizer(rd, lam) -> dict:
+    """Pointwise stabilizer of the tail in W, with the reflections it contains."""
+    elements = [u for u in rd.weyl_elements() if lam.weyl_act(u) == lam]
+    reflections = reflection_matrices(rd)
+    return {"elements": elements, "reflections": [u for u in elements if u.matrix in reflections]}
+
+
 def weyl_bfs_order(rd) -> list[tuple]:
     """Matrices of W breadth first from the identity: each element M met in
     turn adds s M for every simple reflection s, y -> y - <y, alpha> alpha^vee,
     not seen before, the reflections taken in the order of the simple roots."""
     n = rd.dim
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gens = [tuple(tuple(int(k == j) - coroot[k] * root[j] for j in range(n)) for k in range(n))
+    gens = [reflection_matrix(root, coroot)
             for root, coroot in zip(rd.simple_roots, rd.simple_coroots)]
     order, seen = [identity], {identity}
     for mat in order:  # the list grows while it is read
@@ -275,8 +309,7 @@ def conjugacy_classes_by_products(rd) -> list[list]:
     """Weyl conjugacy classes by an orbit search that conjugates with full
     simple reflection matrices, two matrix products per (element, generator);
     classes and their members ordered by matrix."""
-    n = rd.dim
-    gens = [tuple(tuple(int(k == j) - root[j] * coroot[k] for j in range(n)) for k in range(n))
+    gens = [reflection_matrix(root, coroot)
             for root, coroot in zip(rd.simple_roots, rd.simple_coroots)]
     index = {w.matrix: w for w in rd.weyl_elements()}
     seen = set()
@@ -316,7 +349,7 @@ def conjugate_by_products(d1, d2) -> bool:
     matrices for every u, and then u(lam1) = lam2."""
     w1, w2 = d1.torus.w.matrix, d2.torus.w.matrix
     for u in d1.rd.weyl_elements():
-        if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), u.inverse_matrix()) != w2:
+        if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), u.inverse_matrix) != w2:
             continue
         if d1.lam.weyl_act(u) == d2.lam:
             return True

@@ -18,15 +18,15 @@ from polarium.looplie import (bracket_closure_violations, build_j_lattice,
                               psi_lambda_check, symplectic_form,
                               v_piece_at_degree)
 from polarium.polar import (PolarDatum, classify, epipelagic_datum,
-                            partition_check, sample_equivariant_tail,
-                            stabilizer)
+                            partition_check, sample_equivariant_tail)
 from polarium.rootdata import build
 from polarium.tails import Tail
 from polarium.tori import (is_springer_regular, list_torus_classes,
                            regular_numbers, split_torus_class)
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import cyclo_rank, cyclo_value, springer_regular_sampled, subgroup_generated
+from .oracles import (cyclo_rank, cyclo_value, springer_regular_sampled, stabilizer,
+                      subgroup_generated)
 
 
 @contextmanager

@@ -374,7 +374,7 @@ def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
     import polarium.rootdata as rootdata
     import polarium.tori as tori
 
-    monkeypatch.setattr(rootdata, "_mat_mul", _refuse)
+    monkeypatch.setattr(rootdata, "_reflect_left", _refuse)
     monkeypatch.setattr(tori, "nullspace", _refuse)
     expected = {"A7": ([1, 2, 4, 7, 8], [8]),
                 "B8": ([1, 2, 4, 8, 16], [2, 4, 8, 16]),
@@ -409,6 +409,28 @@ def test_torus_period_bound(capsys):
     assert json.loads(out)["torus"]["m"] == 10**6
     for m in (10**6 + 1, 10**8):
         status, out = classify_period(m)
+        assert status == 1
+        assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
+def test_datum_dimension_bound(capsys, monkeypatch):
+    # the largest datum inside the bound answers; one past it is refused
+    # before any root is built, however cheap its answer would be
+    import polarium.rootdata as rootdata
+
+    doc = {"type": "B16", "lambda": {"m": 1, "terms": []}}
+    status, out = run_main(capsys, "classify", "--input", json.dumps(doc))
+    assert status == 0
+    assert len(json.loads(out)["levi"]) == 2 * 16**2
+
+    def refuse(*args):
+        raise AssertionError("roots built for a datum past the dimension bound")
+
+    monkeypatch.setattr(rootdata.RootDatum, "_close_roots", refuse)
+    torus_doc = {"type": [["A", 1], ["torus", 2000]], "lambda": {"m": 1, "terms": []}}
+    for argv in (("regular-numbers", "--type", "A17"), ("regular-numbers", "--type", "A80"),
+                 ("classify", "--input", json.dumps(torus_doc))):
+        status, out = run_main(capsys, *argv)
         assert status == 1
         assert json.loads(out)["error"]["code"] == "resource-limit"
 

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from polarium.errors import ResourceLimitError, UnsupportedFeatureError
-from polarium.rootdata import (WeylElement, build, is_q_closed, q_closure,
-                               reflection_matrix, stable_under)
+from polarium.rootdata import WeylElement, build, is_q_closed, q_closure, stable_under
 
-from .oracles import closure_roots_from_cartan, mat_mul_oracle, span_contains, weyl_bfs_order
+from .oracles import (apply_coweight, apply_weight, closure_roots_from_cartan, mat_mul_oracle,
+                      reflection_matrices, reflection_matrix, span_contains, weyl_bfs_order)
 
 KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 WEYL_TYPES = KERNEL_TYPES + ([["A", 2], ["torus", 1]],)
@@ -40,10 +40,10 @@ def test_reflections_and_shared_identity():
         assert rd.weyl_elements()[0] == rd.identity_element()
         for root, coroot in zip(rd.roots, rd.coroots):
             mat = reflection_matrix(root, coroot)
-            s = WeylElement(rd, mat, mat)
-            assert s.apply_weight(root) == tuple(-v for v in root)
+            s = WeylElement.from_matrix(rd, mat)
+            assert apply_weight(s, root) == tuple(-v for v in root)
             assert s.compose(s).is_identity()
-        assert len(rd.reflection_matrices()) == len(rd.roots) // 2
+        assert len(reflection_matrices(rd)) == len(rd.roots) // 2
 
 
 def test_negative_root_has_negated_coroot():
@@ -74,7 +74,8 @@ def test_weyl_order_bound(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("Weyl group enumerated before the bound was checked")
 
-    monkeypatch.setattr(rootdata, "_mat_mul", no_enumeration)
+    monkeypatch.setattr(rootdata, "_reflect_left", no_enumeration)
+    assert a8.identity_element().is_identity()
     with pytest.raises(ResourceLimitError):
         a8.weyl_elements()
     monkeypatch.undo()
@@ -92,7 +93,7 @@ def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
     def no_enumeration(*args):
         raise AssertionError("Weyl group enumerated for a torus-less request")
 
-    monkeypatch.setattr(rootdata, "_mat_mul", no_enumeration)
+    monkeypatch.setattr(rootdata, "_reflect_left", no_enumeration)
     for label, dim in (("A7", 7), ("A8", 8)):
         doc = {"type": label, "lambda": {"m": 1, "terms": []}}
         assert main(["classify", "--input", json.dumps(doc)]) == 0
@@ -117,7 +118,7 @@ def test_composite_with_torus():
     assert len(rd.roots) == 2
     w = rd.weyl_elements()[1]
     # central coordinates are untouched
-    assert w.apply_coweight((0, 5, 7)) == (0, 5, 7)
+    assert apply_coweight(w, (0, 5, 7)) == (0, 5, 7)
 
 
 def test_weyl_identity_first_and_closed(a2):
@@ -131,9 +132,9 @@ def test_weyl_identity_first_and_closed(a2):
 
 def test_root_permutation_consistent(b2):
     for w in b2.weyl_elements():
-        perm = w.root_permutation()
+        perm = w.root_permutation
         for idx, root in enumerate(b2.roots):
-            assert b2.roots[perm[idx]] == w.apply_weight(root)
+            assert b2.roots[perm[idx]] == apply_weight(w, root)
 
 
 def test_q_closure_examples(a2, b2):
@@ -186,7 +187,7 @@ def test_q_closure_preserves_w_stability(a2, b2):
     rng = random.Random(37)
     for rd in (a2, b2):
         for w in rd.weyl_elements():
-            perm = w.root_permutation()
+            perm = w.root_permutation
             seed_set = set(rng.sample(range(len(rd.roots)), 2))
             stable = set(seed_set)
             while True:
@@ -205,16 +206,20 @@ def test_inverse_matrix():
         identity = tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))
         elements = rd.weyl_elements()
         for w in elements + [u.compose(v) for u, v in zip(elements, reversed(elements))]:
-            assert mat_mul_oracle(w.matrix, w.inverse_matrix()) == identity, label
+            assert mat_mul_oracle(w.matrix, w.inverse_matrix) == identity, label
             assert w.compose(w.inverse()).is_identity(), label
 
 
 def test_root_permutation_without_inverse():
-    # w alpha_i = alpha_perm[i] on the character side is w^T alpha_perm[i] = alpha_i
+    # w alpha_i = alpha_perm[i] on the character side is w^T alpha_perm[i] = alpha_i,
+    # for W and for the inverses and products that carry their permutation over
     for label in WEYL_TYPES:
         rd = build(label)
-        for w in rd.weyl_elements():
-            perm = w.root_permutation()
+        elements = rd.weyl_elements()
+        inverses = [w.inverse() for w in elements]
+        products = [u.compose(v) for u, v in zip(elements, reversed(elements))]
+        for w in elements + inverses + products:
+            perm = w.root_permutation
             for i, root in enumerate(rd.roots):
                 image = rd.roots[perm[i]]
                 assert tuple(sum(w.matrix[k][j] * image[k] for k in range(rd.dim))
