@@ -38,7 +38,7 @@ from itertools import product
 from math import ceil, floor, lcm
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
-from .errors import (InternalInvariantViolation, InvalidArgumentError,
+from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
 from .linalg import in_span, independent, nullspace, rank, rref
 from .polar import PolarDatum
@@ -53,6 +53,11 @@ Scalar = Fraction | CycloNumber  # a Fraction stands for its conductor-1 value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Closure checks pair every two window basis vectors, so their time grows
+# with the square of the basis: the sl3 two-break datum at window 60 (8
+# generators × 121 exponents, 968 vectors) takes about 3 s on a 2-vCPU VM.
+WINDOW_BASIS_BOUND = 1_000
 
 
 def _require_type_a(rd: RootDatum) -> int:
@@ -592,18 +597,29 @@ def build_j_lattice(datum: PolarDatum, ladder: YuLadder | None = None, x=None,
     ladder = ladder or extract(datum)
     real = Realization(datum, ladder, x)
     lattice = JLattice(real, "J", lagrangians)
-    lo, hi = _default_window(ladder, window)
+    lo, hi = _window(real, window)
     bad = bracket_closure_violations(lattice, lo, hi, stop_early=True)
     if bad:
         raise InternalInvariantViolation(f"lattice not closed under bracket: {bad[0]}")
     return lattice
 
 
-def _default_window(ladder: YuLadder, window: int | None) -> tuple[int, int]:
+def _window(real: Realization, window: int | None) -> tuple[int, int]:
+    """Exponent window [lo, hi] of the closure checks, within the basis bound.
+
+    The window basis has at most one vector per generator and exponent, so
+    generators × width bounds its size before any piece or bracket is built.
+    """
     if window is not None:
-        return -window, window
-    top = max([Fraction(1)] + list(ladder.breaks))
-    return -(int(top) + 1), int(top) + 2
+        lo, hi = -window, window
+    else:
+        top = max([Fraction(1)] + list(real.ladder.breaks))
+        lo, hi = -(int(top) + 1), int(top) + 2
+    size = len(real.generators()) * (hi - lo + 1)
+    if size > WINDOW_BASIS_BOUND:
+        raise ResourceLimitError(f"window [{lo}, {hi}] allows {size} basis vectors: "
+                                 f"larger than bound {WINDOW_BASIS_BOUND}")
+    return lo, hi
 
 
 def bracket_closure_violations(lattice: JLattice, lo: int, hi: int,
@@ -640,7 +656,7 @@ def psi_lambda_check(lattice: JLattice, lam: Tail | None = None,
     real = lattice.real
     if lam is not None and lam != real.datum.lam:
         raise InvalidArgumentError("tail does not belong to the lattice's datum")
-    lo, hi = _default_window(real.ladder, window)
+    lo, hi = _window(real, window)
     basis = lattice.window_basis(lo, hi)
     return not any(real.pair_lines(basis[a], basis[b])
                    for a in range(len(basis)) for b in range(a, len(basis)))

@@ -15,11 +15,16 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclo import CycloNumber
-from .errors import InternalInvariantViolation, InvalidArgumentError
+from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement, _mat_mul, is_q_closed, stable_under
 from .tails import Tail, is_equivariant
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
+
+# partition-check work grows linearly in both counts; each bound is 20 times
+# the largest count the documentation and the acceptance suite use.
+SAMPLES_BOUND = 10_000
+DISJOINT_PAIRS_BOUND = 10_000
 
 
 class PolarDatum:
@@ -236,6 +241,10 @@ def _one_sample(rd: RootDatum, classes, seed: int, zero_only: bool) -> dict:
 def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
                     zero_only: bool = False, disjoint_pairs: int = 50) -> dict:
     """Sampled verification of the partition properties; report-valued."""
+    for name, value, bound in (("samples", samples, SAMPLES_BOUND),
+                               ("disjoint_pairs", disjoint_pairs, DISJOINT_PAIRS_BOUND)):
+        if value > bound:
+            raise ResourceLimitError(f"{name} larger than bound {bound}")
     classes = list_torus_classes(rd)
     records = [_one_sample(rd, classes, seed * 1_000_003 + k, zero_only)
                for k in range(samples)]

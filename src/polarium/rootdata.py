@@ -16,12 +16,12 @@ updates; only a matrix supplied from outside is inverted by elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
-from .linalg import in_span, rref
+from .linalg import rref
 
 IntVec = tuple[int, ...]
 
@@ -157,7 +157,7 @@ class RootDatum:
 
     @staticmethod
     def pairing(coweight, weight) -> int:
-        return sum(a * b for a, b in zip(coweight, weight))
+        return sum(map(mul, coweight, weight))
 
     def negative_of(self, root_idx: int) -> int:
         return self.root_index[tuple(-v for v in self.roots[root_idx])]
@@ -353,13 +353,32 @@ def build(type_spec) -> RootDatum:
 
 
 def q_closure(rd: RootDatum, subset) -> frozenset[int]:
-    """Roots lying in the rational span of the given root subset."""
-    indices = sorted(set(subset))
-    if not indices:
-        return frozenset()
-    reduced, pivots = rref([[Fraction(v) for v in rd.roots[idx]] for idx in indices])
-    basis = reduced[:len(pivots)]  # the rows past the rank are zero
-    return frozenset(k for k, root in enumerate(rd.roots) if in_span(basis, root))
+    """Roots lying in the rational span of the given root subset.
+
+    The span is cut out by an integer basis of its annihilator in the
+    cocharacter lattice, narrowed by one fraction-free step per root of the
+    subset that leaves the current span; a root lies in the span exactly
+    when it pairs to 0 with every coweight of that basis.
+    """
+    annihilator = identity_matrix(rd.dim)
+    for idx in sorted(set(subset)):
+        if not annihilator:
+            break  # the span is already everything
+        root = rd.roots[idx]
+        values = [rd.pairing(y, root) for y in annihilator]
+        pivot = next((k for k, v in enumerate(values) if v), None)
+        if pivot is None:
+            continue
+        y0, v0 = annihilator[pivot], values[pivot]
+        annihilator = tuple(_primitive([v0 * a - v * b for a, b in zip(y, y0)])
+                            for k, (y, v) in enumerate(zip(annihilator, values)) if k != pivot)
+    return frozenset(k for k, root in enumerate(rd.roots)
+                     if not any(rd.pairing(y, root) for y in annihilator))
+
+
+def _primitive(v: list[int]) -> IntVec:
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
 
 
 def is_q_closed(rd: RootDatum, subset) -> bool:

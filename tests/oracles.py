@@ -10,15 +10,18 @@ each conjugacy class with the package's `TorusClass` and
 the target with `linalg.rref` for every query, as membership was computed
 before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
-`WeylElement`'s matrices with plain integer products.
+`WeylElement`'s matrices with plain integer products. Responses are
+checked against the shipped schemas by `jsonschema` itself.
 """
 
 import random
 from fractions import Fraction
 
+import jsonschema
 import sympy
 
 from polarium.cyclo import CycloNumber
+from polarium.jsonio import schemas
 from polarium.linalg import rref
 from polarium.tori import TorusClass, is_springer_regular
 
@@ -354,3 +357,10 @@ def conjugate_by_products(d1, d2) -> bool:
         if d1.lam.weyl_act(u) == d2.lam:
             return True
     return False
+
+
+def validate_response(command: str, doc) -> None:
+    """Raise `jsonschema.ValidationError` unless doc fits the command's response schema."""
+    store = schemas()
+    schema = {**store["responses"][command.replace("-", "_")], "$defs": store["$defs"]}
+    jsonschema.validate(doc, schema)

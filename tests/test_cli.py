@@ -247,7 +247,7 @@ def test_console_entry_point():
 
 
 def test_outputs_conform_to_response_schemas(capsys, tmp_path):
-    from polarium.jsonio import validate_response
+    from .oracles import validate_response
 
     cases = [
         ("classify", ["--input", str(GOLDENS / "sl3_classify_request.json")]),
@@ -272,7 +272,7 @@ def test_homogeneous_cli(capsys, tmp_path):
     assert status == 0
     doc = json.loads(out)
     assert doc["lambda"]["terms"][0]["q"] == "2/3"
-    from polarium.jsonio import validate_response
+    from .oracles import validate_response
 
     validate_response("homogeneous", doc)
 
@@ -310,22 +310,41 @@ def test_schema_reject_names_the_best_match_among_several_errors(capsys):
         "message": f"requests rejected by schema: {exc.value.message}"}
 
 
-def test_one_validator_per_command(capsys, monkeypatch):
+def test_one_checker_per_command(capsys, monkeypatch):
+    # the compiled check is built on the first request of a command, and
+    # jsonschema's checked validator on its first rejection; both are reused
     import jsonschema
 
     from polarium import jsonio
 
-    checked = []
+    compiled, checked = [], []
+    compile_checker = jsonio.compile_checker
+    monkeypatch.setattr(jsonio, "compile_checker",
+                        lambda s: compiled.append(s) or compile_checker(s))
     cls = jsonschema.validators.validator_for(jsonio.schemas())
     original = cls.check_schema.__func__
     monkeypatch.setattr(cls, "check_schema",
                         classmethod(lambda c, s: checked.append(s) or original(c, s)))
-    jsonio._validator.cache_clear()
+    jsonio._request_checker.cache_clear()
+    jsonio._request_validator.cache_clear()
     for request in ('{"type":"A1","m":2}', '{"type":"A2","m":3}'):
         status, _ = run_main(capsys, "epipelagic", "--input", request)
         assert status == 0
-    assert len(checked) == 1
-    jsonio._validator.cache_clear()
+    for request in ('{"type":"A1","m":0}', '{"type":"A1"}'):
+        status, _ = run_main(capsys, "epipelagic", "--input", request)
+        assert status == 1
+    assert len(compiled) == 1 and len(checked) == 1
+    jsonio._request_checker.cache_clear()
+    jsonio._request_validator.cache_clear()
+
+
+def test_accepted_request_imports_no_jsonschema():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "polarium", "list-tori",
+         "--input", '{"type":"A1"}'],
+        capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout)["type"] == "A1"
+    assert "jsonschema" not in proc.stderr
 
 
 def _fresh_process(*argv) -> str:
@@ -411,6 +430,26 @@ def test_torus_period_bound(capsys):
         status, out = classify_period(m)
         assert status == 1
         assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
+def test_sample_and_window_bounds(capsys, monkeypatch):
+    # counts and windows past their bounds are refused before any sampling
+    # or bracket; a float count the schema takes as an integer is no way round
+    import polarium.looplie as looplie
+    import polarium.polar as polar
+
+    monkeypatch.setattr(polar, "list_torus_classes", _refuse)
+    monkeypatch.setattr(looplie, "bracket_closure_violations", _refuse)
+    datum = {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}}
+    for command, doc in (
+            ("partition-check", {"type": "A1", "samples": 10**9}),
+            ("partition-check", {"type": "A1", "samples": 1e300}),
+            ("partition-check", {"type": "A1", "disjoint_pairs": polar.DISJOINT_PAIRS_BOUND + 1}),
+            ("jlattice", {"datum": datum, "window": 10**5}),
+            ("jlattice", {"datum": datum, "window": 167})):
+        status, out = run_main(capsys, command, "--input", json.dumps(doc))
+        assert status == 1
+        assert json.loads(out)["error"]["code"] == "resource-limit", (command, doc)
 
 
 def test_datum_dimension_bound(capsys, monkeypatch):

@@ -1,0 +1,232 @@
+"""The compiled request checks against jsonschema, the independent oracle.
+
+`jsonio.compile_checker` decides validity by itself; jsonschema only words a
+rejection. Every verdict here is compared with `Draft202012Validator.is_valid`
+on the same document: documents generated from each request schema, the
+same documents after one hostile mutation, every request document of the
+benchmark universes and every golden request. Each rejection must also reach
+the user as the envelope of jsonschema's best match.
+"""
+
+import copy
+import json
+import math
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from polarium import cli, jsonio
+from polarium.errors import InternalInvariantViolation, InvalidArgumentError
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "tests" / "goldens"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+COMMANDS = sorted(cli._HANDLERS)
+
+# Replacements for one value of a valid document: bools and floats where an
+# integer is expected, NaN and infinities, values below each minimum,
+# strings outside each pattern (a trailing newline still matches "$"), and
+# wrong types.
+HOSTILE = (True, False, 0, -1, 1.0, 2.5, math.nan, math.inf, -math.inf,
+           "x", "1.5", "1\n", "a1", None, [], {}, [[]], {"m": 1})
+
+
+def _schema(command: str) -> dict:
+    store = jsonio.schemas()
+    return {**store["requests"][command.replace("-", "_")], "$defs": store["$defs"]}
+
+
+def _oracle(command: str):
+    return jsonschema.Draft202012Validator(_schema(command))
+
+
+def from_schema(schema: dict, defs: dict):
+    """Strategy for documents of the keyword subset `schemas.json` uses."""
+    if "$ref" in schema:
+        return from_schema(defs[schema["$ref"].removeprefix("#/$defs/")], defs)
+    if "oneOf" in schema:
+        return st.one_of([from_schema(s, defs) for s in schema["oneOf"]])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "object":
+        props = schema.get("properties", {})
+        required = schema.get("required", [])
+        return st.fixed_dictionaries(
+            {k: from_schema(props[k], defs) for k in required},
+            optional={k: from_schema(v, defs) for k, v in props.items() if k not in required})
+    if kind == "array":
+        prefix = [from_schema(s, defs) for s in schema.get("prefixItems", [])]
+        rest = from_schema(schema["items"], defs) if "items" in schema else st.nothing()
+        least = max(0, schema.get("minItems", 0) - len(prefix))
+        most = min(3, schema.get("maxItems", 3 + len(prefix)) - len(prefix))
+        return st.tuples(*prefix, st.lists(rest, min_size=least, max_size=most)).map(
+            lambda parts: [*parts[:-1], *parts[-1]])
+    if kind == "integer":
+        low = schema.get("minimum", -3)
+        return st.integers(min_value=low, max_value=low + 8)
+    if kind == "string":
+        pattern = schema.get("pattern")
+        return st.from_regex(pattern) if pattern else st.text(max_size=4)
+    if kind == "boolean":
+        return st.booleans()
+    raise AssertionError(f"no strategy for {schema}")
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, path + (i,))
+
+
+def _mutate(data, doc):
+    """One hostile edit: replace a value, drop a key or add one."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    kind = data.draw(st.sampled_from(("replace", "drop", "extra")))
+    if kind == "replace":
+        value = data.draw(st.sampled_from(HOSTILE))
+        if not path:
+            return value
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = copy.deepcopy(value)
+        return doc
+    node = doc
+    for step in path:
+        node = node[step]
+    if isinstance(node, dict):
+        if kind == "drop" and node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        else:
+            node[data.draw(st.sampled_from(("extra", "power", "eigendims")))] = 1
+    return doc
+
+
+def _assert_agrees(command: str, doc, capsys) -> None:
+    """Compiled verdict equals jsonschema's; a reject prints its best match."""
+    valid = _oracle(command).is_valid(doc)
+    assert jsonio._request_checker(command.replace("-", "_"))(doc) is valid, (command, doc)
+    if valid:
+        return
+    if not isinstance(doc, dict):
+        # the CLI refuses a non-object document before any schema is read
+        with pytest.raises(InvalidArgumentError) as exc:
+            jsonio.validate_request(command, doc)
+        expected = jsonschema.exceptions.best_match(_oracle(command).iter_errors(doc))
+        assert str(exc.value) == f"requests rejected by schema: {expected.message}"
+        return
+    seen = cli._merge_flags(cli.build_parser().parse_args([command]), doc)
+    if _oracle(command).is_valid(seen):
+        return  # a CLI default filled the gap; the request would run
+    expected = jsonschema.exceptions.best_match(_oracle(command).iter_errors(seen))
+    status = cli.main([command, "--input", json.dumps(doc)])
+    assert status == 1
+    assert capsys.readouterr().out == jsonio.canonical_dumps({"error": {
+        "code": "invalid-argument",
+        "message": f"requests rejected by schema: {expected.message}"}})
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_compiled_check_agrees_with_jsonschema(command, data, capsys):
+    schema = _schema(command)
+    doc = data.draw(from_schema(schema, schema["$defs"]))
+    _assert_agrees(command, doc, capsys)
+    _assert_agrees(command, _mutate(data, doc), capsys)
+
+
+def _golden_requests():
+    chained = ("sl3_classify_request", "sl3_classify_output",
+               "a1_period720_classify_output", "epi_output")
+    names = {
+        "classify": ("a1_period720_classify_request", "sl3_classify_request"),
+        "yu-sequence": chained,
+        "epipelagic": ("epi_request",),
+        "jlattice": ("jlattice_request", "jlattice_mixed_conductor_request"),
+        "moveability": ("moveability_mixed_conductor_request",),
+    }
+    for command, files in names.items():
+        for name in files:
+            yield command, (GOLDENS / f"{name}.json").read_text()
+
+
+def test_compiled_check_agrees_on_benchmark_and_golden_requests(capsys):
+    requests = [(req.command, req.text) for make in workloads.UNIVERSES.values()
+                for req in make().values() if req.text is not None]
+    requests += list(_golden_requests())
+    rejected = 0
+    for command, text in requests:
+        doc = json.loads(text)
+        _assert_agrees(command, doc, capsys)
+        rejected += not _oracle(command).is_valid(doc)
+    assert rejected == workloads.LIGHT_REJECTED
+
+
+# Keyword semantics the shipped schemas cannot show on their own: every
+# minimum there sits beside "type": "integer", and their oneOf branches
+# never overlap.
+EDGE_CASES = [
+    ({"minimum": 1}, [math.nan, math.inf, -math.inf, 0, 1, True, False, "x"]),
+    ({"type": "integer"}, [True, 1, 1.0, 1.5, math.nan, math.inf, "1"]),
+    ({"pattern": "^a$"}, ["a", "a\n", "ba", 3]),
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+     [["a", 1], [1, 1], ["a", "b"], [], "a"]),
+    ({"properties": {"a": {"type": "integer"}}, "additionalProperties": True},
+     [{"b": "x"}, {"a": "x"}, {"a": True}]),
+    ({"additionalProperties": {"type": "integer"}}, [{"b": 1}, {"b": "x"}]),
+    ({"required": ["a"]}, [{"a": None}, {}, [], "a"]),
+    ({"minItems": 1, "maxItems": 2}, [[], [1], [1, 2, 3], {}]),
+    ({"enum": ["J", "K"]}, ["J", "L", 1, ["J"]]),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, [1, -1, 0.5, -0.5, "x"]),
+]
+
+
+@pytest.mark.parametrize("schema, instances", EDGE_CASES)
+def test_compiled_keyword_semantics_match_jsonschema(schema, instances):
+    check = jsonio.compile_checker(schema)
+    oracle = jsonschema.Draft202012Validator(schema)
+    for x in instances:
+        assert check(x) is oracle.is_valid(x), (schema, x)
+
+
+def test_shipped_schemas_fit_the_metaschema():
+    store = jsonio.schemas()
+    assert store["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+    for section in ("requests", "responses"):
+        for schema in store[section].values():
+            jsonschema.Draft202012Validator.check_schema({**schema, "$defs": store["$defs"]})
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "maxLength": 3},
+    {"type": "object", "properties": {"a": {"type": "string", "format": "date"}}},
+    {"type": "array", "items": {"$ref": "#/$defs/missing"}, "$defs": {}},
+    {"$ref": "other.json#/x"},
+    {"enum": [1, 2]},
+])
+def test_compiling_outside_the_subset_raises(schema):
+    with pytest.raises(InternalInvariantViolation):
+        jsonio.compile_checker(schema)
+
+
+def test_compiled_reject_that_jsonschema_accepts_is_an_internal_fault(capsys, monkeypatch):
+    # the two must never disagree; if they do, the request is not run
+    monkeypatch.setattr(jsonio, "_request_checker", lambda key: lambda doc: False)
+    status = cli.main(["epipelagic", "--input", '{"type":"A1","m":2}'])
+    assert status == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "internal-invariant-violation"
