@@ -71,34 +71,26 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
         raise NoSqrtInBaseField(f"odd leading valuation {v}")
     lead = a.coeff(v)
     s0 = sqrt_cyclo(lead)
-    step = Fraction(1, a.den)
-    rel_hi = a.hi - v
     inv_lead = lead.inverse()
-    u = {}
-    q = step
-    while q < rel_hi:
-        c = a.coeff(v + q)
-        if not c.is_zero():
-            u[q] = c * inv_lead
-        q += step
-    # Coefficientwise recursion for sqrt(1 + u).
-    s_rel: dict[Fraction, CycloNumber] = {Fraction(0): CycloNumber.one()}
+    # The window holds the exponents v + k/den for 0 <= k < n; the recursion
+    # runs on the step k.
+    n = int((a.hi - v) * a.den)
+    u = {int((q - v) * a.den): c * inv_lead for q, c in a.terms.items() if q != v}
+    # Coefficientwise recursion for sqrt(1 + u): 2 s_k = u_k - sum of
+    # s_p s_(k-p) over 0 < p < k.
+    s_rel: dict[int, CycloNumber] = {0: CycloNumber.one()}
     half = Fraction(1, 2)
-    q = step
-    while q < rel_hi:
-        acc = u.get(q, CycloNumber.zero())
-        p = step
-        while p < q:
-            left, right = s_rel.get(p), s_rel.get(q - p)
+    for k in range(1, n):
+        acc = u.get(k, CycloNumber.zero())
+        for p in range(1, k):
+            left, right = s_rel.get(p), s_rel.get(k - p)
             if left is not None and right is not None:
                 acc = acc - left * right
-            p += step
         val = half * acc
         if not val.is_zero():
-            s_rel[q] = val
-        q += step
-    terms = {v / 2 + q: s0 * c for q, c in s_rel.items()}
-    return LaurentWindow(v / 2, v / 2 + rel_hi, terms, a.den)
+            s_rel[k] = val
+    terms = {v / 2 + Fraction(k, a.den): s0 * c for k, c in s_rel.items()}
+    return LaurentWindow(v / 2, a.hi - v / 2, terms, a.den)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
-Elements are stored as rational coefficient vectors in the power basis
-1, z, ..., z^(phi(L)-1) modulo the L-th cyclotomic polynomial, and the
-conductor L grows lazily (lcm) as mixed-conductor operations demand.
+An element is stored as its conductor L, a tuple of integer numerators
+(n_0, ..., n_(phi(L)-1)) and one positive integer denominator d: the value
+is (n_0 + n_1 z + ... + n_(phi-1) z^(phi-1)) / d in the power basis modulo
+the L-th cyclotomic polynomial, with gcd(d, n_0, ..., n_(phi-1)) = 1. Zero
+is (0, ..., 0)/1. The form is canonical, so equality at one conductor is a
+comparison of integers (Cohen, A Course in Computational Algebraic Number
+Theory, section 4.2). The cyclotomic polynomial is monic with integer
+coefficients, so reducing a product modulo it stays in the integers, and
+every operation does its work on ints and divides by one gcd at the end.
+An int or a Fraction operand scales the numerators and the denominator; it
+never becomes an element of its own.
+
+The conductor L grows lazily (lcm) as mixed-conductor operations demand.
 Compatibility of generators across conductors is fixed once and for all by
-zeta_L := zeta_M^(M/L) whenever L | M.
+zeta_L := zeta_M^(M/L) whenever L | M; a lift keeps the denominator, since
+Z[zeta_M] meets Q(zeta_L) in Z[zeta_L]. `coeffs` reads the value back as
+`Fraction`s, for printing and for callers outside the field.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (ArithmeticDomainError, FieldExtensionRequired,
                      InvalidArgumentError)
@@ -48,7 +60,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+def _poly_trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
@@ -78,7 +90,7 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = list(a)
     q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    inv_lead = 1 / Fraction(b[-1])
     while len(a) >= len(b):
         coeff = a[-1] * inv_lead
         shift = len(a) - len(b)
@@ -92,8 +104,8 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(L: int) -> tuple[Fraction, ...]:
-    """Monic L-th cyclotomic polynomial as a coefficient tuple.
+def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
+    """Monic L-th cyclotomic polynomial as an integer coefficient tuple.
 
     With r the product of the primes dividing L, Phi_L(x) = Phi_r(x^(L/r)).
     For r > 1, Phi_r is the product of (1 - x^d)^mu(r/d) over the divisors d
@@ -106,7 +118,7 @@ def cyclotomic_polynomial(L: int) -> tuple[Fraction, ...]:
     primes = _primes_dividing(L)
     r = prod(primes)
     if r == 1:
-        return (-_ONE, _ONE)
+        return (-1, 1)
     deg = euler_phi(r)
     c = [1] + [0] * deg
     for chosen in product((False, True), repeat=len(primes)):
@@ -117,13 +129,13 @@ def cyclotomic_polynomial(L: int) -> tuple[Fraction, ...]:
         else:  # divided by 1 - x^d
             for i in range(d, deg + 1):
                 c[i] += c[i - d]
-    out = [_ZERO] * (deg * (L // r) + 1)
-    out[::L // r] = [Fraction(v) for v in c]
+    out = [0] * (deg * (L // r) + 1)
+    out[::L // r] = c
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(L: int) -> tuple[Coeffs, ...]:
+def _reduction_table(L: int) -> tuple[tuple[int, ...], ...]:
     """Reduced forms of z^k for k in [phi(L), 2*phi(L)-1], used by products.
 
     z^phi is minus the lower part of the monic cyclotomic polynomial, and each
@@ -135,25 +147,48 @@ def _reduction_table(L: int) -> tuple[Coeffs, ...]:
     for _ in range(phi - 1):
         prev = table[-1]
         lead = prev[-1]
-        shifted = (_ZERO,) + prev[:-1]
+        shifted = (0,) + prev[:-1]
         table.append(tuple(a + lead * b for a, b in zip(shifted, top)) if lead else shifted)
     return tuple(table)
 
 
-def _reduce(L: int, poly: list[Fraction]) -> Coeffs:
+def _reduce(L: int, poly: list[int]) -> tuple[int, ...]:
+    """An integer polynomial of any degree reduced modulo Phi_L, padded to
+    phi(L) coefficients. Phi_L is monic, so the division stays in the
+    integers: each top coefficient c at degree k >= phi is cleared by
+    subtracting c z^(k-phi) Phi_L, one step per nonzero term of Phi_L."""
     phi = euler_phi(L)
     if len(poly) > phi:
-        _, poly = _poly_divmod(poly, list(cyclotomic_polynomial(L)))
-    poly = list(poly) + [_ZERO] * (phi - len(poly))
+        modulus = cyclotomic_polynomial(L)
+        low = [(j, c) for j, c in enumerate(modulus[:phi]) if c]
+        for k in range(len(poly) - 1, phi - 1, -1):
+            c = poly[k]
+            if c:
+                base = k - phi
+                for j, m in low:
+                    poly[base + j] -= c * m
+        del poly[phi:]
+    else:
+        poly.extend([0] * (phi - len(poly)))
     return tuple(poly)
 
 
+def _lift_nums(nums: tuple[int, ...], L: int, L2: int) -> tuple[int, ...]:
+    """The numerators of an element of Q(zeta_L) read in Q(zeta_L2), L | L2:
+    z_L^i is z_L2^(i*L2/L), reduced when that passes phi(L2)."""
+    k = L2 // L
+    poly = [0] * ((len(nums) - 1) * k + 1)
+    poly[::k] = nums
+    return _reduce(L2, poly)
+
+
 class CycloNumber:
-    """An element of Q(zeta_L) in reduced power-basis form. Immutable."""
+    """An element of Q(zeta_L): integer numerators over one positive
+    denominator, in lowest terms. Immutable."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
-    def __init__(self, conductor: int, coeffs: Coeffs):
+    def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise InvalidArgumentError(f"conductor must be >= 1, got {conductor}")
         if len(coeffs) != euler_phi(conductor):
@@ -161,19 +196,31 @@ class CycloNumber:
                 f"expected {euler_phi(conductor)} coefficients at conductor {conductor}, "
                 f"got {len(coeffs)}"
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so no gcd is needed
+        den = lcm(*(f.denominator for f in fracs))
+        _set_conductor(self, conductor)
+        _set_nums(self, tuple(f.numerator * (den // f.denominator) for f in fracs))
+        _set_den(self, den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(value, conductor: int = 1) -> "CycloNumber":
-        c = [_ZERO] * euler_phi(conductor)
-        c[0] = Fraction(value)
-        return CycloNumber(conductor, tuple(c))
+        if type(value) is not int:
+            value = Fraction(value)
+        zeros = () if conductor == 1 else (0,) * (euler_phi(conductor) - 1)
+        return _make(conductor, (value.numerator,) + zeros, value.denominator)
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycloNumber":
@@ -186,15 +233,15 @@ class CycloNumber:
     # -- representation -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ArithmeticDomainError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def lift(self, L2: int) -> "CycloNumber":
         """Express the same element in Q(zeta_L2); requires conductor | L2."""
@@ -203,91 +250,134 @@ class CycloNumber:
             return self
         if L2 % L != 0:
             raise InvalidArgumentError(f"conductor {L} does not divide target {L2}")
-        k = L2 // L
-        poly: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if len(poly) < i * k + 1:
-                    poly += [_ZERO] * (i * k + 1 - len(poly))
-                poly[i * k] = c
-        return CycloNumber(L2, _reduce(L2, poly))
+        return _make(L2, _lift_nums(self.nums, L, L2), self.den)
 
     def try_retract(self, L1: int) -> "CycloNumber | None":
-        """Canonical retraction to Q(zeta_L1) when the element lies there."""
+        """Canonical retraction to Q(zeta_L1) when the element lies there.
+
+        With k = L/L1, the lift sends z_L1^i to z_L^(i*k). When
+        (phi(L1)-1)*k < phi(L) no power reaches the modulus, so Q(zeta_L1)
+        lifts onto the vectors supported on the multiples of k below
+        phi(L1)*k, and the candidate is read off those coefficients.
+        Otherwise the coordinates in the lifted basis are solved by `rref`.
+        """
         L = self.conductor
         if L % L1 != 0:
             raise InvalidArgumentError(f"target {L1} does not divide conductor {L}")
         if L1 == L:
             return self
+        phi1, k, nums = euler_phi(L1), L // L1, self.nums
+        if (phi1 - 1) * k < len(nums):
+            candidate = nums[:phi1 * k:k]
+            sparse = [0] * len(nums)
+            sparse[:phi1 * k:k] = candidate
+            return _make(L1, candidate, self.den) if tuple(sparse) == nums else None
         from .linalg import rref  # linalg imports this module
 
-        phi1 = euler_phi(L1)
-        basis = [CycloNumber(L1, tuple(_ONE if j == i else _ZERO for j in range(phi1))).lift(L)
-                 for i in range(phi1)]
+        basis = [_lift_nums(tuple(int(j == i) for j in range(phi1)), L1, L) for i in range(phi1)]
         # Rational coordinates of self in the lifted basis, if any.
-        aug = [[b.coeffs[j] for b in basis] + [c] for j, c in enumerate(self.coeffs)]
+        aug = [[Fraction(b[j]) for b in basis] + [c] for j, c in enumerate(self.coeffs)]
         reduced, pivots = rref(aug)
         if phi1 in pivots:
             return None
         sol = [_ZERO] * phi1
         for i, col in enumerate(pivots):
             sol[col] = reduced[i][phi1]
-        candidate = CycloNumber(L1, tuple(sol))
+        candidate = CycloNumber(L1, sol)
         return candidate if candidate.lift(L) == self else None
 
     # -- arithmetic -----------------------------------------------------
 
-    def _common(self, other: "CycloNumber") -> tuple["CycloNumber", "CycloNumber", int]:
-        L = lcm(self.conductor, other.conductor)
-        return self.lift(L), other.lift(L), L
+    def _scaled(self, p: int, q: int) -> "CycloNumber":
+        """self * p/q for integers p and q > 0, at the same conductor."""
+        return _normalized(self.conductor, [n * p for n in self.nums], self.den * q)
+
+    def _shifted(self, p: int, q: int) -> "CycloNumber":
+        """self + p/q for integers p and q > 0, at the same conductor."""
+        nums = [n * q for n in self.nums]
+        nums[0] += p * self.den
+        return _normalized(self.conductor, nums, self.den * q)
+
+    def _combine(self, other: "CycloNumber", sign: int) -> "CycloNumber":
+        """self + sign * other at the lcm of the conductors."""
+        L, L2 = self.conductor, other.conductor
+        a, b = self.nums, other.nums
+        if L != L2:
+            L = lcm(L, L2)
+            a, b = _lift_nums(a, self.conductor, L), _lift_nums(b, L2, L)
+        da, db = self.den, other.den
+        if da == db:
+            return _normalized(L, [x + sign * y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _normalized(L, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
 
     def __add__(self, other):
-        other = as_cyclo(other)
-        a, b, L = self._common(other)
-        return CycloNumber(L, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                return self._shifted(other.numerator, other.denominator)
+            other = as_cyclo(other)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.conductor, tuple(-c for c in self.coeffs))
+        return _make(self.conductor, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other):
-        return self + (-as_cyclo(other))
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                return self._shifted(-other.numerator, other.denominator)
+            other = as_cyclo(other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return as_cyclo(other) - self
+        return (-self) + other
 
     def __mul__(self, other):
-        other = as_cyclo(other)
-        a, b, L = self._common(other)
-        phi = euler_phi(L)
-        out = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
+            other = as_cyclo(other)
+        L, L2 = self.conductor, other.conductor
+        a, b = self.nums, other.nums
+        if L != L2:
+            L = lcm(L, L2)
+            a, b = _lift_nums(a, self.conductor, L), _lift_nums(b, L2, L)
+        den = self.den * other.den
+        phi = len(a)
+        if phi == 1:
+            return _normalized(L, [a[0] * b[0]], den)
+        out = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b, i):
                     if y:
-                        out[i + j] += x * y
+                        out[j] += x * y
         low = out[:phi]
         if any(out[phi:]):  # the reduction table is built only when a product needs it
             table = _reduction_table(L)
             for k in range(phi, 2 * phi - 1):
-                if out[k]:
-                    red = table[k - phi]
-                    for j in range(phi):
-                        if red[j]:
-                            low[j] += out[k] * red[j]
-        return CycloNumber(L, tuple(low))
+                c = out[k]
+                if c:
+                    for j, r in enumerate(table[k - phi]):
+                        if r:
+                            low[j] += c * r
+        return _normalized(L, low, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        if self.is_zero():
+        nums, den, L = self.nums, self.den, self.conductor
+        if not any(nums):
             raise ArithmeticDomainError("division by zero")
-        L = self.conductor
-        mod = list(cyclotomic_polynomial(L))
-        # Extended Euclid in Q[x]; the cyclotomic polynomial is irreducible,
-        # so the gcd with any nonzero reduced element is a constant.
-        r0, r1 = mod, _poly_trim(list(self.coeffs))
+        if not any(nums[1:]):
+            n = nums[0]
+            return _make(L, (den if n > 0 else -den,) + nums[1:], abs(n))
+        # Extended Euclid in Q[x] on the numerators; the cyclotomic polynomial
+        # is irreducible, so the gcd with any nonzero reduced element is a
+        # constant. The denominator of self only scales the inverse.
+        r0, r1 = list(cyclotomic_polynomial(L)), _poly_trim(list(nums))
         s0, s1 = [], [_ONE]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
@@ -295,16 +385,26 @@ class CycloNumber:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if not r1:
             raise ArithmeticDomainError("element shares a factor with the modulus")
-        inv_const = 1 / r1[0]
-        return CycloNumber(L, _reduce(L, [c * inv_const for c in s1]))
+        scale = Fraction(den) / r1[0]
+        coeffs = [c * scale for c in s1]
+        common = lcm(*(c.denominator for c in coeffs))
+        poly = [c.numerator * (common // c.denominator) for c in coeffs]
+        return _normalized(L, _reduce(L, poly), common)
 
     def __truediv__(self, other):
-        other = as_cyclo(other)
+        if type(other) is not CycloNumber:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    raise ArithmeticDomainError("division by zero")
+                p, q = other.numerator, other.denominator
+                return self._scaled(q if p > 0 else -q, abs(p))
+            other = as_cyclo(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other == 1:
-            return self.inverse()  # same value and conductor, one multiply fewer
+        if isinstance(other, (int, Fraction)):
+            inverse = self.inverse()
+            return inverse if other == 1 else inverse * other
         return as_cyclo(other) / self
 
     def __pow__(self, n: int):
@@ -320,21 +420,55 @@ class CycloNumber:
         return result
 
     def __eq__(self, other):
+        if type(other) is CycloNumber:
+            if self.den != other.den:  # a lift keeps the denominator
+                return False
+            L, L2 = self.conductor, other.conductor
+            if L == L2:
+                return self.nums == other.nums
+            M = lcm(L, L2)
+            return _lift_nums(self.nums, L, M) == _lift_nums(other.nums, L2, M)
         if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
+            nums = self.nums
+            return nums[0] == other.numerator and self.den == other.denominator \
+                and not any(nums[1:])
+        return NotImplemented
 
     __hash__ = None  # equality crosses conductors; hashing would be a trap
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def __repr__(self):
         terms = [f"{c}*z{self.conductor}^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
+
+
+# The slot setters write past the immutability guard of __setattr__.
+_new = object.__new__
+_set_conductor = CycloNumber.conductor.__set__
+_set_nums = CycloNumber.nums.__set__
+_set_den = CycloNumber.den.__set__
+
+
+def _make(conductor: int, nums: tuple[int, ...], den: int) -> CycloNumber:
+    """An element from numerators and a denominator already in lowest terms."""
+    c = _new(CycloNumber)
+    _set_conductor(c, conductor)
+    _set_nums(c, nums)
+    _set_den(c, den)
+    return c
+
+
+def _normalized(conductor: int, nums: list[int], den: int) -> CycloNumber:
+    """An element from integer numerators over a positive denominator,
+    divided by their one gcd (zero comes out as 0/1)."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return _make(conductor, tuple(nums), den)
 
 
 def as_cyclo(x) -> CycloNumber:
@@ -351,8 +485,7 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     if conductor < 1:
         raise InvalidArgumentError(f"conductor must be >= 1, got {conductor}")
     e = exponent % conductor
-    poly = [_ZERO] * e + [_ONE]
-    return CycloNumber(conductor, _reduce(conductor, poly))
+    return _make(conductor, _reduce(conductor, [0] * e + [1]), 1)
 
 
 def root_of_unity(order: int, power: int, conductor: int) -> CycloNumber:
@@ -414,10 +547,10 @@ def sqrt_cyclo(c: CycloNumber) -> CycloNumber:
 
 
 def _canonical_sign(s: CycloNumber) -> CycloNumber:
-    for coeff in s.coeffs:
-        if coeff > 0:
+    for n in s.nums:
+        if n > 0:
             return s
-        if coeff < 0:
+        if n < 0:
             return -s
     return s
 
@@ -449,6 +582,14 @@ def parse_fraction(s) -> Fraction:
 
 
 def cyclo_from_json(doc: dict) -> CycloNumber:
+    """A wire coefficient. phi(L) >= sqrt(L/2), so a conductor above twice
+    the square of the coefficient count cannot match it; it is refused
+    before anything factors L."""
     conductor = int(doc["conductor"])
+    count = len(doc["coeffs"])
+    if conductor > 2 * count * count:
+        raise InvalidArgumentError(
+            f"conductor {conductor} refused: phi(L) >= sqrt(L/2) exceeds the "
+            f"coefficient count {count}")
     coeffs = tuple(parse_fraction(s) for s in doc["coeffs"])
     return CycloNumber(conductor, coeffs)

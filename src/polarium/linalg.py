@@ -13,9 +13,11 @@ Span membership is split in two: `rref` reduces a spanning set once, and
 row. `independent` picks, in one `rref`, the vectors outside the span of
 the vectors before them.
 
-`dot_int`, the pairing of an integer vector with a covector, accumulates in
-one pass: every entry with a nonzero weight is read at the lcm of those
-entries' conductors, and one `CycloNumber` is built at the end.
+`dot_int`, the pairing of an integer vector with a covector, accumulates
+integers in one pass: every entry with a nonzero weight is read at the lcm
+of those entries' conductors, its numerators are scaled to the lcm of their
+denominators and summed as ints, and one `CycloNumber` is built at the end
+with one gcd.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloNumber, euler_phi
+from .cyclo import CycloNumber, _normalized, euler_phi
 
 Vector = tuple  # of Fractions and CycloNumbers
 
@@ -38,13 +40,16 @@ def dot_int(ints, u: tuple[CycloNumber, ...]) -> CycloNumber:
     nonzero weight (1 when there are none), whatever their values.
     """
     terms = [(k, a) for k, a in zip(ints, u) if k]
+    if not terms:
+        return CycloNumber.zero()
     L = lcm(*(a.conductor for _, a in terms))
-    acc = [_ZERO] * euler_phi(L)
+    den = lcm(*(a.den for _, a in terms))
+    acc = [0] * euler_phi(L)
     for k, a in terms:
-        for i, c in enumerate(a.coeffs if a.conductor == L else a.lift(L).coeffs):
-            if c:
-                acc[i] += k * c
-    return CycloNumber(L, tuple(acc))
+        nums = a.nums if a.conductor == L else a.lift(L).nums  # a lift keeps the denominator
+        f = k * (den // a.den)
+        acc = [s + f * c for s, c in zip(acc, nums)]
+    return _normalized(L, acc, den)
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:

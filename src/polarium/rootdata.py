@@ -11,6 +11,10 @@ reflection s_i is 1 - e_i·alpha_i^T on the cocharacter side: s_i·M changes
 row i of M alone, and M·s_i reflects each row of M on the character side.
 W, its inverses and its root permutations are all built from these two
 updates; only a matrix supplied from outside is inverted by elimination.
+The enumeration also keeps, for each simple reflection s_i, the index of
+s_i·w for every element w, and `RootDatum.weyl_table` adds the index of
+each element's inverse: conjugating by s_i is then four index lookups,
+s_i·x·s_i = inv[L_i[inv[L_i[x]]]], with no matrix touched.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class RootDatum:
         )
         self._close_roots()
         self._weyl_cache: list[WeylElement] | None = None
+        self._weyl_left: list[list[int]] | None = None
+        self._weyl_table: tuple | None = None
         self._identity: WeylElement | None = None
         self._q_closed: dict[frozenset[int], bool] = {}
 
@@ -211,7 +217,8 @@ class RootDatum:
         its matrix is M with row i updated (`_reflect_left`), its inverse
         M^-1·s_i is M^-1 with each row reflected by s_i on the character
         side, and its root permutation is perm(s_i)∘perm(M), with perm(s_i)
-        read off the roots once.
+        read off the roots once. The index of s_i·M is kept for every
+        parent M and every i, found or new.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
@@ -220,17 +227,30 @@ class RootDatum:
         simple_perms = [tuple(self.root_index[self._reflect_root(i, root)] for root in self.roots)
                         for i in range(self.ss_rank)]
         order = [self.identity_element()]
-        seen = {order[0].matrix}
+        index = {order[0].matrix: 0}
+        left: list[list[int]] = [[] for _ in simple_perms]
         for parent in order:  # the list grows while it is read
             for i, perm in enumerate(simple_perms):
                 mat = _reflect_left(self, i, parent.matrix)
-                if mat not in seen:
-                    seen.add(mat)
+                k = index.get(mat)
+                if k is None:
+                    k = index[mat] = len(order)
                     inverse = tuple(self._reflect_root(i, row) for row in parent.inverse_matrix)
                     order.append(WeylElement(self, mat, inverse,
                                              tuple(perm[p] for p in parent.root_permutation)))
-        self._weyl_cache = order
+                left[i].append(k)
+        self._weyl_cache, self._weyl_left = order, left
         return order
+
+    def weyl_table(self) -> tuple[list[list[int]], list[int]]:
+        """Index tables over `weyl_elements()`: left[i][k] is the index of
+        s_i·W[k], inverse[k] the index of W[k]^-1."""
+        if self._weyl_table is None:
+            elements = self._weyl_cache if self._weyl_cache is not None else self.weyl_elements()
+            index = {w.matrix: k for k, w in enumerate(elements)}
+            self._weyl_table = (self._weyl_left,
+                                [index[w.inverse_matrix] for w in elements])
+        return self._weyl_table
 
     def identity_element(self) -> "WeylElement":
         if self._identity is None:

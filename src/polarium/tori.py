@@ -11,6 +11,12 @@ before any power is taken. A basis of the zeta_m^i eigenspace is solved by a
 cyclotomic nullspace only when a caller asks for it, once per class, and its
 length is checked against that trace count.
 
+Conjugacy classes are orbits under x -> s_i·x·s_i, searched on element
+indices: the enumeration of W keeps the index of s_i·w for every element w
+and simple reflection s_i, and with the index of each inverse
+(`RootDatum.weyl_table`) a conjugation is four list lookups. No matrix is
+multiplied or reflected during the search.
+
 Regular numbers come from the degrees of W alone (Lehrer-Springer, Canad. J.
 Math. 51, 1999; Lehrer-Taylor, Unitary Reflection Groups, ch. 11), without
 enumerating W.
@@ -24,7 +30,7 @@ from math import gcd
 from .cyclo import CycloNumber, euler_phi, root_of_unity
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul, _reflect_left, identity_matrix
+from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
 from .tails import Covector, covector
 
 PERIOD_BOUND = 1_000_000
@@ -134,27 +140,33 @@ def is_springer_regular(tc: TorusClass) -> bool:
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
     """Conjugacy classes of the Weyl group, deterministically ordered.
 
-    Each class is the orbit of its least matrix under s_i·x·s_i: x·s_i
-    reflects every row of x on the character side, and s_i· then changes
-    row i alone, as in the enumeration of W.
+    Each class is the orbit of its least matrix under x -> s_i·x·s_i, taken
+    on element indices from `RootDatum.weyl_table` as
+    inv[L_i[inv[L_i[x]]]]; classes and their members are ordered by matrix.
     """
-    index = {w.matrix: w for w in rd.weyl_elements()}
-    unseen = set(index)
+    elements = rd.weyl_elements()
+    left, inv = rd.weyl_table()
+    by_matrix = sorted(range(len(elements)), key=lambda k: elements[k].matrix)
+    rank = [0] * len(elements)
+    for r, k in enumerate(by_matrix):
+        rank[k] = r
+    unseen = [True] * len(elements)
     classes = []
-    for mat in sorted(index):
-        if mat not in unseen:
+    for start in by_matrix:
+        if not unseen[start]:
             continue
-        orbit = {mat}
-        queue = [mat]
+        orbit = {start}
+        queue = [start]
         while queue:
             x = queue.pop()
-            for i in range(rd.ss_rank):
-                y = _reflect_left(rd, i, tuple(rd._reflect_root(i, row) for row in x))
+            for li in left:
+                y = inv[li[inv[li[x]]]]
                 if y not in orbit:
                     orbit.add(y)
                     queue.append(y)
-        unseen -= orbit
-        classes.append([index[y] for y in sorted(orbit)])
+        for k in orbit:
+            unseen[k] = False
+        classes.append([elements[k] for k in sorted(orbit, key=rank.__getitem__)])
     return classes
 
 

@@ -12,15 +12,24 @@ before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
 `WeylElement`'s matrices with plain integer products. Responses are
 checked against the shipped schemas by `jsonschema` itself.
+
+`RefCyclo` is the cyclotomic field as it was computed before the package
+stored integer numerators over one denominator: a tuple of `Fraction`s per
+element, cyclotomic polynomials from sympy, polynomial division for every
+reduction and an `rref` for every retraction. The package's `CycloNumber`
+must agree with it on value, conductor and printed bytes.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import jsonschema
 import sympy
 
 from polarium.cyclo import CycloNumber
+from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
 from polarium.jsonio import schemas
 from polarium.linalg import rref
 from polarium.tori import TorusClass, is_springer_regular
@@ -364,3 +373,207 @@ def validate_response(command: str, doc) -> None:
     store = schemas()
     schema = {**store["responses"][command.replace("-", "_")], "$defs": store["$defs"]}
     jsonschema.validate(doc, schema)
+
+
+# -- the reference cyclotomic field ---------------------------------------
+
+@lru_cache(maxsize=None)
+def ref_phi(L: int) -> int:
+    return int(sympy.totient(L))
+
+
+@lru_cache(maxsize=None)
+def ref_modulus(L: int) -> list[Fraction]:
+    """Phi_L, low degree first, from sympy."""
+    x = sympy.symbols("x")
+    return [Fraction(int(c)) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs())]
+
+
+def _ref_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_divmod(a: list, b: list) -> tuple[list, list]:
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        coeff = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = coeff
+        for i, bi in enumerate(b):
+            a[shift + i] -= coeff * bi
+        _ref_trim(a)
+        if not a:
+            break
+    return _ref_trim(q), a
+
+
+def _ref_reduce(L: int, poly: list) -> tuple:
+    poly = _ref_divmod(poly, ref_modulus(L))[1] if len(poly) > ref_phi(L) else list(poly)
+    return tuple(poly) + (Fraction(0),) * (ref_phi(L) - len(poly))
+
+
+class RefCyclo:
+    """An element of Q(zeta_L) as a tuple of Fraction coefficients."""
+
+    def __init__(self, conductor: int, coeffs):
+        assert len(coeffs) == ref_phi(conductor)
+        self.conductor = conductor
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @staticmethod
+    def rational(value, conductor: int = 1) -> "RefCyclo":
+        return RefCyclo(conductor, (Fraction(value),) + (0,) * (ref_phi(conductor) - 1))
+
+    @staticmethod
+    def of(value) -> "RefCyclo":
+        """A package element, an int or a Fraction (at conductor 1)."""
+        if isinstance(value, CycloNumber):
+            return RefCyclo(value.conductor, value.coeffs)
+        return value if isinstance(value, RefCyclo) else RefCyclo.rational(value)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def lift(self, L2: int) -> "RefCyclo":
+        assert L2 % self.conductor == 0
+        k = L2 // self.conductor
+        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
+        poly[::k] = self.coeffs
+        return RefCyclo(L2, _ref_reduce(L2, poly))
+
+    def try_retract(self, L1: int) -> "RefCyclo | None":
+        """Coordinates in the lifted power basis of Q(zeta_L1), by one rref."""
+        L, phi1 = self.conductor, ref_phi(L1)
+        basis = [RefCyclo(L1, [int(j == i) for j in range(phi1)]).lift(L) for i in range(phi1)]
+        aug = [[b.coeffs[j] for b in basis] + [c] for j, c in enumerate(self.coeffs)]
+        reduced, pivots = rref(aug)
+        if phi1 in pivots:
+            return None
+        sol = [Fraction(0)] * phi1
+        for i, col in enumerate(pivots):
+            sol[col] = reduced[i][phi1]
+        candidate = RefCyclo(L1, sol)
+        return candidate if candidate.lift(L) == self else None
+
+    def _common(self, other) -> tuple["RefCyclo", "RefCyclo", int]:
+        other = RefCyclo.of(other)
+        L = lcm(self.conductor, other.conductor)
+        return self.lift(L), other.lift(L), L
+
+    def __add__(self, other):
+        a, b, L = self._common(other)
+        return RefCyclo(L, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefCyclo(self.conductor, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-RefCyclo.of(other))
+
+    def __rsub__(self, other):
+        return RefCyclo.of(other) - self
+
+    def __mul__(self, other):
+        a, b, L = self._common(other)
+        out = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+        return RefCyclo(L, _ref_reduce(L, out))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "RefCyclo":
+        """Extended Euclid against Phi_L."""
+        if self.is_zero():
+            raise ArithmeticDomainError("division by zero")
+        L = self.conductor
+        r0, r1 = ref_modulus(L), _ref_trim(list(self.coeffs))
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _ref_divmod(r0, r1)
+            r0, r1 = r1, r
+            prod = [Fraction(0)] * (len(q) + len(s1))
+            for i, x in enumerate(q):
+                for j, y in enumerate(s1):
+                    prod[i + j] += x * y
+            diff = [Fraction(0)] * max(len(s0), len(prod))
+            for i, x in enumerate(s0):
+                diff[i] += x
+            for i, x in enumerate(prod):
+                diff[i] -= x
+            s0, s1 = s1, _ref_trim(diff)
+        return RefCyclo(L, _ref_reduce(L, [c / r1[0] for c in s1]))
+
+    def __truediv__(self, other):
+        return self * RefCyclo.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return RefCyclo.of(other) * self.inverse()
+
+    def __eq__(self, other):
+        a, b, _ = self._common(other)
+        return a.coeffs == b.coeffs
+
+    __hash__ = None
+
+    def to_json(self) -> dict:
+        return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def ref_zeta(L: int, e: int = 1) -> RefCyclo:
+    e %= L
+    return RefCyclo(L, _ref_reduce(L, [Fraction(0)] * e + [Fraction(1)]))
+
+
+def ref_reduce_conductor(c: RefCyclo) -> RefCyclo:
+    L = c.conductor
+    for d in range(1, L):
+        if L % d == 0:
+            retracted = c.try_retract(d)
+            if retracted is not None:
+                return retracted
+    return c
+
+
+def ref_dot_int(ints, u) -> RefCyclo:
+    """The pairing read at the lcm of the conductors of the weighted entries."""
+    terms = [(k, RefCyclo.of(a)) for k, a in zip(ints, u) if k]
+    L = lcm(*(a.conductor for _, a in terms))
+    acc = [Fraction(0)] * ref_phi(L)
+    for k, a in terms:
+        for i, c in enumerate(a.lift(L).coeffs):
+            acc[i] += k * c
+    return RefCyclo(L, acc)
+
+
+def ref_sqrt(c: RefCyclo) -> RefCyclo:
+    """The canonical square root of (rational)^2 * 2^eps * root of unity: the
+    first root-of-unity twist that makes c a positive rational decides it,
+    and the root's first nonzero coefficient is positive."""
+    if c.is_zero():
+        return RefCyclo.rational(0, c.conductor)
+    M = lcm(c.conductor, 8)
+    lifted = c.lift(M)
+    for e in range(M):
+        u = lifted * ref_zeta(M, -e)
+        if any(u.coeffs[1:]) or u.coeffs[0] <= 0:
+            continue
+        q = u.coeffs[0]
+        num = sympy.factorint(q.numerator * q.denominator)
+        v = sympy.prod([p for p, k in num.items() if k % 2])
+        if v not in (1, 2):
+            raise FieldExtensionRequired(f"square root of {q}")
+        base = sympy.sqrt(sympy.Rational(q.numerator, q.denominator) / v)
+        root = RefCyclo.rational(Fraction(int(base.p), int(base.q)))
+        if v == 2:
+            root = root * (ref_zeta(8, 1) + ref_zeta(8, -1))
+        s = root * ref_zeta(2 * M, e)
+        first = next(x for x in s.coeffs if x)
+        return ref_reduce_conductor(s if first > 0 else -s)
+    raise FieldExtensionRequired(f"{c.coeffs} at conductor {c.conductor}")

@@ -509,6 +509,27 @@ def test_tail_twist_bound(capsys, monkeypatch):
         assert "phi(10000) = 4000" in error["message"]
 
 
+def test_oversized_wire_conductor_refused_before_factoring(capsys):
+    # the prime 2^61 - 1 as a coefficient's conductor: phi(L) >= sqrt(L/2)
+    # rules it out for one coefficient before trial division could start
+    from polarium.cyclo import cyclo_from_json, euler_phi
+
+    coeff = {"conductor": 2**61 - 1, "coeffs": ["1"]}
+    doc = {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": [coeff]}]}}
+    start = time.perf_counter()
+    status, out = run_main(capsys, "classify", "--input", json.dumps(doc))
+    assert time.perf_counter() - start < 2
+    assert status == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-argument"
+    assert "phi(L) >= sqrt(L/2)" in error["message"]
+    # the bound never refuses a conductor that matches its coefficient count
+    for L in range(1, 400):
+        phi = euler_phi(L)
+        value = cyclo_from_json({"conductor": L, "coeffs": ["0"] * (phi - 1) + ["1"]})
+        assert value.conductor == L
+
+
 def test_eigenspace_dimension_check_survives_optimized_python():
     # under -O a bare assert would vanish; the check must still end in exit 3
     script = (

@@ -82,13 +82,14 @@ def test_cyclotomic_polynomials_and_reduction_tables_match_sympy():
         modulus = sympy.Poly(sympy.cyclotomic_poly(L, x), x)
         got = cyclotomic_polynomial(L)
         assert list(got) == _sympy_coeffs(modulus), L
-        assert all(type(c) is Fraction for c in got)
+        assert all(type(c) is int for c in got)  # Phi_L is monic over Z
         if L <= 105:
             phi = euler_phi(L)
             table = cyclo._reduction_table(L)
             assert len(table) == phi
             for k, row in enumerate(table, phi):
                 assert list(row) == _sympy_coeffs(sympy.Poly(x**k, x).rem(modulus), phi), (L, k)
+                assert all(type(c) is int for c in row)
 
 
 def test_products_below_the_modulus_degree_build_no_table(monkeypatch):

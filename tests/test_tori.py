@@ -9,7 +9,7 @@ from polarium.tori import (TorusClass, conjugacy_classes, is_springer_regular,
 from .oracles import (conjugacy_classes_by_products, eigen_dims_by_charpoly,
                       regular_numbers_by_enumeration, springer_regular_sampled)
 
-CLASS_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2",
+CLASS_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
                (("A", 1), ("A", 2)), (("A", 2), ("torus", 1)))
 REGULAR_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
                  (("A", 1), ("A", 2)), (("A", 2), ("G", 2)), (("A", 2), ("torus", 1)),
