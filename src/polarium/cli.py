@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import chevmap, jsonio, looplie, polar, yuseq
+from .cyclo import parse_fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError, PolariumError
 from .rootdata import build, rootdatum_to_json
 from .tails import window_from_json
@@ -59,14 +59,17 @@ def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
     if not doc:
         return extract(datum)
     nroots = len(datum.rd.roots)
-    breaks = [Fraction(b) for b in doc["breaks"]]
+    breaks = [parse_fraction(b) for b in doc["breaks"]]
     levels = [frozenset(level) for level in doc["levels"]]
     if any(i >= nroots for level in levels for i in level):
         raise InvalidArgumentError(f"ladder level index out of range: "
                                    f"{datum.rd.type_label()} has {nroots} roots")
     components = decompose_lambda(datum, breaks)
-    return YuLadder(datum, breaks, levels, components,
-                    validate=doc.get("validate", True))
+    try:
+        return YuLadder(datum, breaks, levels, components,
+                        validate=doc.get("validate", True))
+    except InternalInvariantViolation as exc:  # a user ladder's fault is in the input
+        raise InvalidArgumentError(f"ladder rejected: {exc}") from exc
 
 
 def _run_classify(doc: dict) -> tuple[dict, int]:
@@ -95,9 +98,8 @@ def _run_jlattice(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json(doc["datum"])
     ladder = extract(datum)
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
-    window = doc.get("window")
-    lattice = looplie.build_j_lattice(datum, ladder, x, window=window)
-    psi = looplie.psi_lambda_check(lattice, window=window)
+    lattice = looplie.build_j_lattice(datum, ladder, x)
+    psi = looplie.psi_lambda_check(lattice)
     out = {"jlattice": lattice.to_json(), "psi_lambda": psi,
            "bracket_closure": "verified"}
     return out, 0
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="JSON request document: a path, - for stdin, or inline JSON")
         p.add_argument("--seed", type=int, help="seed for sampled commands")
         p.add_argument("--samples", type=int, help="sample count for sampled commands")
-        p.add_argument("--window", help="exponent window LO:HI for lattice checks")
+        p.add_argument("--window", help="LO:HI, accepted and unread")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if name == "verify-sl2":

@@ -28,22 +28,30 @@ four things: generator levels (`level_of_gen`), the Levi lines at a degree
 (`m_lines_at_degree`), brackets and the dual. On split data a root has its
 ladder level and each h_k level 0; on twisted toral data every generator has
 level 1.
+
+The lattice J is a module over O = C[[t]] (the Moy-Prasad filtration
+property [g_(x,r), g_(x,s)] in g_(x,r+s)), generated by G t^n0(G) for each
+generator G at its threshold n0, the Lagrangian lines of the break pieces
+and, on twisted data, the Cartan lines at degrees k/n for 0 < k < n. Bracket
+closure and the tail character are proved on these generators in three
+finite parts: t g lies in J for each generator g, so tJ is in J; [g_a, g_b]
+lies in J for each pair, which with [t^a u, t^b v] = t^(a+b) [u, v] gives
+[J, J] in J; and <lambda, t^k [g_a, g_b]> = 0 for each pair and each k >= 0
+up to the dual's largest exponent key, past which the pairing is zero.
 """
 
 from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 from math import ceil, floor, lcm
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
-from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
-                     UnsupportedFeatureError)
+from .errors import InternalInvariantViolation, InvalidArgumentError, UnsupportedFeatureError
 from .linalg import in_span, independent, nullspace, rank, rref
 from .polar import PolarDatum
 from .rootdata import RootDatum
-from .tails import Tail
 from .yuseq import YuLadder, extract
 
 Gen = tuple[str, int]  # ("r", root index) or ("h", torus index)
@@ -53,11 +61,6 @@ Scalar = Fraction | CycloNumber  # a Fraction stands for its conductor-1 value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# Closure checks pair every two window basis vectors, so their time grows
-# with the square of the basis: the sl3 two-break datum at window 60 (8
-# generators × 121 exponents, 968 vectors) takes about 3 s on a 2-vCPU VM.
-WINDOW_BASIS_BOUND = 1_000
 
 
 def _require_type_a(rd: RootDatum) -> int:
@@ -351,11 +354,16 @@ class JLattice:
             return Fraction(0)
         return self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
 
-    def _pure_rule(self, mono: Monomial) -> bool:
-        gen, n = mono
-        deg = self.real.degree((gen, n + self.adjust.get(gen, 0)))
+    def threshold(self, gen: Gen) -> int:
+        """Least exponent n with G t^n pure: deg >= 0 at level 0, deg past
+        the level bound above it."""
+        height = self.real.degree((gen, 0))
         j = self.real.level_of_gen[gen]
-        return deg >= 0 if j == 0 else deg > self._level_bound(j)
+        if j == 0:
+            n = ceil(-height)
+        else:
+            n = floor(self._level_bound(j) - height) + 1
+        return n - self.adjust.get(gen, 0)
 
     def _assemble_breaks(self, chosen: dict) -> None:
         real = self.real
@@ -395,7 +403,7 @@ class JLattice:
         index = {m: i for i, m in enumerate(monos)}
         candidates = []
         for m in monos:
-            if self._pure_rule(m):
+            if m[1] >= self.threshold(m[0]):
                 vec = [_ZERO] * len(monos)
                 vec[index[m]] = _ONE
                 candidates.append(tuple(vec))
@@ -408,26 +416,24 @@ class JLattice:
         vectors = tuple(candidates[k] for k in independent(candidates))
         return tuple(monos), vectors, rref(vectors)[0]
 
-    def contains_coords(self, deg: Fraction, coords: dict) -> bool:
-        monos, _vectors, rows = self._piece(deg)
-        index = {m: i for i, m in enumerate(monos)}
-        target = _map_to_coords(coords, index)
-        if target is None:
-            return False
-        return in_span(rows, target)
+    def contains_line(self, line: dict) -> bool:
+        """Whether a nonzero homogeneous line lies in the lattice."""
+        monos, _vectors, rows = self._piece(self.real.degree(next(iter(line))))
+        return in_span(rows, _map_to_coords(line, {m: i for i, m in enumerate(monos)}))
 
-    def window_basis(self, lo: int, hi: int) -> list[dict[Monomial, Scalar]]:
-        """Independent lattice basis vectors with all exponents inside [lo, hi]."""
+    def module_generators(self) -> list[dict[Monomial, Scalar]]:
+        """Generators of the lattice as a module over O = C[[t]].
+
+        G t^n0(G) for each generator G, the Lagrangian lines and, on twisted
+        data, the Cartan lines at degrees k/n in (0, 1); each pure monomial
+        and each Cartan line at a degree >= 0 is a t-power times one of them.
+        """
         real = self.real
-        degrees = sorted({real.degree((gen, n))
-                          for gen in real.generators() for n in range(lo, hi + 1)})
-        out = []
-        for deg in degrees:
-            monos, vectors = self.piece_at_degree(deg)
-            for vec in vectors:
-                line = _coords_to_line(monos, vec)
-                if all(lo <= m[1] <= hi for m in line):
-                    out.append(line)
+        out = [{(gen, self.threshold(gen)): _ONE} for gen in real.generators()]
+        out += [line for rec in self.break_pieces for line in rec["lagrangian"]]
+        if real.twisted:
+            out += [line for k in range(1, real.n)
+                    for line in real.m_lines_at_degree(Fraction(k, real.n))]
         return out
 
     def with_adjust(self, gen: Gen, steps: int) -> "JLattice":
@@ -441,10 +447,7 @@ class JLattice:
         real = self.real
         thresholds = []
         for gen in real.generators():
-            n = -4 * max([1] + [int(b) + 1 for b in self.breaks])
-            while not self._pure_rule((gen, n)):
-                n += 1
-            entry = {"q": str(real.degree((gen, n)))}
+            entry = {"q": str(real.degree((gen, self.threshold(gen))))}
             if gen[0] == "r":
                 entry["root"] = gen[1]
             else:
@@ -592,74 +595,63 @@ def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
 
 
 def build_j_lattice(datum: PolarDatum, ladder: YuLadder | None = None, x=None,
-                    lagrangians: dict | None = None, window: int | None = None) -> JLattice:
-    """Assemble the graded lattice and verify bracket closure at truncation."""
+                    lagrangians: dict | None = None) -> JLattice:
+    """Assemble the graded lattice and prove it closed under the bracket."""
     ladder = ladder or extract(datum)
     real = Realization(datum, ladder, x)
     lattice = JLattice(real, "J", lagrangians)
-    lo, hi = _window(real, window)
-    bad = bracket_closure_violations(lattice, lo, hi, stop_early=True)
+    bad = bracket_closure_violations(lattice, stop_early=True)
     if bad:
         raise InternalInvariantViolation(f"lattice not closed under bracket: {bad[0]}")
     return lattice
 
 
-def _window(real: Realization, window: int | None) -> tuple[int, int]:
-    """Exponent window [lo, hi] of the closure checks, within the basis bound.
-
-    The window basis has at most one vector per generator and exponent, so
-    generators × width bounds its size before any piece or bracket is built.
-    """
-    if window is not None:
-        lo, hi = -window, window
-    else:
-        top = max([Fraction(1)] + list(real.ladder.breaks))
-        lo, hi = -(int(top) + 1), int(top) + 2
-    size = len(real.generators()) * (hi - lo + 1)
-    if size > WINDOW_BASIS_BOUND:
-        raise ResourceLimitError(f"window [{lo}, {hi}] allows {size} basis vectors: "
-                                 f"larger than bound {WINDOW_BASIS_BOUND}")
-    return lo, hi
-
-
-def bracket_closure_violations(lattice: JLattice, lo: int, hi: int,
-                               stop_early: bool = False) -> list[dict]:
-    """Pairs of window basis vectors whose bracket leaves the lattice."""
+def bracket_closure_violations(lattice: JLattice, stop_early: bool = False) -> list[dict]:
+    """Faults of the proof that the lattice is an O-stable subalgebra: each
+    generator whose t-multiple, and each pair of generators whose bracket,
+    leaves the lattice, with the degree it sits at."""
     real = lattice.real
-    basis = lattice.window_basis(lo, hi)
+    gens = lattice.module_generators()
+    claims = chain(
+        (({"t_multiple": g}, {(gen, n + 1): c for (gen, n), c in g.items()}) for g in gens),
+        (({"left": u, "right": v}, _bracket_lines(real, u, v)) for u, v in combinations(gens, 2)))
     out = []
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            coords: dict[Monomial, Scalar] = {}
-            for mu, cu in basis[a].items():
-                for mv, cv in basis[b].items():
-                    for mono, c in real.bracket_monomials(mu, mv).items():
-                        cur = coords.get(mono, _ZERO)
-                        coords[mono] = cur + cu * cv * c
-            coords = {m: c for m, c in coords.items() if c}
-            if not coords:
-                continue
-            if any(not (lo <= m[1] <= hi) for m in coords):
-                continue  # outside the verifiable truncation
-            deg = real.degree(next(iter(coords)))
-            if not lattice.contains_coords(deg, coords):
-                out.append({"left": _mono_json(basis[a]), "right": _mono_json(basis[b]),
-                            "degree": str(deg)})
-                if stop_early:
-                    return out
+    for fault, line in claims:
+        if line and not lattice.contains_line(line):
+            out.append({**{k: _mono_json(g) for k, g in fault.items()},
+                        "degree": str(real.degree(next(iter(line))))})
+            if stop_early:
+                break
     return out
 
 
-def psi_lambda_check(lattice: JLattice, lam: Tail | None = None,
-                     window: int | None = None) -> bool:
-    """Whether residue pairing with the tail kills all brackets of the lattice."""
+def psi_lambda_check(lattice: JLattice) -> bool:
+    """Whether residue pairing with the datum's tail kills all brackets of the lattice.
+
+    [J, J] is spanned over O by the brackets of generator pairs, and the dual
+    pairs only with its finitely many exponent keys, so each bracket is paired
+    at the shifts t^k that bring its least exponent up to the largest key.
+    """
     real = lattice.real
-    if lam is not None and lam != real.datum.lam:
-        raise InvalidArgumentError("tail does not belong to the lattice's datum")
-    lo, hi = _window(real, window)
-    basis = lattice.window_basis(lo, hi)
-    return not any(real.pair_lines(basis[a], basis[b])
-                   for a in range(len(basis)) for b in range(a, len(basis)))
+    top = int(max(real.dual, default=0))
+    for u, v in combinations(lattice.module_generators(), 2):
+        coords = _bracket_lines(real, u, v)
+        low = min((n for _gen, n in coords), default=top)
+        if any(sum(c * real.pair_dual_monomial((gen, n + k)) for (gen, n), c in coords.items())
+               for k in range(top - low + 1)):
+            return False
+    return True
+
+
+def _bracket_lines(real: Realization, u: dict, v: dict) -> dict[Monomial, Scalar]:
+    """[u, v] for two lines given as monomial -> coefficient maps."""
+    coords: dict[Monomial, Scalar] = {}
+    for mu, cu in u.items():
+        for mv, cv in v.items():
+            for mono, c in real.bracket_monomials(mu, mv).items():
+                cur = coords.get(mono, _ZERO)
+                coords[mono] = cur + cu * cv * c
+    return {m: c for m, c in coords.items() if c}
 
 
 def _mono_json(line: dict) -> list:
@@ -736,7 +728,8 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
             if rec["j"] == j and rec["degree"] == delta:
                 rows.extend(rec["lagrangian"])
         monos = real.monomials_at_degree(delta)
-        pure = [m for m in monos if real.level_of_gen[m[0]] == j and lattice._pure_rule(m)]
+        pure = [m for m in monos if real.level_of_gen[m[0]] == j
+                and m[1] >= lattice.threshold(m[0])]
         if not pure:
             continue
         index = {m: i for i, m in enumerate(monos)}

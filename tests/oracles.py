@@ -10,7 +10,10 @@ each conjugacy class with the package's `TorusClass` and
 the target with `linalg.rref` for every query, as membership was computed
 before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
-`WeylElement`'s matrices with plain integer products. Responses are
+`WeylElement`'s matrices with plain integer products. The lattice window
+sweep is the closure and psi check as it was before the proof on O-module
+generators: it reads a lattice's pieces, brackets and pairing and checks
+every pair of basis vectors inside an exponent window. Responses are
 checked against the shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
@@ -373,6 +376,54 @@ def validate_response(command: str, doc) -> None:
     store = schemas()
     schema = {**store["responses"][command.replace("-", "_")], "$defs": store["$defs"]}
     jsonschema.validate(doc, schema)
+
+
+# -- the lattice window sweep ----------------------------------------------
+
+
+def window_basis(lattice, lo: int, hi: int) -> list[dict]:
+    """Independent lattice vectors with all exponents inside [lo, hi], read
+    degree by degree off `piece_at_degree`, as monomial -> coefficient maps."""
+    real = lattice.real
+    degrees = sorted({real.degree((gen, n))
+                      for gen in real.generators() for n in range(lo, hi + 1)})
+    out = []
+    for deg in degrees:
+        monos, vectors = lattice.piece_at_degree(deg)
+        for vec in vectors:
+            line = {monos[i]: c for i, c in enumerate(vec) if c}
+            if all(lo <= m[1] <= hi for m in line):
+                out.append(line)
+    return out
+
+
+def bracket_closure_on_window(lattice, lo: int, hi: int) -> list[tuple]:
+    """Pairs of window basis vectors whose bracket, all of it inside the
+    window, leaves the lattice; a bracket reaching past the window is skipped."""
+    real = lattice.real
+    basis = window_basis(lattice, lo, hi)
+    out = []
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            coords = {}
+            for mu, cu in basis[a].items():
+                for mv, cv in basis[b].items():
+                    for mono, c in real.bracket_monomials(mu, mv).items():
+                        coords[mono] = coords.get(mono, Fraction(0)) + cu * cv * c
+            coords = {m: c for m, c in coords.items() if c}
+            if not coords or any(not (lo <= m[1] <= hi) for m in coords):
+                continue
+            if not lattice.contains_line(coords):
+                out.append((basis[a], basis[b]))
+    return out
+
+
+def psi_on_window(lattice, lo: int, hi: int) -> bool:
+    """Whether the datum's dual kills the bracket of every two window basis vectors."""
+    real = lattice.real
+    basis = window_basis(lattice, lo, hi)
+    return not any(real.pair_lines(basis[a], basis[b])
+                   for a in range(len(basis)) for b in range(a, len(basis)))
 
 
 # -- the reference cyclotomic field ---------------------------------------

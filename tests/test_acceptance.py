@@ -26,7 +26,7 @@ from polarium.tori import (is_springer_regular, list_torus_classes,
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (cyclo_rank, cyclo_value, springer_regular_sampled, stabilizer,
-                      subgroup_generated)
+                      subgroup_generated, window_basis)
 
 
 @contextmanager
@@ -150,13 +150,13 @@ def test_criterion_7_j_lattice_suite():
         for name, d, ladder, x in golden_set():
             lattice = build_j_lattice(d, ladder, x)  # raises on closure failure
             assert psi_lambda_check(lattice), name
-            base = len(lattice.window_basis(-3, 4))
+            base = len(window_basis(lattice, -3, 4))
             controls = 0
             for gen in [("r", 0), ("r", 1), ("h", 0)]:
                 for steps in (1, 2, 3):
                     corrupted = lattice.with_adjust(gen, steps)
-                    if len(corrupted.window_basis(-3, 4)) > base:
-                        broke = bool(bracket_closure_violations(corrupted, -3, 4)) \
+                    if len(window_basis(corrupted, -3, 4)) > base:
+                        broke = bool(bracket_closure_violations(corrupted)) \
                             or not psi_lambda_check(corrupted)
                         assert broke, (name, gen)
                         controls += 1

@@ -187,6 +187,17 @@ def test_error_exit_codes(capsys, tmp_path):
         ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,'
                          '"terms":[{"q":"1","coeff":["1"]}]}},'
                          '"ladder":{"breaks":["1"],"levels":[[],[0,1,5]],"validate":false}}']),
+        # a user ladder with a zero-denominator break, or a validated user
+        # ladder of the wrong shape: the fault is in the input, not the program
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,'
+                         '"terms":[{"q":"1","coeff":["1"]}]}},'
+                         '"ladder":{"breaks":["1/0"],"levels":[[],[0,1]]}}']),
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,'
+                         '"terms":[{"q":"1","coeff":["1"]}]}},'
+                         '"ladder":{"breaks":["1","2"],"levels":[[],[0,1]]}}']),
+        ("moveability", ["--input", '{"datum":{"type":"A1","lambda":{"m":1,'
+                         '"terms":[{"q":"1","coeff":["1"]}]}},'
+                         '"ladder":{"breaks":["1"],"levels":[[],[0]]}}']),
         # an unvalidated Coxeter-class datum with an integral tail exponent
         ("jlattice", ["--input", '{"datum":{"type":"A2","torus":{"m":3,"w":[[-1,1],[-1,0]]},'
                       '"levi":[],"validate":false,'
@@ -433,23 +444,24 @@ def test_torus_period_bound(capsys):
 
 
 def test_sample_and_window_bounds(capsys, monkeypatch):
-    # counts and windows past their bounds are refused before any sampling
-    # or bracket; a float count the schema takes as an integer is no way round
-    import polarium.looplie as looplie
+    # counts past their bounds are refused before any sampling; a float count
+    # the schema takes as an integer is no way round. A lattice window is
+    # accepted and unread: the closure proof covers all of J at any window.
     import polarium.polar as polar
 
-    monkeypatch.setattr(polar, "list_torus_classes", _refuse)
-    monkeypatch.setattr(looplie, "bracket_closure_violations", _refuse)
     datum = {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}}
-    for command, doc in (
-            ("partition-check", {"type": "A1", "samples": 10**9}),
-            ("partition-check", {"type": "A1", "samples": 1e300}),
-            ("partition-check", {"type": "A1", "disjoint_pairs": polar.DISJOINT_PAIRS_BOUND + 1}),
-            ("jlattice", {"datum": datum, "window": 10**5}),
-            ("jlattice", {"datum": datum, "window": 167})):
-        status, out = run_main(capsys, command, "--input", json.dumps(doc))
+    status, plain = run_main(capsys, "jlattice", "--input", json.dumps({"datum": datum}))
+    assert status == 0
+    for window in (10, 167, 10**4, 10**5):
+        status, out = run_main(capsys, "jlattice", "--input",
+                               json.dumps({"datum": datum, "window": window}))
+        assert (status, out) == (0, plain), window
+    monkeypatch.setattr(polar, "list_torus_classes", _refuse)
+    for doc in ({"type": "A1", "samples": 10**9}, {"type": "A1", "samples": 1e300},
+                {"type": "A1", "disjoint_pairs": polar.DISJOINT_PAIRS_BOUND + 1}):
+        status, out = run_main(capsys, "partition-check", "--input", json.dumps(doc))
         assert status == 1
-        assert json.loads(out)["error"]["code"] == "resource-limit", (command, doc)
+        assert json.loads(out)["error"]["code"] == "resource-limit", doc
 
 
 def test_datum_dimension_bound(capsys, monkeypatch):

@@ -1,8 +1,12 @@
+import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from polarium import jsonio
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation, InvalidArgumentError
 from polarium.looplie import (Realization, bracket_closure_violations,
@@ -16,7 +20,13 @@ from polarium.tails import Tail
 from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import LaurentMatrix, cyclo_rank, cyclo_value
+from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
+                      psi_on_window, span_contains, window_basis)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import harness  # noqa: E402
+import workloads  # noqa: E402
 
 ONE = CycloNumber.one()
 
@@ -228,11 +238,11 @@ def test_build_sl2_depth_one_table(a1):
     d, ladder = sl2_depth_one(a1)
     J = build_j_lattice(d, ladder, rho_over(a1, 2))
     # J = t.O + e.O + f.t^2 O
-    assert J.contains_coords(F(0), {(("h", 0), 0): ONE})
-    assert J.contains_coords(F(1, 2), {(("r", 0), 0): ONE})
-    assert not J.contains_coords(F(1, 2), {(("r", 1), 1): ONE})
-    assert J.contains_coords(F(3, 2), {(("r", 1), 2): ONE})
-    assert not J.contains_coords(F(-1), {(("h", 0), -1): ONE})
+    assert J.contains_line({(("h", 0), 0): ONE})
+    assert J.contains_line({(("r", 0), 0): ONE})
+    assert not J.contains_line({(("r", 1), 1): ONE})
+    assert J.contains_line({(("r", 1), 2): ONE})
+    assert not J.contains_line({(("h", 0), -1): ONE})
     assert psi_lambda_check(J)
 
 
@@ -256,8 +266,8 @@ def test_build_epipelagic_equals_positive_part(a1, a2):
 def test_build_full_datum_nonneg_part(a2):
     g0 = classify(split_torus_class(a2), Tail.zero(a2))
     J = build_j_lattice(g0, extract(g0), tuple(F(0) for _ in range(2)))
-    assert J.contains_coords(F(0), {(("r", 0), 0): ONE})
-    assert not J.contains_coords(F(-1), {(("r", 0), -1): ONE})
+    assert J.contains_line({(("r", 0), 0): ONE})
+    assert not J.contains_line({(("r", 0), -1): ONE})
     assert psi_lambda_check(J)
 
 
@@ -299,33 +309,131 @@ def test_psi_oracle_sl3_epipelagic(a2, a3):
                     == mono.residue_pair(dual), (real.rd.type_label(), gen, n)
 
 
-def test_negative_controls_each_golden(a1, a2):
-    goldens = []
+def golden_lattices(a1, a2) -> list:
     d1, lad1 = sl2_depth_one(a1)
-    goldens.append((d1, lad1, rho_over(a1, 2)))
     e1 = epipelagic_datum(a1, 2)
-    goldens.append((e1, extract(e1), None))
     e2 = epipelagic_datum(a2, 3)
-    goldens.append((e2, extract(e2), None))
     d3, lad3 = sl3_two_break(a2)
-    goldens.append((d3, lad3, rho_over(a2, 2)))
-    for d, ladder, x in goldens:
-        J = build_j_lattice(d, ladder, x)
+    goldens = [(d1, lad1, rho_over(a1, 2)), (e1, extract(e1), None),
+               (e2, extract(e2), None), (d3, lad3, rho_over(a2, 2))]
+    return [build_j_lattice(d, ladder, x) for d, ladder, x in goldens]
+
+
+def answered_universe_lattices() -> dict:
+    """The lattice of every benchmark jlattice request recorded with exit 0."""
+    entries = harness.load_oracle("lattice")["entries"]
+    out = {}
+    for rid, req in workloads.lattice_universe().items():
+        if req.command != "jlattice" or entries[rid].get("known_failure") \
+                or entries[rid]["exit"] != 0:
+            continue
+        doc = json.loads(req.text)
+        d = jsonio.datum_from_json(doc["datum"])
+        out[rid] = build_j_lattice(d, extract(d), jsonio.parse_coweight(d.rd, doc.get("x")))
+    return out
+
+
+def adjusted_copies(J) -> list:
+    return [J.with_adjust(gen, steps) for gen in J.real.generators()
+            for steps in (-3, -2, -1, 1, 2, 3)]
+
+
+def test_negative_controls_each_golden(a1, a2):
+    for J in golden_lattices(a1, a2):
         assert psi_lambda_check(J)
-        assert not bracket_closure_violations(J, -3, 4)
-        base_size = len(J.window_basis(-3, 4))
+        assert not bracket_closure_violations(J)
+        base_size = len(window_basis(J, -3, 4))
         for gen in [("r", 0), ("r", 1), ("h", 0)]:
             # smallest enlarging perturbation of this direction's threshold
             lowered = None
             for steps in (1, 2, 3):
                 candidate = J.with_adjust(gen, steps)
-                if len(candidate.window_basis(-3, 4)) > base_size:
+                if len(window_basis(candidate, -3, 4)) > base_size:
                     lowered = candidate
                     break
-            assert lowered is not None, (d, gen)
-            broke = bool(bracket_closure_violations(lowered, -3, 4)) \
+            assert lowered is not None, (J.real.datum, gen)
+            broke = bool(bracket_closure_violations(lowered)) \
                 or not psi_lambda_check(lowered)
-            assert broke, (d, gen)
+            assert broke, (J.real.datum, gen)
+
+
+def test_proof_matches_window_reference(a1, a2):
+    # the proof on O-module generators and the window sweep give the same
+    # verdict on every golden, its corrupted copies and the answered
+    # benchmark lattices; 92 of the 132 corrupted copies are broken
+    def broken(J):
+        return bool(bracket_closure_violations(J)) or not psi_lambda_check(J)
+
+    def broken_on_window(J):
+        return bool(bracket_closure_on_window(J, -3, 4)) or not psi_on_window(J, -3, 4)
+
+    intact = golden_lattices(a1, a2) + list(answered_universe_lattices().values())
+    assert len(intact) >= 4 + 15
+    for J in intact:
+        assert not broken(J) and not broken_on_window(J), J.real.datum
+    verdicts = [(broken(C), broken_on_window(C))
+                for J in golden_lattices(a1, a2) for C in adjusted_copies(J)]
+    assert all(p == w for p, w in verdicts)
+    assert sum(p for p, _w in verdicts) == 92 and len(verdicts) == 132
+
+
+def test_thresholds_match_scan_from_below(a1, a2):
+    # the closed form agrees with the pure rule scanned up from far below
+    # the threshold, also on lattices lowered by many steps
+    def scanned(J, gen):
+        real, n = J.real, -100
+        j = real.level_of_gen[gen]
+        while True:
+            deg = real.degree((gen, n + J.adjust.get(gen, 0)))
+            if (deg >= 0) if j == 0 else (deg > J.half_depths[j - 1]):
+                return n
+            n += 1
+
+    for J in golden_lattices(a1, a2):
+        for gen in J.real.generators():
+            for steps in range(-3, 10):
+                adjusted = J.with_adjust(gen, steps)
+                n0 = scanned(adjusted, gen)
+                assert adjusted.threshold(gen) == n0, (J.real.datum, gen, steps)
+                entry = adjusted.to_json()["thresholds"][J.real.generators().index(gen)]
+                assert entry["q"] == str(J.real.degree((gen, n0)))
+
+
+def test_module_generators_span_each_piece(a1, a2):
+    # at each degree the t-multiples of the O-module generators span the
+    # piece; they stay inside it exactly when every t-multiple of a
+    # generator does, which a raised threshold may break
+    def span_at(J, deg, monos):
+        index = {m: i for i, m in enumerate(monos)}
+        out = []
+        for g in J.module_generators():
+            k = deg - J.real.degree(next(iter(g)))
+            if k >= 0 and k.denominator == 1:
+                vec = [F(0)] * len(monos)
+                for (gen, n), c in g.items():
+                    vec[index[(gen, n + int(k))]] = c
+                out.append(vec)
+        return out
+
+    def contains(J, line):
+        deg = J.real.degree(next(iter(line)))
+        monos, vectors = J.piece_at_degree(deg)
+        return span_contains(vectors, [line.get(m, F(0)) for m in monos])
+
+    for golden in golden_lattices(a1, a2):
+        real = golden.real
+        degrees = sorted({real.degree((gen, n))
+                          for gen in real.generators() for n in range(-3, 5)})
+        for J in [golden] + adjusted_copies(golden):
+            o_stable = all(contains(J, {(gen, n + 1): c for (gen, n), c in g.items()})
+                           for g in J.module_generators())
+            assert o_stable or J is not golden
+            for deg in degrees:
+                monos, vectors = J.piece_at_degree(deg)
+                generated = span_at(J, deg, monos)
+                assert all(span_contains(generated, v) for v in vectors), (real.datum, deg)
+                if o_stable:
+                    assert all(span_contains(vectors, v) for v in generated), (real.datum, deg)
 
 
 def test_piece_memo_isolated_from_adjusted_copies(a1):
@@ -347,7 +455,7 @@ def test_raised_threshold_breaks_closure(a1):
     d, ladder = sl2_depth_one(a1)
     J = build_j_lattice(d, ladder, rho_over(a1, 2))
     raised = J.with_adjust(("h", 0), -3)
-    assert bracket_closure_violations(raised, -3, 4)
+    assert bracket_closure_violations(raised)
 
 
 # -- moveability ----------------------------------------------------------
