@@ -1,4 +1,4 @@
-"""Type-A characteristic map at series level and the bit-exact SL2 verifier.
+"""The rank-1 characteristic map at series level and the bit-exact SL2 verifier.
 
 The SL2 stratum index n counts pole order against the torus lattice (the
 quadratic-differential side), while tails count dt/t exponents; the two
@@ -26,35 +26,6 @@ def _a1():
     if _A1 is None:
         _A1 = build("A1")
     return _A1
-
-
-def charpoly_map(diag: list[LaurentWindow], hi=None) -> list[LaurentWindow]:
-    """Elementary symmetric functions e_2..e_n of trace-free diagonal entries."""
-    if len(diag) < 2:
-        raise InvalidArgumentError("need at least two diagonal entries")
-    total = diag[0]
-    for entry in diag[1:]:
-        total = total.add(entry)
-    if not total.is_zero_on_window():
-        raise InvalidArgumentError("diagonal entries do not sum to zero")
-    # e_k via the product expansion, tracked with full precision bookkeeping.
-    lo = min(d.lo for d in diag)
-    window_hi = min(d.hi for d in diag)
-    one = LaurentWindow(0, window_hi - min(lo, Fraction(0)) + 1, {Fraction(0): 1},
-                        den=diag[0].den)
-    elems: list[LaurentWindow] = [one]
-    for entry in diag:
-        nxt = [elems[0]]
-        for k in range(1, len(elems) + 1):
-            term = elems[k - 1].mul(entry)
-            if k < len(elems):
-                term = elems[k].add(term)
-            nxt.append(term)
-        elems = nxt
-    out = elems[2:]
-    if hi is not None:
-        out = [e.truncate(hi=hi) for e in out]
-    return out
 
 
 def sqrt_series(a: LaurentWindow) -> LaurentWindow:
@@ -182,9 +153,10 @@ GRID_LEADS = (
     Fraction(1, 2), Fraction(-1, 2), Fraction(4), Fraction(-4),
 )
 GRID_PATTERNS = ((), (1,), (2, -1))  # extra coefficients at offsets 1, 2, ...
+GRID_WIDTH = 6  # each window ends this far past its valuation
 
 
-def default_grid(width: int = 6) -> list[LaurentWindow]:
+def default_grid() -> list[LaurentWindow]:
     """Deterministic windows covering every stratum boundary case."""
     grid = []
     for v in GRID_VALUATIONS:
@@ -193,7 +165,7 @@ def default_grid(width: int = 6) -> list[LaurentWindow]:
                 terms = {Fraction(v): lead}
                 for off, c in enumerate(pattern, start=1):
                     terms[Fraction(v + off)] = Fraction(c)
-                grid.append(LaurentWindow(v, v + width, terms))
+                grid.append(LaurentWindow(v, v + GRID_WIDTH, terms))
     # All-zero windows on both sides of the decidability line.
     grid.append(LaurentWindow(-1, 4, {}))
     return grid

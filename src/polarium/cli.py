@@ -45,16 +45,6 @@ def _load_input(path: str | None) -> dict:
     return doc
 
 
-def _parse_window(spec: str | None) -> tuple[int, int] | None:
-    if spec is None:
-        return None
-    try:
-        lo, hi = spec.split(":")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"window must be LO:HI, got {spec!r}") from exc
-
-
 def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
     if not doc:
         return extract(datum)
@@ -199,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="JSON request document: a path, - for stdin, or inline JSON")
         p.add_argument("--seed", type=int, help="seed for sampled commands")
         p.add_argument("--samples", type=int, help="sample count for sampled commands")
-        p.add_argument("--window", help="LO:HI, accepted and unread")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if name == "verify-sl2":
@@ -221,9 +210,6 @@ def _merge_flags(args: argparse.Namespace, doc: dict) -> dict:
         merged["seed"] = args.seed
     if args.samples is not None and args.command == "partition-check":
         merged["samples"] = args.samples
-    window = _parse_window(args.window)
-    if window and args.command in ("jlattice", "moveability"):
-        merged["window"] = max(abs(window[0]), abs(window[1]))
     if getattr(args, "m", None) is not None:
         merged["m"] = args.m
     if getattr(args, "i", None) is not None:

@@ -37,14 +37,16 @@ closure and the tail character are proved on these generators in three
 finite parts: t g lies in J for each generator g, so tJ is in J; [g_a, g_b]
 lies in J for each pair, which with [t^a u, t^b v] = t^(a+b) [u, v] gives
 [J, J] in J; and <lambda, t^k [g_a, g_b]> = 0 for each pair and each k >= 0
-up to the dual's largest exponent key, past which the pairing is zero.
+up to the dual's largest exponent key, past which the pairing is zero. The
+pair brackets are computed once per lattice and serve both of the last two
+parts.
 """
 
 from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import ceil, floor, lcm
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
@@ -74,7 +76,8 @@ def _require_type_a(rd: RootDatum) -> int:
 def root_positions(rd: RootDatum) -> dict[int, tuple[int, int]]:
     """Off-diagonal matrix position (i, j) of each root of a type-A datum.
 
-    E_ij carries the root e_i - e_j, written in the simple-root basis.
+    E_ij carries the root e_i - e_j, written as its pairings with the simple
+    coroots: fundamental-weight coordinates, as `rootdata` stores roots.
     """
     n = _require_type_a(rd)
     coords = {}
@@ -296,33 +299,6 @@ class Realization:
                  for a, b, p in _shift_power(n, k)}]
 
 
-def mp_graded_piece(rd: RootDatum, x, degree) -> list[dict]:
-    """Generators of the graded piece at the given degree for point x."""
-    _require_type_a(rd)
-    deg = Fraction(degree)
-    x = tuple(Fraction(v) for v in x)
-    out = []
-    for idx, root in enumerate(rd.roots):
-        shift = deg - Fraction(sum(a * b for a, b in zip(x, root)))
-        if shift.denominator == 1:
-            out.append({"root": idx, "n": int(shift)})
-    if deg.denominator == 1:
-        for k in range(rd.ss_rank):
-            out.append({"torus": k, "n": int(deg)})
-    return out
-
-
-def vj_split(ladder: YuLadder) -> list[dict]:
-    """Assignment of root/torus directions to the ladder complements."""
-    d = ladder.datum
-    if not d.torus.w.is_identity():
-        raise UnsupportedFeatureError("direction split is defined for split presentations")
-    out = [{"roots": sorted(ladder.levels[0]), "torus": True}]
-    for j in range(1, len(ladder.levels)):
-        out.append({"roots": sorted(ladder.levels[j] - ladder.levels[j - 1]), "torus": False})
-    return out
-
-
 # -- the graded lattice -------------------------------------------------
 
 
@@ -334,19 +310,19 @@ class JLattice:
     Exponent adjustments support corrupted variants for negative controls.
     """
 
-    def __init__(self, real: Realization, kind: str = "J",
-                 lagrangians: dict | None = None, adjust: dict | None = None):
+    def __init__(self, real: Realization, kind: str = "J"):
         if kind not in ("J", "K"):
             raise InvalidArgumentError(f"lattice kind must be J or K, got {kind}")
         self.real = real
         self.kind = kind
-        self.adjust = dict(adjust or {})
+        self.adjust: dict[Gen, int] = {}
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
         self._pieces: dict[Fraction, tuple] = {}  # degree -> (monomials, vectors, reduced rows)
+        self._brackets: list[tuple[dict, dict, dict]] | None = None
         if kind == "J":
-            self._assemble_breaks(lagrangians or {})
+            self._assemble_breaks()
 
     # level bound: monomials of level j enter strictly above this degree
     def _level_bound(self, j: int) -> Fraction:
@@ -365,7 +341,7 @@ class JLattice:
             n = floor(self._level_bound(j) - height) + 1
         return n - self.adjust.get(gen, 0)
 
-    def _assemble_breaks(self, chosen: dict) -> None:
+    def _assemble_breaks(self) -> None:
         real = self.real
         for j in range(1, len(real.ladder.levels)):
             s = self.half_depths[j - 1]
@@ -373,10 +349,7 @@ class JLattice:
             if not piece["vectors"]:
                 continue
             form = symplectic_form_on_piece(real, j, piece)
-            lag = chosen.get(j)
-            if lag is None:
-                lag = lagrangian(form)
-            vectors = [_coords_to_map(piece, coords) for coords in lag]
+            vectors = [_coords_to_map(piece, coords) for coords in lagrangian(form)]
             self.break_pieces.append({
                 "j": j, "degree": s, "piece": piece, "form": form, "lagrangian": vectors,
             })
@@ -436,11 +409,22 @@ class JLattice:
                     for line in real.m_lines_at_degree(Fraction(k, real.n))]
         return out
 
+    def generator_brackets(self) -> list[tuple[dict, dict, dict]]:
+        """(u, v, [u, v]) for each pair of O-module generators, computed once
+        per lattice; the closure proof and the tail character both read it."""
+        if self._brackets is None:
+            real = self.real
+            self._brackets = [(u, v, _bracket_lines(real, u, v))
+                              for u, v in combinations(self.module_generators(), 2)]
+        return self._brackets
+
     def with_adjust(self, gen: Gen, steps: int) -> "JLattice":
         """Corrupted copy: direction bound moved by the given exponent steps."""
         out = copy.copy(self)
         out.adjust = {**self.adjust, gen: self.adjust.get(gen, 0) + steps}
-        out._pieces = {}  # the pure-monomial rule changed with the adjustment
+        # the pure-monomial rule, and with it the generators, changed
+        out._pieces = {}
+        out._brackets = None
         return out
 
     def to_json(self) -> dict:
@@ -541,17 +525,6 @@ def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[lis
     return form
 
 
-def symplectic_form(datum: PolarDatum, ladder: YuLadder | None, j: int, x=None):
-    """Alternating nondegenerate matrix on the level-j break piece."""
-    ladder = ladder or extract(datum)
-    real = Realization(datum, ladder, x)
-    s = ladder.half_depths[j - 1]
-    piece = v_piece_at_degree(real, j, s)
-    if not piece["vectors"]:
-        raise InvalidArgumentError(f"break piece at level {j} is zero")
-    return symplectic_form_on_piece(real, j, piece), piece, real
-
-
 def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
     """Greedy symplectic basis; returns coordinates of the first-half span."""
     k = len(form)
@@ -594,34 +567,30 @@ def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
     return first_half
 
 
-def build_j_lattice(datum: PolarDatum, ladder: YuLadder | None = None, x=None,
-                    lagrangians: dict | None = None) -> JLattice:
+def build_j_lattice(datum: PolarDatum, ladder: YuLadder | None = None, x=None) -> JLattice:
     """Assemble the graded lattice and prove it closed under the bracket."""
     ladder = ladder or extract(datum)
-    real = Realization(datum, ladder, x)
-    lattice = JLattice(real, "J", lagrangians)
-    bad = bracket_closure_violations(lattice, stop_early=True)
+    lattice = JLattice(Realization(datum, ladder, x))
+    bad = bracket_closure_violations(lattice)
     if bad:
         raise InternalInvariantViolation(f"lattice not closed under bracket: {bad[0]}")
     return lattice
 
 
-def bracket_closure_violations(lattice: JLattice, stop_early: bool = False) -> list[dict]:
+def bracket_closure_violations(lattice: JLattice) -> list[dict]:
     """Faults of the proof that the lattice is an O-stable subalgebra: each
     generator whose t-multiple, and each pair of generators whose bracket,
     leaves the lattice, with the degree it sits at."""
     real = lattice.real
-    gens = lattice.module_generators()
     claims = chain(
-        (({"t_multiple": g}, {(gen, n + 1): c for (gen, n), c in g.items()}) for g in gens),
-        (({"left": u, "right": v}, _bracket_lines(real, u, v)) for u, v in combinations(gens, 2)))
+        (({"t_multiple": g}, {(gen, n + 1): c for (gen, n), c in g.items()})
+         for g in lattice.module_generators()),
+        (({"left": u, "right": v}, line) for u, v, line in lattice.generator_brackets()))
     out = []
     for fault, line in claims:
         if line and not lattice.contains_line(line):
             out.append({**{k: _mono_json(g) for k, g in fault.items()},
                         "degree": str(real.degree(next(iter(line))))})
-            if stop_early:
-                break
     return out
 
 
@@ -634,8 +603,7 @@ def psi_lambda_check(lattice: JLattice) -> bool:
     """
     real = lattice.real
     top = int(max(real.dual, default=0))
-    for u, v in combinations(lattice.module_generators(), 2):
-        coords = _bracket_lines(real, u, v)
+    for _u, _v, coords in lattice.generator_brackets():
         low = min((n for _gen, n in coords), default=top)
         if any(sum(c * real.pair_dual_monomial((gen, n + k)) for (gen, n), c in coords.items())
                for k in range(top - low + 1)):
@@ -761,85 +729,3 @@ def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
         if vec is not None:
             constraints.append(list(vec))
     return [_coords_to_line(monos, vec) for vec in nullspace(constraints, len(monos))]
-
-
-# -- graded regularity search --------------------------------------------
-
-
-def _char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial by the Faddeev-LeVerrier recursion."""
-    n = len(mat)
-    coeffs = [Fraction(1)]  # leading term x^n
-    m_cur = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            m_cur[i][i] += coeffs[-1]
-        m_next = [[sum(mat[i][l] * m_cur[l][j] for l in range(n)) for j in range(n)]
-                  for i in range(n)]
-        c = -Fraction(sum(m_next[i][i] for i in range(n)), k)
-        coeffs.append(c)
-        m_cur = m_next
-    return coeffs[::-1]  # ascending order
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _sylvester(p: list[Fraction], q: list[Fraction]) -> list[list[Fraction]]:
-    """Sylvester matrix of two ascending coefficient lists of degree >= 1;
-    it is singular exactly when p and q share a root."""
-    dp, dq = len(p) - 1, len(q) - 1
-    size = dp + dq
-    return ([[Fraction(0)] * i + p[::-1] + [Fraction(0)] * (size - dp - 1 - i) for i in range(dq)]
-            + [[Fraction(0)] * i + q[::-1] + [Fraction(0)] * (size - dq - 1 - i)
-               for i in range(dp)])
-
-
-def graded_piece_directions(rd: RootDatum, m: int) -> list:
-    """Directions of the residual graded piece at class -1 mod m."""
-    n = _require_type_a(rd)
-    rho = rd.rho_coweight()
-    target = (-1) % m
-    dirs = []
-    for idx, root in enumerate(rd.roots):
-        height = sum(a * b for a, b in zip(rho, root))
-        if int(height) % m == target:
-            dirs.append(("r", idx))
-    if target == 0:
-        dirs.extend(("h", k) for k in range(n - 1))
-    return dirs
-
-
-def eigen_regular_check(rd: RootDatum, m: int, max_samples: int = 3000) -> bool:
-    """Brute-force search for a regular semisimple element in the -1 graded class."""
-    n = _require_type_a(rd)
-    position = root_positions(rd)
-    dirs = graded_piece_directions(rd, m)
-    if not dirs:
-        return False
-
-    def assemble(sample) -> list[list[Fraction]]:
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for c, (kind, idx) in zip(sample, dirs):
-            if kind == "r":
-                i, j = position[idx]
-                mat[i][j] += Fraction(c)
-            else:
-                mat[idx][idx] += Fraction(c)
-                mat[idx + 1][idx + 1] -= Fraction(c)
-        return mat
-
-    tried = 0
-    for sample in product((1, 2, 3, 5), repeat=len(dirs)):
-        tried += 1
-        if tried > max_samples:
-            break
-        p = _char_poly(assemble(sample))
-        deriv = _poly_deriv(p)
-        if len(deriv) < 2:  # degree < 2: no repeated eigenvalue possible
-            return True
-        sylvester = _sylvester(p, deriv)
-        if rank(sylvester) == len(sylvester):
-            return True
-    return False

@@ -69,12 +69,6 @@ class PolarDatum:
         return f"PolarDatum(m={self.torus.m}, levi={sorted(self.levi)}, lam={self.lam!r})"
 
 
-def is_g_regular(tc: TorusClass, lam: Tail, relative_to=frozenset()) -> bool:
-    """True when every coroot outside the given subset pairs to a nonzero tail."""
-    rel = frozenset(relative_to)
-    return all(d is not None for idx, d in enumerate(lam.coroot_depths()) if idx not in rel)
-
-
 def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
     """Send an equivariant tail to its stratum label.
 
@@ -186,14 +180,13 @@ def homogeneous_datum(rd: RootDatum, m: int, i: int) -> PolarDatum:
 # -- partition sampling --------------------------------------------------
 
 
-def sample_equivariant_tail(tc: TorusClass, rng: random.Random,
-                            max_terms: int = 3, max_level: int | None = None) -> Tail:
-    """A random tail satisfying the torus equivariance constraint."""
+def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
+    """A random tail satisfying the torus equivariance constraint: up to three
+    terms, at exponents a/m with 0 <= a <= 3m."""
     rd, m = tc.rd, tc.m
-    max_level = 3 * m if max_level is None else max_level
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        a = rng.randint(0, max_level)
+    for _ in range(rng.randint(0, 3)):
+        a = rng.randint(0, 3 * m)
         basis = tc.eigenspace(a % m)
         if not basis:
             continue

@@ -174,11 +174,6 @@ class RootDatum:
             parts.append(f"T{self.torus_rank}")
         return "x".join(parts) if parts else "T0"
 
-    def coxeter_number(self) -> int:
-        if len(self.factors) != 1 or self.torus_rank:
-            raise InvalidArgumentError("Coxeter number defined for a single simple factor")
-        return len(self.roots) // self.ss_rank
-
     def rho_coweight(self) -> tuple[Fraction, ...]:
         """The rational coweight pairing to 1 with every simple root."""
         r = self.ss_rank

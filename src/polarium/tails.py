@@ -236,9 +236,6 @@ class LaurentWindow:
         v = self.valuation()
         return v if v is not None else self.hi
 
-    def is_zero_on_window(self) -> bool:
-        return not self.terms
-
     def neg(self) -> "LaurentWindow":
         return LaurentWindow(self.lo, self.hi, {q: -c for q, c in self.terms.items()}, self.den)
 
@@ -284,12 +281,6 @@ class LaurentWindow:
                              {q * r: c for q, c in self.terms.items()},
                              int(den))
 
-    def truncate(self, lo=None, hi=None) -> "LaurentWindow":
-        lo = self.lo if lo is None else max(self.lo, Fraction(lo))
-        hi = self.hi if hi is None else min(self.hi, Fraction(hi))
-        return LaurentWindow(lo, hi,
-                             {q: c for q, c in self.terms.items() if lo <= q < hi}, self.den)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentWindow):
             return NotImplemented
@@ -325,13 +316,6 @@ def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
         ]
         terms[parse_fraction(entry["q"])] = coeff
     return Tail(rd, int(doc.get("m", 1)), terms)
-
-
-def window_to_json(w: LaurentWindow) -> dict:
-    return {
-        "lo": str(w.lo), "hi": str(w.hi), "den": w.den,
-        "terms": [{"q": str(q), "coeff": cyclo_to_json(c)} for q, c in sorted(w.terms.items())],
-    }
 
 
 def window_from_json(doc: dict) -> LaurentWindow:

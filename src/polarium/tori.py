@@ -25,7 +25,6 @@ enumerating W.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .cyclo import CycloNumber, euler_phi, root_of_unity
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
@@ -37,27 +36,37 @@ PERIOD_BOUND = 1_000_000
 
 
 def _eigendims(traces: list[int], m: int) -> list[int]:
-    """Dimension of the zeta_m^i eigenspace for each i, from tr(w^k), 0 <= k < m.
+    """Dimension of the zeta_m^i eigenspace for each i, from tr(w^j), 0 <= j < k,
+    k the order of w, which divides m.
 
-    dim ker(w^d - 1) is the mean trace over the cyclic group generated by w^d.
-    Moebius inversion over the divisors of m, run as the recursion
+    dim ker(w^e - 1) is the mean trace over the cyclic group generated by w^e.
+    Moebius inversion over the divisors e of k, run as the recursion
     N(e) = dim ker(w^e - 1) - sum of N(d) over the proper divisors d of e,
     turns these counts into the number N(e) of eigenvalues of exact order e,
     which the phi(e) primitive e-th roots of unity share equally because w is
-    rational.
+    rational. zeta_m^i has exact order m/gcd(i, m), and an order that does not
+    divide k has no eigenvalue.
     """
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    per_root = {}
+    k = len(traces)
+    divisors = [e for e in range(1, k + 1) if k % e == 0]
+    exact: dict[int, int] = {}
+    per_root: dict[int, int] = {}
     for e in divisors:
-        exact = Fraction(e * sum(traces[::e]), m) - sum(
-            per_root[d] * euler_phi(d) for d in divisors if d < e and e % d == 0)
-        per_root[e] = exact / euler_phi(e)
-        if per_root[e].denominator != 1 or per_root[e] < 0:
+        phi = euler_phi(e)
+        scaled = e * sum(traces[::e]) - k * sum(exact[d] for d in divisors if d < e and e % d == 0)
+        share, rem = divmod(scaled, k * phi)  # scaled is k * N(e)
+        if rem or share < 0:
             raise InternalInvariantViolation(
-                f"trace count gives {exact} eigenvalues of exact order {e}, "
-                f"not a nonnegative multiple of phi({e}) = {euler_phi(e)}")
-    by_gcd = {m // e: int(n) for e, n in per_root.items()}
-    return [by_gcd[gcd(i, m)] for i in range(m)]
+                f"trace count gives {Fraction(scaled, k)} eigenvalues of exact order {e}, "
+                f"not a nonnegative multiple of phi({e}) = {phi}")
+        exact[e] = share * phi
+        per_root[e] = share
+    # the multiples of m/e are the i whose order divides e; a proper divisor
+    # of e comes later and rewrites its own indices
+    out = [0] * m
+    for e in reversed(divisors):
+        out[::m // e] = [per_root[e]] * e
+    return out
 
 
 class TorusClass:
@@ -81,7 +90,7 @@ class TorusClass:
         self.rd = rd
         self.m = m
         self.w = w
-        self.eigendims = _eigendims(traces * (m // len(traces)), m)
+        self.eigendims = _eigendims(traces, m)
         self.eigenspaces: dict[int, list[Covector]] = {}
 
     def eigenspace(self, i: int) -> list[Covector]:
@@ -111,10 +120,6 @@ class TorusClass:
                 f"eigenspace dimension check: the zeta_{m}^{i} eigenspace has "
                 f"{len(basis)} basis vectors, the trace count gives {self.eigendims[i]}")
         return basis
-
-    def is_elliptic(self) -> bool:
-        """No nonzero fixed covector: the presented torus is anisotropic."""
-        return self.eigendims[0] == 0
 
     def __repr__(self):
         return f"TorusClass(m={self.m}, eigendims={tuple(self.eigendims)})"

@@ -10,7 +10,11 @@ each conjugacy class with the package's `TorusClass` and
 the target with `linalg.rref` for every query, as membership was computed
 before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
-`WeylElement`'s matrices with plain integer products. The lattice window
+`WeylElement`'s matrices with plain integer products. The graded
+regularity search (a Sylvester-matrix test on sampled characteristic
+polynomials, placing roots with `looplie.root_positions`) and the
+series-level characteristic map of trace-free diagonals are reference
+computations with no counterpart in the package. The lattice window
 sweep is the closure and psi check as it was before the proof on O-module
 generators: it reads a lattice's pieces, brackets and pairing and checks
 every pair of basis vectors inside an exponent window. Responses are
@@ -26,15 +30,18 @@ must agree with it on value, conductor and printed bytes.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 import jsonschema
 import sympy
 
 from polarium.cyclo import CycloNumber
-from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
+from polarium.errors import ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError
 from polarium.jsonio import schemas
 from polarium.linalg import rref
+from polarium.looplie import root_positions
+from polarium.tails import LaurentWindow
 from polarium.tori import TorusClass, is_springer_regular
 
 
@@ -376,6 +383,116 @@ def validate_response(command: str, doc) -> None:
     store = schemas()
     schema = {**store["responses"][command.replace("-", "_")], "$defs": store["$defs"]}
     jsonschema.validate(doc, schema)
+
+
+# -- graded regularity search and the characteristic map -------------------
+
+
+def _char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
+    """Characteristic polynomial by the Faddeev-LeVerrier recursion."""
+    n = len(mat)
+    coeffs = [Fraction(1)]  # leading term x^n
+    m_cur = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m_cur[i][i] += coeffs[-1]
+        m_next = [[sum(mat[i][l] * m_cur[l][j] for l in range(n)) for j in range(n)]
+                  for i in range(n)]
+        c = -Fraction(sum(m_next[i][i] for i in range(n)), k)
+        coeffs.append(c)
+        m_cur = m_next
+    return coeffs[::-1]  # ascending order
+
+
+def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _sylvester(p: list[Fraction], q: list[Fraction]) -> list[list[Fraction]]:
+    """Sylvester matrix of two ascending coefficient lists of degree >= 1;
+    it is singular exactly when p and q share a root."""
+    dp, dq = len(p) - 1, len(q) - 1
+    size = dp + dq
+    return ([[Fraction(0)] * i + p[::-1] + [Fraction(0)] * (size - dp - 1 - i) for i in range(dq)]
+            + [[Fraction(0)] * i + q[::-1] + [Fraction(0)] * (size - dq - 1 - i)
+               for i in range(dp)])
+
+
+def graded_piece_directions(rd, m: int) -> list:
+    """Directions of the residual graded piece at class -1 mod m of a type-A
+    datum, as ("r", root index) and ("h", k)."""
+    rho = rd.rho_coweight()
+    target = (-1) % m
+    dirs = []
+    for idx, root in enumerate(rd.roots):
+        height = sum(a * b for a, b in zip(rho, root))
+        if int(height) % m == target:
+            dirs.append(("r", idx))
+    if target == 0:
+        dirs.extend(("h", k) for k in range(rd.ss_rank))
+    return dirs
+
+
+def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
+    """Brute-force search for a regular semisimple element in the -1 graded
+    class of a type-A datum: a sample matrix whose characteristic polynomial
+    is coprime to its derivative."""
+    n = rd.ss_rank + 1
+    position = root_positions(rd)
+    dirs = graded_piece_directions(rd, m)
+    if not dirs:
+        return False
+
+    def assemble(sample) -> list[list[Fraction]]:
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for c, (kind, idx) in zip(sample, dirs):
+            if kind == "r":
+                i, j = position[idx]
+                mat[i][j] += Fraction(c)
+            else:
+                mat[idx][idx] += Fraction(c)
+                mat[idx + 1][idx + 1] -= Fraction(c)
+        return mat
+
+    tried = 0
+    for sample in product((1, 2, 3, 5), repeat=len(dirs)):
+        tried += 1
+        if tried > max_samples:
+            break
+        p = _char_poly(assemble(sample))
+        deriv = _poly_deriv(p)
+        if len(deriv) < 2:  # degree < 2: no repeated eigenvalue possible
+            return True
+        sylvester = _sylvester(p, deriv)
+        if len(rref(sylvester)[1]) == len(sylvester):
+            return True
+    return False
+
+
+def charpoly_map(diag: list) -> list:
+    """Elementary symmetric functions e_2..e_n of trace-free diagonal
+    `LaurentWindow` entries, by the product expansion."""
+    if len(diag) < 2:
+        raise InvalidArgumentError("need at least two diagonal entries")
+    total = diag[0]
+    for entry in diag[1:]:
+        total = total.add(entry)
+    if total.valuation() is not None:
+        raise InvalidArgumentError("diagonal entries do not sum to zero")
+    lo = min(d.lo for d in diag)
+    window_hi = min(d.hi for d in diag)
+    one = LaurentWindow(0, window_hi - min(lo, Fraction(0)) + 1, {Fraction(0): 1},
+                        den=diag[0].den)
+    elems = [one]
+    for entry in diag:
+        nxt = [elems[0]]
+        for k in range(1, len(elems) + 1):
+            term = elems[k - 1].mul(entry)
+            if k < len(elems):
+                term = elems[k].add(term)
+            nxt.append(term)
+        elems = nxt
+    return elems[2:]
 
 
 # -- the lattice window sweep ----------------------------------------------

@@ -12,10 +12,9 @@ from fractions import Fraction as F
 
 from polarium.chevmap import default_grid, sl2_crosscheck, sl2_stratum
 from polarium.cyclo import CycloNumber
-from polarium.looplie import (bracket_closure_violations, build_j_lattice,
-                              eigen_regular_check, lagrangian,
-                              moveability_check, mp_graded_piece,
-                              psi_lambda_check, symplectic_form,
+from polarium.looplie import (Realization, bracket_closure_violations,
+                              build_j_lattice, lagrangian, moveability_check,
+                              psi_lambda_check, symplectic_form_on_piece,
                               v_piece_at_degree)
 from polarium.polar import (PolarDatum, classify, epipelagic_datum,
                             partition_check, sample_equivariant_tail)
@@ -25,8 +24,8 @@ from polarium.tori import (is_springer_regular, list_torus_classes,
                            regular_numbers, split_torus_class)
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import (cyclo_rank, cyclo_value, springer_regular_sampled, stabilizer,
-                      subgroup_generated, window_basis)
+from .oracles import (cyclo_rank, cyclo_value, eigen_regular_check, springer_regular_sampled,
+                      stabilizer, subgroup_generated, window_basis)
 
 
 @contextmanager
@@ -120,7 +119,8 @@ def test_criterion_5_regular_numbers():
             rd = build(label)
             for tc in list_torus_classes(rd):
                 assert is_springer_regular(tc) == springer_regular_sampled(tc)
-            assert rd.coxeter_number() in regular_numbers(rd)["regular"]
+            coxeter_number = len(rd.roots) // rd.ss_rank
+            assert coxeter_number in regular_numbers(rd)["regular"]
 
 
 def test_criterion_6_yu_ladders():
@@ -166,8 +166,6 @@ def test_criterion_7_j_lattice_suite():
 
 def test_criterion_8_symplectic_forms():
     with criterion(8, "alternating nondegenerate break forms with Lagrangians", 60.0):
-        from polarium.looplie import Realization
-
         found_any = False
         for name, d, ladder, x in golden_set():
             real = Realization(d, ladder, x)
@@ -176,7 +174,7 @@ def test_criterion_8_symplectic_forms():
                 if not piece["vectors"]:
                     continue
                 found_any = True
-                form, _, _ = symplectic_form(d, ladder, j, x)
+                form = symplectic_form_on_piece(real, j, piece)
                 k = len(form)
                 for a in range(k):
                     assert cyclo_value(form[a][a]).is_zero()
@@ -214,9 +212,10 @@ def test_criterion_9_moveability():
 def test_criterion_10_epipelagic_grading():
     with criterion(10, "epipelagic graded dimensions and graded regularity", 60.0):
         a1, a2 = build("A1"), build("A2")
-        x = rho_over(a1, 2)
-        assert len(mp_graded_piece(a1, x, F(0))) == 1
-        assert len(mp_graded_piece(a1, x, F(1, 2))) == 2
+        _name, d, ladder, x = golden_set()[0]  # sl2 depth 1 at rho/2
+        real = Realization(d, ladder, x)
+        assert len(real.monomials_at_degree(F(0))) == 1
+        assert len(real.monomials_at_degree(F(1, 2))) == 2
         for rd, ms in ((a1, (2,)), (a2, (2, 3, 5))):
             table = regular_numbers(rd)["regular"]
             for m in ms:

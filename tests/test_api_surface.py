@@ -1,0 +1,72 @@
+"""The package holds only code the package runs.
+
+Every top-level function and every public method in `src/polarium` must be
+named somewhere in `src/polarium` outside its own body: as a call, an
+attribute read or a value passed on. Code that only the tests reach belongs
+in `tests/oracles.py` or in the test itself. Dunder methods are reached by
+the language, and `JLattice.with_adjust` is the negative-control hook that
+the lattice proofs are tested against.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polarium"
+ALLOWED = {"with_adjust"}
+
+
+def _definitions(tree):
+    """(label, node) for each top-level function and public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _uses(tree) -> dict[str, list[frozenset]]:
+    """Each name read in the tree, with the ids of the functions around each read."""
+    out: dict[str, list[frozenset]] = {}
+
+    def walk(node, around):
+        if isinstance(node, ast.FunctionDef):
+            around = around | {id(node)}
+        if isinstance(node, ast.Name):
+            out.setdefault(node.id, []).append(around)
+        elif isinstance(node, ast.Attribute):
+            out.setdefault(node.attr, []).append(around)
+        for child in ast.iter_child_nodes(node):
+            walk(child, around)
+
+    walk(tree, frozenset())
+    return out
+
+
+def unreferenced(src: Path) -> list[str]:
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))]
+    uses = [_uses(tree) for tree in trees]
+    out = []
+    for tree in trees:
+        for label, node in _definitions(tree):
+            name = node.name
+            if name in ALLOWED or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(id(node) not in around for u in uses for around in u.get(name, ())):
+                out.append(label)
+    return sorted(out)
+
+
+def test_every_function_in_src_is_used_in_src():
+    assert unreferenced(SRC) == []
+
+
+def test_guard_sees_a_function_used_only_by_itself(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
+        "class C:\n    def method(self):\n        return self.method()\n\n"
+        "    def __eq__(self, other):\n        return True\n",
+        encoding="utf-8")
+    assert unreferenced(tmp_path) == ["C.method", "recursive"]

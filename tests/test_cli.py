@@ -445,17 +445,19 @@ def test_torus_period_bound(capsys):
 
 def test_sample_and_window_bounds(capsys, monkeypatch):
     # counts past their bounds are refused before any sampling; a float count
-    # the schema takes as an integer is no way round. A lattice window is
-    # accepted and unread: the closure proof covers all of J at any window.
+    # the schema takes as an integer is no way round. A lattice window is no
+    # request field: the closure proof covers all of J, so the schema refuses it.
     import polarium.polar as polar
 
     datum = {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}}
-    status, plain = run_main(capsys, "jlattice", "--input", json.dumps({"datum": datum}))
+    status, _out = run_main(capsys, "jlattice", "--input", json.dumps({"datum": datum}))
     assert status == 0
-    for window in (10, 167, 10**4, 10**5):
-        status, out = run_main(capsys, "jlattice", "--input",
-                               json.dumps({"datum": datum, "window": window}))
-        assert (status, out) == (0, plain), window
+    for command in ("jlattice", "moveability"):
+        for window in (10, 167, 10**4, 10**5):
+            status, out = run_main(capsys, command, "--input",
+                                   json.dumps({"datum": datum, "window": window}))
+            assert status == 1, (command, window)
+            assert json.loads(out)["error"]["code"] == "invalid-argument", (command, window)
     monkeypatch.setattr(polar, "list_torus_classes", _refuse)
     for doc in ({"type": "A1", "samples": 10**9}, {"type": "A1", "samples": 1e300},
                 {"type": "A1", "disjoint_pairs": polar.DISJOINT_PAIRS_BOUND + 1}):

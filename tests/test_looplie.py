@@ -8,12 +8,11 @@ import pytest
 
 from polarium import jsonio
 from polarium.cyclo import CycloNumber
-from polarium.errors import InternalInvariantViolation, InvalidArgumentError
+from polarium.errors import InternalInvariantViolation
 from polarium.looplie import (Realization, bracket_closure_violations,
-                              build_j_lattice, eigen_regular_check, lagrangian,
-                              moveability_check, mp_graded_piece,
-                              psi_lambda_check, symplectic_form,
-                              v_piece_at_degree, vj_split)
+                              build_j_lattice, lagrangian, moveability_check,
+                              psi_lambda_check, symplectic_form_on_piece,
+                              v_piece_at_degree)
 from polarium.polar import PolarDatum, classify, epipelagic_datum
 from polarium.rootdata import build
 from polarium.tails import Tail
@@ -21,7 +20,7 @@ from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
-                      psi_on_window, span_contains, window_basis)
+                      eigen_regular_check, psi_on_window, span_contains, window_basis)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -69,11 +68,11 @@ def nonzero_terms(lm):
 
 
 def test_mp_graded_piece_sl2(a1):
-    x = rho_over(a1, 2)
-    half = mp_graded_piece(a1, x, F(1, 2))
-    assert half == [{"root": 0, "n": 0}, {"root": 1, "n": 1}]
-    assert mp_graded_piece(a1, x, F(0)) == [{"torus": 0, "n": 0}]
-    assert mp_graded_piece(a1, (F(0),), F(1, 2)) == []
+    d, ladder = sl2_depth_one(a1)
+    real = Realization(d, ladder, rho_over(a1, 2))
+    assert real.monomials_at_degree(F(1, 2)) == [(("r", 0), 0), (("r", 1), 1)]
+    assert real.monomials_at_degree(F(0)) == [(("h", 0), 0)]
+    assert Realization(d, ladder, (F(0),)).monomials_at_degree(F(1, 2)) == []
 
 
 def test_graded_additivity(a1, a2):
@@ -116,17 +115,21 @@ def test_structure_table_matches_matrix_commutator():
 
 
 def test_vj_split_examples(a1, a2):
+    # the roots entering at each ladder level are the differences of the
+    # levels; the torus directions sit at level 0
+    def split(ladder):
+        levels = ladder.levels
+        return [sorted(levels[0])] + [sorted(levels[j] - levels[j - 1])
+                                      for j in range(1, len(levels))]
+
     d, ladder = sl3_two_break(a2)
-    split = vj_split(ladder)
-    assert split == [
-        {"roots": [], "torus": True},
-        {"roots": [1, 4], "torus": False},
-        {"roots": [0, 2, 3, 5], "torus": False},
-    ]
+    assert split(ladder) == [[], [1, 4], [0, 2, 3, 5]]
+    real = Realization(d, ladder, rho_over(a2, 2))
+    assert [g for g in real.generators() if real.level_of_gen[g] == 0] == [("h", 0), ("h", 1)]
     g0 = classify(split_torus_class(a2), Tail.zero(a2))
-    assert vj_split(extract(g0)) == [{"roots": sorted(range(6)), "torus": True}]
+    assert split(extract(g0)) == [sorted(range(6))]
     d1, lad1 = sl2_depth_one(a1)
-    assert vj_split(lad1)[1] == {"roots": [0, 1], "torus": False}
+    assert split(lad1)[1] == [0, 1]
 
 
 # -- symplectic forms ----------------------------------------------------
@@ -134,7 +137,9 @@ def test_vj_split_examples(a1, a2):
 
 def test_symplectic_sl2_matches_residue_oracle(a1):
     d, ladder = sl2_depth_one(a1)
-    form, piece, real = symplectic_form(d, ladder, 1, rho_over(a1, 2))
+    real = Realization(d, ladder, rho_over(a1, 2))
+    piece = v_piece_at_degree(real, 1, ladder.half_depths[0])
+    form = symplectic_form_on_piece(real, 1, piece)
     assert piece["monomials"] == [(("r", 0), 0), (("r", 1), 1)]
     # independent residue-trace oracle
     dual = LaurentMatrix(2, {-1: [[F(1, 2), 0], [0, F(-1, 2)]]})
@@ -149,15 +154,16 @@ def test_symplectic_sl2_matches_residue_oracle(a1):
 
 def test_symplectic_no_break_precondition(a1):
     d, ladder = sl2_depth_one(a1)
-    with pytest.raises(InvalidArgumentError):
-        symplectic_form(d, ladder, 1, (F(0),))  # integral grading: piece is zero
+    real = Realization(d, ladder, (F(0),))  # integral grading: piece is zero
+    assert v_piece_at_degree(real, 1, ladder.half_depths[0])["vectors"] == []
 
 
 def test_symplectic_sl3_both_breaks(a2):
     d, ladder = sl3_two_break(a2)
-    x = rho_over(a2, 2)
+    real = Realization(d, ladder, rho_over(a2, 2))
     for j in (1, 2):
-        form, piece, _ = symplectic_form(d, ladder, j, x)
+        piece = v_piece_at_degree(real, j, ladder.half_depths[j - 1])
+        form = symplectic_form_on_piece(real, j, piece)
         k = len(form)
         assert k == 2
         for a in range(k):
@@ -197,7 +203,8 @@ def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
 
 def test_lagrangian_outputs(a1):
     d, ladder = sl2_depth_one(a1)
-    form, piece, _ = symplectic_form(d, ladder, 1, rho_over(a1, 2))
+    real = Realization(d, ladder, rho_over(a1, 2))
+    form = symplectic_form_on_piece(real, 1, v_piece_at_degree(real, 1, ladder.half_depths[0]))
     lag = lagrangian(form)
     assert len(lag) == 1
     assert [repr(cyclo_value(c)) for c in lag[0]] == ["1*z1^0", "0"]
@@ -375,6 +382,30 @@ def test_proof_matches_window_reference(a1, a2):
                 for J in golden_lattices(a1, a2) for C in adjusted_copies(J)]
     assert all(p == w for p, w in verdicts)
     assert sum(p for p, _w in verdicts) == 92 and len(verdicts) == 132
+
+
+def test_generator_pairs_bracketed_once(monkeypatch):
+    # the closure proof and the tail character read one list of pair
+    # brackets: on epipelagic A4 that is 906 bracket_monomials calls in all,
+    # and a corrupted copy brackets its own generators, again once
+    doc = workloads.load_lattice_data()["epi-A4-5"]
+    d = jsonio.datum_from_json(doc)
+    calls = []
+    bracket = Realization.bracket_monomials
+
+    def counted(real, u, v):
+        calls.append((u, v))
+        return bracket(real, u, v)
+
+    monkeypatch.setattr(Realization, "bracket_monomials", counted)
+    J = build_j_lattice(d, extract(d))
+    assert psi_lambda_check(J)
+    assert len(calls) == 906
+    calls.clear()
+    C = J.with_adjust(("h", 0), 1)
+    bracket_closure_violations(C)
+    psi_lambda_check(C)
+    assert len(calls) == 906
 
 
 def test_thresholds_match_scan_from_below(a1, a2):

@@ -7,7 +7,7 @@ import polarium.polar as polar
 from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
-                            homogeneous_datum, is_g_regular, partition_check,
+                            homogeneous_datum, partition_check,
                             sample_equivariant_tail)
 from polarium.rootdata import WeylElement, build
 from polarium.tails import Tail, is_equivariant
@@ -22,12 +22,12 @@ def sl3_worked_tail(a2):
 
 
 def test_is_g_regular_examples(a1, a2):
-    lam = Tail(a1, 1, {F(1): [1]})
-    assert is_g_regular(split_torus_class(a1), lam)
-    assert is_g_regular(split_torus_class(a2), Tail.zero(a2),
-                        frozenset(range(6)))
+    # G-regular: every coroot outside the levi pairs to a nonzero tail
+    assert None not in Tail(a1, 1, {F(1): [1]}).coroot_depths()
+    # the zero tail is regular relative to all roots: every pairing vanishes
+    assert set(Tail.zero(a2).coroot_depths()) == {None}
     # pi_1 kills the second simple coroot
-    assert not is_g_regular(split_torus_class(a2), Tail(a2, 1, {F(1): [1, 0]}))
+    assert None in Tail(a2, 1, {F(1): [1, 0]}).coroot_depths()
 
 
 def test_classify_examples(a1, a2):
@@ -101,7 +101,7 @@ def test_conjugate_oracle_compares_every_exponent(a1):
 def test_epipelagic_examples(a1, a2):
     ep = epipelagic_datum(a1, 2)
     assert ep.lam.support() == [F(1, 2)]
-    assert is_g_regular(ep.torus, ep.lam)
+    assert None not in ep.lam.coroot_depths()
     ep3 = epipelagic_datum(a2, 3)
     assert ep3.lam.support() == [F(1, 3)]
     with pytest.raises(InvalidArgumentError):

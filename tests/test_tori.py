@@ -1,8 +1,8 @@
 import pytest
 
-from polarium.errors import InvalidArgumentError
+from polarium.errors import InternalInvariantViolation, InvalidArgumentError
 from polarium.rootdata import build
-from polarium.tori import (TorusClass, conjugacy_classes, is_springer_regular,
+from polarium.tori import (TorusClass, _eigendims, conjugacy_classes, is_springer_regular,
                            list_torus_classes, regular_class_of_order,
                            regular_numbers, split_torus_class)
 
@@ -24,7 +24,7 @@ def test_make_torus_class_a1(a1):
     s = a1.weyl_elements()[1]
     tc = TorusClass(a1, s, 2)
     assert [len(tc.eigenspace(i)) for i in range(2)] == [0, 1]
-    assert tc.is_elliptic()
+    assert tc.eigendims[0] == 0  # elliptic
 
 
 def test_make_torus_class_identity(a2):
@@ -53,6 +53,17 @@ def test_trace_eigendims_at_multiples_of_the_order(a2, b2, g2):
                 oracle = eigen_dims_by_charpoly(
                     [list(row) for row in tc.w.covector_matrix()], m)
                 assert TorusClass(rd, tc.w, m).eigendims == oracle
+
+
+def test_trace_eigendims_refuse_inconsistent_traces():
+    # traces of no rational matrix of order 2: 3/2 fixed directions
+    with pytest.raises(InternalInvariantViolation, match="trace count gives 3/2 eigenvalues"):
+        _eigendims([2, 1], 4)
+    # traces of no rational matrix of order 3: the two primitive cube roots
+    # of unity would share one eigenvalue
+    with pytest.raises(InternalInvariantViolation, match=r"gives 1 eigenvalues .* phi\(3\) = 2"):
+        _eigendims([2, 0, 1], 3)
+    assert _eigendims([2, -1, -1], 6) == [0, 0, 1, 0, 1, 0]
 
 
 def test_eigenspace_dims_match_charpoly_oracle(a2, b2, g2):
@@ -111,19 +122,19 @@ def test_regular_numbers_tables(a1, a2, a3, b2, g2):
 
 def test_coxeter_number_always_regular(a1, a2, a3, b2, g2):
     for rd in (a1, a2, a3, b2, g2):
-        h = rd.coxeter_number()
+        h = len(rd.roots) // rd.ss_rank
         assert h in regular_numbers(rd)["regular"]
 
 
 def test_elliptic_iff_no_fixed_covector(b2):
     for tc in list_torus_classes(b2):
-        assert tc.is_elliptic() == (len(tc.eigenspace(0)) == 0)
+        assert (tc.eigendims[0] == 0) == (len(tc.eigenspace(0)) == 0)
 
 
 def test_torus_rank_blocks_ellipticity():
     rd = build([["A", 1], ["torus", 1]])
     for tc in list_torus_classes(rd):
-        assert not tc.is_elliptic()
+        assert tc.eigendims[0] != 0
 
 
 @pytest.mark.parametrize("label", CLASS_TYPES, ids=_type_id)
