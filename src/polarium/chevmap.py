@@ -8,8 +8,9 @@ the cross-check converts explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 from .cyclo import CycloNumber, sqrt_cyclo
 from .errors import InvalidArgumentError, NoSqrtInBaseField, PrecisionError
@@ -18,14 +19,10 @@ from .rootdata import build
 from .tails import LaurentWindow, Tail
 from .tori import TorusClass, split_torus_class
 
-_A1 = None
 
-
+@cache
 def _a1():
-    global _A1
-    if _A1 is None:
-        _A1 = build("A1")
-    return _A1
+    return build("A1")
 
 
 def sqrt_series(a: LaurentWindow) -> LaurentWindow:
@@ -64,8 +61,7 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     return LaurentWindow(v / 2, a.hi - v / 2, terms, a.den)
 
 
-@dataclass(frozen=True)
-class Sl2Stratum:
+class Sl2Stratum(NamedTuple):
     kind: str  # split-toral | nonsplit-toral | G-zero
     n: int | None = None
 

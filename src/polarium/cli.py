@@ -8,10 +8,8 @@ surfaced in the output; identical (input, seed) gives byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from functools import cache
 
 from . import chevmap, jsonio, looplie, polar, yuseq
 from .cyclo import parse_fraction
@@ -96,8 +94,7 @@ def _run_jlattice(doc: dict) -> tuple[dict, int]:
 
 
 def _run_moveability(doc: dict) -> tuple[dict, int]:
-    datum_doc = doc["datum"]
-    datum = jsonio.datum_from_json(datum_doc, validate=datum_doc.get("validate", True))
+    datum = jsonio.datum_from_json(doc["datum"])
     ladder = _ladder_from_request(datum, doc.get("ladder"))
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
     report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
@@ -174,52 +171,42 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The subcommand parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="polarium",
-        description="Exact classification of Laurent-tail coadjoint data into "
-                    "polar strata, with ladder extraction and lattice verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--type", help="Cartan type label, e.g. A2 or G2")
-        p.add_argument("--input", help="JSON request document: a path, - for stdin, or inline JSON")
-        p.add_argument("--seed", type=int, help="seed for sampled commands")
-        p.add_argument("--samples", type=int, help="sample count for sampled commands")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        if name == "verify-sl2":
-            p.add_argument("--grid", default="default")
-        if name == "epipelagic" or name == "homogeneous":
-            p.add_argument("-m", type=int, help="torus order")
-        if name == "homogeneous":
-            p.add_argument("-i", type=int, help="graded exponent index")
-        if name == "moveability":
-            p.add_argument("--variant", choices=("J", "K"))
-    return parser
+# Each flag sets the request field of its name: its value is read as JSON
+# when it parses and as the string otherwise, and the command's schema alone
+# decides whether the field belongs and what it must hold.
+_FIELD_FLAGS = {"--type": "type", "--seed": "seed", "--samples": "samples", "-m": "m",
+                "-i": "i", "--variant": "variant", "--grid": "grid"}
+_USAGE = ("usage: polarium {" + ",".join(_HANDLERS) + "} [--input PATH|-|JSON] "
+          "[--format json|table] [--out PATH] "
+          + " ".join(f"[{flag} VALUE]" for flag in _FIELD_FLAGS) + "\n")
 
 
-def _merge_flags(args: argparse.Namespace, doc: dict) -> dict:
-    merged = dict(doc)
-    if args.type:
-        merged["type"] = args.type
-    if args.seed is not None and args.command == "partition-check":
-        merged["seed"] = args.seed
-    if args.samples is not None and args.command == "partition-check":
-        merged["samples"] = args.samples
-    if getattr(args, "m", None) is not None:
-        merged["m"] = args.m
-    if getattr(args, "i", None) is not None:
-        merged["i"] = args.i
-    if getattr(args, "variant", None):
-        merged["variant"] = args.variant
-    if args.command == "verify-sl2" and getattr(args, "grid", None) \
-            and "grid" not in merged:
-        merged["grid"] = args.grid
-    return merged
+def _parse_argv(argv: list[str]) -> tuple[str, dict, dict]:
+    """(command, request fields, CLI options) from `COMMAND [--flag value |
+    --flag=value]...`; a later flag overrides an earlier one."""
+    if not argv or argv[0] not in _HANDLERS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise InvalidArgumentError(f"{given}; expected one of {', '.join(_HANDLERS)}")
+    fields, options = {}, {"--input": None, "--format": "json", "--out": None}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FIELD_FLAGS and flag not in options:
+            raise InvalidArgumentError(f"unknown flag {flag!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise InvalidArgumentError(f"flag {flag} needs a value")
+        if flag in options:
+            options[flag] = value
+            continue
+        try:
+            fields[_FIELD_FLAGS[flag]] = json.loads(value)
+        except json.JSONDecodeError:
+            fields[_FIELD_FLAGS[flag]] = value
+    if options["--format"] not in ("json", "table"):
+        raise InvalidArgumentError(f"--format must be json or table, got {options['--format']!r}")
+    return argv[0], fields, options
 
 
 def _envelope(exc: PolariumError) -> str:
@@ -227,12 +214,18 @@ def _envelope(exc: PolariumError) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return 0
+    out_path = None
     try:
-        doc = _merge_flags(args, _load_input(args.input))
-        jsonio.validate_request(args.command, doc)
-        result, status = _HANDLERS[args.command](doc)
-        if args.format == "table":
+        command, fields, options = _parse_argv(argv)
+        out_path = options["--out"]
+        doc = {**_load_input(options["--input"]), **fields}
+        jsonio.validate_request(command, doc)
+        result, status = _HANDLERS[command](doc)
+        if options["--format"] == "table":
             text = _format_table(result) + "\n"
         else:
             text = jsonio.canonical_dumps(result)
@@ -242,10 +235,10 @@ def main(argv=None) -> int:
             exc = InternalInvariantViolation(f"unexpected {type(exc).__name__}: {exc}")
         text, status = _envelope(exc), exc.exit_status
     try:
-        _emit(text, args.out)
+        _emit(text, out_path)
     except OSError as exc:
         # the --out target is unusable, so stdout is the only place left for the envelope
-        err = InvalidArgumentError(f"cannot write output to {args.out!r}: {exc.strerror}")
+        err = InvalidArgumentError(f"cannot write output to {out_path!r}: {exc.strerror}")
         _emit(_envelope(err), None)
         return err.exit_status
     return status

@@ -9,8 +9,12 @@ comparison of integers (Cohen, A Course in Computational Algebraic Number
 Theory, section 4.2). The cyclotomic polynomial is monic with integer
 coefficients, so reducing a product modulo it stays in the integers, and
 every operation does its work on ints and divides by one gcd at the end.
-An int or a Fraction operand scales the numerators and the denominator; it
-never becomes an element of its own.
+The inverse too: for x = a/d with a in Z[zeta_L], the product c of the
+other Galois conjugates sigma_k(a), z -> z^k for the units k mod L, has
+a * c = N(a), a nonzero integer, so 1/x = d * c / N(a) (Washington,
+Introduction to Cyclotomic Fields, ch. 2). An int or a Fraction operand
+scales the numerators and the denominator; it never becomes an element of
+its own.
 
 The conductor L grows lazily (lcm) as mixed-conductor operations demand.
 Compatibility of generators across conductors is fixed once and for all by
@@ -32,7 +36,6 @@ from .errors import (ArithmeticDomainError, FieldExtensionRequired,
 Coeffs = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -58,49 +61,6 @@ def euler_phi(n: int) -> int:
     for p in _primes_dividing(n):
         result = result // p * (p - 1)
     return result
-
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    while len(a) >= len(b):
-        coeff = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        q[shift] = coeff
-        for i, bi in enumerate(b):
-            a[shift + i] -= coeff * bi
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +140,37 @@ def _lift_nums(nums: tuple[int, ...], L: int, L2: int) -> tuple[int, ...]:
     poly = [0] * ((len(nums) - 1) * k + 1)
     poly[::k] = nums
     return _reduce(L2, poly)
+
+
+def _mul_nums(L: int, a, b) -> list[int]:
+    """The numerators of a * b at conductor L, phi(L) > 1: the integer
+    product, with each power z^k past phi(L) read from the reduction table."""
+    phi = len(a)
+    out = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    low = out[:phi]
+    if any(out[phi:]):  # the reduction table is built only when a product needs it
+        table = _reduction_table(L)
+        for k in range(phi, 2 * phi - 1):
+            c = out[k]
+            if c:
+                for j, r in enumerate(table[k - phi]):
+                    if r:
+                        low[j] += c * r
+    return low
+
+
+def _conjugate(L: int, nums, k: int) -> tuple[int, ...]:
+    """The numerators of sigma_k(a), z -> z^k, for a unit k mod L: z^i goes
+    to z^(i*k mod L), distinct for the distinct i < phi(L), then reduced."""
+    poly = [0] * L
+    for i, n in enumerate(nums):
+        poly[i * k % L] = n
+    return _reduce(L, poly)
 
 
 class CycloNumber:
@@ -345,25 +336,9 @@ class CycloNumber:
             L = lcm(L, L2)
             a, b = _lift_nums(a, self.conductor, L), _lift_nums(b, L2, L)
         den = self.den * other.den
-        phi = len(a)
-        if phi == 1:
+        if len(a) == 1:
             return _normalized(L, [a[0] * b[0]], den)
-        out = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        low = out[:phi]
-        if any(out[phi:]):  # the reduction table is built only when a product needs it
-            table = _reduction_table(L)
-            for k in range(phi, 2 * phi - 1):
-                c = out[k]
-                if c:
-                    for j, r in enumerate(table[k - phi]):
-                        if r:
-                            low[j] += c * r
-        return _normalized(L, low, den)
+        return _normalized(L, _mul_nums(L, a, b), den)
 
     __rmul__ = __mul__
 
@@ -374,22 +349,16 @@ class CycloNumber:
         if not any(nums[1:]):
             n = nums[0]
             return _make(L, (den if n > 0 else -den,) + nums[1:], abs(n))
-        # Extended Euclid in Q[x] on the numerators; the cyclotomic polynomial
-        # is irreducible, so the gcd with any nonzero reduced element is a
-        # constant. The denominator of self only scales the inverse.
-        r0, r1 = list(cyclotomic_polynomial(L)), _poly_trim(list(nums))
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ArithmeticDomainError("element shares a factor with the modulus")
-        scale = Fraction(den) / r1[0]
-        coeffs = [c * scale for c in s1]
-        common = lcm(*(c.denominator for c in coeffs))
-        poly = [c.numerator * (common // c.denominator) for c in coeffs]
-        return _normalized(L, _reduce(L, poly), common)
+        # 1/self = den * c / N(a) for a = den * self, c the product of the
+        # other conjugates of a (see the module docstring)
+        conjugates = [_conjugate(L, nums, k) for k in range(2, L) if gcd(k, L) == 1]
+        c = conjugates[0]
+        for g in conjugates[1:]:
+            c = _mul_nums(L, c, g)
+        norm = _mul_nums(L, nums, c)[0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return _normalized(L, [x * den for x in c], norm)
 
     def __truediv__(self, other):
         if type(other) is not CycloNumber:

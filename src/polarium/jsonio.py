@@ -235,7 +235,7 @@ def datum_to_json(d: PolarDatum) -> dict:
     }
 
 
-def datum_from_json(doc: dict, validate: bool = True) -> PolarDatum:
+def datum_from_json(doc: dict) -> PolarDatum:
     rd = build(doc["type"])
     torus_doc = doc.get("torus")
     if torus_doc is None:
@@ -248,7 +248,7 @@ def datum_from_json(doc: dict, validate: bool = True) -> PolarDatum:
         if any(i >= len(rd.roots) for i in levi):
             raise InvalidArgumentError(f"levi index out of range: {rd.type_label()} has "
                                        f"{len(rd.roots)} roots")
-        return PolarDatum(tc, levi, lam, validate=validate and doc.get("validate", True))
+        return PolarDatum(tc, levi, lam, validate=doc.get("validate", True))
     return classify(tc, lam)
 
 

@@ -21,7 +21,7 @@ from math import lcm
 
 from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, euler_phi, parse_fraction,
                     zeta)
-from .errors import InvalidArgumentError, PrecisionError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement
 
@@ -107,9 +107,6 @@ class Tail:
             else:
                 terms[q] = list(c)
         return Tail(self.rd, m, terms)
-
-    def scale(self, factor) -> "Tail":
-        return Tail(self.rd, self.m, {q: [factor * x for x in c] for q, c in self.terms.items()})
 
     def weyl_act(self, w: WeylElement) -> "Tail":
         mat = w.covector_matrix()
@@ -232,44 +229,8 @@ class LaurentWindow:
         """Least exponent with a nonzero coefficient, None when zero on the window."""
         return min(self.terms) if self.terms else None
 
-    def effective_valuation(self) -> Fraction:
-        v = self.valuation()
-        return v if v is not None else self.hi
-
     def neg(self) -> "LaurentWindow":
         return LaurentWindow(self.lo, self.hi, {q: -c for q, c in self.terms.items()}, self.den)
-
-    def add(self, other: "LaurentWindow") -> "LaurentWindow":
-        den = lcm(self.den, other.den)
-        lo = min(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi <= lo:
-            raise PrecisionError("windows do not overlap")
-        terms: dict[Fraction, CycloNumber] = {}
-        for src in (self, other):
-            for q, c in src.terms.items():
-                if lo <= q < hi:
-                    terms[q] = terms.get(q, CycloNumber.zero()) + c
-        return LaurentWindow(lo, hi, terms, den)
-
-    def mul(self, other: "LaurentWindow") -> "LaurentWindow":
-        den = lcm(self.den, other.den)
-        va, vb = self.effective_valuation(), other.effective_valuation()
-        lo = self.lo + other.lo
-        hi = min(self.hi + vb, other.hi + va)
-        if hi <= lo:
-            raise PrecisionError("product window collapsed")
-        terms: dict[Fraction, CycloNumber] = {}
-        for qa, ca in self.terms.items():
-            for qb, cb in other.terms.items():
-                q = qa + qb
-                if lo <= q < hi:
-                    terms[q] = terms.get(q, CycloNumber.zero()) + ca * cb
-        return LaurentWindow(lo, hi, terms, den)
-
-    def scale(self, factor) -> "LaurentWindow":
-        return LaurentWindow(self.lo, self.hi,
-                             {q: factor * c for q, c in self.terms.items()}, self.den)
 
     def scale_exponents(self, r) -> "LaurentWindow":
         """Substitute t -> t^(1/r) viewed on exponents: q maps to q*r."""

@@ -103,10 +103,6 @@ class YuLadder:
                     f"{sorted(expected)} vs {sorted(level)}"
                 )
 
-    @property
-    def d(self) -> int:
-        return len(self.breaks)
-
     def level_of_root(self, idx: int) -> int:
         """Least j with the root inside level j (0 for levi roots)."""
         for j, level in enumerate(self.levels):

@@ -13,8 +13,9 @@ matrices, the action on weights and coweights, stabilizers) read a
 `WeylElement`'s matrices with plain integer products. The graded
 regularity search (a Sylvester-matrix test on sampled characteristic
 polynomials, placing roots with `looplie.root_positions`) and the
-series-level characteristic map of trace-free diagonals are reference
-computations with no counterpart in the package. The lattice window
+series-level characteristic map of trace-free diagonals, with the sum and
+product of Laurent windows that it expands, are reference computations with
+no counterpart in the package. The lattice window
 sweep is the closure and psi check as it was before the proof on O-module
 generators: it reads a lattice's pieces, brackets and pairing and checks
 every pair of basis vectors inside an exponent window. Responses are
@@ -37,7 +38,8 @@ import jsonschema
 import sympy
 
 from polarium.cyclo import CycloNumber
-from polarium.errors import ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError
+from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError,
+                             PrecisionError)
 from polarium.jsonio import schemas
 from polarium.linalg import rref
 from polarium.looplie import root_positions
@@ -469,6 +471,37 @@ def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
     return False
 
 
+def window_sum(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
+    """a + b on the overlap of the two windows' precision: from the lower
+    lo, since each support is bounded below by its own lo, to the lower hi."""
+    lo, hi = min(a.lo, b.lo), min(a.hi, b.hi)
+    if hi <= lo:
+        raise PrecisionError("windows do not overlap")
+    terms: dict = {}
+    for src in (a, b):
+        for q, c in src.terms.items():
+            if lo <= q < hi:
+                terms[q] = terms.get(q, CycloNumber.zero()) + c
+    return LaurentWindow(lo, hi, terms, lcm(a.den, b.den))
+
+
+def window_product(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
+    """a * b on the window its factors determine: the product is known up to
+    the lesser of each factor's hi plus the other's valuation."""
+    va = a.hi if a.valuation() is None else a.valuation()
+    vb = b.hi if b.valuation() is None else b.valuation()
+    lo, hi = a.lo + b.lo, min(a.hi + vb, b.hi + va)
+    if hi <= lo:
+        raise PrecisionError("product window collapsed")
+    terms: dict = {}
+    for qa, ca in a.terms.items():
+        for qb, cb in b.terms.items():
+            q = qa + qb
+            if lo <= q < hi:
+                terms[q] = terms.get(q, CycloNumber.zero()) + ca * cb
+    return LaurentWindow(lo, hi, terms, lcm(a.den, b.den))
+
+
 def charpoly_map(diag: list) -> list:
     """Elementary symmetric functions e_2..e_n of trace-free diagonal
     `LaurentWindow` entries, by the product expansion."""
@@ -476,7 +509,7 @@ def charpoly_map(diag: list) -> list:
         raise InvalidArgumentError("need at least two diagonal entries")
     total = diag[0]
     for entry in diag[1:]:
-        total = total.add(entry)
+        total = window_sum(total, entry)
     if total.valuation() is not None:
         raise InvalidArgumentError("diagonal entries do not sum to zero")
     lo = min(d.lo for d in diag)
@@ -487,9 +520,9 @@ def charpoly_map(diag: list) -> list:
     for entry in diag:
         nxt = [elems[0]]
         for k in range(1, len(elems) + 1):
-            term = elems[k - 1].mul(entry)
+            term = window_product(elems[k - 1], entry)
             if k < len(elems):
-                term = elems[k].add(term)
+                term = window_sum(elems[k], term)
             nxt.append(term)
         elems = nxt
     return elems[2:]

@@ -2,7 +2,9 @@
 
 Every top-level function and every public method in `src/polarium` must be
 named somewhere in `src/polarium` outside its own body: as a call, an
-attribute read or a value passed on. Code that only the tests reach belongs
+attribute read or a value passed on. A method counts as used only when some
+code reads it as an attribute (`x.name`): a bare name of the same spelling
+is a local variable or a function, not the method. Code that only the tests reach belongs
 in `tests/oracles.py` or in the test itself. Dunder methods are reached by
 the language, and `JLattice.with_adjust` is the negative-control hook that
 the lattice proofs are tested against.
@@ -16,18 +18,21 @@ ALLOWED = {"with_adjust"}
 
 
 def _definitions(tree):
-    """(label, node) for each top-level function and public method."""
+    """(label, node, keys that use it) for each top-level function and public
+    method; a function is used by its bare name or as an attribute, a
+    method only as an attribute."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node
+            yield node.name, node, (node.name, "." + node.name)
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub
+                    yield f"{node.name}.{sub.name}", sub, ("." + sub.name,)
 
 
 def _uses(tree) -> dict[str, list[frozenset]]:
-    """Each name read in the tree, with the ids of the functions around each read."""
+    """Each name read in the tree, with the ids of the functions around each
+    read; an attribute read `x.name` is keyed ".name"."""
     out: dict[str, list[frozenset]] = {}
 
     def walk(node, around):
@@ -36,7 +41,7 @@ def _uses(tree) -> dict[str, list[frozenset]]:
         if isinstance(node, ast.Name):
             out.setdefault(node.id, []).append(around)
         elif isinstance(node, ast.Attribute):
-            out.setdefault(node.attr, []).append(around)
+            out.setdefault("." + node.attr, []).append(around)
         for child in ast.iter_child_nodes(node):
             walk(child, around)
 
@@ -49,11 +54,12 @@ def unreferenced(src: Path) -> list[str]:
     uses = [_uses(tree) for tree in trees]
     out = []
     for tree in trees:
-        for label, node in _definitions(tree):
+        for label, node, keys in _definitions(tree):
             name = node.name
             if name in ALLOWED or (name.startswith("__") and name.endswith("__")):
                 continue
-            if not any(id(node) not in around for u in uses for around in u.get(name, ())):
+            if not any(id(node) not in around
+                       for u in uses for key in keys for around in u.get(key, ())):
                 out.append(label)
     return sorted(out)
 
@@ -64,9 +70,10 @@ def test_every_function_in_src_is_used_in_src():
 
 def test_guard_sees_a_function_used_only_by_itself(tmp_path):
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "def used():\n    scale = 1\n    return scale\n\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
         "class C:\n    def method(self):\n        return self.method()\n\n"
+        "    def scale(self):\n        return 2\n\n"
         "    def __eq__(self, other):\n        return True\n",
         encoding="utf-8")
-    assert unreferenced(tmp_path) == ["C.method", "recursive"]
+    assert unreferenced(tmp_path) == ["C.method", "C.scale", "recursive"]

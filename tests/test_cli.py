@@ -350,12 +350,41 @@ def test_one_checker_per_command(capsys, monkeypatch):
 
 
 def test_accepted_request_imports_no_jsonschema():
+    # nor an argument parser or dataclasses, which the request fields and
+    # the SL2 stratum record do without
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "polarium", "list-tori",
          "--input", '{"type":"A1"}'],
         capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout)["type"] == "A1"
-    assert "jsonschema" not in proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert not imported & {"jsonschema", "argparse", "dataclasses"}
+
+
+def test_flags_are_request_fields(capsys):
+    # a malformed command line ends in the envelope with exit 1, like any
+    # other invalid argument; exit 2 belongs to verification reports
+    for argv in (("classify", "--seed", "x"), ("jlattice", "--window", "1:2"),
+                 ("bogus",), (), ("regular-numbers", "--type"),
+                 ("regular-numbers", "--type", "A2", "--format", "xml"),
+                 ("classify", "--seed", "3", "--input",
+                  '{"type":"A1","lambda":{"m":1,"terms":[]}}')):
+        status, out = run_main(capsys, *argv)
+        assert status == 1, argv
+        assert json.loads(out)["error"]["code"] == "invalid-argument", argv
+    status, out = run_main(capsys, "regular-numbers", "--type=A2")
+    assert status == 0 and json.loads(out)["type"] == "A2"
+    for argv in (("--help",), ("classify", "-h")):
+        status, out = run_main(capsys, *argv)
+        assert status == 0 and out.startswith("usage: polarium ") and out.count("\n") == 1
+    # a flag overrides the document, --grid included
+    status, out = run_main(capsys, "epipelagic", "--type", "A2", "-m", "3",
+                           "--input", '{"type":"A1","m":2}')
+    assert status == 0 and json.loads(out)["type"] == "A2"
+    status, out = run_main(capsys, "verify-sl2", "--grid", "[]", "--input", '{"grid":"default"}')
+    assert status == 0 and json.loads(out)["points"] == 0
+    status, out = run_main(capsys, "verify-sl2", "--grid", "default", "--input", '{"grid":[]}')
+    assert status == 0 and json.loads(out)["points"] > 0
 
 
 def _fresh_process(*argv) -> str:

@@ -21,7 +21,7 @@ from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
 from polarium.linalg import dot_int
 from polarium.tails import LaurentWindow
 
-from .oracles import RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt
+from .oracles import RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, window_product
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24)
 
@@ -193,6 +193,17 @@ def test_closed_form_retraction_matches_rref_up_to_48():
                 check(got, expected)
 
 
+def test_inverse_matches_reference_at_41():
+    # phi(41) = 40: the product of 39 conjugates over the norm, against
+    # Euclid on Fraction remainders (small entries keep the reference quick)
+    rng = random.Random(41)
+    for _ in range(3):
+        x = CycloNumber(41, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             for _ in range(euler_phi(41))])
+        check(x.inverse(), RefCyclo.of(x).inverse())
+        assert x * x.inverse() == 1
+
+
 def _sqrt_windows() -> list[LaurentWindow]:
     """The default grid at even valuation, odd valuations read at t = tau^2,
     and den-2 windows: the grid at t^(1/2) and windows with half-integer
@@ -218,4 +229,4 @@ def test_sqrt_series_squares_back_on_its_window():
     assert sum(w.den == 2 for w in windows) > 50
     for a in windows:
         s = sqrt_series(a)
-        assert s.mul(s) == LaurentWindow(a.valuation(), a.hi, a.terms, a.den), a
+        assert window_product(s, s) == LaurentWindow(a.valuation(), a.hi, a.terms, a.den), a

@@ -44,7 +44,7 @@ def test_decompose_bands(a2):
 
 def test_extract_full_datum_zero(a2):
     ladder = extract(classify(split_torus_class(a2), Tail.zero(a2)))
-    assert ladder.d == 0
+    assert len(ladder.breaks) == 0
     assert len(ladder.levels) == 1
     assert ladder.components[0].is_zero()
 
