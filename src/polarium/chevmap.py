@@ -109,35 +109,23 @@ def _nonsplit_class() -> TorusClass:
 def sl2_crosscheck(a: LaurentWindow) -> bool:
     """Lift through the characteristic map and compare with the closed form.
 
-    The lift solves -b^2 = a (split torus when the valuation is even, the
-    ramified torus after t = tau^2 when odd), classifies the resulting tail,
-    and matches stratum kind and index against sl2_stratum.
+    The lift solves -b^2 = a after t = tau^e: e = 1 and the split torus when
+    the valuation is even, e = 2 and the ramified torus when it is odd. It
+    classifies the resulting tail and matches stratum kind and index against
+    sl2_stratum.
     """
     table = sl2_stratum(a)
     neg_a = a.neg()
     v = neg_a.valuation()
-    rd = _a1()
-    if v is None:
-        lifted_kind, lifted_n = "G-zero", None
-    elif int(v) % 2 == 0:
-        b = sqrt_series(neg_a)
-        lam = _tail_from_series(b, 1)
-        datum = classify(split_torus_class(rd), lam)
-        if datum.lam.is_zero():
-            lifted_kind, lifted_n = "G-zero", None
-        else:
-            lifted_kind = "split-toral"
-            lifted_n = int(datum.lam.depth() + 1)
-    else:
-        b_tau = sqrt_series(neg_a.scale_exponents(2))
-        b = b_tau.scale_exponents(Fraction(1, 2))
-        lam = _tail_from_series(b, 2)
-        datum = classify(_nonsplit_class(), lam)
-        if datum.lam.is_zero():
-            lifted_kind, lifted_n = "G-zero", None
-        else:
-            lifted_kind = "nonsplit-toral"
-            lifted_n = int(datum.lam.depth() + Fraction(1, 2))
+    lifted_kind, lifted_n = "G-zero", None
+    if v is not None:
+        e = 1 if int(v) % 2 == 0 else 2
+        b = sqrt_series(neg_a.scale_exponents(e)).scale_exponents(Fraction(1, e))
+        tc = split_torus_class(_a1()) if e == 1 else _nonsplit_class()
+        datum = classify(tc, _tail_from_series(b, e))
+        if not datum.lam.is_zero():
+            lifted_kind = "split-toral" if e == 1 else "nonsplit-toral"
+            lifted_n = int(datum.lam.depth() + Fraction(1, e))
     return (table.kind, table.n) == (lifted_kind, lifted_n)
 
 

@@ -6,7 +6,9 @@ A monomial is a generator G t^n, with G = E_ij for a root and
 E_kk - E_(k+1)(k+1) for the torus direction h_k. The dual element
 (sum M_p t^p) dt/t enters only through the residue-trace pairing, so it is
 kept as the functional it induces: exponent n -> generator -> tr(M_(-n) G),
-nonzero values only.
+nonzero values only. Brackets of generators are read off the root datum
+(Chevalley basis: [h_k, e_a] = <a, alpha_k^vee> e_a, [e_a, e_-a] = a^vee);
+only the sign of [e_a, e_b] comes from the matrix positions.
 
 Twisted tori enter through the cyclic-shift presentation X = N + t*E(n,1)
 (the principal order-n class). X^s has a one at (a, (a+s) mod n) times
@@ -50,7 +52,8 @@ from itertools import chain, combinations
 from math import ceil, floor, lcm
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
-from .errors import InternalInvariantViolation, InvalidArgumentError, UnsupportedFeatureError
+from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
+                     UnsupportedFeatureError)
 from .linalg import in_span, independent, nullspace, rank, rref
 from .polar import PolarDatum
 from .rootdata import RootDatum
@@ -64,6 +67,12 @@ Scalar = Fraction | CycloNumber  # a Fraction stands for its conductor-1 value
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Most codegrees a moveability scan visits: the multiples of the grading
+# step between its ends, so a coweight with large denominators is refused
+# before the lattice is assembled. The lattice benchmark and the goldens
+# visit at most 12.
+CODEGREE_BOUND = 1000
+
 
 def _require_type_a(rd: RootDatum) -> int:
     if len(rd.factors) != 1 or rd.factors[0][0] != "A" or rd.torus_rank:
@@ -76,21 +85,17 @@ def _require_type_a(rd: RootDatum) -> int:
 def root_positions(rd: RootDatum) -> dict[int, tuple[int, int]]:
     """Off-diagonal matrix position (i, j) of each root of a type-A datum.
 
-    E_ij carries the root e_i - e_j, written as its pairings with the simple
-    coroots: fundamental-weight coordinates, as `rootdata` stores roots.
+    E_ij carries the root e_i - e_j, whose coroot is the sum of the simple
+    coroots alpha_k^vee over i <= k < j, negated when i > j: the support of
+    the coroot gives {i, j} and its sign their order.
     """
-    n = _require_type_a(rd)
-    coords = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                vec = tuple(
-                    (1 if k == i else 0) - (1 if k + 1 == i else 0)
-                    - (1 if k == j else 0) + (1 if k + 1 == j else 0)
-                    for k in range(n - 1)
-                )
-                coords[vec] = (i, j)
-    return {idx: coords[root] for idx, root in enumerate(rd.roots)}
+    _require_type_a(rd)
+    positions = {}
+    for idx, coroot in enumerate(rd.coroots):
+        support = [k for k, c in enumerate(coroot) if c]
+        lo, hi = support[0], support[-1] + 1
+        positions[idx] = (lo, hi) if coroot[lo] > 0 else (hi, lo)
+    return positions
 
 
 def _shift_power(n: int, s: int):
@@ -167,17 +172,16 @@ class Realization:
         return dual
 
     def _realize_dual_twisted(self) -> Functional:
-        # X^(n-i) t^(-1-j) has pure grading degree -q and is regular
-        # semisimple exactly when gcd(i,n)=1; tr(E_ab G) reads G at (b, a).
-        n = self.n
+        # the trace dual of the Levi line at -q, X^(n-i) t^(-1-j) for
+        # q = j + i/n, which is regular semisimple exactly when gcd(i,n)=1;
+        # tr(E_ab G) reads G at (b, a), so E_ab t^e pairs with E_ba t^-e.
         (q, _cov), = self.datum.lam.terms.items()
-        i = int(q * n) % n
-        if i == 0:  # only an unvalidated datum gets here: w fixes no nonzero covector
+        lines = self.m_lines_at_degree(-q)
+        if not lines:  # only an unvalidated datum gets here: w fixes no nonzero covector
             raise InvalidArgumentError("twisted tail exponent must not be an integer")
-        j = int(q - Fraction(i, n))
         dual: Functional = {}
-        for a, b, p in _shift_power(n, n - i):
-            dual.setdefault(1 + j - p, {})[("r", self._root_at[(b, a)])] = _ONE
+        for ((_kind, idx), e), c in lines[0].items():
+            dual.setdefault(-e, {})[("r", self.rd.negative_of(idx))] = c
         return dual
 
     # -- graded combinatorics -------------------------------------------
@@ -193,7 +197,7 @@ class Realization:
 
     def generators(self) -> list[Gen]:
         gens: list[Gen] = [("r", idx) for idx in range(len(self.rd.roots))]
-        gens += [("h", k) for k in range(self.n - 1)]
+        gens += [("h", k) for k in range(self.rd.ss_rank)]
         return gens
 
     def monomials_at_degree(self, deg: Fraction) -> list[Monomial]:
@@ -212,38 +216,26 @@ class Realization:
         return Fraction(1, lcm(*(self.root_height(idx).denominator
                                  for idx in range(len(self.rd.roots)))))
 
-    def _entries_to_coords(self, entries: dict) -> dict:
-        """Generator coordinates of a trace-zero matrix given by its nonzero
-        entries in row-major order; h_k takes the diagonal partial sum to k."""
-        out = {}
-        for (i, j), c in entries.items():
-            if i != j:
-                out[("r", self._root_at[(i, j)])] = c
-        acc = 0
-        for k in range(self.n - 1):
-            acc = acc + entries.get((k, k), 0)
-            if acc:
-                out[("h", k)] = acc
-        return out
-
-    def _gen_entries(self, gen: Gen) -> tuple[tuple[int, int, int], ...]:
-        """Nonzero entries (i, j, c) of the generator's matrix."""
-        if gen[0] == "r":
-            return (self.position[gen[1]] + (1,),)
-        k = gen[1]
-        return ((k, k, 1), (k + 1, k + 1, -1))
-
     def _structure_constants(self, gu: Gen, gv: Gen) -> tuple:
-        """[gu, gv] in generator coordinates from [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
-        comm: dict[tuple[int, int], int] = {}
-        for i, j, a in self._gen_entries(gu):
-            for k, l, b in self._gen_entries(gv):
-                if j == k:
-                    comm[(i, l)] = comm.get((i, l), 0) + a * b
-                if l == i:
-                    comm[(k, j)] = comm.get((k, j), 0) - a * b
-        entries = {pos: comm[pos] for pos in sorted(comm) if comm[pos]}
-        return tuple((gen, Fraction(c)) for gen, c in self._entries_to_coords(entries).items())
+        """[gu, gv] in generator coordinates, read off the root datum:
+        [h_k, e_a] = <a, alpha_k^vee> e_a, [e_a, e_-a] = a^vee, and
+        [e_a, e_b] = +-e_(a+b) when a + b is a root, with the sign of
+        [E_ij, E_jl] = E_il."""
+        rd = self.rd
+        (ku, u), (kv, v) = gu, gv
+        if ku == "h":
+            c = 0 if kv == "h" else rd.roots[v][u]
+            return ((gv, Fraction(c)),) if c else ()
+        if kv == "h":
+            c = -rd.roots[u][v]
+            return ((gu, Fraction(c)),) if c else ()
+        if v == rd.negative_of(u):
+            return tuple((("h", k), Fraction(c)) for k, c in enumerate(rd.coroots[u]) if c)
+        total = rd.root_index.get(tuple(a + b for a, b in zip(rd.roots[u], rd.roots[v])))
+        if total is None:
+            return ()
+        sign = _ONE if self.position[u][1] == self.position[v][0] else -_ONE
+        return ((("r", total), sign),)
 
     def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, Fraction]:
         (gu, nu), (gv, nv) = u, v
@@ -643,7 +635,6 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         raise InvalidArgumentError(f"variant must be J or K, got {variant}")
     ladder = ladder or extract(datum)
     real = Realization(datum, ladder, x)
-    lattice = JLattice(real, variant)
     top = max([Fraction(1)] + list(ladder.breaks))
     gamma_max = top + 1
     step = real.degree_step()
@@ -654,7 +645,13 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         gamma_min = step
     else:
         gamma_min = -max([Fraction(0)] + list(ladder.half_depths))
-    candidates = {k * step for k in range(ceil(gamma_min / step), floor(gamma_max / step) + 1)}
+    first, last = ceil(gamma_min / step), floor(gamma_max / step)
+    if last - first + 1 > CODEGREE_BOUND:
+        raise ResourceLimitError(
+            f"codegree scan over [{gamma_min}, {gamma_max}] at step {step} visits "
+            f"{last - first + 1} codegrees, more than bound {CODEGREE_BOUND}")
+    lattice = JLattice(real, variant)
+    candidates = {k * step for k in range(first, last + 1)}
     if variant == "J":
         for rec in lattice.break_pieces:
             candidates.add(rec["degree"] - lattice.breaks[rec["j"] - 1])

@@ -213,7 +213,6 @@ def _one_sample(rd: RootDatum, classes, seed: int, zero_only: bool) -> dict:
     except Exception as exc:  # totality is the property under test
         record["violations"].append({"kind": "classify-failed", "error": str(exc)})
         return record
-    record["levi_size"] = len(d.levi)
     record["depths"] = d.depth_multiset()
 
     d_again = classify(tc, d.lam)
@@ -249,8 +248,7 @@ def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
     for k, rec in enumerate(records):
         for v in rec["violations"]:
             violations.append({"sample": k, **v})
-        if "m" in rec:
-            torus_orders[rec["m"]] = torus_orders.get(rec["m"], 0) + 1
+        torus_orders[rec["m"]] = torus_orders.get(rec["m"], 0) + 1
         if "datum" in rec:
             data.append((k, rec["datum"], rec["depths"]))
             if rec["datum"].is_full():

@@ -175,12 +175,13 @@ class RootDatum:
         return "x".join(parts) if parts else "T0"
 
     def rho_coweight(self) -> tuple[Fraction, ...]:
-        """The rational coweight pairing to 1 with every simple root."""
-        r = self.ss_rank
-        aug = [[Fraction(self.cartan[k][j]) for k in range(r)] + [Fraction(1)]
-               for j in range(r)]
-        reduced, _ = rref(aug)  # the Cartan matrix is invertible
-        return tuple(row[r] for row in reduced) + (Fraction(0),) * self.torus_rank
+        """Half the sum of the positive coroots: the coweight pairing to 1
+        with every simple root, zero on the central torus."""
+        total = [0] * self.dim
+        for coroot in self.coroots:
+            if min(coroot) >= 0:
+                total = [a + b for a, b in zip(total, coroot)]
+        return tuple(Fraction(v, 2) for v in total)
 
     # -- Weyl group --------------------------------------------------------
 
@@ -301,7 +302,7 @@ class WeylElement:
     goes through `from_matrix`, which does both.
     """
 
-    __slots__ = ("rd", "matrix", "inverse_matrix", "root_permutation", "_cov", "_order")
+    __slots__ = ("rd", "matrix", "inverse_matrix", "root_permutation", "_cov")
 
     def __init__(self, rd: RootDatum, matrix, inverse_matrix, root_permutation):
         self.rd = rd
@@ -309,7 +310,6 @@ class WeylElement:
         self.inverse_matrix = inverse_matrix
         self.root_permutation = root_permutation  # [i] is the index of the root w·alpha_i
         self._cov = None
-        self._order = None
 
     @classmethod
     def from_matrix(cls, rd: RootDatum, matrix) -> "WeylElement":
@@ -334,14 +334,12 @@ class WeylElement:
         return self._cov
 
     def order(self) -> int:
-        if self._order is None:
-            identity = identity_matrix(len(self.matrix))
-            power, k = self.matrix, 1
-            while power != identity:
-                power = _mat_mul(self.matrix, power)
-                k += 1
-            self._order = k
-        return self._order
+        identity = identity_matrix(len(self.matrix))
+        power, k = self.matrix, 1
+        while power != identity:
+            power = _mat_mul(self.matrix, power)
+            k += 1
+        return k
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         perm = self.root_permutation

@@ -30,6 +30,15 @@ Covector = tuple[CycloNumber, ...]
 # Largest phi(L) at which a root-of-unity twist is computed (see
 # Tail.expected_twist); phi(1000) = 400.
 TWIST_PHI_BOUND = 400
+# Largest phi(L) for L the lcm of the conductors of a wire tail's or
+# window's coefficients. Dense arithmetic at conductor L costs about
+# phi(L)^2 per product and more per inverse. A `homogeneous` datum's
+# coefficients live at its regular number m, with phi(m) <= 16 up to rank 16.
+COEFF_PHI_BOUND = 24
+# Largest 2 (hi - lo) den of a wire window: the number of steps the square
+# root runs on after an odd valuation doubles them; the recursion is
+# quadratic in it. The default grid's windows have 12.
+WINDOW_STEPS_BOUND = 256
 
 
 def covector(values, dim: int | None = None) -> Covector:
@@ -115,15 +124,11 @@ class Tail:
             out[q] = tuple(dot_int(row, c) for row in mat)
         return Tail(self.rd, self.m, out)
 
-    def restrict(self, lo, hi, include_lo: bool, include_hi: bool) -> "Tail":
-        """Terms with exponent inside the band; bounds may be None for +-inf."""
-        kept = {}
-        for q, c in self.terms.items():
-            if lo is not None and (q < lo or (q == lo and not include_lo)):
-                continue
-            if hi is not None and (q > hi or (q == hi and not include_hi)):
-                continue
-            kept[q] = c
+    def restrict(self, lo, hi) -> "Tail":
+        """Terms with exponent in the band lo < q <= hi; None leaves a side
+        unbounded."""
+        kept = {q: c for q, c in self.terms.items()
+                if (lo is None or q > lo) and (hi is None or q <= hi)}
         return Tail(self.rd, self.m, kept)
 
     def expected_twist(self) -> "Tail":
@@ -267,23 +272,36 @@ def tail_to_json(tail: Tail) -> dict:
     }
 
 
+def _coefficient_from_json(x) -> CycloNumber:
+    return cyclo_from_json(x) if isinstance(x, dict) \
+        else CycloNumber.from_rational(parse_fraction(x))
+
+
+def _bound_conductors(values) -> None:
+    """Refuse coefficients whose common conductor L has phi(L) above
+    COEFF_PHI_BOUND; phi(L) >= sqrt(L/2) refuses L above twice its square
+    before L is factored."""
+    L = lcm(*(c.conductor for c in values))
+    if L > 2 * COEFF_PHI_BOUND ** 2 or euler_phi(L) > COEFF_PHI_BOUND:
+        raise ResourceLimitError(
+            f"coefficients live at conductor {L}: phi({L}) larger than bound {COEFF_PHI_BOUND}")
+
+
 def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
     terms = {}
     for entry in doc.get("terms", []):
-        coeff = [
-            cyclo_from_json(x) if isinstance(x, dict)
-            else CycloNumber.from_rational(parse_fraction(x))
-            for x in entry["coeff"]
-        ]
-        terms[parse_fraction(entry["q"])] = coeff
+        terms[parse_fraction(entry["q"])] = [_coefficient_from_json(x) for x in entry["coeff"]]
+    _bound_conductors(c for coeff in terms.values() for c in coeff)
     return Tail(rd, int(doc.get("m", 1)), terms)
 
 
 def window_from_json(doc: dict) -> LaurentWindow:
+    lo, hi, den = parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), int(doc.get("den", 1))
+    if 2 * (hi - lo) * den > WINDOW_STEPS_BOUND:
+        raise ResourceLimitError(f"window [{lo}, {hi}) at step 1/{den} has 2 (hi - lo) den = "
+                                 f"{2 * (hi - lo) * den}, larger than bound {WINDOW_STEPS_BOUND}")
     terms = {}
     for entry in doc.get("terms", []):
-        c = entry["coeff"]
-        terms[parse_fraction(entry["q"])] = cyclo_from_json(c) if isinstance(c, dict) \
-            else CycloNumber.from_rational(parse_fraction(c))
-    return LaurentWindow(parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), terms,
-                         int(doc.get("den", 1)))
+        terms[parse_fraction(entry["q"])] = _coefficient_from_json(entry["coeff"])
+    _bound_conductors(terms.values())
+    return LaurentWindow(lo, hi, terms, den)

@@ -36,8 +36,6 @@ def levi_ladder(d: PolarDatum, break_seq) -> list[frozenset[int]]:
         cutoff = break_seq[j - 1]
         level = frozenset(set(d.levi) | {idx for idx, r in depths.items() if r <= cutoff})
         levels.append(level)
-    if not levels or len(levels[-1]) != len(rd.roots):
-        levels.append(frozenset(range(len(rd.roots))))
     for level in levels:
         if not is_q_closed(rd, level):
             raise InternalInvariantViolation(f"ladder level {sorted(level)} not rationally closed")
@@ -51,10 +49,10 @@ def decompose_lambda(d: PolarDatum, break_seq) -> list[Tail]:
     lam = d.lam
     if not break_seq:
         return [lam]
-    parts = [lam.restrict(Fraction(0), break_seq[0], True, True)]
+    parts = [lam.restrict(None, break_seq[0])]
     for j in range(1, len(break_seq)):
-        parts.append(lam.restrict(break_seq[j - 1], break_seq[j], False, True))
-    parts.append(lam.restrict(break_seq[-1], None, False, True))
+        parts.append(lam.restrict(break_seq[j - 1], break_seq[j]))
+    parts.append(lam.restrict(break_seq[-1], None))
     return parts
 
 

@@ -12,7 +12,8 @@ before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
 `WeylElement`'s matrices with plain integer products. The graded
 regularity search (a Sylvester-matrix test on sampled characteristic
-polynomials, placing roots with `looplie.root_positions`) and the
+polynomials, placing each root at the matrix position whose e_i - e_j
+matches it in fundamental-weight coordinates) and the
 series-level characteristic map of trace-free diagonals, with the sum and
 product of Laurent windows that it expands, are reference computations with
 no counterpart in the package. The lattice window
@@ -42,7 +43,6 @@ from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, Inva
                              PrecisionError)
 from polarium.jsonio import schemas
 from polarium.linalg import rref
-from polarium.looplie import root_positions
 from polarium.tails import LaurentWindow
 from polarium.tori import TorusClass, is_springer_regular
 
@@ -420,16 +420,31 @@ def _sylvester(p: list[Fraction], q: list[Fraction]) -> list[list[Fraction]]:
                for i in range(dp)])
 
 
+def matrix_positions(rd) -> dict:
+    """Off-diagonal matrix position (i, j) of each root of a type-A datum,
+    by writing every e_i - e_j in fundamental-weight coordinates (its
+    pairings with the simple coroots) and finding it among the roots."""
+    n = rd.ss_rank + 1
+    coords = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                vec = tuple(
+                    (1 if k == i else 0) - (1 if k + 1 == i else 0)
+                    - (1 if k == j else 0) + (1 if k + 1 == j else 0)
+                    for k in range(n - 1)
+                )
+                coords[vec] = (i, j)
+    return {idx: coords[root] for idx, root in enumerate(rd.roots)}
+
+
 def graded_piece_directions(rd, m: int) -> list:
     """Directions of the residual graded piece at class -1 mod m of a type-A
-    datum, as ("r", root index) and ("h", k)."""
-    rho = rd.rho_coweight()
+    datum, as ("r", root index) and ("h", k). The root at matrix position
+    (i, j) has height j - i under rho_vee."""
     target = (-1) % m
-    dirs = []
-    for idx, root in enumerate(rd.roots):
-        height = sum(a * b for a, b in zip(rho, root))
-        if int(height) % m == target:
-            dirs.append(("r", idx))
+    dirs = [("r", idx) for idx, (i, j) in matrix_positions(rd).items()
+            if (j - i) % m == target]
     if target == 0:
         dirs.extend(("h", k) for k in range(rd.ss_rank))
     return dirs
@@ -440,7 +455,7 @@ def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
     class of a type-A datum: a sample matrix whose characteristic polynomial
     is coprime to its derivative."""
     n = rd.ss_rank + 1
-    position = root_positions(rd)
+    position = matrix_positions(rd)
     dirs = graded_piece_directions(rd, m)
     if not dirs:
         return False

@@ -591,3 +591,101 @@ def test_eigenspace_dimension_check_survives_optimized_python():
         error = json.loads(proc.stdout)["error"]
         assert error["code"] == "internal-invariant-violation"
         assert error["message"].startswith("eigenspace dimension check"), error
+
+
+def test_moveability_codegree_bound(capsys, monkeypatch):
+    # the scan visits every multiple of the grading step between its ends:
+    # at x = 1/d on A1 that is 2d + d//2 + 1 codegrees. Inside the bound the
+    # request answers; past it, it is refused before the lattice is assembled.
+    import polarium.looplie as looplie
+
+    def moveability_at(d):
+        datum = {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}}
+        return run_main(capsys, "moveability", "--input",
+                        json.dumps({"datum": datum, "x": [f"1/{d}"]}))
+
+    status, out = moveability_at(399)  # 998 codegrees
+    assert status == 0, out
+    assert json.loads(out)["full_rank"] is True
+
+    def refuse(*args):
+        raise AssertionError("lattice assembled for a scan past the codegree bound")
+
+    monkeypatch.setattr(looplie, "JLattice", refuse)
+    for d in (401, 1_000_000_007):
+        start = time.perf_counter()
+        status, out = moveability_at(d)
+        assert time.perf_counter() - start < 2
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource-limit"
+        assert f"bound {looplie.CODEGREE_BOUND}" in error["message"]
+
+
+def test_verify_sl2_window_bound(capsys, monkeypatch):
+    # 2 (hi - lo) den counts the steps of the square root after an odd
+    # valuation doubles them; past the bound no window is built
+    import polarium.tails as tails
+
+    def verify(hi, den=1):
+        window = {"lo": "-2", "hi": hi, "den": den, "terms": [{"q": "-2", "coeff": "1"}]}
+        return run_main(capsys, "verify-sl2", "--input", json.dumps({"grid": [window]}))
+
+    status, out = verify("126")  # 2 * 128 = 256 steps
+    assert status == 0, out
+    assert json.loads(out)["points"] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window built past the length bound")
+
+    monkeypatch.setattr(tails, "LaurentWindow", refuse)
+    for hi, den in (("127", 1), ("6400", 1), ("0", 10**9)):
+        status, out = verify(hi, den)
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource-limit", (hi, den)
+        assert f"bound {tails.WINDOW_STEPS_BOUND}" in error["message"]
+
+
+def test_wire_coefficient_conductor_bound(capsys, monkeypatch):
+    # the coefficients of a tail or a window are lifted to the lcm L of their
+    # conductors; phi(L) past the bound is refused before any tail or window
+    # is built, and L past twice the square of the bound before L is factored
+    import polarium.tails as tails
+
+    def dense(L):
+        from polarium.cyclo import euler_phi
+
+        return {"conductor": L, "coeffs": [str(k % 3 + 1) for k in range(euler_phi(L))]}
+
+    def classify(*conductors):
+        terms = [{"q": str(k + 1), "coeff": [dense(L)]} for k, L in enumerate(conductors)]
+        doc = {"type": "A1", "lambda": {"m": 1, "terms": terms}}
+        return run_main(capsys, "classify", "--input", json.dumps(doc))
+
+    def verify(L):
+        window = {"lo": "-2", "hi": "4", "terms": [{"q": "-2", "coeff": "1"},
+                                                  {"q": "-1", "coeff": dense(L)}]}
+        return run_main(capsys, "verify-sl2", "--input", json.dumps({"grid": [window]}))
+
+    for L in (35, 72, 90):  # phi(L) = 24 = COEFF_PHI_BOUND
+        status, out = classify(L)
+        assert status == 0, (L, out)
+    status, out = classify(5, 7)
+    assert status == 0, out
+    status, out = verify(35)
+    assert status == 0, out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arithmetic past the conductor bound")
+
+    monkeypatch.setattr(tails, "Tail", refuse)
+    monkeypatch.setattr(tails, "LaurentWindow", refuse)
+    refused = [classify(101), classify(997), classify(5, 7, 3), verify(101), verify(211)]
+    monkeypatch.setattr(tails, "euler_phi", refuse)
+    refused += [classify(101, 103), classify(1153), verify(1153)]
+    for status, out in refused:
+        assert status == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource-limit"
+        assert f"bound {tails.COEFF_PHI_BOUND}" in error["message"]

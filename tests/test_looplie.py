@@ -11,7 +11,7 @@ from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation
 from polarium.looplie import (Realization, bracket_closure_violations,
                               build_j_lattice, lagrangian, moveability_check,
-                              psi_lambda_check, symplectic_form_on_piece,
+                              psi_lambda_check, root_positions, symplectic_form_on_piece,
                               v_piece_at_degree)
 from polarium.polar import PolarDatum, classify, epipelagic_datum
 from polarium.rootdata import build
@@ -20,7 +20,8 @@ from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
-                      eigen_regular_check, psi_on_window, span_contains, window_basis)
+                      eigen_regular_check, matrix_positions, psi_on_window, span_contains,
+                      window_basis)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -48,11 +49,12 @@ def as_laurent(real, coords):
     """The Laurent matrix sum of c * G t^n over a monomial map, where G is
     E_ij for a root at position (i, j) and E_kk - E_(k+1)(k+1) for h_k."""
     n = real.n
+    position = matrix_positions(real.rd)
     terms = {}
     for ((kind, idx), p), c in coords.items():
         mat = terms.setdefault(p, [[F(0)] * n for _ in range(n)])
         if kind == "r":
-            i, j = real.position[idx]
+            i, j = position[idx]
             mat[i][j] += c
         else:
             mat[idx][idx] += c
@@ -112,6 +114,14 @@ def test_structure_table_matches_matrix_commutator():
                 expected = as_laurent(real, {u: 1}).commutator(as_laurent(real, {v: 1}))
                 assert nonzero_terms(as_laurent(real, got)) == nonzero_terms(expected), \
                     (real.rd.type_label(), real.twisted, gu, gv)
+
+
+def test_root_positions_match_fundamental_weight_reference():
+    # the positions read off the coroots agree with the roots e_i - e_j
+    # written out in fundamental-weight coordinates
+    for n in range(1, 8):
+        rd = build(f"A{n}")
+        assert root_positions(rd) == matrix_positions(rd), rd.type_label()
 
 
 def test_vj_split_examples(a1, a2):

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -235,7 +236,17 @@ def test_weyl_order_matches_plain_bfs():
 
 
 def test_rho_coweight_pairs_to_one():
-    for label in KERNEL_TYPES:
+    for label in WEYL_TYPES:
         rd = build(label)
         rho = rd.rho_coweight()
+        assert len(rho) == rd.dim, label
         assert [rd.pairing(rho, alpha) for alpha in rd.simple_roots] == [1] * rd.ss_rank, label
+
+
+def test_rho_coweight_on_products_and_central_tori():
+    # half the sum of the positive coroots, one coordinate per dimension:
+    # a central torus coordinate is 0, and a pure torus is all zeros, not ()
+    F = Fraction
+    assert build([["torus", 2]]).rho_coweight() == (F(0), F(0))
+    assert build([["A", 2], ["torus", 1]]).rho_coweight() == (F(1), F(1), F(0))
+    assert build([["B", 2], ["G", 2]]).rho_coweight() == (F(2), F(3, 2), F(5), F(3))

@@ -148,8 +148,8 @@ def test_coroot_depths_match_brute_force(a2, b2, g2):
 
 def test_restrict_bands(a2):
     lam = Tail(a2, 1, {F(0): [1, 0], F(1): [0, 1], F(2): [1, 1]})
-    low = lam.restrict(F(0), F(1), True, True)
-    high = lam.restrict(F(1), None, False, True)
+    low = lam.restrict(None, F(1))
+    high = lam.restrict(F(1), None)
     assert sorted(low.terms) == [0, 1]
     assert sorted(high.terms) == [2]
     assert low.add(high) == lam
