@@ -15,7 +15,7 @@ from . import chevmap, jsonio, looplie, polar, yuseq
 from .cyclo import parse_fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError, PolariumError
 from .rootdata import build, rootdatum_to_json
-from .tails import window_from_json
+from .tails import grid_from_json
 from .tori import list_torus_classes, regular_numbers
 from .yuseq import YuLadder, decompose_lambda, extract
 
@@ -103,7 +103,7 @@ def _run_moveability(doc: dict) -> tuple[dict, int]:
 
 def _run_verify_sl2(doc: dict) -> tuple[dict, int]:
     grid_spec = doc.get("grid", "default")
-    grid = None if grid_spec == "default" else [window_from_json(w) for w in grid_spec]
+    grid = None if grid_spec == "default" else grid_from_json(grid_spec)
     report = chevmap.verify_sl2(grid)
     return report, 0 if not report["violations"] else 2
 

@@ -457,13 +457,6 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     return _make(conductor, _reduce(conductor, [0] * e + [1]), 1)
 
 
-def root_of_unity(order: int, power: int, conductor: int) -> CycloNumber:
-    """zeta_order^power expressed at a conductor divisible by order."""
-    if conductor % order != 0:
-        raise InvalidArgumentError(f"order {order} does not divide conductor {conductor}")
-    return zeta(conductor, (conductor // order) * power)
-
-
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s^2 * v with v squarefree; returns (s, v). n >= 1."""
     s, v, p = 1, 1, 2

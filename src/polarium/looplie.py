@@ -46,7 +46,6 @@ parts.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, floor, lcm
@@ -299,7 +298,6 @@ class JLattice:
 
     Pure monomial directions follow per-level degree bounds; at break degrees
     the lattice contains only the chosen Lagrangian (plus the Levi line).
-    Exponent adjustments support corrupted variants for negative controls.
     """
 
     def __init__(self, real: Realization, kind: str = "J"):
@@ -307,7 +305,6 @@ class JLattice:
             raise InvalidArgumentError(f"lattice kind must be J or K, got {kind}")
         self.real = real
         self.kind = kind
-        self.adjust: dict[Gen, int] = {}
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
@@ -328,10 +325,8 @@ class JLattice:
         height = self.real.degree((gen, 0))
         j = self.real.level_of_gen[gen]
         if j == 0:
-            n = ceil(-height)
-        else:
-            n = floor(self._level_bound(j) - height) + 1
-        return n - self.adjust.get(gen, 0)
+            return ceil(-height)
+        return floor(self._level_bound(j) - height) + 1
 
     def _assemble_breaks(self) -> None:
         real = self.real
@@ -342,9 +337,7 @@ class JLattice:
                 continue
             form = symplectic_form_on_piece(real, j, piece)
             vectors = [_coords_to_map(piece, coords) for coords in lagrangian(form)]
-            self.break_pieces.append({
-                "j": j, "degree": s, "piece": piece, "form": form, "lagrangian": vectors,
-            })
+            self.break_pieces.append({"j": j, "degree": s, "lagrangian": vectors})
 
     def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], tuple[tuple, ...]]:
         """Monomial basis of the ambient graded slot plus lattice vectors.
@@ -409,15 +402,6 @@ class JLattice:
             self._brackets = [(u, v, _bracket_lines(real, u, v))
                               for u, v in combinations(self.module_generators(), 2)]
         return self._brackets
-
-    def with_adjust(self, gen: Gen, steps: int) -> "JLattice":
-        """Corrupted copy: direction bound moved by the given exponent steps."""
-        out = copy.copy(self)
-        out.adjust = {**self.adjust, gen: self.adjust.get(gen, 0) + steps}
-        # the pure-monomial rule, and with it the generators, changed
-        out._pieces = {}
-        out._brackets = None
-        return out
 
     def to_json(self) -> dict:
         real = self.real

@@ -14,10 +14,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycloNumber
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int
-from .rootdata import RootDatum, WeylElement, _mat_mul, is_q_closed, stable_under
+from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
 from .tails import Tail, is_equivariant
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
@@ -107,11 +106,13 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     """Brute-force Weyl search for u with u w1 u^-1 = w2 and u(lam1) = lam2.
 
     A Weyl element sends a nonzero covector to a nonzero one, so tails with
-    different exponent sets are never conjugate. Otherwise each u is first
-    filtered on the simple roots, since a u with u w1 = w2 u permutes roots
-    as p_u p_1 = p_2 p_u; then on the matrix equation, since roots alone do
-    not see a central torus. u(lam1) is compared with lam2 exponent by
-    exponent from the top, stopping at the first entry that differs.
+    different exponent sets are never conjugate. Otherwise each u is
+    filtered on the simple roots: u w1 and w2 u lie in W, and an element of
+    W is fixed by its action on the simple roots because it acts as the
+    identity on the central coordinates, so u w1 = w2 u exactly when
+    p_u p_1 = p_2 p_u on the simple roots. u(lam1) is compared with lam2
+    exponent by exponent from the top, stopping at the first entry that
+    differs.
     """
     rd = d1.rd
     if rd.roots != d2.rd.roots:
@@ -120,13 +121,10 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     if terms1.keys() != terms2.keys():
         return False
     pairs = [(terms1[q], terms2[q]) for q in sorted(terms1, reverse=True)]
-    w1, w2 = d1.torus.w, d2.torus.w
-    p1, p2 = w1.root_permutation, w2.root_permutation
+    p1, p2 = d1.torus.w.root_permutation, d2.torus.w.root_permutation
     for u in rd.weyl_elements():
         pu = u.root_permutation
         if any(pu[p1[s]] != p2[pu[s]] for s in range(rd.ss_rank)):
-            continue
-        if _mat_mul(u.matrix, w1.matrix) != _mat_mul(w2.matrix, u.matrix):
             continue
         cov = u.covector_matrix()
         if all(dot_int(row, c1) == x for c1, c2 in pairs for row, x in zip(cov, c2)):
@@ -143,14 +141,12 @@ def _regular_vector(rd: RootDatum, basis) -> tuple | None:
     if not basis:
         return None if rd.coroots else tuple()
     bound = len(rd.coroots) * len(basis) + 2
+    columns = tuple(zip(*basis))
     for t in range(1, bound):
-        vec = [CycloNumber.zero() for _ in range(rd.dim)]
-        for k, b in enumerate(basis):
-            scale = t**k
-            for i in range(rd.dim):
-                vec[i] = vec[i] + scale * b[i]
+        scales = [t**k for k in range(len(basis))]
+        vec = tuple(dot_int(scales, column) for column in columns)
         if all(not dot_int(coroot, vec).is_zero() for coroot in rd.coroots):
-            return tuple(vec)
+            return vec
     return None
 
 
@@ -190,16 +186,9 @@ def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
         basis = tc.eigenspace(a % m)
         if not basis:
             continue
-        vec = [CycloNumber.zero() for _ in range(rd.dim)]
-        nonzero = False
-        for b in basis:
-            c = rng.randint(-3, 3)
-            if c:
-                nonzero = True
-                for k in range(rd.dim):
-                    vec[k] = vec[k] + c * b[k]
-        if nonzero:
-            terms[Fraction(a, m)] = tuple(vec)
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        if any(coeffs):
+            terms[Fraction(a, m)] = tuple(dot_int(coeffs, column) for column in zip(*basis))
     return Tail(rd, m, terms)
 
 

@@ -10,8 +10,10 @@ The simple coroot alpha_i^vee is then the unit vector e_i, so the simple
 reflection s_i is 1 - e_i·alpha_i^T on the cocharacter side: s_i·M changes
 row i of M alone, and M·s_i reflects each row of M on the character side.
 W, its inverses and its root permutations are all built from these two
-updates; only a matrix supplied from outside is inverted by elimination.
-The enumeration also keeps, for each simple reflection s_i, the index of
+updates. A matrix supplied from outside is first walked down to the identity
+one simple reflection at a time, which proves it lies in W, and is then
+rebuilt from the identity by the same updates over that word. The
+enumeration also keeps, for each simple reflection s_i, the index of
 s_i·w for every element w, and `RootDatum.weyl_table` adds the index of
 each element's inverse: conjugating by s_i is then four index lookups,
 s_i·x·s_i = inv[L_i[inv[L_i[x]]]], with no matrix touched.
@@ -20,12 +22,12 @@ s_i·x·s_i = inv[L_i[inv[L_i[x]]]], with no matrix touched.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
-from .linalg import rref
 
 IntVec = tuple[int, ...]
 
@@ -119,6 +121,7 @@ class RootDatum:
         self._close_roots()
         self._weyl_cache: list[WeylElement] | None = None
         self._weyl_left: list[list[int]] | None = None
+        self._weyl_index: dict | None = None
         self._weyl_table: tuple | None = None
         self._identity: WeylElement | None = None
         self._q_closed: dict[frozenset[int], bool] = {}
@@ -209,43 +212,51 @@ class RootDatum:
         simple reflections: the identity first, then s_1, ..., s_r, so the
         order is fixed by the order of the simple roots.
 
-        Every later element s_i·M is born from its BFS parent M complete:
-        its matrix is M with row i updated (`_reflect_left`), its inverse
-        M^-1·s_i is M^-1 with each row reflected by s_i on the character
-        side, and its root permutation is perm(s_i)∘perm(M), with perm(s_i)
-        read off the roots once. The index of s_i·M is kept for every
-        parent M and every i, found or new.
+        Every later element s_i·M is born from its BFS parent M complete
+        (`_born_left`). The index of s_i·M is kept for every parent M and
+        every i, found or new.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
-        simple_perms = [tuple(self.root_index[self._reflect_root(i, root)] for root in self.roots)
-                        for i in range(self.ss_rank)]
         order = [self.identity_element()]
         index = {order[0].matrix: 0}
-        left: list[list[int]] = [[] for _ in simple_perms]
+        left: list[list[int]] = [[] for _ in range(self.ss_rank)]
         for parent in order:  # the list grows while it is read
-            for i, perm in enumerate(simple_perms):
+            for i in range(self.ss_rank):
                 mat = _reflect_left(self, i, parent.matrix)
                 k = index.get(mat)
                 if k is None:
                     k = index[mat] = len(order)
-                    inverse = tuple(self._reflect_root(i, row) for row in parent.inverse_matrix)
-                    order.append(WeylElement(self, mat, inverse,
-                                             tuple(perm[p] for p in parent.root_permutation)))
+                    order.append(self._born_left(i, parent, mat))
                 left[i].append(k)
-        self._weyl_cache, self._weyl_left = order, left
+        self._weyl_cache, self._weyl_left, self._weyl_index = order, left, index
         return order
+
+    @cached_property
+    def _simple_perms(self) -> list[tuple[int, ...]]:
+        """perm(s_i) for each simple reflection, read off the roots once."""
+        return [tuple(self.root_index[self._reflect_root(i, root)] for root in self.roots)
+                for i in range(self.ss_rank)]
+
+    def _born_left(self, i: int, parent: "WeylElement", matrix) -> "WeylElement":
+        """s_i·M from M and its matrix s_i·M (`_reflect_left`): the inverse
+        M^-1·s_i is M^-1 with each row reflected by s_i on the character
+        side, and the root permutation is perm(s_i)∘perm(M)."""
+        perm = self._simple_perms[i]
+        return WeylElement(self, matrix,
+                           tuple(self._reflect_root(i, row) for row in parent.inverse_matrix),
+                           tuple(perm[p] for p in parent.root_permutation))
 
     def weyl_table(self) -> tuple[list[list[int]], list[int]]:
         """Index tables over `weyl_elements()`: left[i][k] is the index of
-        s_i·W[k], inverse[k] the index of W[k]^-1."""
+        s_i·W[k], inverse[k] the index of W[k]^-1, read off the enumeration's
+        own matrix index."""
         if self._weyl_table is None:
             elements = self._weyl_cache if self._weyl_cache is not None else self.weyl_elements()
-            index = {w.matrix: k for k, w in enumerate(elements)}
             self._weyl_table = (self._weyl_left,
-                                [index[w.inverse_matrix] for w in elements])
+                                [self._weyl_index[w.inverse_matrix] for w in elements])
         return self._weyl_table
 
     def identity_element(self) -> "WeylElement":
@@ -276,30 +287,15 @@ def _mat_mul(a, b):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _mat_inv_int(a):
-    """Inverse of an integer matrix with determinant +-1, by elimination; only
-    a matrix from outside the program is inverted this way."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InvalidArgumentError("matrix is not invertible")
-    inv = [row[n:] for row in reduced]
-    if any(v.denominator != 1 for row in inv for v in row):
-        raise InvalidArgumentError("matrix inverse is not integral")
-    return tuple(tuple(int(v) for v in row) for row in inv)
-
-
 class WeylElement:
     """A Weyl group element as an integer matrix on the cocharacter lattice,
     born with its inverse matrix and its root permutation.
 
-    `RootDatum.weyl_elements` builds W from simple-reflection updates, and a
-    product or an inverse carries both over from its factors: no element of
-    W is inverted by elimination, and only the simple reflections have their
-    permutations read off the roots. Only a matrix from outside the program
-    goes through `from_matrix`, which does both.
+    Every element is born from the identity by simple-reflection updates,
+    in `RootDatum.weyl_elements` or, for a matrix from outside the program,
+    in `from_matrix`; a product or an inverse carries all three over from
+    its factors. No matrix is inverted by elimination, and only the simple
+    reflections have their permutations read off the roots.
     """
 
     __slots__ = ("rd", "matrix", "inverse_matrix", "root_permutation", "_cov")
@@ -311,15 +307,42 @@ class WeylElement:
         self.root_permutation = root_permutation  # [i] is the index of the root w·alpha_i
         self._cov = None
 
-    @classmethod
-    def from_matrix(cls, rd: RootDatum, matrix) -> "WeylElement":
+    @staticmethod
+    def from_matrix(rd: RootDatum, matrix) -> "WeylElement":
         """An integer matrix from outside the program, refused unless it is
-        unimodular and permutes the roots on the character side."""
-        inverse = _mat_inv_int(matrix)
-        images = _mat_mul(rd.roots, inverse)  # row k is w·alpha_k
-        if any(image not in rd.root_index for image in images):
+        in W, proved by descent (Humphreys, *Reflection Groups and Coxeter
+        Groups*, §1.6–1.7).
+
+        Row alpha·M is w^-1(alpha), so images[k] indexes w^-1(alpha_k) and
+        must exist for every root. While some simple root has w^-1(alpha_i)
+        negative, s_i·w is one reflection shorter: M becomes s_i·M, whose
+        images are those of M at perm(s_i), and i is recorded. After at
+        most |positive roots| steps no simple root is sent negative, and w
+        is in W exactly when M is then the identity. The element is born
+        from the identity over the recorded word in reverse, as the
+        enumeration of W would build it.
+        """
+        matrix = tuple(map(tuple, matrix))
+        cols = tuple(zip(*matrix))
+        images = [rd.root_index.get(tuple(rd.pairing(root, col) for col in cols))
+                  for root in rd.roots]
+        if None in images:
             raise InvalidArgumentError("matrix does not permute the roots")
-        return cls(rd, matrix, inverse, tuple(rd.root_index[image] for image in images))
+        negative = [min(coroot) < 0 for coroot in rd.coroots]
+        word = []
+        while True:
+            i = next((i for i in range(rd.ss_rank) if negative[images[i]]), None)
+            if i is None:
+                break
+            images = [images[k] for k in rd._simple_perms[i]]
+            matrix = _reflect_left(rd, i, matrix)
+            word.append(i)
+        if matrix != identity_matrix(rd.dim):
+            raise InvalidArgumentError("matrix is not in the Weyl group")
+        w = rd.identity_element()
+        for i in reversed(word):
+            w = rd._born_left(i, w, _reflect_left(rd, i, w.matrix))
+        return w
 
     def inverse(self) -> "WeylElement":
         perm = self.root_permutation

@@ -35,9 +35,11 @@ TWIST_PHI_BOUND = 400
 # phi(L)^2 per product and more per inverse. A `homogeneous` datum's
 # coefficients live at its regular number m, with phi(m) <= 16 up to rank 16.
 COEFF_PHI_BOUND = 24
-# Largest 2 (hi - lo) den of a wire window: the number of steps the square
-# root runs on after an odd valuation doubles them; the recursion is
-# quadratic in it. The default grid's windows have 12.
+# A wire window runs the square root on 2 (hi - lo) den steps (an odd
+# valuation doubles them), and the recursion is quadratic in that count, so
+# a verify-sl2 grid may hold windows whose squared step counts sum to at most
+# this bound squared: one window of 256 steps, or many shorter ones. The
+# default grid's 265 windows have 12 steps each or fewer.
 WINDOW_STEPS_BOUND = 256
 
 
@@ -295,11 +297,24 @@ def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
     return Tail(rd, int(doc.get("m", 1)), terms)
 
 
+def grid_from_json(docs: list) -> list[LaurentWindow]:
+    """The windows of a verify-sl2 grid, refused before any is built when
+    the squares of their step counts 2 (hi - lo) den sum past
+    WINDOW_STEPS_BOUND squared; an empty window counts 0 and is refused as
+    it is built."""
+    total = 0
+    for doc in docs:
+        lo, hi = parse_fraction(doc["lo"]), parse_fraction(doc["hi"])
+        total += max(2 * (hi - lo) * int(doc.get("den", 1)), 0) ** 2
+    if total > WINDOW_STEPS_BOUND ** 2:
+        raise ResourceLimitError(
+            f"the grid windows' squared step counts 2 (hi - lo) den sum to {total}, "
+            f"larger than bound {WINDOW_STEPS_BOUND}^2")
+    return [window_from_json(doc) for doc in docs]
+
+
 def window_from_json(doc: dict) -> LaurentWindow:
     lo, hi, den = parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), int(doc.get("den", 1))
-    if 2 * (hi - lo) * den > WINDOW_STEPS_BOUND:
-        raise ResourceLimitError(f"window [{lo}, {hi}) at step 1/{den} has 2 (hi - lo) den = "
-                                 f"{2 * (hi - lo) * den}, larger than bound {WINDOW_STEPS_BOUND}")
     terms = {}
     for entry in doc.get("terms", []):
         terms[parse_fraction(entry["q"])] = _coefficient_from_json(entry["coeff"])

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNumber, euler_phi, root_of_unity
+from .cyclo import CycloNumber, euler_phi, zeta
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
 from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
@@ -104,7 +104,7 @@ class TorusClass:
     def _solve_eigenspace(self, i: int) -> list[Covector]:
         rd, m = self.rd, self.m
         action = self.w.covector_matrix()
-        z = root_of_unity(m, i, m)
+        z = zeta(m, i)
         rows = []
         for r in range(rd.dim):
             row = []

@@ -19,8 +19,10 @@ product of Laurent windows that it expands, are reference computations with
 no counterpart in the package. The lattice window
 sweep is the closure and psi check as it was before the proof on O-module
 generators: it reads a lattice's pieces, brackets and pairing and checks
-every pair of basis vectors inside an exponent window. Responses are
-checked against the shipped schemas by `jsonschema` itself.
+every pair of basis vectors inside an exponent window; its negative
+controls are `AdjustedLattice` copies, a `JLattice` with lowered or raised
+thresholds. Responses are checked against the shipped schemas by
+`jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
 stored integer numerators over one denominator: a tuple of `Fraction`s per
@@ -43,6 +45,7 @@ from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, Inva
                              PrecisionError)
 from polarium.jsonio import schemas
 from polarium.linalg import rref
+from polarium.looplie import JLattice
 from polarium.tails import LaurentWindow
 from polarium.tori import TorusClass, is_springer_regular
 
@@ -589,6 +592,28 @@ def psi_on_window(lattice, lo: int, hi: int) -> bool:
     basis = window_basis(lattice, lo, hi)
     return not any(real.pair_lines(basis[a], basis[b])
                    for a in range(len(basis)) for b in range(a, len(basis)))
+
+
+class AdjustedLattice(JLattice):
+    """A corrupted copy of a lattice, the negative control of the lattice
+    proofs: the threshold of each generator in `adjust` is lowered by that
+    many exponent steps, which changes its pure monomials and with them the
+    O-module generators, so the copy keeps no piece or bracket memo."""
+
+    def __init__(self, lattice: JLattice, adjust: dict):
+        vars(self).update(vars(lattice))
+        self.adjust = adjust
+        self._pieces = {}
+        self._brackets = None
+
+    def threshold(self, gen) -> int:
+        return super().threshold(gen) - self.adjust.get(gen, 0)
+
+
+def with_adjust(lattice: JLattice, gen, steps: int) -> AdjustedLattice:
+    """The lattice with the threshold of `gen` lowered by `steps` more."""
+    adjust = getattr(lattice, "adjust", {})
+    return AdjustedLattice(lattice, {**adjust, gen: adjust.get(gen, 0) + steps})
 
 
 # -- the reference cyclotomic field ---------------------------------------

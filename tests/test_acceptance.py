@@ -25,7 +25,7 @@ from polarium.tori import (is_springer_regular, list_torus_classes,
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (cyclo_rank, cyclo_value, eigen_regular_check, springer_regular_sampled,
-                      stabilizer, subgroup_generated, window_basis)
+                      stabilizer, subgroup_generated, window_basis, with_adjust)
 
 
 @contextmanager
@@ -154,7 +154,7 @@ def test_criterion_7_j_lattice_suite():
             controls = 0
             for gen in [("r", 0), ("r", 1), ("h", 0)]:
                 for steps in (1, 2, 3):
-                    corrupted = lattice.with_adjust(gen, steps)
+                    corrupted = with_adjust(lattice, gen, steps)
                     if len(window_basis(corrupted, -3, 4)) > base:
                         broke = bool(bracket_closure_violations(corrupted)) \
                             or not psi_lambda_check(corrupted)

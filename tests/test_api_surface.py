@@ -6,15 +6,13 @@ attribute read or a value passed on. A method counts as used only when some
 code reads it as an attribute (`x.name`): a bare name of the same spelling
 is a local variable or a function, not the method. Code that only the tests reach belongs
 in `tests/oracles.py` or in the test itself. Dunder methods are reached by
-the language, and `JLattice.with_adjust` is the negative-control hook that
-the lattice proofs are tested against.
+the language.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polarium"
-ALLOWED = {"with_adjust"}
 
 
 def _definitions(tree):
@@ -56,7 +54,7 @@ def unreferenced(src: Path) -> list[str]:
     for tree in trees:
         for label, node, keys in _definitions(tree):
             name = node.name
-            if name in ALLOWED or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if not any(id(node) not in around
                        for u in uses for key in keys for around in u.get(key, ())):

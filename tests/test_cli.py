@@ -213,12 +213,18 @@ def test_error_exit_codes(capsys, tmp_path):
         assert status4 == 1, argv
         assert json.loads(out4)["error"]["code"] == "invalid-argument", argv
 
-    # a user torus matrix is checked on the character side: on A1xT1 this w
-    # permutes the coroots, yet sends the root (2,0) to (-2,2)
-    for w, message in (([[-1, 1], [0, 1]], "matrix does not permute the roots"),
-                       ([[1, 0], [0, 0]], "matrix is not invertible")):
-        doc = {"type": [["A", 1], ["torus", 1]], "torus": {"m": 2, "w": w},
-               "lambda": {"m": 2, "terms": []}}
+    # a user torus matrix is checked on the character side: on A1xT1 the
+    # first w permutes the coroots, yet sends the root (2,0) to (-2,2). The
+    # others permute the roots but are not in W: a singular matrix that fixes
+    # the roots, the diagram automorphism of A2, and -1 on the central
+    # coordinate of A2xT1
+    a1t1, a2t1 = [["A", 1], ["torus", 1]], [["A", 2], ["torus", 1]]
+    for datum_type, w, message in (
+            (a1t1, [[-1, 1], [0, 1]], "matrix does not permute the roots"),
+            (a1t1, [[1, 0], [0, 0]], "matrix is not in the Weyl group"),
+            ("A2", [[0, 1], [1, 0]], "matrix is not in the Weyl group"),
+            (a2t1, [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "matrix is not in the Weyl group")):
+        doc = {"type": datum_type, "torus": {"m": 2, "w": w}, "lambda": {"m": 2, "terms": []}}
         status5, out5 = run_main(capsys, "classify", "--input", json.dumps(doc))
         assert status5 == 1
         assert json.loads(out5)["error"] == {"code": "invalid-argument", "message": message}
@@ -645,6 +651,35 @@ def test_verify_sl2_window_bound(capsys, monkeypatch):
         error = json.loads(out)["error"]
         assert error["code"] == "resource-limit", (hi, den)
         assert f"bound {tails.WINDOW_STEPS_BOUND}" in error["message"]
+
+
+def test_verify_sl2_grid_bound(capsys, monkeypatch):
+    # the square root costs about n^2 on a window of n steps, so a grid's
+    # squared step counts share the budget of one window at the bound; the
+    # default grid written out sums to 38116 and is answered as "default" is
+    import polarium.tails as tails
+    from polarium.chevmap import default_grid
+
+    def grid_doc(windows):
+        return json.dumps({"grid": [{"lo": str(w.lo), "hi": str(w.hi), "den": w.den,
+                                     "terms": [{"q": str(q), "coeff": str(c.as_rational())}
+                                               for q, c in w.terms.items()]}
+                                    for w in windows]})
+
+    explicit = run_main(capsys, "verify-sl2", "--input", grid_doc(default_grid()))
+    assert explicit == run_main(capsys, "verify-sl2", "--input", '{"grid":"default"}')
+    assert explicit[0] == 0 and json.loads(explicit[1])["points"] == 265
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window built for a grid past the bound")
+
+    monkeypatch.setattr(tails, "LaurentWindow", refuse)
+    window = {"lo": "-2", "hi": "126", "terms": [{"q": "-2", "coeff": "1"}]}  # 256 steps
+    status, out = run_main(capsys, "verify-sl2", "--input", json.dumps({"grid": [window] * 2}))
+    assert status == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert "131072" in error["message"] and f"bound {tails.WINDOW_STEPS_BOUND}^2" in error["message"]
 
 
 def test_wire_coefficient_conductor_bound(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from polarium.yuseq import YuLadder, extract
 
 from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
                       eigen_regular_check, matrix_positions, psi_on_window, span_contains,
-                      window_basis)
+                      window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -351,7 +351,7 @@ def answered_universe_lattices() -> dict:
 
 
 def adjusted_copies(J) -> list:
-    return [J.with_adjust(gen, steps) for gen in J.real.generators()
+    return [with_adjust(J, gen, steps) for gen in J.real.generators()
             for steps in (-3, -2, -1, 1, 2, 3)]
 
 
@@ -364,7 +364,7 @@ def test_negative_controls_each_golden(a1, a2):
             # smallest enlarging perturbation of this direction's threshold
             lowered = None
             for steps in (1, 2, 3):
-                candidate = J.with_adjust(gen, steps)
+                candidate = with_adjust(J, gen, steps)
                 if len(window_basis(candidate, -3, 4)) > base_size:
                     lowered = candidate
                     break
@@ -412,7 +412,7 @@ def test_generator_pairs_bracketed_once(monkeypatch):
     assert psi_lambda_check(J)
     assert len(calls) == 906
     calls.clear()
-    C = J.with_adjust(("h", 0), 1)
+    C = with_adjust(J, ("h", 0), 1)
     bracket_closure_violations(C)
     psi_lambda_check(C)
     assert len(calls) == 906
@@ -433,7 +433,7 @@ def test_thresholds_match_scan_from_below(a1, a2):
     for J in golden_lattices(a1, a2):
         for gen in J.real.generators():
             for steps in range(-3, 10):
-                adjusted = J.with_adjust(gen, steps)
+                adjusted = with_adjust(J, gen, steps)
                 n0 = scanned(adjusted, gen)
                 assert adjusted.threshold(gen) == n0, (J.real.datum, gen, steps)
                 entry = adjusted.to_json()["thresholds"][J.real.generators().index(gen)]
@@ -482,7 +482,7 @@ def test_piece_memo_isolated_from_adjusted_copies(a1):
     J = build_j_lattice(d, ladder, rho_over(a1, 2))
     degrees = [F(k, 2) for k in range(-4, 6)]
     before = [J.piece_at_degree(deg) for deg in degrees]
-    lowered = J.with_adjust(("r", 1), 1)  # f t enters at degree 1/2
+    lowered = with_adjust(J, ("r", 1), 1)  # f t enters at degree 1/2
     after_copy = [lowered.piece_at_degree(deg) for deg in degrees]
     changed = [deg for deg, p, q in zip(degrees, before, after_copy) if p != q]
     assert changed == [F(1, 2)]
@@ -495,7 +495,7 @@ def test_raised_threshold_breaks_closure(a1):
     # pushing the torus part above the bracket targets must break closure
     d, ladder = sl2_depth_one(a1)
     J = build_j_lattice(d, ladder, rho_over(a1, 2))
-    raised = J.with_adjust(("h", 0), -3)
+    raised = with_adjust(J, ("h", 0), -3)
     assert bracket_closure_violations(raised)
 
 

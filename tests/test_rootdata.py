@@ -1,10 +1,11 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from polarium.errors import ResourceLimitError, UnsupportedFeatureError
+from polarium.errors import InvalidArgumentError, ResourceLimitError, UnsupportedFeatureError
 from polarium.rootdata import WeylElement, build, is_q_closed, q_closure, stable_under
 
 from .oracles import (apply_coweight, apply_weight, closure_roots_from_cartan, mat_mul_oracle,
@@ -225,6 +226,50 @@ def test_root_permutation_without_inverse():
                 image = rd.roots[perm[i]]
                 assert tuple(sum(w.matrix[k][j] * image[k] for k in range(rd.dim))
                              for j in range(rd.dim)) == root, label
+
+
+def test_from_matrix_rebuilds_every_weyl_element():
+    # descent to the identity and rebirth over the recorded word give back
+    # each element of W with its matrix, inverse and root permutation
+    for label in WEYL_TYPES:
+        rd = build(label)
+        for w in rd.weyl_elements():
+            v = WeylElement.from_matrix(rd, [list(row) for row in w.matrix])
+            assert (v.matrix, v.inverse_matrix, v.root_permutation) \
+                == (w.matrix, w.inverse_matrix, w.root_permutation), label
+
+
+def test_from_matrix_refuses_root_permutations_outside_weyl_group():
+    # each matrix sends every root to a root, yet none is in W: diagram
+    # automorphisms of A3 and D4, -1 on A2 (the longest element times the
+    # swap) and a singular matrix that folds the roots of A1xA1 onto one
+    # factor; test_cli refuses the A2 swap and two matrices on central tori
+    refused = [
+        ("A2", [[-1, 0], [0, -1]]),
+        ("A3", [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        ("D4", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        ([["A", 1], ["A", 1]], [[1, 0], [1, 0]]),
+    ]
+    for label, mat in refused:
+        with pytest.raises(InvalidArgumentError, match="matrix is not in the Weyl group"):
+            WeylElement.from_matrix(build(label), mat)
+    # -1 is the longest element of B2, and is accepted as one
+    b2 = build("B2")
+    w = WeylElement.from_matrix(b2, [[-1, 0], [0, -1]])
+    assert w.root_permutation == tuple(b2.negative_of(k) for k in range(len(b2.roots)))
+
+
+def test_from_matrix_takes_the_longest_element_of_a16_quickly():
+    # 136 descent steps, one per positive root
+    rd = build("A16")
+    n = rd.dim
+    w0 = tuple(tuple(-int(i + j == n - 1) for j in range(n)) for i in range(n))
+    start = time.perf_counter()
+    w = WeylElement.from_matrix(rd, w0)
+    assert time.perf_counter() - start < 0.5
+    assert w.matrix == w.inverse_matrix == w0
+    assert all(min(rd.coroots[w.root_permutation[k]]) < 0
+               for k, coroot in enumerate(rd.coroots) if min(coroot) >= 0)
 
 
 def test_weyl_order_matches_plain_bfs():

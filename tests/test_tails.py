@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polarium.cyclo import CycloNumber, root_of_unity, zeta
+from polarium.cyclo import CycloNumber, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
 from polarium.linalg import dot_int
 from polarium.rootdata import build
@@ -78,7 +78,7 @@ def test_equivariance_rescaling(a2):
             assert is_equivariant(lam, tc.w, tc.m)
             acted = lam.weyl_act(tc.w)
             for q, cov in lam.terms.items():
-                z = root_of_unity(tc.m, int(q * tc.m) % tc.m, tc.m)
+                z = zeta(tc.m, int(q * tc.m))
                 assert all(a == z * b for a, b in zip(acted.terms[q], cov))
 
 
@@ -94,7 +94,7 @@ def test_expected_twist_values_and_bound(a1, a2):
             lam = Tail(a2, m, terms)
             twist = lam.expected_twist()
             for q, cov in lam.terms.items():
-                z = root_of_unity(m, int(q * m) % m, m)
+                z = zeta(m, int(q * m))
                 assert all(a == z * b for a, b in zip(twist.terms[q], cov))
     # the bound reads phi of the lcm of the root's order and the entries'
     # conductors: phi(1010) = 400 is inside, phi(1111) = 1000 is not
@@ -133,7 +133,7 @@ def test_coroot_depths_match_brute_force(a2, b2, g2):
                 terms = {}
                 for _ in range(rng.randint(0, 3)):
                     terms[F(rng.randint(0, 3 * m), m)] = [
-                        sum((rng.randint(-1, 1) * root_of_unity(m, k, m) for k in range(m)),
+                        sum((rng.randint(-1, 1) * zeta(m, k) for k in range(m)),
                             CycloNumber.zero())
                         for _ in range(rd.dim)]
                 lam = Tail(rd, m, terms)
