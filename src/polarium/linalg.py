@@ -1,17 +1,32 @@
-"""Small dense exact linear algebra over Q and Q(zeta_L).
+"""Dense exact linear algebra over Q and Q(zeta_L).
 
 Everything works on lists of row vectors. `rref` is the package's one
-Gaussian elimination; it is generic over the field: entries may be
-`Fraction`s or `CycloNumber`s, zero tests use truthiness and a pivot's
-reciprocal is `1 / p`. Sizes stay in the tens, so plain elimination is
-plenty. The helpers built on it follow the same convention: a rational
-value they create (a kernel vector's free coordinate) is a `Fraction`, the
-conductor-1 form of the field.
+Gaussian elimination, with two paths chosen by the entries:
+
+- A matrix whose entries are all `Fraction`s is eliminated on Python ints.
+  Each row is multiplied by the lcm of its denominators and divided by its
+  content, the gcd of its entries. An update cross-multiplies two rows by
+  the cofactors of the gcd of their entries in the pivot column and divides
+  the result by its content again: fraction-free elimination as in Bareiss
+  (Math. Comp. 22, 1968), with the content for the exact divisor in place of
+  the previous pivot. `Fraction`s are built at the end, only for the rows
+  `rref` returns. `rank` and `independent` need only the pivot columns: they read
+  them off a forward integer pass and build no `Fraction`.
+- Any other matrix (some entry is a `CycloNumber`) takes the field path:
+  zero tests use truthiness, a pivot's reciprocal is `1 / p`, and every
+  result keeps the conductor the field arithmetic gives it.
+
+A rational matrix has one reduced row echelon form and one set of pivot
+columns, so both paths return the same values. Sizes run from a few entries
+(a cyclotomic retraction) to the moveability blocks of a split A16 lattice,
+272 rows. The helpers built on `rref` follow the same convention: a
+rational value they create (a kernel vector's free coordinate) is a
+`Fraction`, the conductor-1 form of the field.
 
 Span membership is split in two: `rref` reduces a spanning set once, and
 `in_span` reduces each target against those rows by one subtraction per
-row. `independent` picks, in one `rref`, the vectors outside the span of
-the vectors before them.
+row. `independent` picks, in one elimination, the vectors outside the span
+of the vectors before them.
 
 `dot_int`, the pairing of an integer vector with a covector, accumulates
 integers in one pass: every entry with a nonzero weight is read at the lcm
@@ -23,7 +38,7 @@ with one gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclo import CycloNumber, _normalized, euler_phi
 
@@ -57,6 +72,17 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
 
     Entries must be field elements: plain ints would divide to floats.
     """
+    if not _is_rational(rows):
+        return _rref_field(rows)
+    ints = [_integer_row(row) for row in rows]
+    pivots = _echelon(ints, reduce=True)
+    out = [[Fraction(v, row[col]) if v else _ZERO for v in row]
+           for row, col in zip(ints, pivots)]
+    out += [[_ZERO] * len(row) for row in ints[len(pivots):]]
+    return out, pivots
+
+
+def _rref_field(rows: list[list]) -> tuple[list[list], list[int]]:
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -81,8 +107,63 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
+def _is_rational(rows) -> bool:
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
+def _integer_row(row) -> list[int]:
+    """A row of Fractions as a primitive integer row on the same line."""
+    den = lcm(*(v.denominator for v in row))
+    if den == 1:
+        return _primitive([v.numerator for v in row])
+    return _primitive([v.numerator * (den // v.denominator) for v in row])
+
+
+def _echelon(rows: list[list[int]], reduce: bool) -> list[int]:
+    """Eliminate integer rows in place; returns the pivot columns.
+
+    Row r ends with the r-th pivot, and the rows past the last pivot end at
+    zero. Each pivot column is cleared below its pivot, and also above it
+    when `reduce` is set; every updated row is made primitive again.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        a = prow[col]
+        for i in range(0 if reduce else r + 1, nrows):
+            b = rows[i][col]
+            if b and i != r:
+                g = gcd(a, b)
+                ca, cb = a // g, b // g
+                rows[i] = _primitive([ca * v - cb * w for v, w in zip(rows[i], prow)])
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _pivots(rows: list[list]) -> list[int]:
+    """Pivot columns of the reduced row echelon form."""
+    if _is_rational(rows):
+        return _echelon([_integer_row(row) for row in rows], reduce=False)
+    return rref(rows)[1]
+
+
 def rank(rows: list[list]) -> int:
-    return len(rref(rows)[1])
+    return len(_pivots(rows))
 
 
 def nullspace(rows: list[list], ncols: int) -> list[Vector]:
@@ -123,8 +204,8 @@ def in_span(rows: list[Vector], target: Vector) -> bool:
 def independent(vectors: list[Vector]) -> list[int]:
     """Indices of the vectors outside the span of the vectors before them.
 
-    These are the pivot columns of one `rref` of the matrix with the vectors
-    as columns: the same choice as keeping each vector greedily, in order,
-    when it is not in the span of those kept so far.
+    These are the pivot columns of the matrix with the vectors as columns:
+    the same choice as keeping each vector greedily, in order, when it is not
+    in the span of those kept so far.
     """
-    return rref([list(column) for column in zip(*vectors)])[1]
+    return _pivots([list(column) for column in zip(*vectors)])

@@ -78,6 +78,16 @@ class Tail:
         self._depths: tuple | None = None
         self._equivariant: dict | None = None
 
+    @classmethod
+    def _derived(cls, rd: RootDatum, m: int, terms: dict) -> "Tail":
+        """A tail built from a valid one: its exponents already divide m and
+        its covectors are nonzero tuples of CycloNumbers, so nothing is
+        parsed or checked again."""
+        tail = cls.__new__(cls)
+        tail.rd, tail.m, tail.terms = rd, m, terms
+        tail._depths = tail._equivariant = None
+        return tail
+
     @staticmethod
     def zero(rd: RootDatum, m: int = 1) -> "Tail":
         return Tail(rd, m, {})
@@ -105,7 +115,7 @@ class Tail:
     def lift_conductor(self, m2: int) -> "Tail":
         if m2 % self.m != 0:
             raise InvalidArgumentError(f"{self.m} does not divide {m2}")
-        return Tail(self.rd, m2, dict(self.terms))
+        return Tail._derived(self.rd, m2, dict(self.terms))
 
     def add(self, other: "Tail") -> "Tail":
         if other.rd is not self.rd and other.rd.roots != self.rd.roots:
@@ -123,15 +133,15 @@ class Tail:
         mat = w.covector_matrix()
         out = {}
         for q, c in self.terms.items():
-            out[q] = tuple(dot_int(row, c) for row in mat)
-        return Tail(self.rd, self.m, out)
+            out[q] = tuple(dot_int(row, c) for row in mat)  # w is invertible: nonzero
+        return Tail._derived(self.rd, self.m, out)
 
     def restrict(self, lo, hi) -> "Tail":
         """Terms with exponent in the band lo < q <= hi; None leaves a side
         unbounded."""
         kept = {q: c for q, c in self.terms.items()
                 if (lo is None or q > lo) and (hi is None or q <= hi)}
-        return Tail(self.rd, self.m, kept)
+        return Tail._derived(self.rd, self.m, kept)
 
     def expected_twist(self) -> "Tail":
         """Each term q scaled by zeta_m^(q*m): the equivariance reference.
@@ -153,7 +163,7 @@ class Tail:
         for q, c in twisted.items():
             z = zeta(q.denominator, q.numerator)
             out[q] = tuple(z * x for x in c)
-        return Tail(self.rd, self.m, out)
+        return Tail._derived(self.rd, self.m, out)
 
     def __eq__(self, other):
         if not isinstance(other, Tail):

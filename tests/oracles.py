@@ -4,10 +4,13 @@ Everything here recomputes expected values through a different route than
 the package: reflection closure in the simple-root basis, plain fraction
 Gaussian elimination, sympy characteristic polynomials, and a standalone
 Laurent-matrix pairing. Nothing imports package internals beyond public
-arithmetic types, except two: the enumeration of regular numbers decides
+arithmetic types, except that the enumeration of regular numbers decides
 each conjugacy class with the package's `TorusClass` and
-`is_springer_regular`, and span membership eliminates the whole basis and
-the target with `linalg.rref` for every query, as membership was computed
+`is_springer_regular`. `ref_rref` is the package's elimination as it was
+before rational matrices were eliminated on integers: one field path for
+every entry type, zero tests by truthiness and a reciprocal per pivot. The
+oracles here that eliminate use it, and span membership eliminates the
+whole basis and the target for every query, as membership was computed
 before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
 `WeylElement`'s matrices with plain integer products. The graded
@@ -44,7 +47,6 @@ from polarium.cyclo import CycloNumber
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError,
                              PrecisionError)
 from polarium.jsonio import schemas
-from polarium.linalg import rref
 from polarium.looplie import JLattice
 from polarium.tails import LaurentWindow
 from polarium.tori import TorusClass, is_springer_regular
@@ -90,6 +92,33 @@ def span_contains(vectors, target) -> bool:
     return not any(vec)
 
 
+def ref_rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over the entries' field; returns (rows,
+    pivot column indices)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
 def in_span_by_rref(basis, target) -> bool:
     """Whether target lies in the span of the basis vectors: one rref of the
     matrix with the basis vectors and then the target as columns."""
@@ -98,7 +127,7 @@ def in_span_by_rref(basis, target) -> bool:
     if not basis:
         return False
     aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
-    return len(basis) not in rref(aug)[1]
+    return len(basis) not in ref_rref(aug)[1]
 
 
 def greedy_independent(vectors) -> list[int]:
@@ -484,7 +513,7 @@ def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
         if len(deriv) < 2:  # degree < 2: no repeated eigenvalue possible
             return True
         sylvester = _sylvester(p, deriv)
-        if len(rref(sylvester)[1]) == len(sylvester):
+        if len(ref_rref(sylvester)[1]) == len(sylvester):
             return True
     return False
 
@@ -690,7 +719,7 @@ class RefCyclo:
         L, phi1 = self.conductor, ref_phi(L1)
         basis = [RefCyclo(L1, [int(j == i) for j in range(phi1)]).lift(L) for i in range(phi1)]
         aug = [[b.coeffs[j] for b in basis] + [c] for j, c in enumerate(self.coeffs)]
-        reduced, pivots = rref(aug)
+        reduced, pivots = ref_rref(aug)
         if phi1 in pivots:
             return None
         sol = [Fraction(0)] * phi1

@@ -1,21 +1,22 @@
-"""Span membership against reduced rows, and the one-rref choice of
-independent vectors, checked against elimination of the whole matrix."""
+"""Elimination against the field reference, span membership against
+reduced rows, and the one-elimination choice of independent vectors,
+checked against elimination of the whole matrix."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from polarium import looplie
-from polarium.cyclo import CycloNumber, zeta
-from polarium.linalg import in_span, independent, rref
+from polarium import linalg, looplie
+from polarium.cyclo import CycloNumber, euler_phi, zeta
+from polarium.linalg import in_span, independent, nullspace, rank, rref
 from polarium.polar import classify, epipelagic_datum
 from polarium.rootdata import build
 from polarium.tails import Tail
 from polarium.tori import split_torus_class
 from polarium.yuseq import extract
 
-from .oracles import greedy_independent, in_span_by_rref
+from .oracles import greedy_independent, in_span_by_rref, ref_rref
 
 
 def _rational(rng):
@@ -68,6 +69,107 @@ def test_in_span_edge_cases():
     assert independent([]) == []
     assert independent([(F(0), F(0)), (F(0), F(1)), (F(0), F(2))]) == [1]
     assert independent([(), ()]) == []
+
+
+def _big_rational(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return F(0)
+    if kind < 0.6:
+        return F(rng.randint(-10**30, 10**30), rng.randint(1, 5))
+    if kind < 0.8:
+        return F(rng.randint(-9, 9), rng.randint(1, 10**18))
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+
+def _rational_matrices(rng):
+    """Edge shapes, then random matrices: wide and tall, sparse and dense,
+    small and large numerators and denominators, with dependent and
+    duplicate rows."""
+    zero = F(0)
+    out = [[], [[], []], [[F(3), F(-2), F(1, 2)]], [[F(5)], [zero], [F(-7, 3)]],
+           [[zero] * 4 for _ in range(3)], [[F(2), F(-4)], [F(2), F(-4)]], [[F(-1, 10**20)]]]
+    for k in range(200):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        entry = _big_rational if k % 3 == 0 else _rational
+        rows = [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if k % 4 == 1:  # a duplicate row
+            rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+        if k % 4 == 2:  # a combination of two rows
+            a, b, c = rng.choice(rows), rng.choice(rows), _big_rational(rng)
+            rows.insert(rng.randrange(nrows + 1), [x + c * y for x, y in zip(a, b)])
+        out.append(rows)
+    return out
+
+
+def test_rational_elimination_matches_field_reference(monkeypatch):
+    # integer elimination must return the field path's reduced rows and pivots
+    # exactly, as Fractions; rank, nullspace and independent must agree too
+    matrices = _rational_matrices(random.Random(20))
+    shapes, ranks = set(), set()
+    for rows in matrices:
+        got, expected = rref(rows), ref_rref(rows)
+        assert got == expected, rows
+        assert all(type(v) is F for row in got[0] for v in row)
+        assert rank(rows) == len(expected[1])
+        columns = [list(column) for column in zip(*rows)]
+        assert independent([tuple(row) for row in rows]) == ref_rref(columns)[1]
+        ncols = len(rows[0]) if rows else 3
+        basis = nullspace(rows, ncols)
+        assert all(type(v) is F for vec in basis for v in vec)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "rref", ref_rref)
+            assert basis == nullspace(rows, ncols)
+        if rows and rows[0]:
+            shapes.add((len(rows) > ncols) - (len(rows) < ncols))
+            ranks.add(len(expected[1]) == min(len(rows), ncols))
+    assert len(matrices) > 200 and shapes == {-1, 0, 1} and ranks == {True, False}
+
+
+def test_mixed_matrices_keep_the_field_path_conductors():
+    rng = random.Random(21)
+    conductors, mixed = set(), 0
+    for _ in range(40):
+        ncols = rng.randint(2, 5)
+        rows = [[_cyclotomic(rng) if rng.random() < 0.4 else _rational(rng)
+                 for _ in range(ncols)] for _ in range(rng.randint(2, 5))]
+        mixed += len({type(v) for row in rows for v in row}) == 2
+        got, expected = rref(rows), ref_rref(rows)
+        assert got[1] == expected[1]
+        for row, ref_row in zip(got[0], expected[0]):
+            for a, b in zip(row, ref_row):
+                assert type(a) is type(b) and a == b
+                if isinstance(a, CycloNumber):
+                    assert a.conductor == b.conductor
+                    conductors.add(a.conductor)
+    assert mixed > 30 and conductors == {1, 3, 4, 12}
+
+
+def test_retraction_by_elimination_runs_on_rationals(monkeypatch):
+    # try_retract solves by rref when (phi(d) - 1) * L/d >= phi(L); that
+    # matrix is all Fraction, so it takes the integer path
+    calls = []
+
+    def checked(rows):
+        assert all(type(v) is F for row in rows for v in row)
+        got = rref(rows)
+        assert got == ref_rref(rows)
+        calls.append(len(rows))
+        return got
+
+    monkeypatch.setattr(linalg, "rref", checked)
+    rng = random.Random(22)
+    for L in range(2, 31):
+        for d in (d for d in range(1, L) if L % d == 0):
+            if (euler_phi(d) - 1) * (L // d) < euler_phi(L):
+                continue
+            member = CycloNumber(d, [_rational(rng) for _ in range(euler_phi(d))])
+            got = member.lift(L).try_retract(d)
+            assert got == member and got.conductor == d
+            if euler_phi(d) < euler_phi(L):
+                assert (member.lift(L) + zeta(L, 1)).try_retract(d) is None
+    assert len(calls) > 10
 
 
 def _lattice_cases():

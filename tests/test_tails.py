@@ -146,6 +146,31 @@ def test_coroot_depths_match_brute_force(a2, b2, g2):
                     assert table[idx] == (max(paired) if paired else None)
 
 
+def test_derived_tails_pass_the_public_checks(a2, b2, g2):
+    # weyl_act, lift_conductor, restrict and expected_twist skip validation;
+    # the public constructor must accept each result and keep it as it is
+    rng = random.Random(23)
+    derived = 0
+    for rd in (a2, b2, g2):
+        for m in (1, 2, 3, 4):
+            terms = {F(rng.randint(0, 3 * m), m):
+                     [rng.randint(-2, 2) * zeta(rng.choice((1, 3, 4)), rng.randint(0, 3))
+                      for _ in range(rd.dim)] for _ in range(3)}
+            lam = Tail(rd, m, terms)
+            results = [lam.lift_conductor(2 * m), lam.restrict(F(1, 2), F(2)),
+                       lam.expected_twist()] + [lam.weyl_act(w) for w in rd.weyl_elements()]
+            for out in results:
+                checked = Tail(rd, out.m, out.terms)
+                assert list(checked.terms) == list(out.terms)
+                for q, cov in out.terms.items():
+                    assert type(q) is F and len(cov) == rd.dim
+                    assert all(type(x) is CycloNumber for x in cov)
+                    assert [(x, x.conductor) for x in cov] == \
+                        [(x, x.conductor) for x in checked.terms[q]]
+                derived += 1
+    assert derived > 100
+
+
 def test_restrict_bands(a2):
     lam = Tail(a2, 1, {F(0): [1, 0], F(1): [0, 1], F(2): [1, 1]})
     low = lam.restrict(None, F(1))
