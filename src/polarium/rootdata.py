@@ -6,24 +6,23 @@ the cocharacter lattice carries the dual simple-coroot basis, followed by
 central-torus coordinates on which everything acts trivially. With these
 bases the canonical pairing is the plain integer dot product.
 
-The simple coroot alpha_i^vee is then the unit vector e_i, so the simple
-reflection s_i is 1 - e_i·alpha_i^T on the cocharacter side: s_i·M changes
-row i of M alone, and M·s_i reflects each row of M on the character side.
-W, its inverses and its root permutations are all built from these two
-updates. A matrix supplied from outside is first walked down to the identity
-one simple reflection at a time, which proves it lies in W, and is then
-rebuilt from the identity by the same updates over that word. The
-enumeration also keeps, for each simple reflection s_i, the index of
-s_i·w for every element w, and `RootDatum.weyl_table` adds the index of
-each element's inverse: conjugating by s_i is then four index lookups,
-s_i·x·s_i = inv[L_i[inv[L_i[x]]]], with no matrix touched.
+The simple coroot alpha_i^vee is then the unit vector e_i, which w sends to
+the coroot of w·alpha_i. A Weyl element is stored as its permutation of the
+roots alone, as W acts faithfully on them: column k of its matrix is the
+coroot of w·alpha_k, row k of its action on characters is the coroot of
+w^-1·alpha_k, and each central coordinate is fixed. W is enumerated by
+composing simple reflections' permutations from the identity; a matrix from
+outside is walked down by simple reflections on its root images and rebuilt
+by the same steps. The enumeration keeps the index of s_i·w for every w, and
+`RootDatum.weyl_table` the index of each inverse, so conjugating by s_i is
+four index lookups: s_i·x·s_i = inv[L_i[inv[L_i[x]]]].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, prod
+from functools import cache, cached_property
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
@@ -212,98 +211,87 @@ class RootDatum:
         simple reflections: the identity first, then s_1, ..., s_r, so the
         order is fixed by the order of the simple roots.
 
-        Every later element s_i·M is born from its BFS parent M complete
-        (`_born_left`). The index of s_i·M is kept for every parent M and
-        every i, found or new.
+        Every later element s_i·w is born from its BFS parent w
+        (`_born_left`) and indexed by its permutation. The index of s_i·w is
+        kept for every parent w and every i, found or new.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
         order = [self.identity_element()]
-        index = {order[0].matrix: 0}
+        index = {order[0].root_permutation: 0}
         left: list[list[int]] = [[] for _ in range(self.ss_rank)]
         for parent in order:  # the list grows while it is read
-            for i in range(self.ss_rank):
-                mat = _reflect_left(self, i, parent.matrix)
-                k = index.get(mat)
+            for s, row in zip(self._simple_perms, left):
+                perm = _born_left(s, parent.root_permutation)
+                k = index.get(perm)
                 if k is None:
-                    k = index[mat] = len(order)
-                    order.append(self._born_left(i, parent, mat))
-                left[i].append(k)
+                    k = index[perm] = len(order)
+                    order.append(WeylElement(self, perm))
+                row.append(k)
         self._weyl_cache, self._weyl_left, self._weyl_index = order, left, index
         return order
 
     @cached_property
-    def _simple_perms(self) -> list[tuple[int, ...]]:
+    def _simple_perms(self) -> list[IntVec]:
         """perm(s_i) for each simple reflection, read off the roots once."""
         return [tuple(self.root_index[self._reflect_root(i, root)] for root in self.roots)
                 for i in range(self.ss_rank)]
 
-    def _born_left(self, i: int, parent: "WeylElement", matrix) -> "WeylElement":
-        """s_i·M from M and its matrix s_i·M (`_reflect_left`): the inverse
-        M^-1·s_i is M^-1 with each row reflected by s_i on the character
-        side, and the root permutation is perm(s_i)∘perm(M)."""
-        perm = self._simple_perms[i]
-        return WeylElement(self, matrix,
-                           tuple(self._reflect_root(i, row) for row in parent.inverse_matrix),
-                           tuple(perm[p] for p in parent.root_permutation))
-
     def weyl_table(self) -> tuple[list[list[int]], list[int]]:
         """Index tables over `weyl_elements()`: left[i][k] is the index of
         s_i·W[k], inverse[k] the index of W[k]^-1, read off the enumeration's
-        own matrix index."""
+        own permutation index."""
         if self._weyl_table is None:
             elements = self._weyl_cache if self._weyl_cache is not None else self.weyl_elements()
-            self._weyl_table = (self._weyl_left,
-                                [self._weyl_index[w.inverse_matrix] for w in elements])
+            inverse = [self._weyl_index[_inverse(w.root_permutation)] for w in elements]
+            self._weyl_table = (self._weyl_left, inverse)
         return self._weyl_table
 
     def identity_element(self) -> "WeylElement":
         if self._identity is None:
-            identity = identity_matrix(self.dim)
-            self._identity = WeylElement(self, identity, identity, tuple(range(len(self.roots))))
+            self._identity = WeylElement(self, tuple(range(len(self.roots))))
         return self._identity
 
     def __repr__(self):
         return f"RootDatum({self.type_label()}, {len(self.roots)} roots)"
 
 
+@cache
 def identity_matrix(n: int) -> tuple[IntVec, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _reflect_left(rd: RootDatum, i: int, mat):
-    """s_i·M on the cocharacter side. The simple coroot is the unit vector
-    e_i, so s_i = 1 - e_i·alpha_i^T changes row i of M alone, to
-    M[i] - alpha_i^T·M. W is enumerated through this function."""
-    alpha = rd.simple_roots[i]
-    row = tuple(v - sum(map(mul, alpha, col)) for v, col in zip(mat[i], zip(*mat)))
-    return (*mat[:i], row, *mat[i + 1:])
+def _born_left(s: IntVec, perm: IntVec) -> IntVec:
+    """perm(s_i·w) = perm(s_i)∘perm(w); every Weyl element after the
+    identity is born here."""
+    return tuple(map(s.__getitem__, perm))
 
 
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+def _inverse(perm: IntVec) -> IntVec:
+    # sorting the indices by their images lists the preimage of each index
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _coroot_rows(rd: RootDatum, perm: IntVec) -> tuple[IntVec, ...]:
+    """Row k < ss_rank is the coroot at perm[k]; a central row is its unit row."""
+    r = rd.ss_rank
+    return tuple(map(rd.coroots.__getitem__, perm[:r])) + identity_matrix(rd.dim)[r:]
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix on the cocharacter lattice,
-    born with its inverse matrix and its root permutation.
-
-    Every element is born from the identity by simple-reflection updates,
-    in `RootDatum.weyl_elements` or, for a matrix from outside the program,
-    in `from_matrix`; a product or an inverse carries all three over from
-    its factors. No matrix is inverted by elimination, and only the simple
-    reflections have their permutations read off the roots.
+    """A Weyl group element stored as its root permutation alone, which
+    determines it (Humphreys, *Reflection Groups and Coxeter Groups*,
+    §1.6–1.8); its matrices are read off the coroots on demand. Every element
+    is born from the identity by `_born_left`, in `RootDatum.weyl_elements`
+    or, for a matrix from outside the program, in `from_matrix`.
     """
 
-    __slots__ = ("rd", "matrix", "inverse_matrix", "root_permutation", "_cov")
+    __slots__ = ("rd", "root_permutation", "_cov")
 
-    def __init__(self, rd: RootDatum, matrix, inverse_matrix, root_permutation):
+    def __init__(self, rd: RootDatum, root_permutation: IntVec):
         self.rd = rd
-        self.matrix = matrix
-        self.inverse_matrix = inverse_matrix
         self.root_permutation = root_permutation  # [i] is the index of the root w·alpha_i
         self._cov = None
 
@@ -315,12 +303,12 @@ class WeylElement:
 
         Row alpha·M is w^-1(alpha), so images[k] indexes w^-1(alpha_k) and
         must exist for every root. While some simple root has w^-1(alpha_i)
-        negative, s_i·w is one reflection shorter: M becomes s_i·M, whose
-        images are those of M at perm(s_i), and i is recorded. After at
-        most |positive roots| steps no simple root is sent negative, and w
-        is in W exactly when M is then the identity. The element is born
-        from the identity over the recorded word in reverse, as the
-        enumeration of W would build it.
+        negative, s_i·w sends one positive root fewer to a negative one: its
+        images are those of M at perm(s_i), and i is recorded. After at most
+        |positive roots| steps no simple root is sent negative. The element
+        over the recorded word is born from the identity, as the enumeration
+        of W would build it, and M is in W exactly when it is that element's
+        matrix (a diagram automorphism or a central sign flip is not).
         """
         matrix = tuple(map(tuple, matrix))
         cols = tuple(zip(*matrix))
@@ -335,49 +323,54 @@ class WeylElement:
             if i is None:
                 break
             images = [images[k] for k in rd._simple_perms[i]]
-            matrix = _reflect_left(rd, i, matrix)
             word.append(i)
-        if matrix != identity_matrix(rd.dim):
-            raise InvalidArgumentError("matrix is not in the Weyl group")
-        w = rd.identity_element()
+        perm = rd.identity_element().root_permutation
         for i in reversed(word):
-            w = rd._born_left(i, w, _reflect_left(rd, i, w.matrix))
+            perm = _born_left(rd._simple_perms[i], perm)
+        w = WeylElement(rd, perm)
+        if w.matrix != matrix:
+            raise InvalidArgumentError("matrix is not in the Weyl group")
         return w
 
-    def inverse(self) -> "WeylElement":
-        perm = self.root_permutation
-        # sorting the indices by their images lists the preimage of each index
-        return WeylElement(self.rd, self.inverse_matrix, self.matrix,
-                           tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+    @property
+    def matrix(self) -> tuple[IntVec, ...]:
+        """Action on the cocharacter side, built on each call."""
+        return tuple(zip(*_coroot_rows(self.rd, self.root_permutation)))
 
-    def covector_matrix(self):
+    def inverse(self) -> "WeylElement":
+        return WeylElement(self.rd, _inverse(self.root_permutation))
+
+    def covector_matrix(self) -> tuple[IntVec, ...]:
         """Action on the character side: transpose of the inverse."""
         if self._cov is None:
-            self._cov = tuple(zip(*self.inverse_matrix))
+            self._cov = _coroot_rows(self.rd, _inverse(self.root_permutation))
         return self._cov
 
     def order(self) -> int:
-        identity = identity_matrix(len(self.matrix))
-        power, k = self.matrix, 1
-        while power != identity:
-            power = _mat_mul(self.matrix, power)
-            k += 1
+        """The lcm of the cycle lengths of the root permutation."""
+        perm, k = self.root_permutation, 1
+        unseen = set(perm)
+        while unseen:
+            start = j = unseen.pop()
+            length = 1
+            while (j := perm[j]) != start:
+                unseen.remove(j)
+                length += 1
+            k = lcm(k, length)
         return k
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        perm = self.root_permutation
-        return WeylElement(self.rd, _mat_mul(self.matrix, other.matrix),
-                           _mat_mul(other.inverse_matrix, self.inverse_matrix),
-                           tuple(perm[i] for i in other.root_permutation))
+        return WeylElement(self.rd, tuple(map(self.root_permutation.__getitem__,
+                                              other.root_permutation)))
 
     def is_identity(self) -> bool:
-        return self.matrix == identity_matrix(len(self.matrix))
+        return self.root_permutation == self.rd.identity_element().root_permutation
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.root_permutation == other.root_permutation
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.root_permutation)
 
     def __repr__(self):
         return f"WeylElement{self.matrix}"

@@ -195,12 +195,12 @@ def pair_coroot(tail: Tail, coroot) -> Fraction | None:
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
     """Fixed-point condition for the torus presented by (w, m).
 
-    The verdict, False included, is kept on the tail per (w.matrix, m), as
-    its coroot depths are, so a tail is acted on once per torus.
+    The verdict, False included, is kept on the tail per (w.root_permutation,
+    m), as its coroot depths are, so a tail is acted on once per torus.
     """
     if tail._equivariant is None:
         tail._equivariant = {}
-    key = (w.matrix, m)
+    key = (w.root_permutation, m)
     verdict = tail._equivariant.get(key)
     if verdict is None:
         lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))

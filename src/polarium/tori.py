@@ -6,8 +6,9 @@ points of the torus are never materialized.
 
 The eigenspace dimensions are integers read off the traces of w^0, ...,
 w^(k-1), k the order of w, which the w^m = 1 check computes anyway: k divides
-m and the traces repeat with period k. A period above PERIOD_BOUND is refused
-before any power is taken. A basis of the zeta_m^i eigenspace is solved by a
+m and the traces repeat with period k; each is read off the coroots at the
+simple roots' images under w^j. A period above PERIOD_BOUND is refused
+before any trace is taken. A basis of the zeta_m^i eigenspace is solved by a
 cyclotomic nullspace only when a caller asks for it, once per class, and its
 length is checked against that trace count.
 
@@ -25,11 +26,12 @@ enumerating W.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .cyclo import CycloNumber, euler_phi, zeta
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int, nullspace
-from .rootdata import RootDatum, WeylElement, _mat_mul, identity_matrix
+from .rootdata import RootDatum, WeylElement
 from .tails import Covector, covector
 
 PERIOD_BOUND = 1_000_000
@@ -79,13 +81,14 @@ class TorusClass:
             raise InvalidArgumentError(f"period must be >= 1, got {m}")
         if m > PERIOD_BOUND:
             raise ResourceLimitError(f"torus period {m} larger than bound {PERIOD_BOUND}")
-        identity = identity_matrix(rd.dim)
+        # tr(w^j) = torus_rank + sum of coroots[p^j[k]][k], p^j[k] the index of w^j·alpha_k
+        perm, coroots, simple = w.root_permutation, rd.coroots, tuple(range(rd.ss_rank))
         traces = [rd.dim]
-        power = w.matrix
-        while power != identity and len(traces) < m:
-            traces.append(sum(power[k][k] for k in range(rd.dim)))
-            power = _mat_mul(w.matrix, power)
-        if power != identity or m % len(traces):
+        images = perm[:rd.ss_rank]
+        while images != simple and len(traces) < m:
+            traces.append(rd.torus_rank + sum(coroots[p][k] for k, p in enumerate(images)))
+            images = tuple(map(perm.__getitem__, images))
+        if images != simple or m % len(traces):
             raise InvalidArgumentError("w^m is not the identity")
         self.rd = rd
         self.m = m
@@ -151,7 +154,8 @@ def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
     """
     elements = rd.weyl_elements()
     left, inv = rd.weyl_table()
-    by_matrix = sorted(range(len(elements)), key=lambda k: elements[k].matrix)
+    # row-major entries as one flat tuple per element, held only while sorting
+    by_matrix = sorted(range(len(elements)), key=lambda k: tuple(chain(*elements[k].matrix)))
     rank = [0] * len(elements)
     for r, k in enumerate(by_matrix):
         rank[k] = r

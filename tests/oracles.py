@@ -13,7 +13,8 @@ oracles here that eliminate use it, and span membership eliminates the
 whole basis and the target for every query, as membership was computed
 before the reduced rows were kept. The Weyl references (reflection
 matrices, the action on weights and coweights, stabilizers) read a
-`WeylElement`'s matrices with plain integer products. The graded
+`WeylElement`'s matrix with plain integer products and invert it by
+eliminating [M | I], never through the element's own inverse. The graded
 regularity search (a Sylvester-matrix test on sampled characteristic
 polynomials, placing each root at the matrix position whose e_i - e_j
 matches it in fundamental-weight coordinates) and the
@@ -325,6 +326,19 @@ def reflection_matrices(rd) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def inverse_by_rref(mat: tuple) -> tuple:
+    """Inverse of an invertible integer matrix, the right half of the
+    reduced form of [M | I] over Q; every entry must come out an integer."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    rows, pivots = ref_rref(aug)
+    assert pivots == list(range(n)), "singular matrix"
+    assert all(v.denominator == 1 for row in rows for v in row[n:]), "not unimodular"
+    return tuple(tuple(int(v) for v in row[n:]) for row in rows)
+
+
 def apply_coweight(w, y) -> tuple:
     """w·y on the cocharacter side: the matrix times y."""
     return tuple(sum(a * b for a, b in zip(row, y)) for row in w.matrix)
@@ -333,7 +347,8 @@ def apply_coweight(w, y) -> tuple:
 def apply_weight(w, x) -> tuple:
     """w·x on the character side: x as a row times the inverse matrix."""
     n = len(x)
-    return tuple(sum(x[k] * w.inverse_matrix[k][j] for k in range(n)) for j in range(n))
+    inv = inverse_by_rref(w.matrix)
+    return tuple(sum(x[k] * inv[k][j] for k in range(n)) for j in range(n))
 
 
 def stabilizer(rd, lam) -> dict:
@@ -405,7 +420,7 @@ def conjugate_by_products(d1, d2) -> bool:
     matrices for every u, and then u(lam1) = lam2."""
     w1, w2 = d1.torus.w.matrix, d2.torus.w.matrix
     for u in d1.rd.weyl_elements():
-        if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), u.inverse_matrix) != w2:
+        if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), inverse_by_rref(u.matrix)) != w2:
             continue
         if d1.lam.weyl_act(u) == d2.lam:
             return True

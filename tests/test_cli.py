@@ -439,7 +439,7 @@ def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
     import polarium.rootdata as rootdata
     import polarium.tori as tori
 
-    monkeypatch.setattr(rootdata, "_reflect_left", _refuse)
+    monkeypatch.setattr(rootdata, "_born_left", _refuse)
     monkeypatch.setattr(tori, "nullspace", _refuse)
     expected = {"A7": ([1, 2, 4, 7, 8], [8]),
                 "B8": ([1, 2, 4, 8, 16], [2, 4, 8, 16]),

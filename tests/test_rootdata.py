@@ -8,8 +8,9 @@ import pytest
 from polarium.errors import InvalidArgumentError, ResourceLimitError, UnsupportedFeatureError
 from polarium.rootdata import WeylElement, build, is_q_closed, q_closure, stable_under
 
-from .oracles import (apply_coweight, apply_weight, closure_roots_from_cartan, mat_mul_oracle,
-                      reflection_matrices, reflection_matrix, span_contains, weyl_bfs_order)
+from .oracles import (apply_coweight, apply_weight, closure_roots_from_cartan, inverse_by_rref,
+                      mat_mul_oracle, reflection_matrices, reflection_matrix, span_contains,
+                      weyl_bfs_order)
 
 KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 WEYL_TYPES = KERNEL_TYPES + ([["A", 2], ["torus", 1]],)
@@ -76,7 +77,7 @@ def test_weyl_order_bound(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("Weyl group enumerated before the bound was checked")
 
-    monkeypatch.setattr(rootdata, "_reflect_left", no_enumeration)
+    monkeypatch.setattr(rootdata, "_born_left", no_enumeration)
     assert a8.identity_element().is_identity()
     with pytest.raises(ResourceLimitError):
         a8.weyl_elements()
@@ -95,23 +96,13 @@ def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
     def no_enumeration(*args):
         raise AssertionError("Weyl group enumerated for a torus-less request")
 
-    monkeypatch.setattr(rootdata, "_reflect_left", no_enumeration)
+    monkeypatch.setattr(rootdata, "_born_left", no_enumeration)
     for label, dim in (("A7", 7), ("A8", 8)):
         doc = {"type": label, "lambda": {"m": 1, "terms": []}}
         assert main(["classify", "--input", json.dumps(doc)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["torus"]["w"] == [[int(i == j) for j in range(dim)] for i in range(dim)]
         assert len(out["levi"]) == dim * (dim + 1)
-
-
-def test_mat_mul_matches_triple_loop():
-    import polarium.rootdata as rootdata
-
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        a, b = ([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)] for _ in range(2))
-        assert rootdata._mat_mul(a, b) == mat_mul_oracle(a, b)
 
 
 def test_composite_with_torus():
@@ -208,7 +199,7 @@ def test_inverse_matrix():
         identity = tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))
         elements = rd.weyl_elements()
         for w in elements + [u.compose(v) for u, v in zip(elements, reversed(elements))]:
-            assert mat_mul_oracle(w.matrix, w.inverse_matrix) == identity, label
+            assert mat_mul_oracle(w.matrix, w.inverse().matrix) == identity, label
             assert w.compose(w.inverse()).is_identity(), label
 
 
@@ -235,8 +226,8 @@ def test_from_matrix_rebuilds_every_weyl_element():
         rd = build(label)
         for w in rd.weyl_elements():
             v = WeylElement.from_matrix(rd, [list(row) for row in w.matrix])
-            assert (v.matrix, v.inverse_matrix, v.root_permutation) \
-                == (w.matrix, w.inverse_matrix, w.root_permutation), label
+            assert (v.matrix, v.inverse().matrix, v.root_permutation) \
+                == (w.matrix, w.inverse().matrix, w.root_permutation), label
 
 
 def test_from_matrix_refuses_root_permutations_outside_weyl_group():
@@ -267,7 +258,7 @@ def test_from_matrix_takes_the_longest_element_of_a16_quickly():
     start = time.perf_counter()
     w = WeylElement.from_matrix(rd, w0)
     assert time.perf_counter() - start < 0.5
-    assert w.matrix == w.inverse_matrix == w0
+    assert w.matrix == w.inverse().matrix == w0
     assert all(min(rd.coroots[w.root_permutation[k]]) < 0
                for k, coroot in enumerate(rd.coroots) if min(coroot) >= 0)
 
@@ -278,6 +269,43 @@ def test_weyl_order_matches_plain_bfs():
         elements = rd.weyl_elements()
         assert [w.matrix for w in elements] == weyl_bfs_order(rd), label
         assert elements[0] is rd.identity_element()
+
+
+@pytest.mark.parametrize("label", WEYL_TYPES + ([["B", 2], ["G", 2]],),
+                         ids=lambda spec: build(spec).type_label())
+def test_matrices_read_off_the_coroots_match_matrix_oracles(label, monkeypatch):
+    # each element of W, its inverse and a product, against integer matrices
+    # from the plain BFS: matrix, inverse and covector action, the order and
+    # every trace tr(w^j) that TorusClass reads, all by matrix powers
+    import polarium.tori as tori
+
+    traces = []
+
+    def record(found, m):
+        traces.append(found)
+        return eigendims(found, m)
+
+    eigendims = tori._eigendims
+    monkeypatch.setattr(tori, "_eigendims", record)
+    rd = build(label)
+    identity = tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))
+    elements, mats = rd.weyl_elements(), weyl_bfs_order(rd)
+    assert [w.matrix for w in elements] == mats, label
+    pairs = list(zip(elements, mats))
+    cases = pairs + [(w.inverse(), inverse_by_rref(mat)) for w, mat in pairs]
+    cases += [(u.compose(v), mat_mul_oracle(a, b))
+              for (u, a), (v, b) in zip(pairs, reversed(pairs))]
+    for w, mat in cases:
+        inverse = inverse_by_rref(mat)
+        assert w.matrix == mat, label
+        assert w.inverse().matrix == inverse, label
+        assert w.covector_matrix() == tuple(zip(*inverse)), label
+        powers = [identity]
+        while (power := mat_mul_oracle(mat, powers[-1])) != identity:
+            powers.append(power)
+        assert w.order() == len(powers), label
+        tori.TorusClass(rd, w, len(powers))
+        assert traces.pop() == [sum(p[k][k] for k in range(rd.dim)) for p in powers], label
 
 
 def test_rho_coweight_pairs_to_one():
