@@ -38,18 +38,21 @@ Coeffs = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
-def _primes_dividing(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    primes, p = [], 2
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, p ascending, by
+    trial division."""
+    factors, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            primes.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            factors.append((p, e))
         p += 1
     if n > 1:
-        primes.append(n)
-    return primes
+        factors.append((n, 1))
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +61,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise InvalidArgumentError(f"phi undefined for {n}")
     result = n
-    for p in _primes_dividing(n):
+    for p, _ in _factor(n):
         result = result // p * (p - 1)
     return result
 
@@ -75,7 +78,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """
     if L < 1:
         raise InvalidArgumentError(f"conductor must be >= 1, got {L}")
-    primes = _primes_dividing(L)
+    primes = [p for p, _ in _factor(L)]
     r = prod(primes)
     if r == 1:
         return (-1, 1)
@@ -94,31 +97,22 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reduction_table(L: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced forms of z^k for k in [phi(L), 2*phi(L)-1], used by products.
-
-    z^phi is minus the lower part of the monic cyclotomic polynomial, and each
-    later power is z times the one before, reduced the same way.
-    """
-    phi = euler_phi(L)
-    top = [-c for c in cyclotomic_polynomial(L)[:phi]]
-    table = [tuple(top)]
-    for _ in range(phi - 1):
-        prev = table[-1]
-        lead = prev[-1]
-        shifted = (0,) + prev[:-1]
-        table.append(tuple(a + lead * b for a, b in zip(shifted, top)) if lead else shifted)
-    return tuple(table)
-
-
 def _reduce(L: int, poly: list[int]) -> tuple[int, ...]:
     """An integer polynomial of any degree reduced modulo Phi_L, padded to
-    phi(L) coefficients. Phi_L is monic, so the division stays in the
-    integers: each top coefficient c at degree k >= phi is cleared by
-    subtracting c z^(k-phi) Phi_L, one step per nonzero term of Phi_L."""
+    phi(L) coefficients. Phi_L divides z^L - 1, so each power z^k with
+    k >= L first folds onto z^(k-L), one addition per coefficient. Phi_L is
+    monic, so the division that follows stays in the integers: each top
+    coefficient c at degree k >= phi is cleared by subtracting
+    c z^(k-phi) Phi_L, one step per nonzero term of Phi_L. Phi_L is fetched
+    only when some coefficient at degree >= phi is nonzero."""
     phi = euler_phi(L)
-    if len(poly) > phi:
+    if len(poly) <= phi:
+        poly.extend([0] * (phi - len(poly)))
+        return tuple(poly)
+    for k in range(len(poly) - 1, L - 1, -1):
+        poly[k - L] += poly[k]
+    del poly[L:]
+    if any(poly[phi:]):
         modulus = cyclotomic_polynomial(L)
         low = [(j, c) for j, c in enumerate(modulus[:phi]) if c]
         for k in range(len(poly) - 1, phi - 1, -1):
@@ -127,9 +121,7 @@ def _reduce(L: int, poly: list[int]) -> tuple[int, ...]:
                 base = k - phi
                 for j, m in low:
                     poly[base + j] -= c * m
-        del poly[phi:]
-    else:
-        poly.extend([0] * (phi - len(poly)))
+    del poly[phi:]
     return tuple(poly)
 
 
@@ -142,26 +134,16 @@ def _lift_nums(nums: tuple[int, ...], L: int, L2: int) -> tuple[int, ...]:
     return _reduce(L2, poly)
 
 
-def _mul_nums(L: int, a, b) -> list[int]:
-    """The numerators of a * b at conductor L, phi(L) > 1: the integer
-    product, with each power z^k past phi(L) read from the reduction table."""
-    phi = len(a)
-    out = [0] * (2 * phi - 1)
+def _mul_nums(L: int, a, b) -> tuple[int, ...]:
+    """The numerators of a * b at conductor L: the integer product of the
+    two polynomials, reduced modulo Phi_L by `_reduce`."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 if y:
                     out[j] += x * y
-    low = out[:phi]
-    if any(out[phi:]):  # the reduction table is built only when a product needs it
-        table = _reduction_table(L)
-        for k in range(phi, 2 * phi - 1):
-            c = out[k]
-            if c:
-                for j, r in enumerate(table[k - phi]):
-                    if r:
-                        low[j] += c * r
-    return low
+    return _reduce(L, out)
 
 
 def _conjugate(L: int, nums, k: int) -> tuple[int, ...]:
@@ -218,8 +200,8 @@ class CycloNumber:
         return CycloNumber.from_rational(0, conductor)
 
     @staticmethod
-    def one(conductor: int = 1) -> "CycloNumber":
-        return CycloNumber.from_rational(1, conductor)
+    def one() -> "CycloNumber":
+        return CycloNumber.from_rational(1)
 
     # -- representation -------------------------------------------------
 
@@ -379,7 +361,7 @@ class CycloNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycloNumber.one(self.conductor)
+        result = CycloNumber.from_rational(1, self.conductor)
         base = self
         while n:
             if n & 1:
@@ -457,22 +439,6 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     return _make(conductor, _reduce(conductor, [0] * e + [1]), 1)
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * v with v squarefree; returns (s, v). n >= 1."""
-    s, v, p = 1, 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                v *= p
-        p += 1
-    return s, v * n
-
-
 def sqrt_cyclo(c: CycloNumber) -> CycloNumber:
     """A square root of c, for c of the form (rational)^2 * 2^eps * root of unity.
 
@@ -490,10 +456,13 @@ def sqrt_cyclo(c: CycloNumber) -> CycloNumber:
             q = u.as_rational()
             if q <= 0:
                 continue
-            sn, vn = _squarefree_split(q.numerator)
-            sd, vd = _squarefree_split(q.denominator)
-            v = vn * vd
-            base = Fraction(sn, sd * vd)  # sqrt(q) = base * sqrt(v)
+            # sqrt(q) = sqrt(num * den) / den = base * sqrt(v), v squarefree;
+            # num and den are coprime, so their factorizations concatenate
+            num, v = 1, 1
+            for p, k in _factor(q.numerator) + _factor(q.denominator):
+                num *= p ** (k // 2)
+                v *= p ** (k % 2)
+            base = Fraction(num, q.denominator)
             if v == 1:
                 root = CycloNumber.from_rational(base)
             elif v == 2:

@@ -24,9 +24,9 @@ rational value they create (a kernel vector's free coordinate) is a
 `Fraction`, the conductor-1 form of the field.
 
 Span membership is split in two: `rref` reduces a spanning set once, and
-`in_span` reduces each target against those rows by one subtraction per
-row. `independent` picks, in one elimination, the vectors outside the span
-of the vectors before them.
+`in_span` reduces each target against its rows and pivots by one
+subtraction per pivot row. `independent` picks, in one elimination, the
+vectors outside the span of the vectors before them.
 
 `dot_int`, the pairing of an integer vector with a covector, accumulates
 integers in one pass: every entry with a nonzero weight is read at the lcm
@@ -184,19 +184,18 @@ def nullspace(rows: list[list], ncols: int) -> list[Vector]:
     return basis
 
 
-def in_span(rows: list[Vector], target: Vector) -> bool:
+def in_span(rows: list[Vector], target: Vector, pivots: list[int]) -> bool:
     """Whether target lies in the span of rows already in reduced echelon form.
 
-    `rows` are the rows of an `rref`: each nonzero row's first nonzero entry
-    is a 1 whose column is zero in every other row. The target is reduced
-    against them, one subtraction per row, and lies in the span exactly when
-    nothing is left. Nothing is eliminated here.
+    `rows` and `pivots` are what `rref` returns: row i has a 1 in column
+    pivots[i], and that column is zero in every other row. The target is
+    reduced against them, one subtraction per pivot row, and lies in the
+    span exactly when nothing is left. Nothing is eliminated here.
     """
     rest = list(target)
-    for row in rows:
-        pivot = next((i for i, v in enumerate(row) if v), None)
-        if pivot is not None and rest[pivot]:
-            f = rest[pivot]
+    for row, pivot in zip(rows, pivots):
+        f = rest[pivot]
+        if f:
             rest = [t - f * v if v else t for t, v in zip(rest, row)]
     return not any(rest)
 

@@ -308,7 +308,8 @@ class JLattice:
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
-        self._pieces: dict[Fraction, tuple] = {}  # degree -> (monomials, vectors, reduced rows)
+        # degree -> (monomials, vectors, reduced rows, their pivots, monomial index)
+        self._pieces: dict[Fraction, tuple] = {}
         self._brackets: list[tuple[dict, dict, dict]] | None = None
         if kind == "J":
             self._assemble_breaks()
@@ -345,7 +346,8 @@ class JLattice:
         The returned vectors are independent: contributions already inside the
         span of those before them (a Lagrangian line next to its own pure
         monomial, say) are dropped. Each degree is computed once per lattice,
-        together with the reduced rows that membership tests read.
+        together with the reduced rows, their pivots and the monomial index
+        that membership tests read.
         """
         return self._piece(deg)[:2]
 
@@ -372,12 +374,13 @@ class JLattice:
         candidates += [vec for vec in (_map_to_coords(line, index) for line in lines)
                        if vec is not None]
         vectors = tuple(candidates[k] for k in independent(candidates))
-        return tuple(monos), vectors, rref(vectors)[0]
+        rows, pivots = rref(vectors)
+        return tuple(monos), vectors, rows, pivots, index
 
     def contains_line(self, line: dict) -> bool:
         """Whether a nonzero homogeneous line lies in the lattice."""
-        monos, _vectors, rows = self._piece(self.real.degree(next(iter(line))))
-        return in_span(rows, _map_to_coords(line, {m: i for i, m in enumerate(monos)}))
+        _monos, _vectors, rows, pivots, index = self._piece(self.real.degree(next(iter(line))))
+        return in_span(rows, _map_to_coords(line, index), pivots)
 
     def module_generators(self) -> list[dict[Monomial, Scalar]]:
         """Generators of the lattice as a module over O = C[[t]].
@@ -575,14 +578,13 @@ def psi_lambda_check(lattice: JLattice) -> bool:
 
     [J, J] is spanned over O by the brackets of generator pairs, and the dual
     pairs only with its finitely many exponent keys, so each bracket is paired
-    at the shifts t^k that bring its least exponent up to the largest key.
+    at the shifts t^k, k >= 0, that bring one of its exponents onto a key.
     """
     real = lattice.real
-    top = int(max(real.dual, default=0))
     for _u, _v, coords in lattice.generator_brackets():
-        low = min((n for _gen, n in coords), default=top)
+        shifts = {int(e) - n for e in real.dual for _gen, n in coords if e >= n}
         if any(sum(c * real.pair_dual_monomial((gen, n + k)) for (gen, n), c in coords.items())
-               for k in range(top - low + 1)):
+               for k in shifts):
             return False
     return True
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
+from .linalg import _primitive
 
 IntVec = tuple[int, ...]
 
@@ -403,11 +404,6 @@ def q_closure(rd: RootDatum, subset) -> frozenset[int]:
                             for k, (y, v) in enumerate(zip(annihilator, values)) if k != pivot)
     return frozenset(k for k, root in enumerate(rd.roots)
                      if not any(rd.pairing(y, root) for y in annihilator))
-
-
-def _primitive(v: list[int]) -> IntVec:
-    g = gcd(*v)
-    return tuple(c // g for c in v) if g > 1 else tuple(v)
 
 
 def is_q_closed(rd: RootDatum, subset) -> bool:

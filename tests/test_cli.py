@@ -523,10 +523,25 @@ def test_datum_dimension_bound(capsys, monkeypatch):
         assert json.loads(out)["error"]["code"] == "resource-limit"
 
 
+def test_jlattice_far_out_in_the_apartment_answers_quickly(capsys):
+    # at x = 441067 the generators' exponents spread over about 441067
+    # shifts; the tail character pairs only at the shifts that meet the
+    # dual's keys (the zero tail at m = 8 took 45-55 s when it paired at
+    # every shift in between)
+    for m, terms in ((8, []), (1, [{"q": "1", "coeff": ["1"]}])):
+        doc = {"datum": {"type": "A1", "lambda": {"m": m, "terms": terms}}, "x": ["441067"]}
+        start = time.perf_counter()
+        status, out = run_main(capsys, "jlattice", "--input", json.dumps(doc))
+        assert time.perf_counter() - start < 2
+        assert status == 0, out
+        result = json.loads(out)
+        assert result["psi_lambda"] is True
+        assert result["bracket_closure"] == "verified"
+
+
 def test_tail_twist_bound(capsys, monkeypatch):
-    # a root-of-unity twist inside the phi bound multiplies rational entries
-    # without a reduction table; one past the bound is refused before any
-    # cyclotomic polynomial is built
+    # a root-of-unity twist inside the phi bound answers quickly; one past the
+    # bound is refused before any cyclotomic polynomial is built
     import polarium.cyclo as cyclo
 
     def classify_term(m, q):
@@ -537,18 +552,16 @@ def test_tail_twist_bound(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("cyclotomic work the request does not need")
 
-    with monkeypatch.context() as m:
-        m.setattr(cyclo, "_reduction_table", refuse)
-        for q in ("1/1000", "999/1000"):
-            start = time.perf_counter()
-            status, out = classify_term(1000, q)
-            assert time.perf_counter() - start < 2
-            assert status == 1
-            assert json.loads(out)["error"]["code"] == "invalid-argument"  # not equivariant
-        # an integer exponent needs no root of unity, whatever the period
-        status, out = classify_term(10**6, "1")
-        assert status == 0
-        assert json.loads(out)["lambda"]["m"] == 10**6
+    for q in ("1/1000", "999/1000"):
+        start = time.perf_counter()
+        status, out = classify_term(1000, q)
+        assert time.perf_counter() - start < 2
+        assert status == 1
+        assert json.loads(out)["error"]["code"] == "invalid-argument"  # not equivariant
+    # an integer exponent needs no root of unity, whatever the period
+    status, out = classify_term(10**6, "1")
+    assert status == 0
+    assert json.loads(out)["lambda"]["m"] == 10**6
     monkeypatch.setattr(cyclo, "cyclotomic_polynomial", refuse)
     for q in ("1/10000", "9999/10000"):
         status, out = classify_term(10**4, q)

@@ -5,13 +5,16 @@ rejection. Every verdict here is compared with `Draft202012Validator.is_valid`
 on the same document: documents generated from each request schema, the
 same documents after one hostile mutation, every request document of the
 benchmark universes and every golden request. Each rejection must also reach
-the user as the envelope of jsonschema's best match.
+the user as the envelope of jsonschema's best match. Every generated valid
+document is also run through the CLI on small types, which must answer with
+one canonical JSON document and a documented exit status in bounded time.
 """
 
 import copy
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -149,6 +152,33 @@ def test_compiled_check_agrees_with_jsonschema(command, data, capsys):
     doc = data.draw(from_schema(schema, schema["$defs"]))
     _assert_agrees(command, doc, capsys)
     _assert_agrees(command, _mutate(data, doc), capsys)
+
+
+# Cartan types small enough that any schema-valid request on them is cheap;
+# the labels stand in for the `cartan_type` definition when generating.
+TOTALITY_TYPES = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
+TOTALITY_SECONDS = 10
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_schema_valid_request_ends_in_a_result_or_an_envelope(command, data, capsys):
+    schema = _schema(command)
+    defs = {**schema["$defs"], "cartan_type": {"enum": list(TOTALITY_TYPES)}}
+    doc = data.draw(from_schema(schema, defs))
+    start = time.perf_counter()
+    status = cli.main([command, "--input", json.dumps(doc)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert status in (0, 1, 2, 3), (command, doc, status)
+    body = json.loads(out)
+    assert out == jsonio.canonical_dumps(body), (command, doc)
+    assert ("error" in body) == (status in (1, 3)), (command, doc, out)
+    if "error" in body:
+        assert not body["error"]["message"].startswith("unexpected "), (command, doc, out)
+    assert elapsed < TOTALITY_SECONDS, (command, doc, elapsed)
 
 
 def _golden_requests():
