@@ -25,8 +25,11 @@ rational value they create (a kernel vector's free coordinate) is a
 
 Span membership is split in two: `rref` reduces a spanning set once, and
 `in_span` reduces each target against its rows and pivots by one
-subtraction per pivot row. `independent` picks, in one elimination, the
-vectors outside the span of the vectors before them.
+subtraction per pivot row. A unit row settles its own coordinate, so the
+lattice layer reduces only the rows of a piece that are not units, on the
+coordinates the units leave, and calls `in_span` only when there are such
+rows. `independent` picks, in one elimination, the vectors outside the span
+of the vectors before them.
 
 `dot_int`, the pairing of an integer vector with a covector, accumulates
 integers in one pass: every entry with a nonzero weight is read at the lcm

@@ -42,6 +42,17 @@ lies in J for each pair, which with [t^a u, t^b v] = t^(a+b) [u, v] gives
 up to the dual's largest exponent key, past which the pairing is zero. The
 pair brackets are computed once per lattice and serve both of the last two
 parts.
+
+The lattice layer works on the structure a piece already has. A slot, the
+monomials of one degree, is read in closed form: the generators are bucketed
+once by the fractional part of their height. A piece is its pure monomials
+(G t^n with n at or above the threshold of G) plus a few extra lines, the
+twisted Cartan line at a degree >= 0 and the break Lagrangians, reduced once
+on the coordinates outside the pure monomials; a line lies in the piece
+exactly when what is left of it there lies in the span of those rows. A
+moveability block pairs each row x with the columns through one functional
+<lambda, [x, .]>, built from the partners of each generator that the root
+datum gives: the generators whose bracket with it meets the dual.
 """
 
 from __future__ import annotations
@@ -123,6 +134,14 @@ class Realization:
             self.dual = self._realize_dual_split()
         self._heights = tuple(Fraction(sum(a * b for a, b in zip(self.x, root)))
                               for root in rd.roots)
+        # the generators by the fractional part of their height, in generator
+        # order, each with the integer part: a slot is one bucket
+        self._buckets: dict[Fraction, list[tuple[Gen, int]]] = {}
+        for gen in self.generators():
+            height = self._heights[gen[1]] if gen[0] == "r" else _ZERO
+            base = floor(height)
+            self._buckets.setdefault(height - base, []).append((gen, base))
+        self._partners: dict[Gen, tuple] = {}
 
     # -- setup ---------------------------------------------------------
 
@@ -200,15 +219,10 @@ class Realization:
         return gens
 
     def monomials_at_degree(self, deg: Fraction) -> list[Monomial]:
-        out = []
-        for gen in self.generators():
-            if gen[0] == "r":
-                shift = deg - self.root_height(gen[1])
-            else:
-                shift = Fraction(deg)
-            if shift.denominator == 1:
-                out.append((gen, int(shift)))
-        return out
+        """G t^n of degree deg, in generator order: the generators whose height
+        has the fractional part of deg, at n = floor(deg) - floor(height)."""
+        base = floor(deg)
+        return [(gen, base - n) for gen, n in self._buckets.get(deg - base, ())]
 
     def degree_step(self) -> Fraction:
         """Spacing of the grading: 1/lcm of the root-height denominators."""
@@ -230,11 +244,14 @@ class Realization:
             return ((gu, Fraction(c)),) if c else ()
         if v == rd.negative_of(u):
             return tuple((("h", k), Fraction(c)) for k, c in enumerate(rd.coroots[u]) if c)
-        total = rd.root_index.get(tuple(a + b for a, b in zip(rd.roots[u], rd.roots[v])))
+        total = rd.root_sum(u, v)
         if total is None:
             return ()
-        sign = _ONE if self.position[u][1] == self.position[v][0] else -_ONE
-        return ((("r", total), sign),)
+        return ((("r", total), self._sign(u, v)),)
+
+    def _sign(self, a: int, b: int) -> Fraction:
+        """Sign of [e_a, e_b] = +-e_(a+b), from [E_ij, E_jl] = E_il."""
+        return _ONE if self.position[a][1] == self.position[b][0] else -_ONE
 
     def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, Fraction]:
         (gu, nu), (gv, nv) = u, v
@@ -269,6 +286,44 @@ class Realization:
                 if val:
                     total = total + cu * cv * val
         return total
+
+    def bracket_functional(self, line: dict) -> dict[Monomial, Scalar]:
+        """phi = <dual, [line, .]> as monomial -> value, nonzero values only:
+        phi[Y t^m] is pair_lines(line, {Y t^m: 1})."""
+        out: dict[Monomial, Scalar] = {}
+        for (gen, n), c in line.items():
+            partners = self._partners.get(gen)
+            if partners is None:
+                partners = self._partners[gen] = self._dual_partners(gen)
+            for e, partner, val in partners:
+                mono = (partner, e - n)
+                out[mono] = out.get(mono, _ZERO) + c * val
+        return {m: v for m, v in out.items() if v}
+
+    def _dual_partners(self, gu: Gen) -> tuple:
+        """(e, G, <dual, [gu, G t^e]>) for each generator G and dual exponent e
+        with a nonzero value. Partners are read off the root datum: [e_a, e_b]
+        meets e_d exactly when b = d - a is a root, [e_a, e_-a] meets the h_k,
+        and [h_k, e_d] and [e_d, h_k] meet e_d."""
+        rd = self.rd
+        kind, u = gu
+        acc: dict[tuple[int, Gen], Scalar] = {}
+        for e, vals in self.dual.items():
+            for (kd, d), lam in vals.items():
+                if kind == "h":
+                    terms = [(("r", d), rd.roots[d][u])] if kd == "r" else []
+                elif kd == "h":
+                    terms = [(("r", rd.negative_of(u)), rd.coroots[u][d])]
+                elif d == u:
+                    terms = [(("h", k), -rd.roots[u][k]) for k in range(rd.ss_rank)]
+                else:
+                    b = rd.root_sum(d, rd.negative_of(u))
+                    terms = [] if b is None else [(("r", b), self._sign(u, b))]
+                for partner, c in terms:
+                    if c:
+                        key = (int(e), partner)
+                        acc[key] = acc.get(key, _ZERO) + c * lam
+        return tuple((e, partner, val) for (e, partner), val in acc.items() if val)
 
     # -- M-part ----------------------------------------------------------
 
@@ -308,7 +363,8 @@ class JLattice:
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
         self.break_pieces: list[dict] = []
-        # degree -> (monomials, vectors, reduced rows, their pivots, monomial index)
+        # degree -> (monomials, pure monomials, extra lines, the monomials
+        # outside the pure ones, the extra lines reduced on them, their pivots)
         self._pieces: dict[Fraction, tuple] = {}
         self._brackets: list[tuple[dict, dict, dict]] | None = None
         if kind == "J":
@@ -340,16 +396,18 @@ class JLattice:
             vectors = [_coords_to_map(piece, coords) for coords in lagrangian(form)]
             self.break_pieces.append({"j": j, "degree": s, "lagrangian": vectors})
 
-    def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], tuple[tuple, ...]]:
-        """Monomial basis of the ambient graded slot plus lattice vectors.
+    def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], frozenset, tuple]:
+        """The monomials of the ambient graded slot, the pure ones among them
+        and the extra lattice lines, which together span the piece.
 
-        The returned vectors are independent: contributions already inside the
-        span of those before them (a Lagrangian line next to its own pure
-        monomial, say) are dropped. Each degree is computed once per lattice,
-        together with the reduced rows, their pivots and the monomial index
-        that membership tests read.
+        The extra lines are the twisted Cartan line at a degree >= 0 and the
+        break Lagrangian lines. A line inside the span of the pure monomials
+        and the lines before it (a Lagrangian line next to its own pure
+        monomial, say) is dropped. Each degree is computed once per lattice,
+        together with the extra lines reduced on the coordinates outside the
+        pure monomials, which membership tests read.
         """
-        return self._piece(deg)[:2]
+        return self._piece(deg)[:3]
 
     def _piece(self, deg: Fraction) -> tuple:
         piece = self._pieces.get(deg)
@@ -359,28 +417,30 @@ class JLattice:
 
     def _compute_piece(self, deg: Fraction) -> tuple:
         real = self.real
-        monos = real.monomials_at_degree(deg)
-        index = {m: i for i, m in enumerate(monos)}
-        candidates = []
-        for m in monos:
-            if m[1] >= self.threshold(m[0]):
-                vec = [_ZERO] * len(monos)
-                vec[index[m]] = _ONE
-                candidates.append(tuple(vec))
+        monos = tuple(real.monomials_at_degree(deg))
+        slot = set(monos)
+        pure = frozenset(m for m in monos if m[1] >= self.threshold(m[0]))
+        rest = tuple(m for m in monos if m not in pure)
         # the Cartan line lies in (LM)_{>=0}
         lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
         lines += [line for rec in self.break_pieces if rec["degree"] == deg
                   for line in rec["lagrangian"]]
-        candidates += [vec for vec in (_map_to_coords(line, index) for line in lines)
-                       if vec is not None]
-        vectors = tuple(candidates[k] for k in independent(candidates))
-        rows, pivots = rref(vectors)
-        return tuple(monos), vectors, rows, pivots, index
+        lines = [line for line in lines if slot.issuperset(line)]
+        # a pure monomial is a unit row, so only the coordinates outside them count
+        reduced = [tuple(line.get(m, _ZERO) for m in rest) for line in lines]
+        kept = independent(reduced)
+        rows, pivots = rref([reduced[k] for k in kept])
+        return monos, pure, tuple(lines[k] for k in kept), rest, rows[:len(pivots)], pivots
 
     def contains_line(self, line: dict) -> bool:
-        """Whether a nonzero homogeneous line lies in the lattice."""
-        _monos, _vectors, rows, pivots, index = self._piece(self.real.degree(next(iter(line))))
-        return in_span(rows, _map_to_coords(line, index), pivots)
+        """Whether a nonzero homogeneous line lies in the lattice: what is
+        left of it outside the pure monomials lies in the span of the
+        reduced extra lines."""
+        _monos, pure, _lines, rest, rows, pivots = self._piece(
+            self.real.degree(next(iter(line))))
+        if not rows:
+            return not any(c for m, c in line.items() if m not in pure)
+        return in_span(rows, tuple(line.get(m, _ZERO) for m in rest), pivots)
 
     def module_generators(self) -> list[dict[Monomial, Scalar]]:
         """Generators of the lattice as a module over O = C[[t]].
@@ -430,15 +490,6 @@ class JLattice:
             })
         return {"kind": self.kind, "thresholds": thresholds, "lagrangians": lagrangians,
                 "breaks": [str(b) for b in self.breaks]}
-
-
-def _map_to_coords(line: dict, index: dict) -> tuple | None:
-    vec = [_ZERO] * len(index)
-    for mono, c in line.items():
-        if mono not in index:
-            return None
-        vec[index[mono]] = c
-    return tuple(vec)
 
 
 def _coords_to_line(monos, vec) -> dict:
@@ -650,8 +701,7 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         cols = _coset_complement_cols(real, lattice, variant, gamma)
         if not rows and not cols:
             continue
-        matrix = [[real.pair_lines(xline, phi) for phi in cols] for xline in rows]
-        r = rank(matrix) if rows and cols else 0
+        r = rank(_pairing_block(real, rows, cols)) if rows and cols else 0
         ok = len(rows) == len(cols) == r
         if not ok:
             defects += 1
@@ -666,11 +716,31 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
     }
 
 
+def _pairing_block(real: Realization, rows: list[dict], cols: list[dict]) -> list[list[Scalar]]:
+    """The matrix of <lambda, [x, phi]>, row x against column phi. Each row's
+    functional <lambda, [x, .]> is built once, and only the entries where it
+    meets a column's monomial are filled."""
+    where: dict[Monomial, list[tuple[int, Scalar]]] = {}
+    for k, phi in enumerate(cols):
+        for mono, c in phi.items():
+            where.setdefault(mono, []).append((k, c))
+    matrix = []
+    for x in rows:
+        out = [_ZERO] * len(cols)
+        for mono, val in real.bracket_functional(x).items():
+            for k, c in where.get(mono, ()):
+                out[k] = out[k] + val * c
+        matrix.append(out)
+    return matrix
+
+
 def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction) -> list[dict]:
     """Lattice vectors outside the Levi whose principal target is codegree gamma.
 
     Level j contributes at delta = gamma + r_j: its Lagrangian rows, then each
     pure level-j monomial outside the span of the Levi lines, kept greedily.
+    Only the monomials that the Levi lines touch are eliminated; any other
+    pure monomial is kept.
     """
     rows = []
     for j in range(1, len(real.ladder.levels)):
@@ -683,32 +753,38 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
                 and m[1] >= lattice.threshold(m[0])]
         if not pure:
             continue
-        index = {m: i for i, m in enumerate(monos)}
-        span = [vec for vec in (_map_to_coords(line, index)
-                                for line in real.m_lines_at_degree(delta)) if vec is not None]
-        units = [tuple(_ONE if mono == m else _ZERO for mono in monos) for m in pure]
-        kept = set(independent(span + units))
-        rows += [{m: _ONE} for k, m in enumerate(pure, len(span)) if k in kept]
+        slot = set(monos)
+        levi = [line for line in real.m_lines_at_degree(delta) if slot.issuperset(line)]
+        touched = set().union(*levi)
+        candidates = [m for m in pure if m in touched]
+        dropped = set()
+        if candidates:
+            coords = [m for m in monos if m in touched]
+            span = [tuple(line.get(m, _ZERO) for m in coords) for line in levi]
+            units = [tuple(_ONE if mono == m else _ZERO for mono in coords) for m in candidates]
+            kept = set(independent(span + units))
+            dropped = {m for k, m in enumerate(candidates, len(span)) if k not in kept}
+        rows += [{m: _ONE} for m in pure if m not in dropped]
     return rows
 
 
 def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
                            gamma: Fraction) -> list[dict]:
-    """Functional basis of the coset lattice's non-Levi part at codegree gamma."""
+    """Functional basis of the coset lattice's non-Levi part at codegree gamma.
+
+    In variant J a functional vanishes on every pure monomial of the piece,
+    so the kernel is solved on the other monomials only.
+    """
     eta = -gamma
     monos = real.monomials_at_degree(eta)
-    if not monos:
+    if not monos or (variant == "K" and eta >= 0):
         return []
-    index = {m: i for i, m in enumerate(monos)}
-    constraints = []
+    free, constraints = monos, []
     if variant == "J":
-        _, vectors = lattice.piece_at_degree(eta)
-        constraints.extend(list(v) for v in vectors)
-    else:
-        if eta >= 0:
-            return []
-    for line in real.m_lines_at_degree(eta):
-        vec = _map_to_coords(line, index)
-        if vec is not None:
-            constraints.append(list(vec))
-    return [_coords_to_line(monos, vec) for vec in nullspace(constraints, len(monos))]
+        _monos, pure, lines = lattice.piece_at_degree(eta)
+        free = [m for m in monos if m not in pure]
+        constraints = list(lines)
+    slot = set(monos)
+    constraints += [line for line in real.m_lines_at_degree(eta) if slot.issuperset(line)]
+    rows = [[line.get(m, _ZERO) for m in free] for line in constraints]
+    return [_coords_to_line(free, vec) for vec in nullspace(rows, len(free))]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
@@ -145,6 +145,7 @@ class RootDatum:
         self.roots = tuple(p[0] for p in ordered)
         self.coroots = tuple(p[1] for p in ordered)
         self.root_index = {root: k for k, root in enumerate(self.roots)}
+        self._negative = tuple(self.root_index[tuple(-v for v in root)] for root in self.roots)
         for root, coroot in ordered:
             if self.pairing(coroot, root) != 2:
                 raise InternalInvariantViolation(
@@ -169,7 +170,11 @@ class RootDatum:
         return sum(map(mul, coweight, weight))
 
     def negative_of(self, root_idx: int) -> int:
-        return self.root_index[tuple(-v for v in self.roots[root_idx])]
+        return self._negative[root_idx]
+
+    def root_sum(self, a: int, b: int) -> int | None:
+        """Index of the root alpha_a + alpha_b, None when the sum is not a root."""
+        return self.root_index.get(tuple(map(add, self.roots[a], self.roots[b])))
 
     def type_label(self) -> str:
         parts = [f"{letter}{n}" for letter, n in self.factors]
@@ -212,24 +217,28 @@ class RootDatum:
         simple reflections: the identity first, then s_1, ..., s_r, so the
         order is fixed by the order of the simple roots.
 
-        Every later element s_i·w is born from its BFS parent w
-        (`_born_left`) and indexed by its permutation. The index of s_i·w is
-        kept for every parent w and every i, found or new.
+        An element is indexed by its images of the simple roots, which
+        determine it: the candidate s_i·w is looked up by the images
+        perm(s_i)[perm(w)[k]], k < rank, and only a new element is born from
+        its BFS parent w (`_born_left`) with its full permutation. The index
+        of s_i·w is kept for every parent w and every i, found or new.
         """
         if self._weyl_cache is not None:
             return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
+        r = self.ss_rank
         order = [self.identity_element()]
-        index = {order[0].root_permutation: 0}
-        left: list[list[int]] = [[] for _ in range(self.ss_rank)]
+        index = {order[0].root_permutation[:r]: 0}
+        left: list[list[int]] = [[] for _ in range(r)]
         for parent in order:  # the list grows while it is read
+            simple_images = parent.root_permutation[:r]
             for s, row in zip(self._simple_perms, left):
-                perm = _born_left(s, parent.root_permutation)
-                k = index.get(perm)
+                key = tuple(map(s.__getitem__, simple_images))
+                k = index.get(key)
                 if k is None:
-                    k = index[perm] = len(order)
-                    order.append(WeylElement(self, perm))
+                    k = index[key] = len(order)
+                    order.append(WeylElement(self, _born_left(s, parent.root_permutation)))
                 row.append(k)
         self._weyl_cache, self._weyl_left, self._weyl_index = order, left, index
         return order
@@ -243,10 +252,13 @@ class RootDatum:
     def weyl_table(self) -> tuple[list[list[int]], list[int]]:
         """Index tables over `weyl_elements()`: left[i][k] is the index of
         s_i·W[k], inverse[k] the index of W[k]^-1, read off the enumeration's
-        own permutation index."""
+        own index of simple-root images."""
         if self._weyl_table is None:
             elements = self._weyl_cache if self._weyl_cache is not None else self.weyl_elements()
-            inverse = [self._weyl_index[_inverse(w.root_permutation)] for w in elements]
+            r = self.ss_rank
+            # the simple-root images of W[k]^-1 are the preimages of the simple roots
+            inverse = [self._weyl_index[tuple(map(w.root_permutation.index, range(r)))]
+                       for w in elements]
             self._weyl_table = (self._weyl_left, inverse)
         return self._weyl_table
 

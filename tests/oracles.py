@@ -25,8 +25,11 @@ sweep is the closure and psi check as it was before the proof on O-module
 generators: it reads a lattice's pieces, brackets and pairing and checks
 every pair of basis vectors inside an exponent window; its negative
 controls are `AdjustedLattice` copies, a `JLattice` with lowered or raised
-thresholds. Responses are checked against the shipped schemas by
-`jsonschema` itself.
+thresholds. A lattice piece is also rebuilt from its definition in the
+dense coordinates of its slot, the slot found by scanning every generator,
+as membership and slots were computed before a piece kept its pure
+monomials apart from its extra lines. Responses are checked against the
+shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
 stored integer numerators over one denominator: a tuple of `Fraction`s per
@@ -593,6 +596,47 @@ def charpoly_map(diag: list) -> list:
 # -- the lattice window sweep ----------------------------------------------
 
 
+def monomials_by_scan(real, deg) -> list:
+    """G t^n of degree deg, scanning every generator in order: the shift
+    deg - height(G) must be an integer."""
+    out = []
+    for gen in real.generators():
+        shift = deg - real.root_height(gen[1]) if gen[0] == "r" else Fraction(deg)
+        if shift.denominator == 1:
+            out.append((gen, int(shift)))
+    return out
+
+
+def dense(line: dict, monos) -> list:
+    """A monomial -> coefficient map in the coordinates of the slot monos."""
+    return [line.get(m, Fraction(0)) for m in monos]
+
+
+def piece_vectors(lattice, deg) -> tuple[tuple, list]:
+    """The slot and the piece's independent vectors in slot coordinates, read
+    off `piece_at_degree`: a unit vector per pure monomial, in slot order,
+    then each extra line."""
+    monos, pure, lines = lattice.piece_at_degree(deg)
+    units = [dense({m: Fraction(1)}, monos) for m in monos if m in pure]
+    return monos, units + [dense(line, monos) for line in lines]
+
+
+def piece_by_definition(lattice, deg) -> tuple[list, list]:
+    """The slot by the generator scan and a spanning set of the piece built
+    from its definition, in slot coordinates: a unit vector per monomial at
+    or above its threshold, the Cartan line at a twisted degree >= 0 and the
+    Lagrangian lines at a break degree."""
+    real = lattice.real
+    monos = monomials_by_scan(real, deg)
+    vectors = [dense({(gen, n): Fraction(1)}, monos) for gen, n in monos
+               if n >= lattice.threshold(gen)]
+    lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
+    lines += [line for rec in lattice.break_pieces if rec["degree"] == deg
+              for line in rec["lagrangian"]]
+    vectors += [dense(line, monos) for line in lines if all(m in monos for m in line)]
+    return monos, vectors
+
+
 def window_basis(lattice, lo: int, hi: int) -> list[dict]:
     """Independent lattice vectors with all exponents inside [lo, hi], read
     degree by degree off `piece_at_degree`, as monomial -> coefficient maps."""
@@ -601,7 +645,7 @@ def window_basis(lattice, lo: int, hi: int) -> list[dict]:
                       for gen in real.generators() for n in range(lo, hi + 1)})
     out = []
     for deg in degrees:
-        monos, vectors = lattice.piece_at_degree(deg)
+        monos, vectors = piece_vectors(lattice, deg)
         for vec in vectors:
             line = {monos[i]: c for i, c in enumerate(vec) if c}
             if all(lo <= m[1] <= hi for m in line):

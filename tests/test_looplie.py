@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polarium import jsonio
+from polarium import jsonio, looplie
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation
 from polarium.looplie import (Realization, bracket_closure_violations,
@@ -20,8 +20,9 @@ from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
-                      eigen_regular_check, matrix_positions, psi_on_window, span_contains,
-                      window_basis, with_adjust)
+                      eigen_regular_check, in_span_by_rref, matrix_positions,
+                      monomials_by_scan, piece_by_definition, piece_vectors, psi_on_window,
+                      span_contains, window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -273,7 +274,7 @@ def test_build_epipelagic_equals_positive_part(a1, a2):
         deg = -2
         while deg <= 2:
             monos = real.monomials_at_degree(F(deg))
-            _, vectors = J.piece_at_degree(F(deg))
+            _, vectors = piece_vectors(J, F(deg))
             expected = len(monos) if deg > 0 else 0
             assert len(vectors) == expected, (rd.type_label(), deg)
             deg += step
@@ -458,7 +459,7 @@ def test_module_generators_span_each_piece(a1, a2):
 
     def contains(J, line):
         deg = J.real.degree(next(iter(line)))
-        monos, vectors = J.piece_at_degree(deg)
+        monos, vectors = piece_vectors(J, deg)
         return span_contains(vectors, [line.get(m, F(0)) for m in monos])
 
     for golden in golden_lattices(a1, a2):
@@ -470,7 +471,7 @@ def test_module_generators_span_each_piece(a1, a2):
                            for g in J.module_generators())
             assert o_stable or J is not golden
             for deg in degrees:
-                monos, vectors = J.piece_at_degree(deg)
+                monos, vectors = piece_vectors(J, deg)
                 generated = span_at(J, deg, monos)
                 assert all(span_contains(generated, v) for v in vectors), (real.datum, deg)
                 if o_stable:
@@ -489,6 +490,106 @@ def test_piece_memo_isolated_from_adjusted_copies(a1):
     assert [J.piece_at_degree(deg) for deg in degrees] == before
     fresh = build_j_lattice(d, ladder, rho_over(a1, 2))
     assert [fresh.piece_at_degree(deg) for deg in degrees] == before
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+def lattice_from_request(path: Path):
+    doc = json.loads(path.read_text())
+    d = jsonio.datum_from_json(doc["datum"])
+    return build_j_lattice(d, extract(d), jsonio.parse_coweight(d.rd, doc.get("x")))
+
+
+def test_slot_matches_generator_scan(a1, a2):
+    # the closed-form slot equals the scan over every generator at each step
+    # degree in [-3, 4] and halfway between steps, split and twisted
+    reals = [J.real for J in golden_lattices(a1, a2)]
+    reals += [J.real for J in answered_universe_lattices().values()]
+    assert any(real.twisted for real in reals)
+    for real in reals:
+        step = real.degree_step()
+        for k in range(-3 * step.denominator, 4 * step.denominator + 1):
+            for deg in (k * step, k * step + step / 2):
+                assert real.monomials_at_degree(deg) == monomials_by_scan(real, deg), \
+                    (real.datum, deg)
+
+
+def test_membership_matches_dense_reference(a1, a2):
+    # contains_line against one elimination, in the dense coordinates of the
+    # slot, of the piece built from its definition and the target: every
+    # monomial of each slot the proof visits, each O-module generator, its
+    # t-multiple and each generator bracket, on the goldens, the answered
+    # benchmark lattices and their corrupted copies; some of the lines that
+    # lie in a piece need its extra lines
+    verdicts = {}
+
+    def expected(piece, line):
+        monos, vectors, piece_key = piece
+        target = [line.get(m, F(0)) for m in monos]
+        key = (piece_key, repr(target))
+        if key not in verdicts:
+            verdicts[key] = in_span_by_rref(vectors, target)
+        return verdicts[key]
+
+    intact = golden_lattices(a1, a2) + list(answered_universe_lattices().values())
+    intact += [lattice_from_request(GOLDENS / name)
+               for name in ("jlattice_request.json", "jlattice_mixed_conductor_request.json")]
+    needs_extra = 0
+    for J in intact:
+        for C in [J] + adjusted_copies(J):
+            lines = C.module_generators()
+            lines += [{(gen, n + 1): c for (gen, n), c in g.items()} for g in lines]
+            lines += [line for _u, _v, line in C.generator_brackets() if line]
+            degrees = {C.real.degree(next(iter(line))) for line in lines}
+            lines += [{mono: F(1)} for deg in sorted(degrees)
+                      for mono in monomials_by_scan(C.real, deg)]
+            pieces = {deg: piece_by_definition(C, deg) for deg in degrees}
+            pieces = {deg: (*piece, repr(piece)) for deg, piece in pieces.items()}
+            for line in lines:
+                got = C.contains_line(line)
+                piece = pieces[C.real.degree(next(iter(line)))]
+                assert got == expected(piece, line), (J.real.datum, line)
+                needs_extra += got and any(n < C.threshold(gen) for gen, n in line)
+    assert needs_extra
+
+
+def recorded_blocks(monkeypatch):
+    """Each pairing block moveability_check builds, with its rows and columns."""
+    blocks = []
+    block = looplie._pairing_block
+
+    def recording(real, rows, cols):
+        matrix = block(real, rows, cols)
+        blocks.append((real, rows, cols, matrix))
+        return matrix
+
+    monkeypatch.setattr(looplie, "_pairing_block", recording)
+    return blocks
+
+
+def test_pairing_block_matches_pair_lines(a1, a2, monkeypatch):
+    # every block of every benchmark and golden moveability request, J and K,
+    # split, twisted and cyclotomic, equals <lambda, [x, phi]> entry by entry
+    blocks = recorded_blocks(monkeypatch)
+    cli = harness.import_cli()
+    requests = [(req.command, req.text) for req in workloads.lattice_universe().values()
+                if req.command == "moveability"]
+    golden = json.loads((GOLDENS / "moveability_mixed_conductor_request.json").read_text())
+    requests += [("moveability", json.dumps({**golden, "variant": v})) for v in ("J", "K")]
+    for command, text in requests:
+        assert harness.send(cli.main, command, text).error is None
+    for d, ladder, x in [(*sl2_depth_one(a1), rho_over(a1, 2)),
+                         (*sl3_two_break(a2), rho_over(a2, 2))]:
+        for variant in ("J", "K"):
+            moveability_check(d, ladder, x, variant=variant)
+    assert any(real.twisted for real, *_ in blocks)
+    assert any(isinstance(v, CycloNumber) for *_, m in blocks for row in m for v in row)
+    for real, rows, cols, matrix in blocks:
+        reference = [[real.pair_lines(x, phi) for phi in cols] for x in rows]
+        assert all(not (a - b) for got, ref in zip(matrix, reference)
+                   for a, b in zip(got, ref)), real.datum
+        assert [len(row) for row in matrix] == [len(cols)] * len(rows)
 
 
 def test_raised_threshold_breaks_closure(a1):

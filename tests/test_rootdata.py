@@ -264,11 +264,30 @@ def test_from_matrix_takes_the_longest_element_of_a16_quickly():
 
 
 def test_weyl_order_matches_plain_bfs():
-    for label in WEYL_TYPES:
+    # the enumeration, indexed by the images of the simple roots, against the
+    # plain BFS on matrices: its order, s_i times each element and each inverse
+    for label in WEYL_TYPES + ([["B", 2], ["G", 2]],):
         rd = build(label)
         elements = rd.weyl_elements()
-        assert [w.matrix for w in elements] == weyl_bfs_order(rd), label
+        mats = weyl_bfs_order(rd)
+        assert [w.matrix for w in elements] == mats, label
         assert elements[0] is rd.identity_element()
+        where = {mat: k for k, mat in enumerate(mats)}
+        left, inverse = rd.weyl_table()
+        for i, (root, coroot) in enumerate(zip(rd.simple_roots, rd.simple_coroots)):
+            s = reflection_matrix(root, coroot)
+            assert left[i] == [where[mat_mul_oracle(s, mat)] for mat in mats], (label, i)
+        assert inverse == [where[inverse_by_rref(mat)] for mat in mats], label
+
+
+def test_negation_index_and_root_sums_match_root_lookup():
+    for label in WEYL_TYPES + ("A7", "B4", "C4", "D5", [["B", 2], ["G", 2]]):
+        rd = build(label)
+        for i, root in enumerate(rd.roots):
+            assert rd.negative_of(i) == rd.root_index[tuple(-v for v in root)], label
+            for j, other in enumerate(rd.roots):
+                total = tuple(a + b for a, b in zip(root, other))
+                assert rd.root_sum(i, j) == rd.root_index.get(total), label
 
 
 @pytest.mark.parametrize("label", WEYL_TYPES + ([["B", 2], ["G", 2]],),
