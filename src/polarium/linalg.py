@@ -35,7 +35,8 @@ of the vectors before them.
 integers in one pass: every entry with a nonzero weight is read at the lcm
 of those entries' conductors, its numerators are scaled to the lcm of their
 denominators and summed as ints, and one `CycloNumber` is built at the end
-with one gcd.
+with one gcd. When every weighted entry is rational (conductor 1) the sum is
+one integer, with no per-entry list and no Euler phi.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def dot_int(ints, u: tuple[CycloNumber, ...]) -> CycloNumber:
         return CycloNumber.zero()
     L = lcm(*(a.conductor for _, a in terms))
     den = lcm(*(a.den for _, a in terms))
+    if L == 1:
+        return _normalized(1, [sum(k * a.nums[0] * (den // a.den) for k, a in terms)], den)
     acc = [0] * euler_phi(L)
     for k, a in terms:
         nums = a.nums if a.conductor == L else a.lift(L).nums  # a lift keeps the denominator

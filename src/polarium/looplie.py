@@ -362,6 +362,7 @@ class JLattice:
         self.kind = kind
         self.breaks = list(real.ladder.breaks)
         self.half_depths = list(real.ladder.half_depths)
+        self._thresholds = {gen: self._base_threshold(gen) for gen in real.generators()}
         self.break_pieces: list[dict] = []
         # degree -> (monomials, pure monomials, extra lines, the monomials
         # outside the pure ones, the extra lines reduced on them, their pivots)
@@ -377,6 +378,11 @@ class JLattice:
         return self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
 
     def threshold(self, gen: Gen) -> int:
+        """Least exponent n with G t^n pure, read off the table built with
+        the lattice."""
+        return self._thresholds[gen]
+
+    def _base_threshold(self, gen: Gen) -> int:
         """Least exponent n with G t^n pure: deg >= 0 at level 0, deg past
         the level bound above it."""
         height = self.real.degree((gen, 0))

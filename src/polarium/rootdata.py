@@ -16,6 +16,12 @@ outside is walked down by simple reflections on its root images and rebuilt
 by the same steps. The enumeration keeps the index of s_i·w for every w, and
 `RootDatum.weyl_table` the index of each inverse, so conjugating by s_i is
 four index lookups: s_i·x·s_i = inv[L_i[inv[L_i[x]]]].
+
+The roots themselves are built on plain ints: the positive roots are closed
+from the simple ones under the simple reflections, where s_i moves only the
+positive roots beta != alpha_i with beta[i] = <alpha_i^vee, beta> != 0 and
+changes only coordinate i of a coroot; the negative roots are their
+negations.
 """
 
 from __future__ import annotations
@@ -129,23 +135,40 @@ class RootDatum:
     # -- construction ----------------------------------------------------
 
     def _close_roots(self) -> None:
-        pairs = {(self.simple_roots[i], self.simple_coroots[i]) for i in range(self.ss_rank)}
-        frontier = list(pairs)
+        """The positive roots, closed from the simple ones under the simple
+        reflections, each with its coroot; the negative roots by negation.
+
+        s_i permutes the positive roots other than alpha_i (Humphreys,
+        *Introduction to Lie Algebras and Representation Theory*, §10.2
+        Lemma B), so s_i is skipped at beta = alpha_i and wherever
+        <alpha_i^vee, beta> = beta[i] is 0, where it fixes beta and its
+        coroot. The coroot of s_i·beta is beta^vee - <beta^vee, alpha_i> e_i,
+        which differs from beta^vee in coordinate i alone. The order is the
+        simple roots, then every other root sorted.
+        """
+        simple = self.simple_roots
+        positive = dict(zip(simple, self.simple_coroots))
+        frontier = list(positive.items())
         while frontier:
             root, coroot = frontier.pop()
-            for i in range(self.ss_rank):
-                n_root = self._reflect_root(i, root)
-                n_coroot = self._reflect_coroot(i, coroot)
-                if (n_root, n_coroot) not in pairs:
-                    pairs.add((n_root, n_coroot))
+            for i, alpha in enumerate(simple):
+                c = root[i]
+                if not c or root == alpha:
+                    continue
+                n_root = tuple([x - c * a for x, a in zip(root, alpha)])
+                if n_root not in positive:
+                    n_coroot = list(coroot)
+                    n_coroot[i] -= sum(map(mul, coroot, alpha))
+                    positive[n_root] = n_coroot = tuple(n_coroot)
                     frontier.append((n_root, n_coroot))
-        simple = list(zip(self.simple_roots, self.simple_coroots))
-        rest = sorted(p for p in pairs if p not in set(simple))
-        ordered = simple + rest
+        pairs = list(positive.items())
+        rest = pairs[self.ss_rank:] + [(tuple([-v for v in root]), tuple([-v for v in coroot]))
+                                       for root, coroot in pairs]
+        ordered = pairs[:self.ss_rank] + sorted(rest)
         self.roots = tuple(p[0] for p in ordered)
         self.coroots = tuple(p[1] for p in ordered)
         self.root_index = {root: k for k, root in enumerate(self.roots)}
-        self._negative = tuple(self.root_index[tuple(-v for v in root)] for root in self.roots)
+        self._negative = tuple(self.root_index[tuple([-v for v in root])] for root in self.roots)
         for root, coroot in ordered:
             if self.pairing(coroot, root) != 2:
                 raise InternalInvariantViolation(
@@ -157,11 +180,6 @@ class RootDatum:
         if not c:
             return x
         return tuple(xv - c * av for xv, av in zip(x, self.simple_roots[i]))
-
-    def _reflect_coroot(self, i: int, y: IntVec) -> IntVec:
-        c = self.pairing(y, self.simple_roots[i])
-        cov = self.simple_coroots[i]
-        return tuple(yv - c * cv for yv, cv in zip(y, cov))
 
     # -- basic queries -----------------------------------------------------
 

@@ -11,13 +11,18 @@ Strata labels and Yu ladders read one table per tail: the depth of
 covector pairs nonzero with the coroot, or None where the pairing vanishes.
 `Tail.coroot_depths` builds it once and keeps it. The coroot of -alpha is
 -alpha^vee, whose pairing is the negation and has the same depth, so each
-+- pair of roots is paired once.
++- pair of roots is paired once. The depth needs only zero tests: the tail
+keeps each term, by descending exponent, as integer columns (its entries'
+numerators at the covector's common conductor and denominator), and a
+coroot pairs to zero with the term exactly when its integer dot product with
+every column is 0. No CycloNumber is built for a pairing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, euler_phi, parse_fraction,
                     zeta)
@@ -57,7 +62,7 @@ def covector(values, dim: int | None = None) -> Covector:
 class Tail:
     """An element of t*/t*_tn: finitely many covector terms at exponents q >= 0."""
 
-    __slots__ = ("rd", "m", "terms", "_depths", "_equivariant")
+    __slots__ = ("rd", "m", "terms", "_columns", "_depths", "_equivariant")
 
     def __init__(self, rd: RootDatum, m: int, terms: dict):
         if m < 1:
@@ -75,6 +80,8 @@ class Tail:
             if not all(x.is_zero() for x in c):
                 clean[q] = c
         self.terms = clean
+        # (q, integer columns) by descending q, built by the first pairing
+        self._columns: tuple | None = None
         self._depths: tuple | None = None
         self._equivariant: dict | None = None
 
@@ -85,7 +92,7 @@ class Tail:
         parsed or checked again."""
         tail = cls.__new__(cls)
         tail.rd, tail.m, tail.terms = rd, m, terms
-        tail._depths = tail._equivariant = None
+        tail._columns = tail._depths = tail._equivariant = None
         return tail
 
     @staticmethod
@@ -185,11 +192,32 @@ class Tail:
 
 def pair_coroot(tail: Tail, coroot) -> Fraction | None:
     """Depth of <d(coroot), tail>: the largest exponent whose covector pairs
-    nonzero with the coroot, None when every term pairs to zero."""
-    for q in sorted(tail.terms, reverse=True):
-        if not dot_int(coroot, tail.terms[q]).is_zero():
-            return q
+    nonzero with the coroot, None when every term pairs to zero.
+
+    A term pairs to zero exactly when the coroot is orthogonal to each of
+    its integer columns (`_integer_columns`), which the tail keeps from its
+    first pairing on, by descending exponent."""
+    if tail._columns is None:
+        tail._columns = tuple((q, _integer_columns(tail.terms[q]))
+                              for q in sorted(tail.terms, reverse=True))
+    for q, columns in tail._columns:
+        for col in columns:
+            if sum(map(mul, coroot, col)):
+                return q
     return None
+
+
+def _integer_columns(c: Covector) -> tuple[tuple[int, ...], ...]:
+    """The covector's entries on one integer grid: each entry's numerators
+    at the common conductor L of the entries, scaled to their common
+    denominator. Column j holds the coefficients of z^j, so an integer
+    vector pairs to zero with the covector exactly when it is orthogonal to
+    every column, since 1, z, ..., z^(phi(L)-1) is a basis of Q(zeta_L).
+    All-zero columns are dropped."""
+    L = lcm(*(x.conductor for x in c))
+    den = lcm(*(x.den for x in c))
+    rows = [[n * (den // x.den) for n in x.lift(L).nums] for x in c]
+    return tuple(col for col in zip(*rows) if any(col))
 
 
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:

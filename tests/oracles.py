@@ -77,6 +77,39 @@ def closure_roots_from_cartan(cartan) -> set:
     return roots
 
 
+def roots_by_pair_closure(rd) -> tuple:
+    """(roots, coroots, root_index, negation index) of the datum, closed
+    from the simple (root, coroot) pairs under every simple reflection on
+    both sides, positive and negative roots alike, and ordered as the
+    simple roots followed by every other pair sorted."""
+    r = rd.ss_rank
+
+    def pairing(y, x):
+        return sum(a * b for a, b in zip(y, x))
+
+    def reflect(i, root, coroot):
+        alpha, alpha_vee = rd.simple_roots[i], rd.simple_coroots[i]
+        c, d = pairing(alpha_vee, root), pairing(coroot, alpha)
+        return (tuple(x - c * a for x, a in zip(root, alpha)),
+                tuple(y - d * a for y, a in zip(coroot, alpha_vee)))
+
+    simple = [(rd.simple_roots[i], rd.simple_coroots[i]) for i in range(r)]
+    pairs = set(simple)
+    frontier = list(pairs)
+    while frontier:
+        root, coroot = frontier.pop()
+        for i in range(r):
+            image = reflect(i, root, coroot)
+            if image not in pairs:
+                pairs.add(image)
+                frontier.append(image)
+    ordered = simple + sorted(pairs - set(simple))
+    roots = tuple(root for root, _ in ordered)
+    index = {root: k for k, root in enumerate(roots)}
+    negation = tuple(index[tuple(-v for v in root)] for root in roots)
+    return roots, tuple(coroot for _, coroot in ordered), index, negation
+
+
 def span_contains(vectors, target) -> bool:
     """Rational span membership by Gaussian elimination."""
     rows = [[Fraction(x) for x in v] for v in vectors]
@@ -686,7 +719,8 @@ class AdjustedLattice(JLattice):
     """A corrupted copy of a lattice, the negative control of the lattice
     proofs: the threshold of each generator in `adjust` is lowered by that
     many exponent steps, which changes its pure monomials and with them the
-    O-module generators, so the copy keeps no piece or bracket memo."""
+    O-module generators, so the copy keeps no piece or bracket memo. It
+    shares the lattice's table of base thresholds, which both only read."""
 
     def __init__(self, lattice: JLattice, adjust: dict):
         vars(self).update(vars(lattice))

@@ -156,6 +156,42 @@ def test_dot_int_matches_reference(pair):
     check(dot_int(ints, u), ref_dot_int(ints, u))
 
 
+@st.composite
+def rational_covector_pairs(draw):
+    """An integer vector with zero and negative weights and a covector of
+    rationals at conductor 1 with denominators up to 10^18."""
+    n = draw(st.integers(0, 8))
+    ints = draw(st.lists(st.integers(-5, 5) | st.integers(-10**9, 10**9), min_size=n, max_size=n))
+    u = draw(st.lists(st.fractions(min_value=-10**18, max_value=10**18, max_denominator=10**18)
+                      .map(CycloNumber.from_rational), min_size=n, max_size=n))
+    return ints, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_covector_pairs())
+def test_rational_dot_int_matches_reference(pair):
+    ints, u = pair
+    check(dot_int(ints, u), ref_dot_int(ints, u))
+
+
+def test_rational_dot_int_cancels_to_lowest_terms():
+    # sums that cancel to zero or share a factor with the common denominator
+    big = 10**18
+    cases = [
+        ((2, -4), (Fraction(1, 3), Fraction(1, 6))),
+        ((0, 0, 3), (Fraction(1, 2), Fraction(-7, 3), Fraction(0))),
+        ((1, 1), (Fraction(1, big), Fraction(-1, big))),
+        ((3, -1), (Fraction(1, big), Fraction(3, big))),
+        ((-5, 5, 2), (Fraction(7, big), Fraction(9, big), Fraction(1, big // 10))),
+        ((big, 1), (Fraction(1, big), Fraction(-1, big - 1))),
+        ((), ()),
+    ]
+    for ints, values in cases:
+        u = tuple(map(CycloNumber.from_rational, values))
+        check(dot_int(ints, u), ref_dot_int(ints, u))
+    assert dot_int((2, -4), tuple(map(CycloNumber.from_rational, cases[0][1]))).den == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3).filter(bool),
        st.sampled_from((1, 2, 3)), st.sampled_from(CONDUCTORS), st.integers(0, 47),

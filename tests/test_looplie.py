@@ -19,8 +19,8 @@ from polarium.tails import Tail
 from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import (LaurentMatrix, bracket_closure_on_window, cyclo_rank, cyclo_value,
-                      eigen_regular_check, in_span_by_rref, matrix_positions,
+from .oracles import (AdjustedLattice, LaurentMatrix, bracket_closure_on_window, cyclo_rank,
+                      cyclo_value, eigen_regular_check, in_span_by_rref, matrix_positions,
                       monomials_by_scan, piece_by_definition, piece_vectors, psi_on_window,
                       span_contains, window_basis, with_adjust)
 
@@ -490,6 +490,28 @@ def test_piece_memo_isolated_from_adjusted_copies(a1):
     assert [J.piece_at_degree(deg) for deg in degrees] == before
     fresh = build_j_lattice(d, ladder, rho_over(a1, 2))
     assert [fresh.piece_at_degree(deg) for deg in degrees] == before
+
+
+def test_threshold_table_shared_with_adjusted_copies(a1, a2):
+    # a corrupted copy reads the lattice's base thresholds and subtracts its
+    # adjustment; building and using copies leaves the original's
+    # thresholds and pieces as they were
+    rng = random.Random(11)
+    for J in golden_lattices(a1, a2):
+        gens = J.real.generators()
+        base = {gen: J.threshold(gen) for gen in gens}
+        degrees = sorted({J.real.degree((gen, base[gen] + k)) for gen in gens for k in (-1, 0, 1)})
+        pieces = [J.piece_at_degree(deg) for deg in degrees]
+        memo = dict(J._pieces)
+        for _ in range(4):
+            adjust = {gen: rng.choice((-2, -1, 1, 2)) for gen in rng.sample(gens, 3)}
+            C = AdjustedLattice(J, adjust)
+            assert {gen: C.threshold(gen) for gen in gens} == \
+                {gen: base[gen] - adjust.get(gen, 0) for gen in gens}
+            assert [C.piece_at_degree(deg) for deg in degrees] != pieces
+        assert {gen: J.threshold(gen) for gen in gens} == base
+        assert J._pieces == memo
+        assert [J.piece_at_degree(deg) for deg in degrees] == pieces
 
 
 GOLDENS = Path(__file__).parent / "goldens"

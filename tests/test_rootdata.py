@@ -9,8 +9,8 @@ from polarium.errors import InvalidArgumentError, ResourceLimitError, Unsupporte
 from polarium.rootdata import WeylElement, build, is_q_closed, q_closure, stable_under
 
 from .oracles import (apply_coweight, apply_weight, closure_roots_from_cartan, inverse_by_rref,
-                      mat_mul_oracle, reflection_matrices, reflection_matrix, span_contains,
-                      weyl_bfs_order)
+                      mat_mul_oracle, reflection_matrices, reflection_matrix,
+                      roots_by_pair_closure, span_contains, weyl_bfs_order)
 
 KERNEL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 WEYL_TYPES = KERNEL_TYPES + ([["A", 2], ["torus", 1]],)
@@ -34,6 +34,20 @@ def test_closure_counts_match_oracle(label, expected_roots, expected_order):
     oracle = closure_roots_from_cartan(rd.cartan)
     assert len(rd.roots) == len(oracle) == expected_roots
     assert len(rd.weyl_elements()) == rd.weyl_order() == expected_order
+
+
+@pytest.mark.parametrize("label", KERNEL_TYPES + ("A16", "B16", "C16", "D16",
+                                                  [["B", 2], ["G", 2], ["torus", 1]]))
+def test_positive_closure_matches_pair_closure(label):
+    # the positive-root closure with negation gives the same roots, coroots,
+    # order and negation index as closing every (root, coroot) pair under
+    # every simple reflection
+    rd = build(label)
+    roots, coroots, index, negation = roots_by_pair_closure(rd)
+    assert rd.roots == roots
+    assert rd.coroots == coroots
+    assert rd.root_index == index
+    assert tuple(map(rd.negative_of, range(len(rd.roots)))) == negation
 
 
 def test_reflections_and_shared_identity():

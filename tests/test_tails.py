@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polarium.cyclo import CycloNumber, zeta
+from polarium.cyclo import CycloNumber, euler_phi, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
 from polarium.linalg import dot_int
 from polarium.rootdata import build
@@ -11,7 +11,7 @@ from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
                             tail_from_json, tail_to_json, window_from_json)
 from polarium.tori import list_torus_classes
 
-from .oracles import dot_int_oracle, window_product, window_sum
+from .oracles import dot_int_oracle, ref_dot_int, window_product, window_sum
 
 
 def test_pair_coroot_fundamental_weight(a1):
@@ -144,6 +144,85 @@ def test_coroot_depths_match_brute_force(a2, b2, g2):
                     paired = [q for q, c in lam.terms.items()
                               if not dot_int_oracle(coroot, c).is_zero()]
                     assert table[idx] == (max(paired) if paired else None)
+
+
+PAIRING_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+def random_entry(rng, conductors=PAIRING_CONDUCTORS) -> CycloNumber:
+    L = rng.choice(conductors)
+    if rng.random() < 0.2:
+        return CycloNumber.zero(L)
+    return CycloNumber(L, [F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7)))
+                           for _ in range(euler_phi(L))])
+
+
+def vanishing_covector(rng, rd, coroot) -> list:
+    """Mixed-conductor entries, one of them solved so that the covector
+    pairs to zero with the coroot; the sum cancels only once the entries
+    are read at a common conductor. The entries come from conductors whose
+    lcm is in the pool, and the solved one is lifted to a multiple of its
+    conductor there."""
+    family = rng.choice(((1, 3, 4, 12), (1, 4, 8), (1, 5)))
+    entries = [random_entry(rng, family) for _ in range(rd.dim)]
+    i = next(k for k, v in enumerate(coroot) if v)
+    rest = sum((v * x for k, (v, x) in enumerate(zip(coroot, entries)) if k != i),
+               CycloNumber.zero())
+    solved = rest * F(-1, coroot[i])
+    larger = [L for L in family if L % solved.conductor == 0]
+    entries[i] = solved.lift(rng.choice(larger))
+    return entries
+
+
+def reference_depth(tail, coroot):
+    paired = [q for q, c in tail.terms.items() if not ref_dot_int(coroot, c).is_zero()]
+    return max(paired) if paired else None
+
+
+def test_pairing_zero_tests_match_reference_field():
+    # every coroot of A2/B2/G2/C3/D4 against seeded tails with entries at
+    # conductors 1/3/4/5/8/12, some terms vanishing on a coroot only after
+    # lifting, and against the tails weyl_act, restrict, lift_conductor and
+    # expected_twist derive from them
+    rng = random.Random(24)
+    vanishing = 0
+    for label in ("A2", "B2", "G2", "C3", "D4"):
+        rd = build(label)
+        weyl = rd.weyl_elements()
+        for m in (1, 3, 4, 12):
+            for _ in range(3):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    q = F(rng.randint(0, 3 * m), m)
+                    if rng.random() < 0.5:
+                        terms[q] = vanishing_covector(rng, rd, rng.choice(rd.coroots))
+                    else:
+                        terms[q] = [random_entry(rng) for _ in range(rd.dim)]
+                lam = Tail(rd, m, terms)
+                derived = [lam.restrict(F(1, 2), F(2)), lam.lift_conductor(2 * m),
+                           lam.expected_twist(), lam.weyl_act(rng.choice(weyl))]
+                for tail in [lam] + derived:
+                    expected = [reference_depth(tail, coroot) for coroot in rd.coroots]
+                    assert [pair_coroot(tail, coroot) for coroot in rd.coroots] == expected
+                    assert list(tail.coroot_depths()) == expected
+                    vanishing += sum(ref_dot_int(coroot, c).is_zero()
+                                     and len({x.conductor for x in c}) > 1
+                                     for coroot in rd.coroots for c in tail.terms.values())
+    assert vanishing > 100
+
+
+def test_pairing_vanishes_only_after_lifting(a2):
+    # 1 + zeta_3 + zeta_3^2 with the last summand at conductor 12, and
+    # zeta_4 - zeta_4 with the second at conductor 12: the numerators of
+    # the entries as stored do not cancel, their lifts to 12 do
+    alpha = next(k for k, coroot in enumerate(a2.coroots) if coroot == (1, 1))
+    assert zeta(12, 8).conductor == zeta(12, 3).conductor == 12
+    for covector in ([1 + zeta(3, 1), zeta(12, 8)], [zeta(4, 1), -zeta(12, 3)]):
+        lam = Tail(a2, 1, {F(2): covector, F(1): [1, 0]})
+        assert ref_dot_int(a2.coroots[alpha], covector).is_zero()
+        assert pair_coroot(lam, a2.coroots[alpha]) == F(1)
+        assert lam.coroot_depths()[alpha] == F(1)
+        assert pair_coroot(lam, a2.coroots[1]) == F(2)
 
 
 def test_derived_tails_pass_the_public_checks(a2, b2, g2):
