@@ -19,7 +19,7 @@ from importlib import resources
 from .cyclo import parse_fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .polar import PolarDatum, classify
-from .rootdata import RootDatum, WeylElement, build
+from .rootdata import RootDatum, WeylElement, build, rootdatum_to_json
 from .tails import tail_from_json, tail_to_json
 from .tori import TorusClass, split_torus_class
 
@@ -225,8 +225,6 @@ def torus_from_json(rd: RootDatum, doc: dict) -> TorusClass:
 
 
 def datum_to_json(d: PolarDatum) -> dict:
-    from .rootdata import rootdatum_to_json
-
     return {
         "type": rootdatum_to_json(d.rd)["type"],
         "torus": {"m": d.torus.m, "w": [list(row) for row in d.torus.w.matrix]},

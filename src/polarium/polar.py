@@ -132,22 +132,23 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     return False
 
 
-def _regular_vector(rd: RootDatum, basis) -> tuple | None:
-    """Deterministic vector in the span avoiding every coroot kernel.
+def _regular_tail(rd: RootDatum, m: int, i: int, basis) -> Tail:
+    """The first tail v(t) t^(-i/m), v(t) = sum t^k b_k over the basis, that
+    pairs nonzero with every coroot.
 
-    Uses the Vandermonde family v(t) = sum t^k b_k; each nonvanishing coroot
-    functional kills at most dim-1 parameter values, so the scan terminates.
+    The basis spans a regular eigenspace, so no coroot functional vanishes
+    on it identically and each kills at most dim - 1 parameter values: the
+    scan ends with a regular tail, which keeps its coroot depths for the
+    datum's validation.
     """
-    if not basis:
-        return None if rd.coroots else tuple()
-    bound = len(rd.coroots) * len(basis) + 2
     columns = tuple(zip(*basis))
-    for t in range(1, bound):
+    for t in range(1, len(rd.coroots) * len(basis) + 2):
         scales = [t**k for k in range(len(basis))]
-        vec = tuple(dot_int(scales, column) for column in columns)
-        if all(not dot_int(coroot, vec).is_zero() for coroot in rd.coroots):
-            return vec
-    return None
+        lam = Tail(rd, m, {Fraction(i, m): tuple(dot_int(scales, column) for column in columns)})
+        if None not in lam.coroot_depths():
+            return lam
+    raise InternalInvariantViolation(
+        f"no tail of the scan over eigenspace {i} mod {m} is regular for {rd.type_label()}")
 
 
 def epipelagic_datum(rd: RootDatum, m: int) -> PolarDatum:
@@ -164,12 +165,9 @@ def homogeneous_datum(rd: RootDatum, m: int, i: int) -> PolarDatum:
     tc = regular_class_of_order(rd, m)
     if tc is None:
         raise InvalidArgumentError(f"{m} is not a regular number for {rd.type_label()}")
-    v = _regular_vector(rd, tc.eigenspace(i % m))
-    if v is None:
-        raise InvalidArgumentError(
-            f"eigenspace {i} mod {m} contains no regular vector for {rd.type_label()}"
-        )
-    lam = Tail(rd, m, {Fraction(i, m): v})
+    # gcd(i, m) = 1: the eigenspace is the Galois conjugate of the regular
+    # zeta_m eigenspace, so it is regular too
+    lam = _regular_tail(rd, m, i, tc.eigenspace(i % m))
     return PolarDatum(tc, frozenset(), lam)
 
 

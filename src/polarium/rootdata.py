@@ -21,7 +21,8 @@ The roots themselves are built on plain ints: the positive roots are closed
 from the simple ones under the simple reflections, where s_i moves only the
 positive roots beta != alpha_i with beta[i] = <alpha_i^vee, beta> != 0 and
 changes only coordinate i of a coroot; the negative roots are their
-negations.
+negations. The datum keeps the index set of the positive roots as
+`RootDatum.positive`; nothing works positivity out again.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class RootDatum:
         <alpha_i^vee, beta> = beta[i] is 0, where it fixes beta and its
         coroot. The coroot of s_i·beta is beta^vee - <beta^vee, alpha_i> e_i,
         which differs from beta^vee in coordinate i alone. The order is the
-        simple roots, then every other root sorted.
+        simple roots, then every other root sorted; `positive` holds the
+        indices of the positive roots.
         """
         simple = self.simple_roots
         positive = dict(zip(simple, self.simple_coroots))
@@ -168,6 +170,7 @@ class RootDatum:
         self.roots = tuple(p[0] for p in ordered)
         self.coroots = tuple(p[1] for p in ordered)
         self.root_index = {root: k for k, root in enumerate(self.roots)}
+        self.positive = frozenset(map(self.root_index.__getitem__, positive))
         self._negative = tuple(self.root_index[tuple([-v for v in root])] for root in self.roots)
         for root, coroot in ordered:
             if self.pairing(coroot, root) != 2:
@@ -204,9 +207,8 @@ class RootDatum:
         """Half the sum of the positive coroots: the coweight pairing to 1
         with every simple root, zero on the central torus."""
         total = [0] * self.dim
-        for coroot in self.coroots:
-            if min(coroot) >= 0:
-                total = [a + b for a, b in zip(total, coroot)]
+        for k in self.positive:
+            total = [a + b for a, b in zip(total, self.coroots[k])]
         return tuple(Fraction(v, 2) for v in total)
 
     # -- Weyl group --------------------------------------------------------
@@ -347,10 +349,9 @@ class WeylElement:
                   for root in rd.roots]
         if None in images:
             raise InvalidArgumentError("matrix does not permute the roots")
-        negative = [min(coroot) < 0 for coroot in rd.coroots]
         word = []
         while True:
-            i = next((i for i in range(rd.ss_rank) if negative[images[i]]), None)
+            i = next((i for i in range(rd.ss_rank) if images[i] not in rd.positive), None)
             if i is None:
                 break
             images = [images[k] for k in rd._simple_perms[i]]

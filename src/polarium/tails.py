@@ -10,8 +10,8 @@ Strata labels and Yu ladders read one table per tail: the depth of
 <alpha^vee, tail> for every root alpha, i.e. the largest exponent whose
 covector pairs nonzero with the coroot, or None where the pairing vanishes.
 `Tail.coroot_depths` builds it once and keeps it. The coroot of -alpha is
--alpha^vee, whose pairing is the negation and has the same depth, so each
-+- pair of roots is paired once. The depth needs only zero tests: the tail
+-alpha^vee, whose pairing is the negation and has the same depth, so only
+the positive coroots are paired. The depth needs only zero tests: the tail
 keeps each term, by descending exponent, as integer columns (its entries'
 numerators at the covector's common conductor and denominator), and a
 coroot pairs to zero with the term exactly when its integer dot product with
@@ -112,11 +112,10 @@ class Tail:
         """Depth of the pairing with each coroot, indexed by root; None where it vanishes."""
         if self._depths is None:
             rd = self.rd
-            depths: dict[int, Fraction | None] = {}
-            for i, coroot in enumerate(rd.coroots):
-                if i not in depths:
-                    depths[i] = depths[rd.negative_of(i)] = pair_coroot(self, coroot)
-            self._depths = tuple(depths[i] for i in range(len(rd.coroots)))
+            depths: list[Fraction | None] = [None] * len(rd.coroots)
+            for i in rd.positive:
+                depths[i] = depths[rd.negative_of(i)] = pair_coroot(self, rd.coroots[i])
+            self._depths = tuple(depths)
         return self._depths
 
     def lift_conductor(self, m2: int) -> "Tail":

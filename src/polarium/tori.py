@@ -20,7 +20,9 @@ multiplied or reflected during the search.
 
 Regular numbers come from the degrees of W alone (Lehrer-Springer, Canad. J.
 Math. 51, 1999; Lehrer-Taylor, Unitary Reflection Groups, ch. 11), without
-enumerating W.
+enumerating W, and so does the regularity of a class (Springer, Invent.
+Math. 25, 1974): a count of its trace-read eigenspace dimension against the
+degrees, with no eigenspace solved and no coroot paired.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import chain
 
 from .cyclo import CycloNumber, euler_phi, zeta
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
-from .linalg import dot_int, nullspace
+from .linalg import nullspace
 from .rootdata import RootDatum, WeylElement
 from .tails import Covector, covector
 
@@ -135,14 +137,14 @@ def split_torus_class(rd: RootDatum) -> TorusClass:
 def is_springer_regular(tc: TorusClass) -> bool:
     """Whether some vector of the zeta_m-eigenspace avoids every coroot kernel.
 
-    Since the field is infinite this is equivalent to: no coroot functional
-    vanishes identically on the eigenspace at i = 1 mod m.
+    Springer (Invent. Math. 25, 1974, 3.4 and 4.2): for m a regular number,
+    the zeta_m eigenspaces of the largest dimension, a(m) = #{degrees
+    divisible by m}, are the regular ones, and they are conjugate under W;
+    for any other m no eigenspace holds a regular vector.
     """
-    basis = tc.eigenspace(1 % tc.m)
-    for coroot in tc.rd.coroots:
-        if all(dot_int(coroot, v).is_zero() for v in basis):
-            return False
-    return True
+    m = tc.m
+    return m in regular_numbers(tc.rd)["regular"] and \
+        tc.eigendims[1 % m] == sum(k % m == 0 for k in tc.rd.degrees())
 
 
 def conjugacy_classes(rd: RootDatum) -> list[list[WeylElement]]:
@@ -205,7 +207,10 @@ def regular_numbers(rd: RootDatum) -> dict:
 
 
 def regular_class_of_order(rd: RootDatum, m: int) -> TorusClass | None:
-    """The Springer-regular conjugacy class of exact order m, if one exists."""
+    """The Springer-regular conjugacy class of exact order m; None, read off
+    the degrees before W is enumerated, when m is not a regular number."""
+    if m not in regular_numbers(rd)["regular"]:
+        return None
     for tc in list_torus_classes(rd):
         if tc.m == m and is_springer_regular(tc):
             return tc

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .polar import PolarDatum
 from .rootdata import is_q_closed, stable_under
-from .tails import Tail
+from .tails import Tail, tail_to_json
 
 
 def breaks(d: PolarDatum) -> list[Fraction]:
@@ -120,8 +120,6 @@ def extract(d: PolarDatum) -> YuLadder:
 
 
 def ladder_to_json(ladder: YuLadder) -> dict:
-    from .tails import tail_to_json
-
     return {
         "breaks": [str(b) for b in ladder.breaks],
         "half_depths": [str(s) for s in ladder.half_depths],

@@ -4,9 +4,11 @@ Everything here recomputes expected values through a different route than
 the package: reflection closure in the simple-root basis, plain fraction
 Gaussian elimination, sympy characteristic polynomials, and a standalone
 Laurent-matrix pairing. Nothing imports package internals beyond public
-arithmetic types, except that the enumeration of regular numbers decides
-each conjugacy class with the package's `TorusClass` and
-`is_springer_regular`. `ref_rref` is the package's elimination as it was
+arithmetic types, except that `springer_regular_by_eigenspace` takes its
+eigenspace basis from the package's `TorusClass` and pairs every coroot with
+it through `ref_dot_int`, where the package counts the eigenspace's dimension
+against the degrees; the enumeration of regular numbers decides each
+conjugacy class with that oracle. `ref_rref` is the package's elimination as it was
 before rational matrices were eliminated on integers: one field path for
 every entry type, zero tests by truthiness and a reciprocal per pivot. The
 oracles here that eliminate use it, and span membership eliminates the
@@ -53,7 +55,7 @@ from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, Inva
 from polarium.jsonio import schemas
 from polarium.looplie import JLattice
 from polarium.tails import LaurentWindow
-from polarium.tori import TorusClass, is_springer_regular
+from polarium.tori import TorusClass
 
 
 def closure_roots_from_cartan(cartan) -> set:
@@ -214,6 +216,28 @@ def springer_regular_sampled(tc, samples: int = 20, seed: int = 0) -> bool:
         if all(not p.is_zero() for p in pairings):
             return True
     return False
+
+
+def springer_regular_by_eigenspace(tc) -> bool:
+    """Whether some vector of the zeta_m-eigenspace avoids every coroot
+    kernel: over an infinite field, whether no coroot functional vanishes
+    identically on the solved basis."""
+    basis = tc.eigenspace(1 % tc.m)
+    return not any(all(ref_dot_int(coroot, v).is_zero() for v in basis)
+                   for coroot in tc.rd.coroots)
+
+
+def regular_vector_by_scan(rd, basis):
+    """The first Vandermonde combination sum t^k b_k, t = 1, 2, ..., that
+    pairs nonzero through `ref_dot_int` with every coroot, negatives
+    included; None when the scan's bound is reached first."""
+    for t in range(1, len(rd.coroots) * len(basis) + 2):
+        vec = [CycloNumber.zero()] * rd.dim
+        for k, b in enumerate(basis):
+            vec = [v + t**k * x for v, x in zip(vec, b)]
+        if not any(ref_dot_int(coroot, vec).is_zero() for coroot in rd.coroots):
+            return tuple(vec)
+    return None
 
 
 def eigen_dims_by_charpoly(matrix, m: int) -> list[int]:
@@ -444,7 +468,7 @@ def regular_numbers_by_enumeration(rd) -> dict:
     regular, elliptic = set(), set()
     for cls in conjugacy_classes_by_products(rd):
         tc = TorusClass(rd, cls[0], cls[0].order())
-        if is_springer_regular(tc):
+        if springer_regular_by_eigenspace(tc):
             regular.add(tc.m)
             if not tc.eigenspace(0):
                 elliptic.add(tc.m)

@@ -450,6 +450,24 @@ def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
         assert json.loads(out) == {"type": label, "regular": regular, "elliptic": elliptic}
 
 
+def test_non_regular_homogeneous_refused_from_degrees(capsys, monkeypatch):
+    # a non-regular number is refused from the degrees before W is
+    # enumerated; a regular one past the Weyl order bound stays a resource limit
+    import polarium.rootdata as rootdata
+    import polarium.tori as tori
+
+    monkeypatch.setattr(rootdata, "_born_left", _refuse)
+    monkeypatch.setattr(tori, "nullspace", _refuse)
+    for label, m, error in (
+            ("A7", 5, {"code": "invalid-argument", "message": "5 is not a regular number for A7"}),
+            ("A9", 7, {"code": "invalid-argument", "message": "7 is not a regular number for A9"}),
+            ("A9", 10, {"code": "resource-limit",
+                        "message": "Weyl group larger than bound 100000"})):
+        doc = {"type": label, "m": m, "i": 1}
+        status, out = run_main(capsys, "homogeneous", "--input", json.dumps(doc))
+        assert (status, json.loads(out)) == (1, {"error": error})
+
+
 def test_high_period_classify_solves_no_eigenspace(capsys, monkeypatch):
     import polarium.tori as tori
 

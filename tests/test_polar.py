@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,18 @@ from polarium.rootdata import WeylElement, build
 from polarium.tails import Tail, is_equivariant
 from polarium.tori import TorusClass, list_torus_classes, split_torus_class
 
-from .oracles import conjugate_by_products, stabilizer, subgroup_generated
+from .oracles import (conjugate_by_products, regular_vector_by_scan, stabilizer,
+                      subgroup_generated)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+# the light workload's epipelagic (i = 1) and homogeneous requests, and three
+# larger regular numbers
+HOMOGENEOUS_CASES = ([(t, m, 1) for t, m in workloads.LIGHT_EPIPELAGIC]
+                     + list(workloads.LIGHT_HOMOGENEOUS)
+                     + [("B3", 6, 1), ("D4", 6, 1), ("A4", 5, 2)])
 
 
 def sl3_worked_tail(a2):
@@ -114,6 +127,24 @@ def test_homogeneous_examples(a1, a2):
     assert h.lam.support() == [F(2, 3)]
     with pytest.raises(InvalidArgumentError):
         homogeneous_datum(a2, 3, 3)
+
+
+@pytest.mark.parametrize("label, m, i", HOMOGENEOUS_CASES)
+def test_homogeneous_datum_solves_one_eigenspace(label, m, i, monkeypatch):
+    # the chosen class's eigenspace at index i is the only one solved, and
+    # the tail is the one a scan with every coroot paired by ref_dot_int finds
+    solved = []
+    solve = TorusClass._solve_eigenspace
+
+    def counted(tc, k):
+        solved.append((tc, k))
+        return solve(tc, k)
+
+    monkeypatch.setattr(TorusClass, "_solve_eigenspace", counted)
+    rd = build(label)
+    d = homogeneous_datum(rd, m, i)
+    assert solved == [(d.torus, i % m)]
+    assert d.lam.terms == {F(i, m): regular_vector_by_scan(rd, d.torus.eigenspace(i))}
 
 
 def test_classify_well_defined_on_orbits(a2):

@@ -48,6 +48,11 @@ def test_positive_closure_matches_pair_closure(label):
     assert rd.coroots == coroots
     assert rd.root_index == index
     assert tuple(map(rd.negative_of, range(len(rd.roots)))) == negation
+    # the positive roots the closure keeps are the roots with a nonnegative
+    # coroot, half of them, and negation sends them onto the rest
+    assert rd.positive == {k for k, coroot in enumerate(coroots) if min(coroot) >= 0}
+    assert len(rd.positive) == len(roots) // 2
+    assert set(map(rd.negative_of, rd.positive)) == set(range(len(roots))) - rd.positive
 
 
 def test_reflections_and_shared_identity():

@@ -7,10 +7,13 @@ from polarium.tori import (TorusClass, _eigendims, conjugacy_classes, is_springe
                            regular_numbers, split_torus_class)
 
 from .oracles import (conjugacy_classes_by_products, eigen_dims_by_charpoly,
-                      regular_numbers_by_enumeration, springer_regular_sampled)
+                      regular_numbers_by_enumeration, springer_regular_by_eigenspace,
+                      springer_regular_sampled)
 
 CLASS_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
                (("A", 1), ("A", 2)), (("A", 2), ("torus", 1)))
+ELEMENT_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "G2", "D4",
+                 (("A", 1), ("A", 2)), (("A", 2), ("torus", 1)))
 REGULAR_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
                  (("A", 1), ("A", 2)), (("A", 2), ("G", 2)), (("A", 2), ("torus", 1)),
                  (("B", 2), ("B", 2)), (("A", 3), ("A", 1)))
@@ -156,3 +159,16 @@ def test_trace_eigendims_match_charpoly_oracle(label):
 def test_closed_form_regular_numbers_match_enumeration(label):
     rd = build(label)
     assert regular_numbers(rd) == regular_numbers_by_enumeration(rd)
+
+
+@pytest.mark.parametrize("label", ELEMENT_TYPES, ids=_type_id)
+def test_springer_count_matches_eigenspace_oracle_on_every_element(label):
+    # every Weyl element, not only class representatives, at periods k, 2k,
+    # 3k and 6k for k its order; past k the zeta_m eigenspace is empty, so
+    # no count a(m) >= 1 of a regular number m matches it
+    rd = build(label)
+    for w in rd.weyl_elements():
+        k = w.order()
+        for m in (k, 2 * k, 3 * k, 6 * k):
+            tc = TorusClass(rd, w, m)
+            assert is_springer_regular(tc) == springer_regular_by_eigenspace(tc), (w, m)
