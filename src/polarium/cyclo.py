@@ -11,10 +11,10 @@ coefficients, so reducing a product modulo it stays in the integers, and
 every operation does its work on ints and divides by one gcd at the end.
 The inverse too: for x = a/d with a in Z[zeta_L], the product c of the
 other Galois conjugates sigma_k(a), z -> z^k for the units k mod L, has
-a * c = N(a), a nonzero integer, so 1/x = d * c / N(a) (Washington,
-Introduction to Cyclotomic Fields, ch. 2). An int or a Fraction operand
-scales the numerators and the denominator; it never becomes an element of
-its own.
+a * c = N(a), positive as Q(zeta_L) is totally complex for L >= 3, so
+1/x = d * c / N(a) (Washington, Introduction to Cyclotomic Fields, ch. 2).
+An int or a Fraction operand scales the numerators and the denominator;
+it never becomes an element of its own.
 
 The conductor L grows lazily (lcm) as mixed-conductor operations demand.
 Compatibility of generators across conductors is fixed once and for all by
@@ -338,8 +338,6 @@ class CycloNumber:
         for g in conjugates[1:]:
             c = _mul_nums(L, c, g)
         norm = _mul_nums(L, nums, c)[0]
-        if norm < 0:
-            den, norm = -den, -norm
         return _normalized(L, [x * den for x in c], norm)
 
     def __truediv__(self, other):

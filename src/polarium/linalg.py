@@ -90,8 +90,6 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
 
 def _rref_field(rows: list[list]) -> tuple[list[list], list[int]]:
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0

@@ -125,7 +125,6 @@ class Realization:
         self.twisted = not datum.torus.w.is_identity()
         self.position = root_positions(rd)
         self._root_at = {pos: idx for idx, pos in self.position.items()}
-        self._structure: dict[tuple[Gen, Gen], tuple] = {}
         if self.twisted:
             self._init_twisted(x)
             self.dual = self._realize_dual_twisted()
@@ -255,11 +254,8 @@ class Realization:
 
     def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, Fraction]:
         (gu, nu), (gv, nv) = u, v
-        coords = self._structure.get((gu, gv))
-        if coords is None:
-            coords = self._structure[(gu, gv)] = self._structure_constants(gu, gv)
         n = nu + nv
-        return {(gen, n): c for gen, c in coords}
+        return {(gen, n): c for gen, c in self._structure_constants(gu, gv)}
 
     def pair_dual_monomial(self, mono: Monomial, dual: Functional | None = None) -> Scalar:
         """Residue pairing tr(M_(-n) Y) of the dual with a monomial Y t^n."""
@@ -328,7 +324,8 @@ class Realization:
     # -- M-part ----------------------------------------------------------
 
     def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, Fraction]]:
-        """Graded lines of the levi Cartan/Levi part at the given degree."""
+        """Graded lines of the levi Cartan/Levi part at the given degree,
+        inside its slot wherever the slot is nonempty."""
         if not self.twisted:
             out = []
             for mono in self.monomials_at_degree(deg):
@@ -356,8 +353,6 @@ class JLattice:
     """
 
     def __init__(self, real: Realization, kind: str = "J"):
-        if kind not in ("J", "K"):
-            raise InvalidArgumentError(f"lattice kind must be J or K, got {kind}")
         self.real = real
         self.kind = kind
         self.breaks = list(real.ladder.breaks)
@@ -371,12 +366,6 @@ class JLattice:
         if kind == "J":
             self._assemble_breaks()
 
-    # level bound: monomials of level j enter strictly above this degree
-    def _level_bound(self, j: int) -> Fraction:
-        if j == 0:
-            return Fraction(0)
-        return self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
-
     def threshold(self, gen: Gen) -> int:
         """Least exponent n with G t^n pure, read off the table built with
         the lattice."""
@@ -384,12 +373,13 @@ class JLattice:
 
     def _base_threshold(self, gen: Gen) -> int:
         """Least exponent n with G t^n pure: deg >= 0 at level 0, deg past
-        the level bound above it."""
+        the level's half depth (J) or break (K) above it."""
         height = self.real.degree((gen, 0))
         j = self.real.level_of_gen[gen]
         if j == 0:
             return ceil(-height)
-        return floor(self._level_bound(j) - height) + 1
+        bound = self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
+        return floor(bound - height) + 1
 
     def _assemble_breaks(self) -> None:
         real = self.real
@@ -424,14 +414,12 @@ class JLattice:
     def _compute_piece(self, deg: Fraction) -> tuple:
         real = self.real
         monos = tuple(real.monomials_at_degree(deg))
-        slot = set(monos)
         pure = frozenset(m for m in monos if m[1] >= self.threshold(m[0]))
         rest = tuple(m for m in monos if m not in pure)
         # the Cartan line lies in (LM)_{>=0}
         lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
         lines += [line for rec in self.break_pieces if rec["degree"] == deg
                   for line in rec["lagrangian"]]
-        lines = [line for line in lines if slot.issuperset(line)]
         # a pure monomial is a unit row, so only the coordinates outside them count
         reduced = [tuple(line.get(m, _ZERO) for m in rest) for line in lines]
         kept = independent(reduced)
@@ -556,16 +544,14 @@ def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[lis
         for b in range(k):
             if form[a][b] + form[b][a]:
                 raise InternalInvariantViolation("symplectic form is not alternating")
-    if rank([list(row) for row in form]) != k:
-        raise InternalInvariantViolation("symplectic form is degenerate on the break piece")
     return form
 
 
 def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Greedy symplectic basis; returns coordinates of the first-half span."""
+    """Greedy symplectic basis; returns coordinates of the first-half span.
+    A pivot that pairs with no remaining vector lies in the radical, so the
+    pass proves the form nondegenerate."""
     k = len(form)
-    if k % 2:
-        raise InternalInvariantViolation("break piece has odd dimension")
     basis = [[(_ONE if i == j else _ZERO) for j in range(k)] for i in range(k)]
 
     def pairing(u, v):
@@ -584,7 +570,7 @@ def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
         u = remaining.pop(0)
         pick = next((idx for idx, v in enumerate(remaining) if pairing(u, v)), None)
         if pick is None:
-            raise InternalInvariantViolation("degenerate form in Lagrangian construction")
+            raise InternalInvariantViolation("symplectic form is degenerate on the break piece")
         v = remaining.pop(pick)
         scale = 1 / pairing(u, v)
         v = [scale * c for c in v]
@@ -759,8 +745,7 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
                 and m[1] >= lattice.threshold(m[0])]
         if not pure:
             continue
-        slot = set(monos)
-        levi = [line for line in real.m_lines_at_degree(delta) if slot.issuperset(line)]
+        levi = real.m_lines_at_degree(delta)
         touched = set().union(*levi)
         candidates = [m for m in pure if m in touched]
         dropped = set()
@@ -790,7 +775,6 @@ def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
         _monos, pure, lines = lattice.piece_at_degree(eta)
         free = [m for m in monos if m not in pure]
         constraints = list(lines)
-    slot = set(monos)
-    constraints += [line for line in real.m_lines_at_degree(eta) if slot.issuperset(line)]
+    constraints += real.m_lines_at_degree(eta)
     rows = [[line.get(m, _ZERO) for m in free] for line in constraints]
     return [_coords_to_line(free, vec) for vec in nullspace(rows, len(free))]

@@ -96,10 +96,11 @@ def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:
 
 
 def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:
+    """u.d, unvalidated: classifying its torus and tail again is the check."""
     tc2 = conjugate_torus(d.torus, u)
     lam2 = d.lam.weyl_act(u)
     perm = u.root_permutation
-    return PolarDatum(tc2, frozenset(perm[i] for i in d.levi), lam2)
+    return PolarDatum(tc2, frozenset(perm[i] for i in d.levi), lam2, validate=False)
 
 
 def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
@@ -208,11 +209,15 @@ def _one_sample(rd: RootDatum, classes, seed: int, zero_only: bool) -> dict:
 
     u = rd.weyl_elements()[rng.randrange(len(rd.weyl_elements()))]
     translated = conjugate_datum(d, u)
-    reclassified = classify(translated.torus, translated.lam)
-    if reclassified.levi != translated.levi:
-        record["violations"].append({"kind": "translate-levi-mismatch"})
-    if not conjugate_oracle(d, reclassified):
-        record["violations"].append({"kind": "translate-not-conjugate"})
+    try:
+        reclassified = classify(translated.torus, translated.lam)
+    except Exception as exc:
+        record["violations"].append({"kind": "translate-classify-failed", "error": str(exc)})
+    else:
+        if reclassified.levi != translated.levi:
+            record["violations"].append({"kind": "translate-levi-mismatch"})
+        if not conjugate_oracle(d, reclassified):
+            record["violations"].append({"kind": "translate-not-conjugate"})
     record["datum"] = d
     return record
 

@@ -208,10 +208,12 @@ def regular_numbers(rd: RootDatum) -> dict:
 
 def regular_class_of_order(rd: RootDatum, m: int) -> TorusClass | None:
     """The Springer-regular conjugacy class of exact order m; None, read off
-    the degrees before W is enumerated, when m is not a regular number."""
+    the degrees before W is enumerated, when m is not a regular number.
+    Springer (1974, 4.2) guarantees the class for a regular m."""
     if m not in regular_numbers(rd)["regular"]:
         return None
     for tc in list_torus_classes(rd):
         if tc.m == m and is_springer_regular(tc):
             return tc
-    return None
+    raise InternalInvariantViolation(
+        f"no Springer-regular class of regular order {m} for {rd.type_label()}")

@@ -237,6 +237,43 @@ def test_table_format(capsys):
     assert "regular" in out and "[1, 2, 3]" in out
 
 
+def test_table_format_nested_reports(capsys):
+    # a dict value is an indented table and a list of dicts one row per entry
+    status, out = run_main(capsys, "partition-check", "--type", "A1", "--samples", "5",
+                           "--format", "table")
+    assert status == 0
+    assert "torus_orders:\n  1: 1\n  2: 4\ntype: A1\n" in out
+    doc = {"datum": {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1", "coeff": ["1"]}]}}}
+    status, out = run_main(capsys, "moveability", "--input", json.dumps(doc), "--format", "table")
+    assert status == 0
+    assert out.startswith("blocks:\n  cols=2  full=True  gamma=0  rank=2  rows=2\n"
+                          "  cols=2  full=True  gamma=1  rank=2  rows=2\n")
+
+
+def test_zero_apartment_preset(capsys):
+    # "zero" is the origin: on split data the same bytes as its coordinates
+    # and as no point at all; a twisted datum needs rho_vee/m and refuses it
+    datum = {"type": "A2", "lambda": {"m": 1, "terms": [{"q": "2", "coeff": ["3", "0"]},
+                                                         {"q": "1", "coeff": ["-1", "2"]}]}}
+    for command in ("jlattice", "moveability"):
+        outs = {run_main(capsys, command, "--input", json.dumps(dict({"datum": datum}, **x)))
+                for x in ({"x": "zero"}, {"x": ["0", "0"]}, {})}
+        assert len(outs) == 1 and outs.pop()[0] == 0
+    _, epi = run_main(capsys, "epipelagic", "--type", "A2", "-m", "3")
+    status, out = run_main(capsys, "jlattice", "--input",
+                           json.dumps({"datum": json.loads(epi), "x": "zero"}))
+    assert (status, json.loads(out)["error"]["message"]) == (
+        1, "twisted realization requires the barycentric point rho_vee/m")
+
+
+@pytest.mark.parametrize("label", [[["A", 1], ["torus", 1]], [["A", 1], ["A", 2]]],
+                         ids=["A1xT1", "A1xA2"])
+def test_array_form_type_printed_back(capsys, label):
+    for command in ("regular-numbers", "list-tori"):
+        status, out = run_main(capsys, command, "--input", json.dumps({"type": label}))
+        assert status == 0 and json.loads(out)["type"] == label
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     status, _ = run_main(capsys, "regular-numbers", "--type", "A1",

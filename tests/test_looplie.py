@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polarium import jsonio, looplie
+from polarium import cli, jsonio, looplie
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation
 from polarium.looplie import (Realization, bracket_closure_violations,
@@ -244,9 +244,18 @@ def test_lagrangian_outputs(a1):
 
 
 def test_lagrangian_rejects_degenerate():
+    # the Darboux pass is the only nondegeneracy proof of a break form: a
+    # pivot with no partner, in a zero form, in a rank-2 form on four
+    # vectors and in any form on three, ends it with the break-piece fault
     z = CycloNumber.zero()
-    with pytest.raises(InternalInvariantViolation):
-        lagrangian([[z, z], [z, z]])
+    zero, one, two, three = F(0), F(1), F(2), F(3)
+    rank_two = [[zero, one, zero, zero], [-one, zero, zero, zero],
+                [zero] * 4, [zero] * 4]
+    odd = [[zero, one, two], [-one, zero, three], [-two, -three, zero]]
+    for form in ([[z, z], [z, z]], rank_two, odd):
+        with pytest.raises(InternalInvariantViolation,
+                           match="^symplectic form is degenerate on the break piece$"):
+            lagrangian(form)
 
 
 # -- the lattice ---------------------------------------------------------
@@ -535,6 +544,48 @@ def test_slot_matches_generator_scan(a1, a2):
             for deg in (k * step, k * step + step / 2):
                 assert real.monomials_at_degree(deg) == monomials_by_scan(real, deg), \
                     (real.datum, deg)
+
+
+def lattice_realizations(a1, a2) -> list:
+    """A Realization for every lattice datum: the goldens, the golden
+    requests and each request of the lattice universe, the known failures
+    and the forced ladder included."""
+    docs = [json.loads(req.text) for req in workloads.lattice_universe().values()]
+    docs += [json.loads(path.read_text()) for path in sorted(GOLDENS.glob("*_request.json"))]
+    seen, reals = set(), [J.real for J in golden_lattices(a1, a2)]
+    for doc in docs:
+        key = json.dumps([doc.get("datum"), doc.get("x"), doc.get("ladder")], sort_keys=True)
+        if "datum" not in doc or key in seen:
+            continue
+        seen.add(key)
+        d = jsonio.datum_from_json(doc["datum"])
+        ladder = cli._ladder_from_request(d, doc.get("ladder"))
+        reals.append(Realization(d, ladder, jsonio.parse_coweight(d.rd, doc.get("x"))))
+    return reals
+
+
+def test_levi_lines_lie_in_their_slot(a1, a2):
+    # the lattice layer reads the Levi lines of a degree unfiltered: each
+    # lies in the slot wherever the slot is nonempty, a twisted line is the
+    # slot's root monomials on the 1/n grid, and off that grid a twisted slot
+    # is empty; checked at each step degree in [-4, 4] and halfway between
+    reals = lattice_realizations(a1, a2)
+    assert {real.twisted for real in reals} == {False, True}
+    assert len(reals) > 20
+    for real in reals:
+        step = real.degree_step()
+        for k in range(-4 * step.denominator, 4 * step.denominator + 1):
+            for deg in (k * step, k * step + step / 2):
+                slot = set(real.monomials_at_degree(deg))
+                lines = real.m_lines_at_degree(deg)
+                if not real.twisted:
+                    assert all(slot.issuperset(line) for line in lines), (real.datum, deg)
+                    continue
+                assert bool(slot) == ((deg * real.n).denominator == 1), (real.datum, deg)
+                roots = {m for m in slot if m[0][0] == "r"}
+                if slot:
+                    assert [set(line) for line in lines] == ([roots] if roots else []), \
+                        (real.datum, deg)
 
 
 def test_membership_matches_dense_reference(a1, a2):

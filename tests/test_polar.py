@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polarium.polar as polar
+from polarium import cli
 from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
@@ -91,7 +93,10 @@ def test_conjugate_oracle_reflexive_and_translates(a2):
         d = classify(tc, lam)
         assert conjugate_oracle(d, d)
         u = a2.weyl_elements()[rng.randrange(6)]
-        assert conjugate_oracle(d, conjugate_datum(d, u))
+        moved = conjugate_datum(d, u)
+        again = classify(moved.torus, moved.lam)
+        assert again.levi == moved.levi
+        assert conjugate_oracle(d, again)
 
 
 def test_conjugate_oracle_distinguishes_torus_classes(a1):
@@ -180,6 +185,39 @@ def test_partition_check_reports(a1, a2):
     assert rep2["violations"] == []
     degenerate = partition_check(a1, samples=15, seed=2, zero_only=True)
     assert degenerate["full_levi_count"] == degenerate["classified"] == 15
+
+
+def test_partition_check_reports_translate_faults(a2, monkeypatch, capsys):
+    # a broken translation is reported as a violation, never as an error
+    # envelope: a levi mapped by u^-1, a conjugate_oracle forced False and a
+    # tail left unmoved each show as their own kind
+    translate = polar.conjugate_datum
+
+    def levi_by_inverse(d, u):
+        moved = translate(d, u)
+        perm = u.inverse().root_permutation
+        return PolarDatum(moved.torus, frozenset(perm[i] for i in d.levi), moved.lam,
+                          validate=False)
+
+    def tail_unmoved(d, u):
+        return PolarDatum(polar.conjugate_torus(d.torus, u), translate(d, u).levi, d.lam,
+                          validate=False)
+
+    def kinds(**patch):
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(polar, name, value)
+            return [v["kind"] for v in partition_check(a2, samples=30, seed=0)["violations"]]
+
+    assert kinds() == []
+    assert set(kinds(conjugate_datum=levi_by_inverse)) == {"translate-levi-mismatch"}
+    assert set(kinds(conjugate_oracle=lambda d1, d2: False)) == {"translate-not-conjugate"}
+    assert "translate-classify-failed" in kinds(conjugate_datum=tail_unmoved)
+    monkeypatch.setattr(polar, "conjugate_datum", tail_unmoved)
+    assert cli.main(["partition-check", "--input", '{"type":"A2","samples":30}']) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert {"sample": 0, "kind": "translate-classify-failed",
+            "error": "tail is not equivariant for the torus class"} in violations
 
 
 def test_partition_check_takes_each_depth_multiset_once(a2, monkeypatch):

@@ -154,9 +154,12 @@ def test_compiled_check_agrees_with_jsonschema(command, data, capsys):
     _assert_agrees(command, _mutate(data, doc), capsys)
 
 
-# Cartan types small enough that any schema-valid request on them is cheap;
-# the labels stand in for the `cartan_type` definition when generating.
-TOTALITY_TYPES = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
+# Cartan types small enough that any schema-valid request on them is cheap,
+# two products in array form and one rank-8 type, whose Weyl group is past
+# every enumeration bound; the labels stand in for the `cartan_type`
+# definition when generating.
+TOTALITY_TYPES = ("A1", "A2", "A3", "B2", "C3", "D4", "G2", [["A", 1], ["A", 2]],
+                  [["B", 2], ["G", 2], ["torus", 1]], "D8")
 TOTALITY_SECONDS = 10
 
 

@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+import polarium.tori as tori
+from polarium.cli import main
 from polarium.errors import InternalInvariantViolation, InvalidArgumentError
 from polarium.rootdata import build
 from polarium.tori import (TorusClass, _eigendims, conjugacy_classes, is_springer_regular,
@@ -172,3 +176,16 @@ def test_springer_count_matches_eigenspace_oracle_on_every_element(label):
         for m in (k, 2 * k, 3 * k, 6 * k):
             tc = TorusClass(rd, w, m)
             assert is_springer_regular(tc) == springer_regular_by_eigenspace(tc), (w, m)
+
+
+def test_missing_regular_class_is_an_internal_fault(monkeypatch, capsys):
+    # Springer guarantees a class for each regular number, so a search that
+    # finds none is a fault of the program, never "m is not a regular number"
+    monkeypatch.setattr(tori, "is_springer_regular", lambda tc: False)
+    message = "no Springer-regular class of regular order 3 for A2"
+    with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+        regular_class_of_order(build("A2"), 3)
+    assert regular_class_of_order(build("A2"), 4) is None
+    assert main(["homogeneous", "--input", '{"type":"A2","m":3,"i":1}']) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "internal-invariant-violation", "message": message}
