@@ -3,7 +3,8 @@
 Everything works on lists of row vectors. `rref` is the package's one
 Gaussian elimination, with two paths chosen by the entries:
 
-- A matrix whose entries are all `Fraction`s is eliminated on Python ints.
+- A matrix whose entries are all `int`s or `Fraction`s is eliminated on
+  Python ints.
   Each row is multiplied by the lcm of its denominators and divided by its
   content, the gcd of its entries. An update cross-multiplies two rows by
   the cofactors of the gcd of their entries in the pivot column and divides
@@ -13,15 +14,17 @@ Gaussian elimination, with two paths chosen by the entries:
   `rref` returns. `rank` and `independent` need only the pivot columns: they read
   them off a forward integer pass and build no `Fraction`.
 - Any other matrix (some entry is a `CycloNumber`) takes the field path:
-  zero tests use truthiness, a pivot's reciprocal is `1 / p`, and every
-  result keeps the conductor the field arithmetic gives it.
+  an `int` entry enters as its `Fraction`, zero tests use truthiness, a
+  pivot's reciprocal is `1 / p`, and every result keeps the conductor the
+  field arithmetic gives it.
 
 A rational matrix has one reduced row echelon form and one set of pivot
-columns, so both paths return the same values. Sizes run from a few entries
-(a cyclotomic retraction) to the moveability blocks of a split A16 lattice,
-272 rows. The helpers built on `rref` follow the same convention: a
-rational value they create (a kernel vector's free coordinate) is a
-`Fraction`, the conductor-1 form of the field.
+columns, so both paths return the same values; an `int` entry gives what
+its `Fraction` gives, the same values and types and never a float. Sizes
+run from a few entries (a cyclotomic retraction) to the moveability blocks
+of a split A16 lattice, 272 rows. The helpers built on `rref` follow the
+same convention: a rational value they create (a kernel vector's free
+coordinate) is a `Fraction`, the conductor-1 form of the field.
 
 Span membership is split in two: `rref` reduces a spanning set once, and
 `in_span` reduces each target against its rows and pivots by one
@@ -46,7 +49,7 @@ from math import gcd, lcm
 
 from .cyclo import CycloNumber, _normalized, euler_phi
 
-Vector = tuple  # of Fractions and CycloNumbers
+Vector = tuple  # of ints, Fractions and CycloNumbers
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -76,7 +79,8 @@ def dot_int(ints, u: tuple[CycloNumber, ...]) -> CycloNumber:
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Entries must be field elements: plain ints would divide to floats.
+    Entries are ints, Fractions or CycloNumbers; an int reads as its
+    Fraction.
     """
     if not _is_rational(rows):
         return _rref_field(rows)
@@ -89,7 +93,8 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
 
 
 def _rref_field(rows: list[list]) -> tuple[list[list], list[int]]:
-    rows = [list(r) for r in rows]
+    # an int enters as its Fraction, so it never divides to a float
+    rows = [[Fraction(v) if type(v) is int else v for v in r] for r in rows]
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -112,7 +117,7 @@ def _rref_field(rows: list[list]) -> tuple[list[list], list[int]]:
 
 
 def _is_rational(rows) -> bool:
-    return all(type(v) is Fraction for row in rows for v in row)
+    return all(type(v) is Fraction or type(v) is int for row in rows for v in row)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -122,7 +127,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _integer_row(row) -> list[int]:
-    """A row of Fractions as a primitive integer row on the same line."""
+    """A row of ints and Fractions as a primitive integer row on the same line."""
     den = lcm(*(v.denominator for v in row))
     if den == 1:
         return _primitive([v.numerator for v in row])

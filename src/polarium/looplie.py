@@ -15,15 +15,20 @@ Twisted tori enter through the cyclic-shift presentation X = N + t*E(n,1)
 t^((a+s) div n); its powers span the twisted Cartan, and its dual has
 rational entries.
 
-The field is generic. Structure constants, the twisted dual, unit vectors
-and every value computed from them are `Fraction`s; a `CycloNumber` enters
-only through a split dual whose covector has an entry of conductor > 1, and
-then every entry of that covector is lifted to their lcm conductor. The
-invariant: a value is a `Fraction` exactly where a conductor-1 value stands,
+The field is generic. Structure constants are integers (Carter, Simple
+Groups of Lie Type, 4.2), and so are the unit, Levi and Cartan lines and
+the twisted dual: each is a plain `int`, and so is every value computed from
+ints alone. A `Fraction` enters only where a split tail coefficient, a
+kernel vector coordinate or a Lagrangian scale is not an integer (an
+integral one is read as its int); a `CycloNumber` enters only through a
+split dual whose covector has an entry of conductor > 1, and then every
+entry of that covector is lifted to their lcm conductor. The invariant: a
+value is an `int` or a `Fraction` exactly where a conductor-1 value stands,
 and every other value has the conductor of the operands it came from, since
-mixed arithmetic reads a `Fraction` at conductor 1. Zero tests use
-truthiness and inverses `1 / x`. Coefficients are printed as
-`CycloNumber`s, a `Fraction` at conductor 1.
+mixed arithmetic reads an `int` or a `Fraction` at conductor 1. Zero tests
+use truthiness, and the one inverse, a Lagrangian scale, is
+`Fraction(1) / x`, so that no int divides to a float. Coefficients are
+printed as `CycloNumber`s, an `int` or a `Fraction` at conductor 1.
 
 The lattice core is one for both presentations. It asks a `Realization` for
 four things: generator levels (`level_of_gen`), the Levi lines at a degree
@@ -72,10 +77,10 @@ from .yuseq import YuLadder, extract
 Gen = tuple[str, int]  # ("r", root index) or ("h", torus index)
 Monomial = tuple[Gen, int]
 Functional = dict  # exponent n -> {generator: pairing with G t^n}
-Scalar = Fraction | CycloNumber  # a Fraction stands for its conductor-1 value
+Scalar = int | Fraction | CycloNumber  # an int or a Fraction stands at conductor 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 # Most codegrees a moveability scan visits: the multiples of the grading
 # step between its ends, so a coweight with large denominators is refused
@@ -131,7 +136,10 @@ class Realization:
         else:
             self._init_split(x)
             self.dual = self._realize_dual_split()
-        self._heights = tuple(Fraction(sum(a * b for a, b in zip(self.x, root)))
+        # one integer sum per root over the common denominator of x
+        den = lcm(*(v.denominator for v in self.x))
+        nums = [v.numerator * (den // v.denominator) for v in self.x]
+        self._heights = tuple(Fraction(sum(a * b for a, b in zip(nums, root)), den)
                               for root in rd.roots)
         # the generators by the fractional part of their height, in generator
         # order, each with the integer part: a slot is one bucket
@@ -177,14 +185,14 @@ class Realization:
 
     def _realize_dual_split(self) -> Functional:
         # lambda_q is diagonal with consecutive differences cov; the matrix
-        # entries lived at the lcm of the covector's conductors, a Fraction
-        # when that is 1.
+        # entries lived at the lcm of the covector's conductors, an int or a
+        # Fraction when that is 1.
         dual: Functional = {}
         for q, cov in self.datum.lam.terms.items():
             if q.denominator != 1:
                 raise UnsupportedFeatureError("split realization needs integral exponents")
             conductor = lcm(*(c.conductor for c in cov))
-            dual[q] = {("h", k): c.lift(conductor) if conductor > 1 else c.coeffs[0]
+            dual[q] = {("h", k): c.lift(conductor) if conductor > 1 else _integral(c.as_rational())
                        for k, c in enumerate(cov) if not c.is_zero()}
         return dual
 
@@ -237,22 +245,22 @@ class Realization:
         (ku, u), (kv, v) = gu, gv
         if ku == "h":
             c = 0 if kv == "h" else rd.roots[v][u]
-            return ((gv, Fraction(c)),) if c else ()
+            return ((gv, c),) if c else ()
         if kv == "h":
             c = -rd.roots[u][v]
-            return ((gu, Fraction(c)),) if c else ()
+            return ((gu, c),) if c else ()
         if v == rd.negative_of(u):
-            return tuple((("h", k), Fraction(c)) for k, c in enumerate(rd.coroots[u]) if c)
+            return tuple((("h", k), c) for k, c in enumerate(rd.coroots[u]) if c)
         total = rd.root_sum(u, v)
         if total is None:
             return ()
         return ((("r", total), self._sign(u, v)),)
 
-    def _sign(self, a: int, b: int) -> Fraction:
+    def _sign(self, a: int, b: int) -> int:
         """Sign of [e_a, e_b] = +-e_(a+b), from [E_ij, E_jl] = E_il."""
         return _ONE if self.position[a][1] == self.position[b][0] else -_ONE
 
-    def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, Fraction]:
+    def bracket_monomials(self, u: Monomial, v: Monomial) -> dict[Monomial, int]:
         (gu, nu), (gv, nv) = u, v
         n = nu + nv
         return {(gen, n): c for gen, c in self._structure_constants(gu, gv)}
@@ -323,7 +331,7 @@ class Realization:
 
     # -- M-part ----------------------------------------------------------
 
-    def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, Fraction]]:
+    def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, int]]:
         """Graded lines of the levi Cartan/Levi part at the given degree,
         inside its slot wherever the slot is nonempty."""
         if not self.twisted:
@@ -486,8 +494,13 @@ class JLattice:
                 "breaks": [str(b) for b in self.breaks]}
 
 
+def _integral(c):
+    """c, with an integral Fraction read as its int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _coords_to_line(monos, vec) -> dict:
-    return {monos[i]: c for i, c in enumerate(vec) if c}
+    return {monos[i]: _integral(c) for i, c in enumerate(vec) if c}
 
 
 def _coords_to_map(piece: dict, coords) -> dict:
@@ -572,7 +585,7 @@ def lagrangian(form: list[list[Scalar]]) -> list[list[Scalar]]:
         if pick is None:
             raise InternalInvariantViolation("symplectic form is degenerate on the break piece")
         v = remaining.pop(pick)
-        scale = 1 / pairing(u, v)
+        scale = _integral(Fraction(1) / pairing(u, v))
         v = [scale * c for c in v]
         reduced = []
         for w in remaining:

@@ -160,13 +160,19 @@ def ref_rref(rows: list[list]) -> tuple[list[list], list[int]]:
 
 def in_span_by_rref(basis, target) -> bool:
     """Whether target lies in the span of the basis vectors: one rref of the
-    matrix with the basis vectors and then the target as columns."""
+    matrix with the basis vectors and then the target as columns, an int
+    entry read as its Fraction so that no reciprocal is a float."""
     if not any(target):
         return True
     if not basis:
         return False
-    aug = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    aug = [[as_field(b[i]) for b in basis] + [as_field(t)] for i, t in enumerate(target)]
     return len(basis) not in ref_rref(aug)[1]
+
+
+def as_field(x):
+    """x, with a plain int read as its Fraction."""
+    return Fraction(x) if type(x) is int else x
 
 
 def greedy_independent(vectors) -> list[int]:
@@ -317,9 +323,10 @@ class LaurentMatrix:
 
 def cyclo_value(x) -> CycloNumber:
     """A lattice value read as a CycloNumber. The lattice keeps conductor-1
-    values as Fractions, so a Fraction reads at conductor 1; any other value
-    must already be a CycloNumber and keeps its conductor."""
-    if isinstance(x, Fraction):
+    values as ints and Fractions, so either reads at conductor 1; any other
+    value must already be a CycloNumber and keeps its conductor (a float or a
+    bool fails)."""
+    if type(x) is int or type(x) is Fraction:
         return CycloNumber.from_rational(x)
     assert isinstance(x, CycloNumber), type(x)
     return x

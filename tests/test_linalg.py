@@ -4,6 +4,7 @@ checked against elimination of the whole matrix."""
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -102,12 +103,54 @@ def _rational_matrices(rng):
     return out
 
 
+def _with_ints(rows):
+    """The matrix with each integral Fraction written as a plain int."""
+    return [[v.numerator if type(v) is F and v.denominator == 1 else v for v in row]
+            for row in rows]
+
+
+def _same(got, expected) -> bool:
+    """Equal entry by entry, with the same types and conductors."""
+    if isinstance(expected, (list, tuple)):
+        return type(got) is type(expected) and len(got) == len(expected) \
+            and all(_same(a, b) for a, b in zip(got, expected))
+    if type(got) is not type(expected) or got != expected:
+        return False
+    return not isinstance(got, CycloNumber) or got.conductor == expected.conductor
+
+
+def _assert_int_entries_read_as_fractions(rows):
+    """rref, rank, independent and nullspace on the matrix with its integral
+    entries written as ints return what they return on the Fraction form."""
+    ints = _with_ints(rows)
+    ncols = len(rows[0]) if rows else 3
+    vectors = [tuple(row) for row in rows]
+    assert _same(rref(ints), rref(rows)), rows
+    assert rank(ints) == rank(rows)
+    assert independent([tuple(row) for row in ints]) == independent(vectors)
+    assert _same(nullspace(ints, ncols), nullspace(rows, ncols)), rows
+    return ints
+
+
 def test_rational_elimination_matches_field_reference(monkeypatch):
     # integer elimination must return the field path's reduced rows and pivots
-    # exactly, as Fractions; rank, nullspace and independent must agree too
+    # exactly, as Fractions; rank, nullspace and independent must agree too,
+    # also when integral entries are written as plain ints, and on the
+    # matrix cleared of denominators, whose entries are then all ints
+    def no_field_path(rows):
+        raise AssertionError(f"a rational matrix took the field path: {rows}")
+
+    monkeypatch.setattr(linalg, "_rref_field", no_field_path)
     matrices = _rational_matrices(random.Random(20))
-    shapes, ranks = set(), set()
+    shapes, ranks, mixed, integral = set(), set(), 0, 0
     for rows in matrices:
+        cleared = [[v * lcm(*(w.denominator for w in row)) for v in row] for row in rows]
+        for fracs in (rows, cleared):
+            ints = _assert_int_entries_read_as_fractions(fracs)
+            assert rref(ints) == ref_rref(fracs)
+            kinds = {type(v) for row in ints for v in row}
+            mixed += kinds == {int, F}
+            integral += kinds == {int}
         got, expected = rref(rows), ref_rref(rows)
         assert got == expected, rows
         assert all(type(v) is F for row in got[0] for v in row)
@@ -125,15 +168,23 @@ def test_rational_elimination_matches_field_reference(monkeypatch):
             shapes.add((len(rows) > ncols) - (len(rows) < ncols))
             ranks.add(len(expected[1]) == min(len(rows), ncols))
     assert len(matrices) > 200 and shapes == {-1, 0, 1} and ranks == {True, False}
+    assert mixed > 100 and integral > 150
 
 
 def test_mixed_matrices_keep_the_field_path_conductors():
+    # also with integral entries written as plain ints: an int pivot, an
+    # all-zero int row and ints beside CycloNumbers give the Fraction form's
+    # values, types and conductors
     rng = random.Random(21)
-    conductors, mixed = set(), 0
-    for _ in range(40):
+    conductors, mixed, int_pivots = set(), 0, 0
+    for k in range(40):
         ncols = rng.randint(2, 5)
         rows = [[_cyclotomic(rng) if rng.random() < 0.4 else _rational(rng)
                  for _ in range(ncols)] for _ in range(rng.randint(2, 5))]
+        if k % 2:  # an integral pivot, an int in the int form
+            rows[0][0] = F(rng.choice((-2, -1, 1, 3)))
+        if k % 5 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [F(0)] * ncols)
         mixed += len({type(v) for row in rows for v in row}) == 2
         got, expected = rref(rows), ref_rref(rows)
         assert got[1] == expected[1]
@@ -143,7 +194,10 @@ def test_mixed_matrices_keep_the_field_path_conductors():
                 if isinstance(a, CycloNumber):
                     assert a.conductor == b.conductor
                     conductors.add(a.conductor)
-    assert mixed > 30 and conductors == {1, 3, 4, 12}
+        ints = _assert_int_entries_read_as_fractions(rows)
+        field = any(isinstance(v, CycloNumber) for row in rows for v in row)
+        int_pivots += field and type(ints[0][0]) is int and got[1][:1] == [0]
+    assert mixed > 30 and conductors == {1, 3, 4, 12} and int_pivots > 10
 
 
 def test_retraction_by_elimination_runs_on_rationals(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from polarium import cli, jsonio, looplie
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation
+from polarium.linalg import rank
 from polarium.looplie import (Realization, bracket_closure_violations,
                               build_j_lattice, lagrangian, moveability_check,
                               psi_lambda_check, root_positions, symplectic_form_on_piece,
@@ -256,6 +257,35 @@ def test_lagrangian_rejects_degenerate():
         with pytest.raises(InternalInvariantViolation,
                            match="^symplectic form is degenerate on the break piece$"):
             lagrangian(form)
+
+
+def test_lagrangian_on_integer_forms():
+    # seeded random nondegenerate alternating integer forms, k = 2..8: the
+    # output is exact (ints and Fractions, never a float), isotropic and
+    # half-dimensional, and equals entry by entry the output for the same
+    # form written in Fractions; where every scale is a unit it is all ints,
+    # past k = 2 too
+    rng = random.Random(31)
+    kinds, seen, wide_ints = set(), set(), 0
+    for k in (2, 4, 6, 8) * 6:
+        form = [[0] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                form[a][b] = rng.randint(-3, 3)
+                form[b][a] = -form[a][b]
+        if rank(form) < k:
+            continue
+        seen.add(k)
+        lag = lagrangian(form)
+        assert all(type(c) in (int, F) for u in lag for c in u), form
+        kinds |= {type(c) for u in lag for c in u}
+        wide_ints += k > 2 and all(type(c) is int for u in lag for c in u)
+        assert len(lag) == k // 2 and rank(lag) == k // 2
+        for u in lag:
+            for v in lag:
+                assert sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k)) == 0
+        assert lagrangian([[F(c) for c in row] for row in form]) == lag, form
+    assert seen == {2, 4, 6, 8} and kinds == {int, F} and wide_ints
 
 
 # -- the lattice ---------------------------------------------------------
@@ -663,6 +693,49 @@ def test_pairing_block_matches_pair_lines(a1, a2, monkeypatch):
         assert all(not (a - b) for got, ref in zip(matrix, reference)
                    for a, b in zip(got, ref)), real.datum
         assert [len(row) for row in matrix] == [len(cols)] * len(rows)
+
+
+def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
+    # every value of the module generators, generator brackets, break forms,
+    # Lagrangian coordinates, moveability blocks and the dual is an int, a
+    # Fraction or a CycloNumber, never a float or a bool; on twisted data
+    # and on split data with integral tail coefficients every one is an int
+    blocks = recorded_blocks(monkeypatch)
+    e1, e2 = epipelagic_datum(a1, 2), epipelagic_datum(a2, 3)
+    halves = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [F(3, 2), 0],
+                                                           F(1): [F(-1, 3), 2]}))
+    mixed = json.loads((GOLDENS / "moveability_mixed_conductor_request.json").read_text())
+    cyclotomic = jsonio.datum_from_json(mixed["datum"])
+    cases = [(*sl2_depth_one(a1), rho_over(a1, 2), True), (e1, extract(e1), None, True),
+             (e2, extract(e2), None, True), (*sl3_two_break(a2), rho_over(a2, 2), True),
+             (halves, extract(halves), rho_over(a2, 2), False),
+             (cyclotomic, extract(cyclotomic),
+              jsonio.parse_coweight(cyclotomic.rd, mixed["x"]), False)]
+    kinds = set()
+    for d, ladder, x, integral in cases:
+        J = build_j_lattice(d, ladder, x)
+        real = J.real
+        values = [c for g in J.module_generators() for c in g.values()]
+        values += [c for *_, line in J.generator_brackets() for c in line.values()]
+        values += [c for vals in real.dual.values() for c in vals.values()]
+        for rec in J.break_pieces:
+            form = symplectic_form_on_piece(
+                real, rec["j"], v_piece_at_degree(real, rec["j"], rec["degree"]))
+            values += [c for row in form for c in row]
+            values += [c for u in lagrangian(form) for c in u]
+        del blocks[:]
+        for variant in ("J", "K"):
+            moveability_check(d, ladder, x, variant=variant)
+        assert blocks
+        values += [c for *_, matrix in blocks for row in matrix for c in row]
+        types = {type(c) for c in values}
+        assert types <= {int, F, CycloNumber}, (d, types)
+        assert (types == {int}) if integral else (len(types) > 1), (d, types)
+        kinds |= types
+    assert kinds == {int, F, CycloNumber}
+    for other in (1.0, True):
+        with pytest.raises(AssertionError):
+            cyclo_value(other)
 
 
 def test_raised_threshold_breaks_closure(a1):
