@@ -243,6 +243,3 @@ def main(argv=None) -> int:
         return err.exit_status
     return status
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -30,8 +30,8 @@ Span membership is split in two: `rref` reduces a spanning set once, and
 `in_span` reduces each target against its rows and pivots by one
 subtraction per pivot row. A unit row settles its own coordinate, so the
 lattice layer reduces only the rows of a piece that are not units, on the
-coordinates the units leave, and calls `in_span` only when there are such
-rows. `independent` picks, in one elimination, the vectors outside the span
+coordinates the units leave; with no such rows, `in_span` asks that the
+target vanish there. `independent` picks, in one elimination, the vectors outside the span
 of the vectors before them.
 
 `dot_int`, the pairing of an integer vector with a covector, accumulates

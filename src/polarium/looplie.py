@@ -76,7 +76,7 @@ from .yuseq import YuLadder, extract
 
 Gen = tuple[str, int]  # ("r", root index) or ("h", torus index)
 Monomial = tuple[Gen, int]
-Functional = dict  # exponent n -> {generator: pairing with G t^n}
+Functional = dict  # int exponent n -> {generator: pairing with G t^n}
 Scalar = int | Fraction | CycloNumber  # an int or a Fraction stands at conductor 1
 
 _ZERO = 0
@@ -186,14 +186,16 @@ class Realization:
     def _realize_dual_split(self) -> Functional:
         # lambda_q is diagonal with consecutive differences cov; the matrix
         # entries lived at the lcm of the covector's conductors, an int or a
-        # Fraction when that is 1.
+        # Fraction when that is 1. Exponents are keyed as ints, as in the
+        # twisted dual.
         dual: Functional = {}
         for q, cov in self.datum.lam.terms.items():
             if q.denominator != 1:
                 raise UnsupportedFeatureError("split realization needs integral exponents")
             conductor = lcm(*(c.conductor for c in cov))
-            dual[q] = {("h", k): c.lift(conductor) if conductor > 1 else _integral(c.as_rational())
-                       for k, c in enumerate(cov) if not c.is_zero()}
+            dual[q.numerator] = {
+                ("h", k): c.lift(conductor) if conductor > 1 else _integral(c.as_rational())
+                for k, c in enumerate(cov) if not c.is_zero()}
         return dual
 
     def _realize_dual_twisted(self) -> Functional:
@@ -325,7 +327,7 @@ class Realization:
                     terms = [] if b is None else [(("r", b), self._sign(u, b))]
                 for partner, c in terms:
                     if c:
-                        key = (int(e), partner)
+                        key = (e, partner)
                         acc[key] = acc.get(key, _ZERO) + c * lam
         return tuple((e, partner, val) for (e, partner), val in acc.items() if val)
 
@@ -438,10 +440,8 @@ class JLattice:
         """Whether a nonzero homogeneous line lies in the lattice: what is
         left of it outside the pure monomials lies in the span of the
         reduced extra lines."""
-        _monos, pure, _lines, rest, rows, pivots = self._piece(
+        _monos, _pure, _lines, rest, rows, pivots = self._piece(
             self.real.degree(next(iter(line))))
-        if not rows:
-            return not any(c for m, c in line.items() if m not in pure)
         return in_span(rows, tuple(line.get(m, _ZERO) for m in rest), pivots)
 
     def module_generators(self) -> list[dict[Monomial, Scalar]]:
@@ -638,7 +638,7 @@ def psi_lambda_check(lattice: JLattice) -> bool:
     """
     real = lattice.real
     for _u, _v, coords in lattice.generator_brackets():
-        shifts = {int(e) - n for e in real.dual for _gen, n in coords if e >= n}
+        shifts = {e - n for e in real.dual for _gen, n in coords if e >= n}
         if any(sum(c * real.pair_dual_monomial((gen, n + k)) for (gen, n), c in coords.items())
                for k in shifts):
             return False
@@ -781,7 +781,7 @@ def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
     """
     eta = -gamma
     monos = real.monomials_at_degree(eta)
-    if not monos or (variant == "K" and eta >= 0):
+    if not monos:
         return []
     free, constraints = monos, []
     if variant == "J":

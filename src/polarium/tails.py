@@ -123,18 +123,6 @@ class Tail:
             raise InvalidArgumentError(f"{self.m} does not divide {m2}")
         return Tail._derived(self.rd, m2, dict(self.terms))
 
-    def add(self, other: "Tail") -> "Tail":
-        if other.rd is not self.rd and other.rd.roots != self.rd.roots:
-            raise InvalidArgumentError("tails over different root data")
-        m = lcm(self.m, other.m)
-        terms: dict[Fraction, list] = {q: list(c) for q, c in self.terms.items()}
-        for q, c in other.terms.items():
-            if q in terms:
-                terms[q] = [a + b for a, b in zip(terms[q], c)]
-            else:
-                terms[q] = list(c)
-        return Tail(self.rd, m, terms)
-
     def weyl_act(self, w: WeylElement) -> "Tail":
         mat = w.covector_matrix()
         out = {}

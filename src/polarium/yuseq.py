@@ -1,8 +1,11 @@
 """Extraction of the depth-break ladder from a polar datum.
 
 Breaks are the distinct coroot pairing depths outside the levi; levels are
-the sublevel sets (each presenting a twisted Levi), and the tail splits into
-band components that reassemble exactly.
+the sublevel sets (each presenting a twisted Levi), and the band components
+are the restrictions of the tail to the depth bands between consecutive
+breaks. They reassemble the tail because they partition its exponents: each
+exponent lies in exactly one band, whose component carries the tail's
+coefficient there.
 """
 
 from __future__ import annotations
@@ -45,15 +48,10 @@ def levi_ladder(d: PolarDatum, break_seq) -> list[frozenset[int]]:
 
 
 def decompose_lambda(d: PolarDatum, break_seq) -> list[Tail]:
-    """Band components: [0, r0], then (r_{j-1}, r_j], then (r_{d-1}, inf)."""
-    lam = d.lam
-    if not break_seq:
-        return [lam]
-    parts = [lam.restrict(None, break_seq[0])]
-    for j in range(1, len(break_seq)):
-        parts.append(lam.restrict(break_seq[j - 1], break_seq[j]))
-    parts.append(lam.restrict(break_seq[-1], None))
-    return parts
+    """Band components, the restrictions of the tail to [0, r0], then
+    (r_{j-1}, r_j], then (r_{d-1}, inf); to [0, inf) without breaks."""
+    bounds = [None, *break_seq, None]
+    return [d.lam.restrict(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class YuLadder:
@@ -84,10 +82,11 @@ class YuLadder:
         for a, b in zip(self.levels, self.levels[1:]):
             if not (a < b):
                 raise InternalInvariantViolation("ladder inclusions must be strict")
-        total = Tail.zero(rd, d.lam.m)
-        for part in self.components:
-            total = total.add(part)
-        if total != d.lam:
+        # reassembly: the components partition the tail's exponents, and each
+        # carries the tail's coefficient at the exponents it holds
+        lam = d.lam.terms
+        if (sorted(q for part in self.components for q in part.terms) != d.lam.support()
+                or any(c != lam[q] for part in self.components for q, c in part.terms.items())):
             raise InternalInvariantViolation("band components do not reassemble the tail")
         # Centralizer identity: level j kills all components from j upward.
         tables = [part.coroot_depths() for part in self.components]

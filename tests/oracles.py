@@ -21,8 +21,10 @@ regularity search (a Sylvester-matrix test on sampled characteristic
 polynomials, placing each root at the matrix position whose e_i - e_j
 matches it in fundamental-weight coordinates) and the
 series-level characteristic map of trace-free diagonals, with the sum and
-product of Laurent windows that it expands, are reference computations with
-no counterpart in the package. The lattice window
+product of Laurent windows that it expands, and the sum of two tails, are
+reference computations with no counterpart in the package: a Yu ladder
+proves that its band components reassemble the tail as a partition of the
+tail's exponents, and the tests sum the components with `add_tails`. The lattice window
 sweep is the closure and psi check as it was before the proof on O-module
 generators: it reads a lattice's pieces, brackets and pairing and checks
 every pair of basis vectors inside an exponent window; its negative
@@ -54,7 +56,7 @@ from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, Inva
                              PrecisionError)
 from polarium.jsonio import schemas
 from polarium.looplie import JLattice
-from polarium.tails import LaurentWindow
+from polarium.tails import LaurentWindow, Tail
 from polarium.tori import TorusClass
 
 
@@ -598,6 +600,17 @@ def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
         if len(ref_rref(sylvester)[1]) == len(sylvester):
             return True
     return False
+
+
+def add_tails(a: Tail, b: Tail) -> Tail:
+    """a + b, exponent by exponent, at the lcm of the two conductors; a
+    coefficient that sums to zero drops out."""
+    terms: dict = {}
+    for src in (a, b):
+        for q, c in src.terms.items():
+            old = terms.get(q)
+            terms[q] = list(c) if old is None else [x + y for x, y in zip(old, c)]
+    return Tail(a.rd, lcm(a.m, b.m), terms)
 
 
 def window_sum(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -140,6 +141,31 @@ def test_moveability_exit_codes(capsys, tmp_path):
     status2, out2 = run_main(capsys, "moveability", "--input", str(path2))
     assert status2 == 2
     assert json.loads(out2)["full_rank"] is False
+
+
+def test_user_ladder_bytes(capsys):
+    # the sl3 two-break datum with unsorted breaks (its middle band is empty
+    # and its top band repeats the exponent 2), with a repeated break (the
+    # bands partition the tail, the centralizer identity fails), and the A2
+    # zero tail without breaks, as moveability and yu-sequence print them
+    sl3 = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
+           '{"q":"1","coeff":["-1","2"]}]}},"ladder":{"breaks":%s,'
+           '"levels":[[],[1,4],[0,1,2,3,4,5]]}}')
+    rejected = '{"error":{"code":"invalid-argument","message":"ladder rejected: %s"}}\n'
+    zero = '{"type":"A2","lambda":{"m":1,"terms":[]}}'
+    cases = [
+        ("moveability", sl3 % '["2","1"]', 1,
+         rejected % "band components do not reassemble the tail"),
+        ("moveability", sl3 % '["1","1"]', 1,
+         rejected % "centralizer identity fails at level 2: [1, 4] vs [0, 1, 2, 3, 4, 5]"),
+        ("moveability", '{"datum":%s}' % zero, 0,
+         '{"blocks":[],"full_rank":true,"rank_defects":0,"type":"A2","variant":"J"}\n'),
+    ]
+    for command, text, expected_status, expected_out in cases:
+        assert run_main(capsys, command, "--input", text) == (expected_status, expected_out)
+    status, out = run_main(capsys, "yu-sequence", "--input", zero)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("3f53626e2fe2a747")
 
 
 def test_error_exit_codes(capsys, tmp_path):

@@ -699,7 +699,9 @@ def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
     # every value of the module generators, generator brackets, break forms,
     # Lagrangian coordinates, moveability blocks and the dual is an int, a
     # Fraction or a CycloNumber, never a float or a bool; on twisted data
-    # and on split data with integral tail coefficients every one is an int
+    # and on split data with integral tail coefficients every one is an int.
+    # The dual's exponent keys are ints on split, twisted and mixed-conductor
+    # data alike
     blocks = recorded_blocks(monkeypatch)
     e1, e2 = epipelagic_datum(a1, 2), epipelagic_datum(a2, 3)
     halves = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [F(3, 2), 0],
@@ -715,6 +717,7 @@ def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
     for d, ladder, x, integral in cases:
         J = build_j_lattice(d, ladder, x)
         real = J.real
+        assert {type(e) for e in real.dual} == {int}, d
         values = [c for g in J.module_generators() for c in g.values()]
         values += [c for *_, line in J.generator_brackets() for c in line.values()]
         values += [c for vals in real.dual.values() for c in vals.values()]
@@ -736,6 +739,28 @@ def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
     for other in (1.0, True):
         with pytest.raises(AssertionError):
             cyclo_value(other)
+
+
+def test_k_scan_visits_positive_codegrees_only(a1, a2, monkeypatch):
+    # K couples strictly positive codegrees: on the goldens and the answered
+    # benchmark lattices every K column set is asked for at gamma > 0, so
+    # its coset functionals live at degrees eta = -gamma < 0
+    gammas = []
+    cols = looplie._coset_complement_cols
+
+    def recording(real, lattice, variant, gamma):
+        gammas.append(gamma)
+        return cols(real, lattice, variant, gamma)
+
+    monkeypatch.setattr(looplie, "_coset_complement_cols", recording)
+    lattices = golden_lattices(a1, a2) + list(answered_universe_lattices().values())
+    assert any(J.real.twisted for J in lattices)
+    for J in lattices:
+        real = J.real
+        del gammas[:]
+        report = moveability_check(real.datum, real.ladder, real.x, variant="K")
+        assert gammas and min(gammas) > 0, real.datum
+        assert report["blocks"] and all(F(b["gamma"]) > 0 for b in report["blocks"])
 
 
 def test_raised_threshold_breaks_closure(a1):

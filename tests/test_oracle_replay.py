@@ -52,9 +52,9 @@ def test_light_universe_matches_oracle():
 
 
 def test_rational_lattice_requests_run_on_fractions(monkeypatch):
-    # on rational data every lattice value is a Fraction: while the lattice
-    # is built and checked, CycloNumber addition and multiplication raise,
-    # and the answers are still the recorded bytes
+    # on rational data every lattice value is an int or a Fraction: while
+    # the lattice is built and checked, CycloNumber addition and
+    # multiplication raise, and the answers are still the recorded bytes
     def refuse(*args):
         raise AssertionError("CycloNumber arithmetic inside the lattice")
 

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from polarium import jsonio
 from polarium.errors import InternalInvariantViolation
 from polarium.polar import classify, epipelagic_datum, sample_equivariant_tail
 from polarium.tails import Tail, pair_coroot
 from polarium.tori import list_torus_classes, split_torus_class
 from polarium.yuseq import (YuLadder, breaks, decompose_lambda, extract,
                             ladder_to_json, levi_ladder)
+
+from .oracles import add_tails
 
 
 def sl3_datum(a2):
@@ -70,7 +73,7 @@ def test_sub_break_exponents_absorbed_into_first_band(a2):
         assert F(1, 2) in ladder.components[0].terms
     total = ladder.components[0]
     for part in ladder.components[1:]:
-        total = total.add(part)
+        total = add_tails(total, part)
     assert total == lam
 
 
@@ -122,6 +125,41 @@ def test_ladder_validation_rejects_bad_levels(a2):
     parts = decompose_lambda(d, seq)
     with pytest.raises(InternalInvariantViolation):
         YuLadder(d, seq, [frozenset(), frozenset(range(6)), frozenset(range(6))], parts)
+
+
+def test_ladder_reassembly_is_a_partition_of_the_exponents(a2):
+    # the components must hold each exponent of the tail exactly once, with
+    # the tail's coefficient there: a component carrying 2 lambda_q at the
+    # tail's exponent q holds the right exponents and is refused on its
+    # coefficient, and components that sum to the tail while sharing an
+    # exponent are refused too
+    d = sl3_datum(a2)
+    seq = breaks(d)
+    levels = levi_ladder(d, seq)
+    low, high, top = decompose_lambda(d, seq)
+    doubled = Tail(a2, 1, {F(1): [-2, 4]})
+    shared = Tail(a2, 1, {F(1): [1, -2], F(2): [3, 0]})
+    for parts in ([doubled, high, top], [doubled, shared, top]):
+        with pytest.raises(InternalInvariantViolation,
+                           match="band components do not reassemble the tail"):
+            YuLadder(d, seq, levels, parts)
+    assert add_tails(add_tails(doubled, shared), top) == d.lam
+    YuLadder(d, seq, levels, [low, high, top])
+
+
+def test_no_breaks_gives_the_tail_as_one_component(a2):
+    # without breaks the one band is unbounded on both sides: the zero tail
+    # on the split and the twisted classes of A2, and a central tail on
+    # A1 x T1, whose coroot pairing vanishes
+    data = [classify(tc, Tail.zero(a2, tc.m)) for tc in list_torus_classes(a2)]
+    assert any(not d.torus.w.is_identity() for d in data)
+    data.append(jsonio.datum_from_json({"type": [["A", 1], ["torus", 1]], "lambda": {
+        "m": 1, "terms": [{"q": "1", "coeff": ["0", "1"]}]}}))
+    for d in data:
+        ladder = extract(d)
+        assert ladder.breaks == []
+        assert ladder.components == [d.lam]
+    assert not data[-1].lam.is_zero()
 
 
 def test_ladder_json(a2):
