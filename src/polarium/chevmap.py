@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import NamedTuple
 
-from .cyclo import CycloNumber, sqrt_cyclo
+from .cyclo import _normalized, _reduce, euler_phi, sqrt_cyclo
 from .errors import InvalidArgumentError, NoSqrtInBaseField, PrecisionError
 from .polar import classify
 from .rootdata import build
-from .tails import LaurentWindow, Tail
+from .tails import LaurentWindow, Tail, check_exponent
 from .tori import TorusClass, split_torus_class
 
 
@@ -31,6 +32,15 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     The leading exponent must be even in the window lattice and the leading
     coefficient a supported square (see sqrt_cyclo); the root's first nonzero
     coefficient is positive, which pins the branch.
+
+    With a = lead * (1 + u), the root is sqrt(lead) * s for s = sqrt(1 + u),
+    whose coefficients obey 2 s_k = u_k - sum of s_p s_(k-p) over 0 < p < k.
+    The recursion runs without division: with every u_k = U_k / D on one
+    integer grid at conductor L, S_k = 2^(2k-1) D^k s_k lies in Z[zeta_L] and
+    S_k = 4^(k-1) D^(k-1) U_k - sum of S_p S_(k-p) over 0 < p < k. The sum
+    is taken on unreduced integer polynomials, each product S_p S_(k-p)
+    twice for p < k - p, and reduced once per k by `_reduce`; s_k is read
+    back with one gcd.
     """
     v = a.valuation()
     if v is None:
@@ -44,21 +54,36 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     # runs on the step k.
     n = int((a.hi - v) * a.den)
     u = {int((q - v) * a.den): c * inv_lead for q, c in a.terms.items() if q != v}
-    # Coefficientwise recursion for sqrt(1 + u): 2 s_k = u_k - sum of
-    # s_p s_(k-p) over 0 < p < k.
-    s_rel: dict[int, CycloNumber] = {0: CycloNumber.one()}
-    half = Fraction(1, 2)
+    L = lcm(*(c.conductor for c in u.values()))
+    D = lcm(*(c.den for c in u.values()))
+    phi = euler_phi(L)
+    U = {k: [x * (D // c.den) for x in c.lift(L).nums] for k, c in u.items()}
+    S: list = [None] * n  # S[k], reduced, where it is nonzero
+    terms = {v / 2: s0}
+    scale = 1  # (4 D)^(k-1)
     for k in range(1, n):
-        acc = u.get(k, CycloNumber.zero())
-        for p in range(1, k):
-            left, right = s_rel.get(p), s_rel.get(k - p)
-            if left is not None and right is not None:
-                acc = acc - left * right
-        val = half * acc
-        if not val.is_zero():
-            s_rel[k] = val
-    terms = {v / 2 + Fraction(k, a.den): s0 * c for k, c in s_rel.items()}
-    return LaurentWindow(v / 2, a.hi - v / 2, terms, a.den)
+        acc = [0] * (2 * phi - 1)
+        for p in range(1, k // 2 + 1):
+            left, right = S[p], S[k - p]
+            if left is None or right is None:
+                continue
+            twice = 1 if 2 * p == k else 2
+            for i, x in enumerate(left):
+                if x:
+                    x *= twice
+                    for j, y in enumerate(right, i):
+                        acc[j] -= x * y
+        if k in U:
+            for i, x in enumerate(U[k]):
+                acc[i] += scale * x
+        nums = _reduce(L, acc)
+        if any(nums):
+            S[k] = nums
+            terms[v / 2 + Fraction(k, a.den)] = s0 * _normalized(L, nums, 2 ** (2 * k - 1) * D ** k)
+        scale *= 4 * D
+    # v * den is even and v < hi, so the bounds lie on the window lattice
+    # with lo < hi, and each exponent v/2 + k/den lies below a.hi - v/2
+    return LaurentWindow._derived(v / 2, a.hi - v / 2, terms, a.den)
 
 
 class Sl2Stratum(NamedTuple):
@@ -84,14 +109,19 @@ def sl2_stratum(a: LaurentWindow) -> Sl2Stratum:
 
 
 def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
-    """The tail of diag(b, -b) dt in dt/t exponents, truncated at q >= 0."""
-    rd = _a1()
+    """The tail of diag(b, -b) dt in dt/t exponents, truncated at q >= 0.
+
+    Each kept term is 2c for a nonzero window coefficient c, a covector of
+    the rank-1 datum, so the tail is built without a second check. Only an
+    exponent's denominator is checked: from a wire window with den > 1, a
+    term can land at a denominator that does not divide the period m."""
     terms = {}
     for p, c in b.terms.items():
         q = -(p + 1)
         if q >= 0:
+            check_exponent(q, m)
             terms[q] = (2 * c,)
-    return Tail(rd, m, terms)
+    return Tail._derived(_a1(), m, terms)
 
 
 def _nonsplit_class() -> TorusClass:

@@ -48,6 +48,10 @@ def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
         return extract(datum)
     nroots = len(datum.rd.roots)
     breaks = [parse_fraction(b) for b in doc["breaks"]]
+    # repeated breaks are left to the ladder's centralizer check
+    drops = [f"{r} before {s}" for r, s in zip(breaks, breaks[1:]) if s < r]
+    if drops:
+        raise InvalidArgumentError(f"ladder breaks decrease: {', '.join(drops)}")
     levels = [frozenset(level) for level in doc["levels"]]
     if any(i >= nroots for level in levels for i in level):
         raise InvalidArgumentError(f"ladder level index out of range: "

@@ -199,10 +199,6 @@ class CycloNumber:
     def zero(conductor: int = 1) -> "CycloNumber":
         return CycloNumber.from_rational(0, conductor)
 
-    @staticmethod
-    def one() -> "CycloNumber":
-        return CycloNumber.from_rational(1)
-
     # -- representation -------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -39,7 +39,10 @@ integers in one pass: every entry with a nonzero weight is read at the lcm
 of those entries' conductors, its numerators are scaled to the lcm of their
 denominators and summed as ints, and one `CycloNumber` is built at the end
 with one gcd. When every weighted entry is rational (conductor 1) the sum is
-one integer, with no per-entry list and no Euler phi.
+one integer, with no per-entry list and no Euler phi. It combines eigenspace
+basis vectors into a tail's covectors (partition sampling and the regular
+tail of a homogeneous datum). A tail's Weyl images and the conjugacy search
+do not call it: they read each term's integer grid (`tails.Tail.grids`).
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
-from .tails import Tail, is_equivariant
+from .tails import Tail, _grid, is_equivariant
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
 # partition-check work grows linearly in both counts; each bound is 20 times
@@ -111,24 +112,40 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     filtered on the simple roots: u w1 and w2 u lie in W, and an element of
     W is fixed by its action on the simple roots because it acts as the
     identity on the central coordinates, so u w1 = w2 u exactly when
-    p_u p_1 = p_2 p_u on the simple roots. u(lam1) is compared with lam2
-    exponent by exponent from the top, stopping at the first entry that
-    differs.
+    p_u p_1 = p_2 p_u on the simple roots.
+
+    Before the search, each pair of terms at one exponent is put on one
+    integer grid (`tails._grid`), at the lcm of both conductors and of both
+    denominators; a tail's own grid (`Tail.grids`) serves when it already
+    sits there. Two values over one denominator at one conductor are equal
+    exactly when their numerators are, so u(lam1) = lam2 when each row of
+    u's covector matrix times each grid column of lam1 equals the matching
+    numerator of lam2. The integers are compared exponent by exponent from
+    the top, stopping at the first that differs.
     """
     rd = d1.rd
     if rd.roots != d2.rd.roots:
         raise InvalidArgumentError("data live in different ambient root data")
-    terms1, terms2 = d1.lam.terms, d2.lam.terms
-    if terms1.keys() != terms2.keys():
+    lam1, lam2 = d1.lam, d2.lam
+    if lam1.terms.keys() != lam2.terms.keys():
         return False
-    pairs = [(terms1[q], terms2[q]) for q in sorted(terms1, reverse=True)]
+    pairs = []  # (grid columns of lam1, numerator rows of lam2) per exponent
+    for (q, L1, D1, cols1), (_, L2, D2, cols2) in zip(lam1.grids(), lam2.grids()):
+        L, D = lcm(L1, L2), lcm(D1, D2)
+        if (L1, D1) != (L, D):
+            cols1 = _grid(lam1.terms[q], L, D)
+        if (L2, D2) != (L, D):
+            cols2 = _grid(lam2.terms[q], L, D)
+        pairs.append((cols1, tuple(zip(*cols2))))
     p1, p2 = d1.torus.w.root_permutation, d2.torus.w.root_permutation
     for u in rd.weyl_elements():
         pu = u.root_permutation
         if any(pu[p1[s]] != p2[pu[s]] for s in range(rd.ss_rank)):
             continue
         cov = u.covector_matrix()
-        if all(dot_int(row, c1) == x for c1, c2 in pairs for row, x in zip(cov, c2)):
+        if all(sum(map(mul, row, col)) == x
+               for cols, rows in pairs for row, nums in zip(cov, rows)
+               for col, x in zip(cols, nums)):
             return True
     return False
 
@@ -177,7 +194,11 @@ def homogeneous_datum(rd: RootDatum, m: int, i: int) -> PolarDatum:
 
 def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
     """A random tail satisfying the torus equivariance constraint: up to three
-    terms, at exponents a/m with 0 <= a <= 3m."""
+    terms, at exponents a/m with 0 <= a <= 3m.
+
+    Each covector is a combination with coefficients not all zero of an
+    independent eigenspace basis, so it is nonzero, and the tail is built
+    without a second check."""
     rd, m = tc.rd, tc.m
     terms = {}
     for _ in range(rng.randint(0, 3)):
@@ -188,7 +209,7 @@ def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
         coeffs = [rng.randint(-3, 3) for _ in basis]
         if any(coeffs):
             terms[Fraction(a, m)] = tuple(dot_int(coeffs, column) for column in zip(*basis))
-    return Tail(rd, m, terms)
+    return Tail._derived(rd, m, terms)
 
 
 def _one_sample(rd: RootDatum, classes, seed: int, zero_only: bool) -> dict:

@@ -11,11 +11,21 @@ Strata labels and Yu ladders read one table per tail: the depth of
 covector pairs nonzero with the coroot, or None where the pairing vanishes.
 `Tail.coroot_depths` builds it once and keeps it. The coroot of -alpha is
 -alpha^vee, whose pairing is the negation and has the same depth, so only
-the positive coroots are paired. The depth needs only zero tests: the tail
-keeps each term, by descending exponent, as integer columns (its entries'
-numerators at the covector's common conductor and denominator), and a
-coroot pairs to zero with the term exactly when its integer dot product with
-every column is 0. No CycloNumber is built for a pairing.
+the positive coroots are paired.
+
+Each term has one integer grid, which the tail keeps from its first use
+(`Tail.grids`): its entries' numerators at the term's common conductor L,
+scaled to their common denominator D, one column per power of zeta_L. An
+element of Q(zeta_L) has one numerator vector over a given denominator in
+the power basis (Cohen, A Course in Computational Algebraic Number Theory,
+section 4.2), so the three readers of a tail work on ints alone:
+- a coroot pairs to zero with a term exactly when its integer dot product
+  with every column is 0 (`pair_coroot`);
+- the Weyl image of a term multiplies the matrix rows by the columns, and
+  each image entry is one normalization over D (`Tail.weyl_act`);
+- conjugacy compares those products with the other tail's grid
+  (`polar.conjugate_oracle`).
+No CycloNumber is built for a pairing or for a comparison.
 """
 
 from __future__ import annotations
@@ -24,10 +34,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json, euler_phi, parse_fraction,
-                    zeta)
+from .cyclo import (CycloNumber, _normalized, cyclo_from_json, cyclo_to_json, euler_phi,
+                    parse_fraction, zeta)
 from .errors import InvalidArgumentError, ResourceLimitError
-from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement
 
 Covector = tuple[CycloNumber, ...]
@@ -62,7 +71,7 @@ def covector(values, dim: int | None = None) -> Covector:
 class Tail:
     """An element of t*/t*_tn: finitely many covector terms at exponents q >= 0."""
 
-    __slots__ = ("rd", "m", "terms", "_columns", "_depths", "_equivariant")
+    __slots__ = ("rd", "m", "terms", "_grids", "_depths", "_equivariant")
 
     def __init__(self, rd: RootDatum, m: int, terms: dict):
         if m < 1:
@@ -74,25 +83,24 @@ class Tail:
             q = Fraction(q)
             if q < 0:
                 raise InvalidArgumentError(f"exponent {q} negative; tails live at q >= 0")
-            if (q * m).denominator != 1:
-                raise InvalidArgumentError(f"exponent {q} has denominator not dividing m={m}")
+            check_exponent(q, m)
             c = covector(c, rd.dim)
             if not all(x.is_zero() for x in c):
                 clean[q] = c
         self.terms = clean
-        # (q, integer columns) by descending q, built by the first pairing
-        self._columns: tuple | None = None
+        self._grids: tuple | None = None
         self._depths: tuple | None = None
         self._equivariant: dict | None = None
 
     @classmethod
     def _derived(cls, rd: RootDatum, m: int, terms: dict) -> "Tail":
-        """A tail built from a valid one: its exponents already divide m and
-        its covectors are nonzero tuples of CycloNumbers, so nothing is
-        parsed or checked again."""
+        """A tail built from valid data: its exponents are q >= 0 with
+        denominators dividing m and its covectors are nonzero tuples of
+        CycloNumbers of length rd.dim, so nothing is parsed or checked
+        again."""
         tail = cls.__new__(cls)
         tail.rd, tail.m, tail.terms = rd, m, terms
-        tail._columns = tail._depths = tail._equivariant = None
+        tail._grids = tail._depths = tail._equivariant = None
         return tail
 
     @staticmethod
@@ -108,6 +116,19 @@ class Tail:
     def depth(self) -> Fraction | None:
         return max(self.terms) if self.terms else None
 
+    def grids(self) -> tuple:
+        """(q, L, D, columns) for each term by descending exponent, built on
+        first use: the term's entries on one integer grid (`_grid`) at the
+        lcm L of their conductors and the lcm D of their denominators."""
+        if self._grids is None:
+            grids = []
+            for q in sorted(self.terms, reverse=True):
+                c = self.terms[q]
+                L, D = lcm(*(x.conductor for x in c)), lcm(*(x.den for x in c))
+                grids.append((q, L, D, _grid(c, L, D)))
+            self._grids = tuple(grids)
+        return self._grids
+
     def coroot_depths(self) -> tuple:
         """Depth of the pairing with each coroot, indexed by root; None where it vanishes."""
         if self._depths is None:
@@ -118,16 +139,16 @@ class Tail:
             self._depths = tuple(depths)
         return self._depths
 
-    def lift_conductor(self, m2: int) -> "Tail":
-        if m2 % self.m != 0:
-            raise InvalidArgumentError(f"{self.m} does not divide {m2}")
-        return Tail._derived(self.rd, m2, dict(self.terms))
-
     def weyl_act(self, w: WeylElement) -> "Tail":
+        """The image under w: per term, each covector matrix row times the
+        grid columns gives one image entry's numerators over the term's D,
+        normalized with one gcd."""
         mat = w.covector_matrix()
         out = {}
-        for q, c in self.terms.items():
-            out[q] = tuple(dot_int(row, c) for row in mat)  # w is invertible: nonzero
+        for q, L, D, columns in self.grids():
+            # w is invertible, so each image term is nonzero
+            out[q] = tuple(_normalized(L, [sum(map(mul, row, col)) for col in columns], D)
+                           for row in mat)
         return Tail._derived(self.rd, self.m, out)
 
     def restrict(self, lo, hi) -> "Tail":
@@ -177,38 +198,39 @@ class Tail:
         return f"Tail(m={self.m}; " + " + ".join(bits) + ")"
 
 
+def check_exponent(q: Fraction, m: int) -> None:
+    """Refuse an exponent whose denominator does not divide the conductor m."""
+    if (q * m).denominator != 1:
+        raise InvalidArgumentError(f"exponent {q} has denominator not dividing m={m}")
+
+
 def pair_coroot(tail: Tail, coroot) -> Fraction | None:
     """Depth of <d(coroot), tail>: the largest exponent whose covector pairs
     nonzero with the coroot, None when every term pairs to zero.
 
-    A term pairs to zero exactly when the coroot is orthogonal to each of
-    its integer columns (`_integer_columns`), which the tail keeps from its
-    first pairing on, by descending exponent."""
-    if tail._columns is None:
-        tail._columns = tuple((q, _integer_columns(tail.terms[q]))
-                              for q in sorted(tail.terms, reverse=True))
-    for q, columns in tail._columns:
+    A term pairs to zero exactly when the coroot is orthogonal to each
+    column of its grid (`Tail.grids`, by descending exponent)."""
+    for q, _, _, columns in tail.grids():
         for col in columns:
             if sum(map(mul, coroot, col)):
                 return q
     return None
 
 
-def _integer_columns(c: Covector) -> tuple[tuple[int, ...], ...]:
-    """The covector's entries on one integer grid: each entry's numerators
-    at the common conductor L of the entries, scaled to their common
-    denominator. Column j holds the coefficients of z^j, so an integer
-    vector pairs to zero with the covector exactly when it is orthogonal to
-    every column, since 1, z, ..., z^(phi(L)-1) is a basis of Q(zeta_L).
-    All-zero columns are dropped."""
-    L = lcm(*(x.conductor for x in c))
-    den = lcm(*(x.den for x in c))
-    rows = [[n * (den // x.den) for n in x.lift(L).nums] for x in c]
-    return tuple(col for col in zip(*rows) if any(col))
+def _grid(c: Covector, L: int, D: int) -> tuple[tuple[int, ...], ...]:
+    """The covector's entries on one integer grid at conductor L and
+    denominator D, multiples of the entries' conductors and denominators:
+    column j holds each entry's z^j numerator at L, scaled to D. Entry i
+    is sum_j column_j[i] z^j / D, and 1, z, ..., z^(phi(L)-1) is a basis of
+    Q(zeta_L), so an integer vector pairs to zero with the covector exactly
+    when it is orthogonal to every column."""
+    return tuple(zip(*([n * (D // x.den) for n in x.lift(L).nums] for x in c)))
 
 
 def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
-    """Fixed-point condition for the torus presented by (w, m).
+    """Fixed-point condition for the torus presented by (w, m): w sends each
+    term q = a/d in lowest terms to zeta_d^a times itself. That twist does
+    not depend on the period m.
 
     The verdict, False included, is kept on the tail per (w.root_permutation,
     m), as its coroot depths are, so a tail is acted on once per torus.
@@ -218,9 +240,8 @@ def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
     key = (w.root_permutation, m)
     verdict = tail._equivariant.get(key)
     if verdict is None:
-        lifted = tail if tail.m == m else tail.lift_conductor(lcm(tail.m, m))
-        twist = lifted.expected_twist()  # refuses an oversized conductor before other work
-        verdict = tail._equivariant[key] = lifted.weyl_act(w) == twist
+        twist = tail.expected_twist()  # refuses an oversized conductor before other work
+        verdict = tail._equivariant[key] = tail.weyl_act(w) == twist
     return verdict
 
 
@@ -254,6 +275,15 @@ class LaurentWindow:
                 clean[q] = c
         self.terms = clean
 
+    @classmethod
+    def _derived(cls, lo: Fraction, hi: Fraction, terms: dict, den: int) -> "LaurentWindow":
+        """A window built from valid data: lo < hi are multiples of 1/den and
+        the terms are nonzero CycloNumbers at multiples of 1/den in
+        [lo, hi), so nothing is parsed or checked again."""
+        window = cls.__new__(cls)
+        window.lo, window.hi, window.terms, window.den = lo, hi, terms, den
+        return window
+
     def coeff(self, q) -> CycloNumber:
         return self.terms.get(Fraction(q), CycloNumber.zero())
 
@@ -262,17 +292,18 @@ class LaurentWindow:
         return min(self.terms) if self.terms else None
 
     def neg(self) -> "LaurentWindow":
-        return LaurentWindow(self.lo, self.hi, {q: -c for q, c in self.terms.items()}, self.den)
+        return LaurentWindow._derived(self.lo, self.hi,
+                                      {q: -c for q, c in self.terms.items()}, self.den)
 
     def scale_exponents(self, r) -> "LaurentWindow":
-        """Substitute t -> t^(1/r) viewed on exponents: q maps to q*r."""
+        """Substitute t -> t^(1/r) viewed on exponents: q maps to q*r, a
+        multiple of 1/(den * r.denominator) when q is one of 1/den."""
         r = Fraction(r)
         if r <= 0:
             raise InvalidArgumentError("exponent scale must be positive")
-        den = lcm(self.den * r.denominator, r.denominator)
-        return LaurentWindow(self.lo * r, self.hi * r,
-                             {q * r: c for q, c in self.terms.items()},
-                             int(den))
+        return LaurentWindow._derived(self.lo * r, self.hi * r,
+                                      {q * r: c for q, c in self.terms.items()},
+                                      self.den * r.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentWindow):

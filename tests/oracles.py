@@ -484,14 +484,24 @@ def regular_numbers_by_enumeration(rd) -> dict:
     return {"regular": sorted(regular), "elliptic": sorted(elliptic)}
 
 
+def weyl_image_oracle(w, c) -> tuple:
+    """The covector c acted on by w: the transpose of the inverse of w's
+    cocharacter matrix, entry r the pairing of its row r (column r of the
+    inverse) with c by `dot_int_oracle`."""
+    return tuple(dot_int_oracle(col, c) for col in zip(*inverse_by_rref(w.matrix)))
+
+
 def conjugate_by_products(d1, d2) -> bool:
     """Weyl search for u with u w1 u^-1 = w2, both sides compared as integer
-    matrices for every u, and then u(lam1) = lam2."""
+    matrices for every u, and then u(lam1) = lam2 term by term, each image
+    by `weyl_image_oracle`."""
     w1, w2 = d1.torus.w.matrix, d2.torus.w.matrix
+    terms1, terms2 = d1.lam.terms, d2.lam.terms
     for u in d1.rd.weyl_elements():
         if mat_mul_oracle(mat_mul_oracle(u.matrix, w1), inverse_by_rref(u.matrix)) != w2:
             continue
-        if d1.lam.weyl_act(u) == d2.lam:
+        if terms1.keys() == terms2.keys() and all(
+                weyl_image_oracle(u, c) == terms2[q] for q, c in terms1.items()):
             return True
     return False
 

@@ -7,9 +7,15 @@ code reads it as an attribute (`x.name`): a bare name of the same spelling
 is a local variable or a function, not the method. Code that only the tests reach belongs
 in `tests/oracles.py` or in the test itself. Dunder methods are reached by
 the language.
+
+An attribute read cannot tell a method from a method of a built-in type of
+the same name (`tail.add` from `seen.add`), so no public method may share
+its name with a public method of the built-in containers, `str`, `int` or
+`Fraction`.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polarium"
@@ -62,8 +68,35 @@ def unreferenced(src: Path) -> list[str]:
     return sorted(out)
 
 
+BUILTIN_METHODS = frozenset(name for kind in (dict, set, frozenset, list, tuple, str, int, Fraction)
+                            for name in dir(kind) if not name.startswith("_"))
+
+
+def shadowing(src: Path) -> list[str]:
+    """Public methods named like a public method of a built-in type."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))]
+    return sorted(label for tree in trees for label, node, keys in _definitions(tree)
+                  if "." in label and node.name in BUILTIN_METHODS)
+
+
 def test_every_function_in_src_is_used_in_src():
     assert unreferenced(SRC) == []
+
+
+def test_no_method_shares_a_name_with_a_builtin_method():
+    assert shadowing(SRC) == []
+
+
+def test_guard_sees_a_method_named_like_a_builtin_one(tmp_path):
+    # `add` is read as `seen.add` in the same module, so only the name
+    # check sees that the method is never called
+    (tmp_path / "mod.py").write_text(
+        "class Tail:\n    def add(self, other):\n        return self\n\n"
+        "    def restrict(self):\n        return self\n\n\n"
+        "def use(seen, tail):\n    seen.add(tail.restrict())\n\n\nuse(set(), Tail())\n",
+        encoding="utf-8")
+    assert unreferenced(tmp_path) == []
+    assert shadowing(tmp_path) == ["Tail.add"]
 
 
 def test_guard_sees_a_function_used_only_by_itself(tmp_path):

@@ -75,6 +75,14 @@ def test_partition_check_golden_deterministic(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("label", ["A4", "B3"])
+def test_partition_check_goldens_outside_the_benchmark_types(capsys, label):
+    # 200 samples at seed 3; A4 brings tails at conductor 5
+    status, out = run_main(capsys, "partition-check", "--type", label, "--seed", "3")
+    assert status == 0
+    assert out == (GOLDENS / f"{label.lower()}_seed3_partition_output.json").read_text()
+
+
 def test_jlattice_golden(capsys):
     status, out = run_main(
         capsys, "jlattice", "--input", str(GOLDENS / "jlattice_request.json"))
@@ -144,10 +152,10 @@ def test_moveability_exit_codes(capsys, tmp_path):
 
 
 def test_user_ladder_bytes(capsys):
-    # the sl3 two-break datum with unsorted breaks (its middle band is empty
-    # and its top band repeats the exponent 2), with a repeated break (the
-    # bands partition the tail, the centralizer identity fails), and the A2
-    # zero tail without breaks, as moveability and yu-sequence print them
+    # the sl3 two-break datum with decreasing breaks (refused before its
+    # bands are cut), with a repeated break (the bands partition the tail,
+    # the centralizer identity fails), and the A2 zero tail without breaks,
+    # as moveability and yu-sequence print them
     sl3 = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
            '{"q":"1","coeff":["-1","2"]}]}},"ladder":{"breaks":%s,'
            '"levels":[[],[1,4],[0,1,2,3,4,5]]}}')
@@ -155,7 +163,7 @@ def test_user_ladder_bytes(capsys):
     zero = '{"type":"A2","lambda":{"m":1,"terms":[]}}'
     cases = [
         ("moveability", sl3 % '["2","1"]', 1,
-         rejected % "band components do not reassemble the tail"),
+         '{"error":{"code":"invalid-argument","message":"ladder breaks decrease: 2 before 1"}}\n'),
         ("moveability", sl3 % '["1","1"]', 1,
          rejected % "centralizer identity fails at level 2: [1, 4] vs [0, 1, 2, 3, 4, 5]"),
         ("moveability", '{"datum":%s}' % zero, 0,

@@ -242,8 +242,11 @@ def test_inverse_matches_reference_at_41():
 
 def _sqrt_windows() -> list[LaurentWindow]:
     """The default grid at even valuation, odd valuations read at t = tau^2,
-    and den-2 windows: the grid at t^(1/2) and windows with half-integer
-    steps between integer valuations."""
+    den-2 windows: the grid at t^(1/2) and windows with half-integer steps
+    between integer valuations, and seeded windows with den 1, 2 and 3 whose
+    later coefficients sit at conductors 1/3/4/5/12 with fractional
+    coefficients, so the root's recursion runs on one grid at a conductor
+    and a denominator above 1."""
     out = []
     for a in default_grid():
         v = a.valuation()
@@ -257,6 +260,18 @@ def _sqrt_windows() -> list[LaurentWindow]:
             terms = {Fraction(v): lead, Fraction(2 * v + 1, 2): 1,
                      Fraction(2 * v + 3, 2): Fraction(-1, 2), Fraction(v + 2): zeta(4, 1)}
             out.append(LaurentWindow(v, v + 4, terms, den=2))
+    rng = random.Random(30)
+    for lead in (1, -4, Fraction(9, 4), 2, zeta(3, 1), 4 * zeta(4, 1), zeta(8, 3)):
+        for den in (1, 2, 3):
+            v = Fraction(rng.randint(-4, 0) * 2, den)
+            terms = {v: lead}
+            for k in range(1, 7 * den):
+                if rng.random() < 0.6:
+                    L = rng.choice((1, 3, 4, 5, 12))
+                    terms[v + Fraction(k, den)] = CycloNumber(
+                        L, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                            for _ in range(euler_phi(L))])
+            out.append(LaurentWindow(v, v + 7, terms, den))
     return out
 
 

@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import harness  # noqa: E402
 import workloads  # noqa: E402
 
-ONE = CycloNumber.one()
+ONE = CycloNumber.from_rational(1)
 
 
 def rho_over(rd, k):

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import polarium.polar as polar
+import polarium.tails as tails
 from polarium import cli
+from polarium.cyclo import zeta
 from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
@@ -262,6 +264,68 @@ def test_conjugate_oracle_matches_product_oracle(label):
             assert verdict == conjugate_by_products(d1, d2)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_conjugate_oracle_on_twisted_classes_with_negative_controls():
+    # tails of the classes of period 3 (A2, G2), 4 (B2) and 6 (G2), each
+    # against a Weyl translate (conjugate), the translate with one
+    # coefficient moved off the constant column (not conjugate) and the
+    # translate with one term moved to another exponent (not conjugate)
+    rng = random.Random(30)
+    periods = set()
+    verdicts = {True: 0, False: 0}
+    for label in ("A2", "B2", "G2"):
+        rd = build(label)
+        weyl = rd.weyl_elements()
+        for tc in list_torus_classes(rd):
+            if tc.m not in (3, 4, 6):
+                continue
+            periods.add(tc.m)
+            for _ in range(10):
+                d = classify(tc, sample_equivariant_tail(tc, rng))
+                if d.lam.is_zero():
+                    continue
+                moved = conjugate_datum(d, rng.choice(weyl))
+                moved = classify(moved.torus, moved.lam)
+                terms = dict(moved.lam.terms)
+                q = rng.choice(sorted(terms))
+                i = rng.randrange(rd.dim)
+                cov = list(terms[q])
+                cov[i] = cov[i] + zeta(tc.m, 1) * F(1, 2)
+                perturbed = {**terms, q: tuple(cov)}
+                shifted = {(p + 4 if p == q else p): c for p, c in terms.items()}
+                for lam, expected in ((moved.lam, True),
+                                      (Tail(rd, tc.m, perturbed), False),
+                                      (Tail(rd, tc.m, shifted), False)):
+                    other = PolarDatum(moved.torus, moved.levi, lam, validate=False)
+                    assert conjugate_oracle(d, other) == conjugate_by_products(d, other) \
+                        == expected
+                    verdicts[expected] += 1
+    assert periods == {3, 4, 6}
+    assert verdicts[True] > 20 and verdicts[False] > 40
+
+
+def test_conjugate_oracle_builds_each_grid_once(a2, monkeypatch):
+    # on the split torus every u passes the simple-root filter; the two
+    # tails sit on different grids, so each of their terms is put on the
+    # common grid once per call, not once per u
+    built = []
+    original = tails._grid
+
+    def counted(c, L, D):
+        built.append((L, D))
+        return original(c, L, D)
+
+    monkeypatch.setattr(tails, "_grid", counted)
+    monkeypatch.setattr(polar, "_grid", counted)
+    split = split_torus_class(a2)
+    d1 = classify(split, Tail(a2, 1, {F(2): [F(1, 2), 1], F(1): [zeta(3, 1), 2]}))
+    d2 = classify(split, Tail(a2, 1, {F(2): [F(1, 3), 1], F(1): [zeta(4, 1), 2]}))
+    built.clear()
+    for _ in range(3):
+        assert not conjugate_oracle(d1, d2)
+    assert sorted(set(built)) == [(1, 6), (12, 1)]
+    assert len(built) == 3 * 4
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])

@@ -3,15 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from polarium.chevmap import sqrt_series, verify_sl2
 from polarium.cyclo import CycloNumber, euler_phi, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
 from polarium.linalg import dot_int
+from polarium.polar import partition_check
 from polarium.rootdata import build
 from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
                             tail_from_json, tail_to_json, window_from_json)
 from polarium.tori import list_torus_classes
 
-from .oracles import add_tails, dot_int_oracle, ref_dot_int, window_product, window_sum
+from .oracles import (add_tails, dot_int_oracle, ref_dot_int, weyl_image_oracle,
+                      window_product, window_sum)
 
 
 def test_pair_coroot_fundamental_weight(a1):
@@ -179,8 +182,8 @@ def reference_depth(tail, coroot):
 def test_pairing_zero_tests_match_reference_field():
     # every coroot of A2/B2/G2/C3/D4 against seeded tails with entries at
     # conductors 1/3/4/5/8/12, some terms vanishing on a coroot only after
-    # lifting, and against the tails weyl_act, restrict, lift_conductor and
-    # expected_twist derive from them
+    # lifting, and against the tails weyl_act, restrict and expected_twist
+    # derive from them
     rng = random.Random(24)
     vanishing = 0
     for label in ("A2", "B2", "G2", "C3", "D4"):
@@ -196,8 +199,8 @@ def test_pairing_zero_tests_match_reference_field():
                     else:
                         terms[q] = [random_entry(rng) for _ in range(rd.dim)]
                 lam = Tail(rd, m, terms)
-                derived = [lam.restrict(F(1, 2), F(2)), lam.lift_conductor(2 * m),
-                           lam.expected_twist(), lam.weyl_act(rng.choice(weyl))]
+                derived = [lam.restrict(F(1, 2), F(2)), lam.expected_twist(),
+                           lam.weyl_act(rng.choice(weyl))]
                 for tail in [lam] + derived:
                     expected = [reference_depth(tail, coroot) for coroot in rd.coroots]
                     assert [pair_coroot(tail, coroot) for coroot in rd.coroots] == expected
@@ -222,29 +225,108 @@ def test_pairing_vanishes_only_after_lifting(a2):
         assert pair_coroot(lam, a2.coroots[1]) == F(2)
 
 
-def test_derived_tails_pass_the_public_checks(a2, b2, g2):
-    # weyl_act, lift_conductor, restrict and expected_twist skip validation;
-    # the public constructor must accept each result and keep it as it is
+GRID_CONDUCTORS = (1, 3, 4, 5, 6, 8)
+
+
+def fractional_covector(rng, dim) -> list:
+    """Entries at conductors 1/3/4/5/6/8 with fractional coefficients of
+    several denominators, so one term's entries sit on no common grid until
+    they are lifted and scaled."""
+    return [CycloNumber(L, [F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(euler_phi(L))])
+            for L in (rng.choice(GRID_CONDUCTORS) for _ in range(dim))]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "A4"])
+def test_weyl_act_matches_the_oracle_entry_by_entry(label):
+    # every W element on the rank-2 data, a seeded sample of W on A3, B3 and
+    # A4; each image entry against the pairing of the inverse transpose's
+    # row with the covector by CycloNumber arithmetic
+    rd = build(label)
+    rng = random.Random(30)
+    weyl = rd.weyl_elements()
+    elements = weyl if len(weyl) <= 12 else rng.sample(weyl, 12)
+    for m in (1, 4, 6):
+        terms = {F(rng.randint(0, 3 * m), m): fractional_covector(rng, rd.dim) for _ in range(3)}
+        terms[F(1)] = [CycloNumber.from_rational(F(k + 1, 2)) for k in range(rd.dim)]
+        lam = Tail(rd, m, terms)
+        for w in elements:
+            image = lam.weyl_act(w)
+            assert image.terms.keys() == lam.terms.keys()
+            for q, c in lam.terms.items():
+                expected = weyl_image_oracle(w, c)
+                assert len(image.terms[q]) == len(expected)
+                for got, want in zip(image.terms[q], expected):
+                    assert got == want
+
+
+def test_derived_tails_pass_the_public_checks(a2, b2, g2, monkeypatch):
+    # every tail built unchecked (by weyl_act, restrict, expected_twist, the
+    # partition sampler and the series lift of verify-sl2) must be accepted
+    # by the public constructor unchanged: the same exponents in the same
+    # order, the same CycloNumbers at the same conductors, and the same grid
+    made = []
+    original = Tail._derived
+
+    def recorded(rd, m, terms):
+        tail = original(rd, m, terms)
+        made.append(tail)
+        return tail
+
+    monkeypatch.setattr(Tail, "_derived", staticmethod(recorded))
     rng = random.Random(23)
-    derived = 0
     for rd in (a2, b2, g2):
         for m in (1, 2, 3, 4):
             terms = {F(rng.randint(0, 3 * m), m):
                      [rng.randint(-2, 2) * zeta(rng.choice((1, 3, 4)), rng.randint(0, 3))
                       for _ in range(rd.dim)] for _ in range(3)}
             lam = Tail(rd, m, terms)
-            results = [lam.lift_conductor(2 * m), lam.restrict(F(1, 2), F(2)),
-                       lam.expected_twist()] + [lam.weyl_act(w) for w in rd.weyl_elements()]
-            for out in results:
-                checked = Tail(rd, out.m, out.terms)
-                assert list(checked.terms) == list(out.terms)
-                for q, cov in out.terms.items():
-                    assert type(q) is F and len(cov) == rd.dim
-                    assert all(type(x) is CycloNumber for x in cov)
-                    assert [(x, x.conductor) for x in cov] == \
-                        [(x, x.conductor) for x in checked.terms[q]]
-                derived += 1
-    assert derived > 100
+            lam.restrict(F(1, 2), F(2))
+            lam.expected_twist()
+            for w in rd.weyl_elements():
+                lam.weyl_act(w)
+    for label in ("A2", "B2", "G2", "A3"):
+        for seed in range(8):
+            partition_check(build(label), samples=12, seed=seed, disjoint_pairs=4)
+    verify_sl2()
+    assert {len(out.rd.roots) for out in made} == {2, 6, 8, 12}
+    for out in made:
+        checked = Tail(out.rd, out.m, out.terms)
+        assert list(checked.terms) == list(out.terms)
+        for q, cov in out.terms.items():
+            assert type(q) is F and len(cov) == out.rd.dim
+            assert all(type(x) is CycloNumber for x in cov)
+            assert [(x, x.conductor) for x in cov] == \
+                [(x, x.conductor) for x in checked.terms[q]]
+        assert checked.grids() == out.grids()
+    assert len(made) > 3000
+
+
+def test_derived_windows_pass_the_public_checks(monkeypatch):
+    # neg, scale_exponents and sqrt_series build windows unchecked; over the
+    # default grid, and on windows with den 2 and 3 and cyclotomic
+    # coefficients, the public constructor must accept each one unchanged
+    made = []
+    original = LaurentWindow._derived
+
+    def recorded(lo, hi, terms, den):
+        window = original(lo, hi, terms, den)
+        made.append(window)
+        return window
+
+    monkeypatch.setattr(LaurentWindow, "_derived", staticmethod(recorded))
+    grid = [LaurentWindow(F(-4), F(3, 2), {F(-4): 1, F(-7, 2): zeta(3, 1), F(-1): F(1, 2)}, 2),
+            LaurentWindow(F(-4), F(2), {F(-4): -1, F(-11, 3): F(2, 3), F(0): zeta(5, 2)}, 3),
+            LaurentWindow(F(-6), F(0), {F(-6): zeta(4, 1), F(-5): zeta(8, 3)})]
+    for a in grid:
+        for e in (1, 2, F(1, 3)):
+            sqrt_series(a.neg().scale_exponents(e))
+    verify_sl2()
+    assert len(made) > 600
+    for out in made:
+        checked = LaurentWindow(out.lo, out.hi, out.terms, out.den)
+        assert (checked.lo, checked.hi, checked.den) == (out.lo, out.hi, out.den)
+        assert list(checked.terms) == list(out.terms)
+        assert all(checked.terms[q] is c for q, c in out.terms.items())
 
 
 def test_restrict_bands(a2):
