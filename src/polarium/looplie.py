@@ -55,9 +55,12 @@ once by the fractional part of their height. A piece is its pure monomials
 twisted Cartan line at a degree >= 0 and the break Lagrangians, reduced once
 on the coordinates outside the pure monomials; a line lies in the piece
 exactly when what is left of it there lies in the span of those rows. A
-moveability block pairs each row x with the columns through one functional
-<lambda, [x, .]>, built from the partners of each generator that the root
-datum gives: the generators whose bracket with it meets the dual.
+break form and a moveability block are one computation: row x meets the
+columns through its functional <lambda, [x, .]>, with lambda cut to the
+band's exponents for a break form. The functional sums the partners of each
+generator g: [g, G] meets a dual generator D only when weight(g) + weight(G)
+= weight(D), so G is read off a weight difference and the value off the
+bracket, and the structure constants live in one place.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, floor, lcm
+from operator import sub
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
@@ -267,69 +271,57 @@ class Realization:
         n = nu + nv
         return {(gen, n): c for gen, c in self._structure_constants(gu, gv)}
 
-    def pair_dual_monomial(self, mono: Monomial, dual: Functional | None = None) -> Scalar:
+    def pair_dual_monomial(self, mono: Monomial) -> Scalar:
         """Residue pairing tr(M_(-n) Y) of the dual with a monomial Y t^n."""
-        if dual is None:  # a restricted functional may be empty
-            dual = self.dual
         gen, n = mono
-        return dual.get(n, {}).get(gen, _ZERO)
+        return self.dual.get(n, {}).get(gen, _ZERO)
 
-    def pair_dual_bracket(self, u: Monomial, v: Monomial,
-                          dual: Functional | None = None) -> Scalar:
+    def pair_dual_bracket(self, u: Monomial, v: Monomial) -> Scalar:
+        """<dual, [u, v]> for two monomials, read off the structure constants."""
+        (gu, nu), (gv, nv) = u, v
+        vals = self.dual.get(nu + nv, {})
         total = _ZERO
-        for mono, c in self.bracket_monomials(u, v).items():
-            val = self.pair_dual_monomial(mono, dual)
-            if val:
-                total = total + c * val
+        for gen, c in self._structure_constants(gu, gv):
+            if gen in vals:
+                total = total + c * vals[gen]
         return total
 
-    def pair_lines(self, u: dict, v: dict, dual: Functional | None = None) -> Scalar:
-        """<dual, [u, v]> for two lines given as monomial -> coefficient maps."""
-        total = _ZERO
-        for mu, cu in u.items():
-            for mv, cv in v.items():
-                val = self.pair_dual_bracket(mu, mv, dual)
-                if val:
-                    total = total + cu * cv * val
-        return total
-
-    def bracket_functional(self, line: dict) -> dict[Monomial, Scalar]:
-        """phi = <dual, [line, .]> as monomial -> value, nonzero values only:
-        phi[Y t^m] is pair_lines(line, {Y t^m: 1})."""
+    def bracket_functional(self, line: dict, exponents=None) -> dict[Monomial, Scalar]:
+        """phi = <dual, [line, .]> as monomial -> value, nonzero values only,
+        with the dual cut to the exponent keys in `exponents` when given."""
         out: dict[Monomial, Scalar] = {}
         for (gen, n), c in line.items():
             partners = self._partners.get(gen)
             if partners is None:
                 partners = self._partners[gen] = self._dual_partners(gen)
+            if exponents is not None:
+                partners = [p for p in partners if p[0] in exponents]
             for e, partner, val in partners:
                 mono = (partner, e - n)
                 out[mono] = out.get(mono, _ZERO) + c * val
         return {m: v for m, v in out.items() if v}
 
     def _dual_partners(self, gu: Gen) -> tuple:
-        """(e, G, <dual, [gu, G t^e]>) for each generator G and dual exponent e
-        with a nonzero value. Partners are read off the root datum: [e_a, e_b]
-        meets e_d exactly when b = d - a is a root, [e_a, e_-a] meets the h_k,
-        and [h_k, e_d] and [e_d, h_k] meet e_d."""
+        """(e, G, <dual, [gu, G t^e]>) for each dual key e and generator G, in
+        generator order, nonzero values only. [gu, G] meets a dual generator D
+        only when weight(gu) + weight(G) = weight(D): G is the root of weight
+        weight(D) - weight(gu), or each h_k when that difference is zero."""
         rd = self.rd
-        kind, u = gu
-        acc: dict[tuple[int, Gen], Scalar] = {}
+        zero = (0,) * rd.dim
+        wu = rd.roots[gu[1]] if gu[0] == "r" else zero
+        out = []
         for e, vals in self.dual.items():
-            for (kd, d), lam in vals.items():
-                if kind == "h":
-                    terms = [(("r", d), rd.roots[d][u])] if kd == "r" else []
-                elif kd == "h":
-                    terms = [(("r", rd.negative_of(u)), rd.coroots[u][d])]
-                elif d == u:
-                    terms = [(("h", k), -rd.roots[u][k]) for k in range(rd.ss_rank)]
-                else:
-                    b = rd.root_sum(d, rd.negative_of(u))
-                    terms = [] if b is None else [(("r", b), self._sign(u, b))]
-                for partner, c in terms:
-                    if c:
-                        key = (e, partner)
-                        acc[key] = acc.get(key, _ZERO) + c * lam
-        return tuple((e, partner, val) for (e, partner), val in acc.items() if val)
+            diffs = {tuple(map(sub, rd.roots[d] if kind == "r" else zero, wu))
+                     for kind, d in vals}
+            gens = [("r", idx) for idx in sorted([rd.root_index[diff] for diff in diffs
+                                                  if diff in rd.root_index])]
+            if zero in diffs:
+                gens += [("h", k) for k in range(rd.ss_rank)]
+            for gen in gens:
+                val = self.pair_dual_bracket((gu, 0), (gen, e))
+                if val:
+                    out.append((e, gen, val))
+        return tuple(out)
 
     # -- M-part ----------------------------------------------------------
 
@@ -545,11 +537,13 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
 
 
 def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[list[Scalar]]:
+    """The break form <lambda_j, [u, v]> on the piece, with lambda_j the dual
+    cut to the band's exponents: row u is u's functional, as in a moveability
+    block. On twisted data the band's exponents are fractions and the dual's
+    keys integers, so the cut keeps no key and the form is zero."""
     vectors = piece["vectors"]
-    band = real.ladder.components[j - 1]
-    exponents = set(band.support())
-    dual = {q: vals for q, vals in real.dual.items() if q in exponents}
-    form = [[real.pair_lines(u, v, dual) for v in vectors] for u in vectors]
+    exponents = set(real.ladder.components[j - 1].support())
+    form = _pairing_block(real, vectors, vectors, exponents)
     k = len(vectors)
     for a in range(k):
         if form[a][a]:
@@ -721,10 +715,11 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
     }
 
 
-def _pairing_block(real: Realization, rows: list[dict], cols: list[dict]) -> list[list[Scalar]]:
-    """The matrix of <lambda, [x, phi]>, row x against column phi. Each row's
-    functional <lambda, [x, .]> is built once, and only the entries where it
-    meets a column's monomial are filled."""
+def _pairing_block(real: Realization, rows: list[dict], cols: list[dict],
+                   exponents=None) -> list[list[Scalar]]:
+    """The matrix of <lambda, [x, phi]>, row x against column phi, the dual
+    cut to `exponents` when given. Each row's functional is built once, and
+    only the entries where it meets a column's monomial are filled."""
     where: dict[Monomial, list[tuple[int, Scalar]]] = {}
     for k, phi in enumerate(cols):
         for mono, c in phi.items():
@@ -732,7 +727,7 @@ def _pairing_block(real: Realization, rows: list[dict], cols: list[dict]) -> lis
     matrix = []
     for x in rows:
         out = [_ZERO] * len(cols)
-        for mono, val in real.bracket_functional(x).items():
+        for mono, val in real.bracket_functional(x, exponents).items():
             for k, c in where.get(mono, ()):
                 out[k] = out[k] + val * c
         matrix.append(out)

@@ -129,7 +129,6 @@ class RootDatum:
         self._weyl_cache: list[WeylElement] | None = None
         self._weyl_left: list[list[int]] | None = None
         self._weyl_index: dict | None = None
-        self._weyl_table: tuple | None = None
         self._identity: WeylElement | None = None
         self._q_closed: dict[frozenset[int], bool] = {}
 
@@ -273,14 +272,12 @@ class RootDatum:
         """Index tables over `weyl_elements()`: left[i][k] is the index of
         s_i·W[k], inverse[k] the index of W[k]^-1, read off the enumeration's
         own index of simple-root images."""
-        if self._weyl_table is None:
-            elements = self._weyl_cache if self._weyl_cache is not None else self.weyl_elements()
-            r = self.ss_rank
-            # the simple-root images of W[k]^-1 are the preimages of the simple roots
-            inverse = [self._weyl_index[tuple(map(w.root_permutation.index, range(r)))]
-                       for w in elements]
-            self._weyl_table = (self._weyl_left, inverse)
-        return self._weyl_table
+        elements = self.weyl_elements()
+        r = self.ss_rank
+        # the simple-root images of W[k]^-1 are the preimages of the simple roots
+        inverse = [self._weyl_index[tuple(map(w.root_permutation.index, range(r)))]
+                   for w in elements]
+        return self._weyl_left, inverse
 
     def identity_element(self) -> "WeylElement":
         if self._identity is None:

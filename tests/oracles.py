@@ -32,8 +32,11 @@ controls are `AdjustedLattice` copies, a `JLattice` with lowered or raised
 thresholds. A lattice piece is also rebuilt from its definition in the
 dense coordinates of its slot, the slot found by scanning every generator,
 as membership and slots were computed before a piece kept its pure
-monomials apart from its extra lines. Responses are checked against the
-shipped schemas by `jsonschema` itself.
+monomials apart from its extra lines. `pair_lines` pairs the dual with the
+bracket of two lines as break forms were paired before they were read off
+each row's functional: bracket by bracket, each bracket monomial looked up
+in the dual, optionally cut to a band's exponents. Responses are checked
+against the shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
 stored integer numerators over one denominator: a tuple of `Fraction`s per
@@ -761,11 +764,27 @@ def bracket_closure_on_window(lattice, lo: int, hi: int) -> list[tuple]:
     return out
 
 
+def pair_lines(real, u: dict, v: dict, exponents=None):
+    """<dual, [u, v]> for two lines given as monomial -> coefficient maps,
+    bracket by bracket: each pair of monomials is bracketed, and each
+    monomial of the bracket is paired with the dual's entry at its exponent,
+    when `exponents` is None or holds that exponent."""
+    total = 0
+    for mu, cu in u.items():
+        for mv, cv in v.items():
+            for (gen, n), c in real.bracket_monomials(mu, mv).items():
+                val = real.dual.get(n, {}).get(gen, 0) \
+                    if exponents is None or n in exponents else 0
+                if val:
+                    total = total + cu * cv * c * val
+    return total
+
+
 def psi_on_window(lattice, lo: int, hi: int) -> bool:
     """Whether the datum's dual kills the bracket of every two window basis vectors."""
     real = lattice.real
     basis = window_basis(lattice, lo, hi)
-    return not any(real.pair_lines(basis[a], basis[b])
+    return not any(pair_lines(real, basis[a], basis[b])
                    for a in range(len(basis)) for b in range(a, len(basis)))
 
 

@@ -22,8 +22,8 @@ from polarium.yuseq import YuLadder, extract
 
 from .oracles import (AdjustedLattice, LaurentMatrix, bracket_closure_on_window, cyclo_rank,
                       cyclo_value, eigen_regular_check, in_span_by_rref, matrix_positions,
-                      monomials_by_scan, piece_by_definition, piece_vectors, psi_on_window,
-                      span_contains, window_basis, with_adjust)
+                      monomials_by_scan, pair_lines, piece_by_definition, piece_vectors,
+                      psi_on_window, span_contains, window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -62,6 +62,26 @@ def as_laurent(real, coords):
             mat[idx][idx] += c
             mat[idx + 1][idx + 1] -= c
     return LaurentMatrix(n, terms)
+
+
+def shift_dual(n):
+    """X^(n-1) t^-1 as a Laurent matrix, X = N + t E(n,1) the cyclic shift:
+    the trace dual of the epipelagic tail."""
+    shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+    x = LaurentMatrix(n, {0: shift, 1: corner})
+    power = x
+    for _ in range(n - 2):
+        power = power.mul(x)
+    return LaurentMatrix(n, {p - 1: m for p, m in power.terms.items()})
+
+
+def sl3_two_break_dual():
+    """diag(2, -1, -1) t^-2 + diag(0, 1, -1) t^-1, the dual of `sl3_two_break`."""
+    return LaurentMatrix(3, {
+        -2: [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
+        -1: [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+    })
 
 
 def nonzero_terms(lm):
@@ -345,19 +365,9 @@ def test_psi_oracle_sl3_epipelagic(a2, a3):
     }))]
     for rd, n in ((a3, 4), (build("A4"), 5)):
         d = epipelagic_datum(rd, n)
-        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
-        corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
-        x = LaurentMatrix(n, {0: shift, 1: corner})
-        power = x
-        for _ in range(n - 2):
-            power = power.mul(x)
-        dual = LaurentMatrix(n, {p - 1: m for p, m in power.terms.items()})
-        cases.append((Realization(d, extract(d)), dual))
+        cases.append((Realization(d, extract(d)), shift_dual(n)))
     d, ladder = sl3_two_break(a2)
-    cases.append((Realization(d, ladder, rho_over(a2, 2)), LaurentMatrix(3, {
-        -2: [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
-        -1: [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
-    })))
+    cases.append((Realization(d, ladder, rho_over(a2, 2)), sl3_two_break_dual()))
     for real, dual in cases:
         for gen in real.generators():
             for n in (-1, 0, 1, 2):
@@ -658,13 +668,15 @@ def test_membership_matches_dense_reference(a1, a2):
 
 
 def recorded_blocks(monkeypatch):
-    """Each pairing block moveability_check builds, with its rows and columns."""
+    """Each pairing block built while recording, break forms included, with
+    its rows, columns and the exponents the dual is cut to (None for a
+    moveability block)."""
     blocks = []
     block = looplie._pairing_block
 
-    def recording(real, rows, cols):
-        matrix = block(real, rows, cols)
-        blocks.append((real, rows, cols, matrix))
+    def recording(real, rows, cols, exponents=None):
+        matrix = block(real, rows, cols, exponents)
+        blocks.append((real, rows, cols, exponents, matrix))
         return matrix
 
     monkeypatch.setattr(looplie, "_pairing_block", recording)
@@ -673,7 +685,9 @@ def recorded_blocks(monkeypatch):
 
 def test_pairing_block_matches_pair_lines(a1, a2, monkeypatch):
     # every block of every benchmark and golden moveability request, J and K,
-    # split, twisted and cyclotomic, equals <lambda, [x, phi]> entry by entry
+    # split, twisted and cyclotomic, and every break form those requests
+    # build, equals <lambda, [x, phi]> entry by entry, with the dual cut to
+    # the band's exponents for a break form
     blocks = recorded_blocks(monkeypatch)
     cli = harness.import_cli()
     requests = [(req.command, req.text) for req in workloads.lattice_universe().values()
@@ -688,11 +702,48 @@ def test_pairing_block_matches_pair_lines(a1, a2, monkeypatch):
             moveability_check(d, ladder, x, variant=variant)
     assert any(real.twisted for real, *_ in blocks)
     assert any(isinstance(v, CycloNumber) for *_, m in blocks for row in m for v in row)
-    for real, rows, cols, matrix in blocks:
-        reference = [[real.pair_lines(x, phi) for phi in cols] for x in rows]
+    assert any(exponents is not None and not real.twisted and any(map(any, matrix))
+               for real, _rows, _cols, exponents, matrix in blocks)
+    for real, rows, cols, exponents, matrix in blocks:
+        reference = [[pair_lines(real, x, phi, exponents) for phi in cols] for x in rows]
         assert all(not (a - b) for got, ref in zip(matrix, reference)
                    for a, b in zip(got, ref)), real.datum
         assert [len(row) for row in matrix] == [len(cols)] * len(rows)
+
+
+def test_dual_partners_match_a_scan_of_every_generator(a2, a3):
+    # the partners of a generator g, read off the weights and the bracket,
+    # are the nonzero <dual, [g, G t^e]> over every generator G and dual key
+    # e, in that order, on split, twisted and cyclotomic data; on rational
+    # data each value is also the matrix commutator paired with the dual
+    d, ladder = sl3_two_break(a2)
+    epi = epipelagic_datum(a3, 4)
+    mixed = json.loads((GOLDENS / "moveability_mixed_conductor_request.json").read_text())
+    cyclotomic = jsonio.datum_from_json(mixed["datum"])
+    cases = [(Realization(d, ladder, rho_over(a2, 2)), sl3_two_break_dual()),
+             (Realization(epi, extract(epi)), shift_dual(4)),
+             (Realization(cyclotomic, extract(cyclotomic),
+                          jsonio.parse_coweight(cyclotomic.rd, mixed["x"])), None)]
+    kinds = set()
+    for real, dual in cases:
+        gens = real.generators()
+        for g in gens:
+            got = list(real._dual_partners(g))
+            scan = [(e, G, val) for e in real.dual for G in gens
+                    if (val := pair_lines(real, {(g, 0): 1}, {(G, e): 1}))]
+            assert got == scan, (real.datum, g)
+            kinds |= {(real.twisted, g[0], G[0]) for _e, G, _val in got}
+            if dual is None:
+                continue
+            lg = as_laurent(real, {(g, 0): 1})
+            matrices = [(e, G, lg.commutator(as_laurent(real, {(G, e): 1})).residue_pair(dual))
+                        for e in real.dual for G in gens]
+            assert got == [(e, G, val) for e, G, val in matrices if val], (real.datum, g)
+    assert any(isinstance(val, CycloNumber)
+               for vals in cases[-1][0].dual.values() for val in vals.values())
+    # split roots meet the h_k of the dual; twisted roots meet roots and, at
+    # zero weight difference, the h_k
+    assert {(False, "r", "r"), (True, "r", "r"), (True, "r", "h"), (True, "h", "r")} <= kinds
 
 
 def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
