@@ -17,7 +17,7 @@ from .cyclo import _normalized, _reduce, euler_phi, sqrt_cyclo
 from .errors import InvalidArgumentError, NoSqrtInBaseField, PrecisionError
 from .polar import classify
 from .rootdata import build
-from .tails import LaurentWindow, Tail, check_exponent
+from .tails import LaurentWindow, Tail
 from .tori import TorusClass, split_torus_class
 
 
@@ -113,13 +113,16 @@ def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
 
     Each kept term is 2c for a nonzero window coefficient c, a covector of
     the rank-1 datum, so the tail is built without a second check. Only an
-    exponent's denominator is checked: from a wire window with den > 1, a
-    term can land at a denominator that does not divide the period m."""
+    exponent is checked: the split torus (m = 1) carries terms in Z and the
+    ramified one (m = 2) in 1/2 + Z, the exponents of denominator m, and
+    from a wire window with den > 1 a term can land elsewhere."""
     terms = {}
     for p, c in b.terms.items():
         q = -(p + 1)
         if q >= 0:
-            check_exponent(q, m)
+            if q.denominator != m:
+                torus = "split torus (Z)" if m == 1 else "ramified torus (1/2 + Z)"
+                raise InvalidArgumentError(f"lifted term at exponent {q} is off the {torus}")
             terms[q] = (2 * c,)
     return Tail._derived(_a1(), m, terms)
 
@@ -186,7 +189,11 @@ def verify_sl2(grid: list[LaurentWindow] | None = None) -> dict:
     violations = []
     for k, a in enumerate(grid):
         counts[sl2_stratum(a).kind] += 1
-        if not sl2_crosscheck(a):
+        try:
+            agreed = sl2_crosscheck(a)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"grid window {k}: {exc}") from None
+        if not agreed:
             violations.append({"point": k, "kind": "crosscheck"})
     return {"points": len(grid), "stratum_counts": counts, "violations": violations}
 

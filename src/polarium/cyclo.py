@@ -35,8 +35,6 @@ from .errors import (ArithmeticDomainError, FieldExtensionRequired,
 
 Coeffs = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-
 
 def _factor(n: int) -> list[tuple[int, int]]:
     """The prime factorization of n >= 1 as (p, e) pairs, p ascending, by
@@ -249,7 +247,7 @@ class CycloNumber:
         reduced, pivots = rref(aug)
         if phi1 in pivots:
             return None
-        sol = [_ZERO] * phi1
+        sol = [0] * phi1
         for i, col in enumerate(pivots):
             sol[col] = reduced[i][phi1]
         candidate = CycloNumber(L1, sol)

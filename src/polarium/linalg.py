@@ -10,21 +10,21 @@ Gaussian elimination, with two paths chosen by the entries:
   the cofactors of the gcd of their entries in the pivot column and divides
   the result by its content again: fraction-free elimination as in Bareiss
   (Math. Comp. 22, 1968), with the content for the exact divisor in place of
-  the previous pivot. `Fraction`s are built at the end, only for the rows
-  `rref` returns. `rank` and `independent` need only the pivot columns: they read
-  them off a forward integer pass and build no `Fraction`.
+  the previous pivot. A returned entry is `v // p` where the pivot p
+  divides it and `Fraction(v, p)` otherwise. `rank` and `independent` need
+  only the pivot columns, read off a forward integer pass.
 - Any other matrix (some entry is a `CycloNumber`) takes the field path:
   an `int` entry enters as its `Fraction`, zero tests use truthiness, a
   pivot's reciprocal is `1 / p`, and every result keeps the conductor the
   field arithmetic gives it.
 
 A rational matrix has one reduced row echelon form and one set of pivot
-columns, so both paths return the same values; an `int` entry gives what
-its `Fraction` gives, the same values and types and never a float. Sizes
-run from a few entries (a cyclotomic retraction) to the moveability blocks
-of a split A16 lattice, 272 rows. The helpers built on `rref` follow the
-same convention: a rational value they create (a kernel vector's free
-coordinate) is a `Fraction`, the conductor-1 form of the field.
+columns, so both paths return the same values, never a float, and an `int`
+entry gives what its `Fraction` gives. The rational path returns an `int`
+exactly where a value is integral, the field path keeps `Fraction`s, and a
+zero row or a kernel vector's free coordinate is the int 0 or 1. Sizes run
+from a few entries (a cyclotomic retraction) to the moveability blocks of
+a split A16 lattice, 272 rows.
 
 Span membership is split in two: `rref` reduces a spanning set once, and
 `in_span` reduces each target against its rows and pivots by one
@@ -54,9 +54,6 @@ from .cyclo import CycloNumber, _normalized, euler_phi
 
 Vector = tuple  # of ints, Fractions and CycloNumbers
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def dot_int(ints, u: tuple[CycloNumber, ...]) -> CycloNumber:
     """Pair an integer vector with a CycloNumber covector.
@@ -83,15 +80,17 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Entries are ints, Fractions or CycloNumbers; an int reads as its
-    Fraction.
+    Fraction. On a rational matrix an integral result is an int.
     """
     if not _is_rational(rows):
         return _rref_field(rows)
     ints = [_integer_row(row) for row in rows]
     pivots = _echelon(ints, reduce=True)
-    out = [[Fraction(v, row[col]) if v else _ZERO for v in row]
-           for row, col in zip(ints, pivots)]
-    out += [[_ZERO] * len(row) for row in ints[len(pivots):]]
+    out = []
+    for row, col in zip(ints, pivots):
+        p = row[col]
+        out.append([v // p if not v % p else Fraction(v, p) for v in row])
+    out += [[0] * len(row) for row in ints[len(pivots):]]
     return out, pivots
 
 
@@ -181,15 +180,15 @@ def rank(rows: list[list]) -> int:
 def nullspace(rows: list[list], ncols: int) -> list[Vector]:
     """Deterministic basis of the right kernel of the matrix.
 
-    Free coordinates are `Fraction` 0 and 1; pivot coordinates come from the
+    Free coordinates are the ints 0 and 1; pivot coordinates come from the
     reduced matrix, at its entries' conductors.
     """
     reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [_ZERO] * ncols
-        vec[fc] = _ONE
+        vec = [0] * ncols
+        vec[fc] = 1
         for i, pc in enumerate(pivots):
             vec[pc] = -reduced[i][fc]
         basis.append(tuple(vec))

@@ -19,16 +19,18 @@ The field is generic. Structure constants are integers (Carter, Simple
 Groups of Lie Type, 4.2), and so are the unit, Levi and Cartan lines and
 the twisted dual: each is a plain `int`, and so is every value computed from
 ints alone. A `Fraction` enters only where a split tail coefficient, a
-kernel vector coordinate or a Lagrangian scale is not an integer (an
-integral one is read as its int); a `CycloNumber` enters only through a
-split dual whose covector has an entry of conductor > 1, and then every
-entry of that covector is lifted to their lcm conductor. The invariant: a
-value is an `int` or a `Fraction` exactly where a conductor-1 value stands,
-and every other value has the conductor of the operands it came from, since
-mixed arithmetic reads an `int` or a `Fraction` at conductor 1. Zero tests
-use truthiness, and the one inverse, a Lagrangian scale, is
-`Fraction(1) / x`, so that no int divides to a float. Coefficients are
-printed as `CycloNumber`s, an `int` or a `Fraction` at conductor 1.
+kernel vector coordinate or a Lagrangian scale is not an integer: the
+rational path of `linalg` returns a kernel coordinate as an `int` where
+integral, and an integral coefficient or scale is read as its int. A
+`CycloNumber` enters only through a split dual whose covector has an entry
+of conductor > 1, and then every entry of that covector is lifted to their
+lcm conductor. The invariant: a value is an `int` or a `Fraction` exactly
+where a conductor-1 value stands, and every other value has the conductor
+of the operands it came from, since mixed arithmetic reads an `int` or a
+`Fraction` at conductor 1. Zero tests use truthiness, and the one inverse,
+a Lagrangian scale, is `Fraction(1) / x`, so that no int divides to a
+float. Coefficients are printed as `CycloNumber`s, an `int` or a
+`Fraction` at conductor 1.
 
 The lattice core is one for both presentations. It asks a `Realization` for
 four things: generator levels (`level_of_gen`), the Levi lines at a degree
@@ -51,10 +53,10 @@ parts.
 The lattice layer works on the structure a piece already has. A slot, the
 monomials of one degree, is read in closed form: the generators are bucketed
 once by the fractional part of their height. A piece is its pure monomials
-(G t^n with n at or above the threshold of G) plus a few extra lines, the
-twisted Cartan line at a degree >= 0 and the break Lagrangians, reduced once
-on the coordinates outside the pure monomials; a line lies in the piece
-exactly when what is left of it there lies in the span of those rows. A
+(G t^n with n at or above the threshold of G) plus its reduced rows, one
+`rref` of the twisted Cartan line at a degree >= 0 and the break
+Lagrangians on the other coordinates; a line lies in the piece exactly
+when what is left of it there lies in the span of those rows. A
 break form and a moveability block are one computation: row x meets the
 columns through its functional <lambda, [x, .]>, with lambda cut to the
 band's exponents for a break form. The functional sums the partners of each
@@ -361,8 +363,8 @@ class JLattice:
         self.half_depths = list(real.ladder.half_depths)
         self._thresholds = {gen: self._base_threshold(gen) for gen in real.generators()}
         self.break_pieces: list[dict] = []
-        # degree -> (monomials, pure monomials, extra lines, the monomials
-        # outside the pure ones, the extra lines reduced on them, their pivots)
+        # degree -> (monomials, pure monomials, the monomials outside the
+        # pure ones, the extra lines reduced on them, their pivots)
         self._pieces: dict[Fraction, tuple] = {}
         self._brackets: list[tuple[dict, dict, dict]] | None = None
         if kind == "J":
@@ -388,7 +390,7 @@ class JLattice:
         for j in range(1, len(real.ladder.levels)):
             s = self.half_depths[j - 1]
             piece = v_piece_at_degree(real, j, s)
-            if not piece["vectors"]:
+            if not piece:
                 continue
             form = symplectic_form_on_piece(real, j, piece)
             vectors = [_coords_to_map(piece, coords) for coords in lagrangian(form)]
@@ -396,16 +398,12 @@ class JLattice:
 
     def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], frozenset, tuple]:
         """The monomials of the ambient graded slot, the pure ones among them
-        and the extra lattice lines, which together span the piece.
-
-        The extra lines are the twisted Cartan line at a degree >= 0 and the
-        break Lagrangian lines. A line inside the span of the pure monomials
-        and the lines before it (a Lagrangian line next to its own pure
-        monomial, say) is dropped. Each degree is computed once per lattice,
-        together with the extra lines reduced on the coordinates outside the
-        pure monomials, which membership tests read.
-        """
-        return self._piece(deg)[:3]
+        and the piece's reduced rows as lines on the other monomials, which
+        together span the piece. The rows reduce the twisted Cartan line at
+        a degree >= 0 and the break Lagrangian lines on those monomials,
+        once per lattice and degree."""
+        monos, pure, rest, rows, _pivots = self._piece(deg)
+        return monos, pure, tuple(_coords_to_line(rest, row) for row in rows)
 
     def _piece(self, deg: Fraction) -> tuple:
         piece = self._pieces.get(deg)
@@ -422,17 +420,15 @@ class JLattice:
         lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
         lines += [line for rec in self.break_pieces if rec["degree"] == deg
                   for line in rec["lagrangian"]]
-        # a pure monomial is a unit row, so only the coordinates outside them count
-        reduced = [tuple(line.get(m, _ZERO) for m in rest) for line in lines]
-        kept = independent(reduced)
-        rows, pivots = rref([reduced[k] for k in kept])
-        return monos, pure, tuple(lines[k] for k in kept), rest, rows[:len(pivots)], pivots
+        # a pure monomial is a unit row, so only the other coordinates count
+        rows, pivots = rref([[line.get(m, _ZERO) for m in rest] for line in lines])
+        return monos, pure, rest, rows[:len(pivots)], pivots
 
     def contains_line(self, line: dict) -> bool:
         """Whether a nonzero homogeneous line lies in the lattice: what is
         left of it outside the pure monomials lies in the span of the
         reduced extra lines."""
-        _monos, _pure, _lines, rest, rows, pivots = self._piece(
+        _monos, _pure, rest, rows, pivots = self._piece(
             self.real.degree(next(iter(line))))
         return in_span(rows, tuple(line.get(m, _ZERO) for m in rest), pivots)
 
@@ -492,12 +488,12 @@ def _integral(c):
 
 
 def _coords_to_line(monos, vec) -> dict:
-    return {monos[i]: _integral(c) for i, c in enumerate(vec) if c}
+    return {monos[i]: c for i, c in enumerate(vec) if c}
 
 
-def _coords_to_map(piece: dict, coords) -> dict:
+def _coords_to_map(vectors: list[dict], coords) -> dict:
     out = {}
-    for basis_line, c in zip(piece["vectors"], coords):
+    for basis_line, c in zip(vectors, coords):
         if not c:
             continue
         for mono, val in basis_line.items():
@@ -509,7 +505,7 @@ def _coords_to_map(piece: dict, coords) -> dict:
 # -- complements and symplectic forms ------------------------------------
 
 
-def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
+def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> list[dict]:
     """Basis of the level-j complement directions at a fixed degree.
 
     The level-j monomials of the slot, cut to the kernel of the residue-trace
@@ -533,18 +529,17 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> dict:
         raise InternalInvariantViolation(
             f"complement dimension {len(vectors)} != expected {expected} at degree {deg}"
         )
-    return {"monomials": monos, "vectors": vectors, "degree": deg}
+    return vectors
 
 
-def symplectic_form_on_piece(real: Realization, j: int, piece: dict) -> list[list[Scalar]]:
+def symplectic_form_on_piece(real: Realization, j: int, piece: list[dict]) -> list[list[Scalar]]:
     """The break form <lambda_j, [u, v]> on the piece, with lambda_j the dual
     cut to the band's exponents: row u is u's functional, as in a moveability
     block. On twisted data the band's exponents are fractions and the dual's
     keys integers, so the cut keeps no key and the form is zero."""
-    vectors = piece["vectors"]
     exponents = set(real.ladder.components[j - 1].support())
-    form = _pairing_block(real, vectors, vectors, exponents)
-    k = len(vectors)
+    form = _pairing_block(real, piece, piece, exponents)
+    k = len(piece)
     for a in range(k):
         if form[a][a]:
             raise InternalInvariantViolation("symplectic form has nonzero diagonal")

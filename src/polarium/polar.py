@@ -45,7 +45,7 @@ class PolarDatum:
             raise InvalidArgumentError("levi subset is not rationally closed")
         if not stable_under(rd, self.torus.w, self.levi):
             raise InvalidArgumentError("levi subset not stable under the twisting element")
-        if not is_equivariant(self.lam, self.torus.w, self.torus.m):
+        if not is_equivariant(self.lam, self.torus.w):
             raise InvalidArgumentError("tail violates the torus equivariance condition")
         for idx, depth in enumerate(self.lam.coroot_depths()):
             empty = depth is None
@@ -75,7 +75,7 @@ def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
     The levi subset is read off from vanishing coroot pairings; rational
     closedness and stability are asserted as hard errors.
     """
-    if not is_equivariant(lam, tc.w, tc.m):
+    if not is_equivariant(lam, tc.w):
         raise InvalidArgumentError("tail is not equivariant for the torus class")
     rd = tc.rd
     levi = frozenset(idx for idx, d in enumerate(lam.coroot_depths()) if d is None)

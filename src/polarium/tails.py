@@ -227,21 +227,20 @@ def _grid(c: Covector, L: int, D: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*([n * (D // x.den) for n in x.lift(L).nums] for x in c)))
 
 
-def is_equivariant(tail: Tail, w: WeylElement, m: int) -> bool:
-    """Fixed-point condition for the torus presented by (w, m): w sends each
-    term q = a/d in lowest terms to zeta_d^a times itself. That twist does
-    not depend on the period m.
+def is_equivariant(tail: Tail, w: WeylElement) -> bool:
+    """Fixed-point condition for a torus twisted by w: w sends each term
+    q = a/d in lowest terms to zeta_d^a times itself. That twist does not
+    depend on the torus's period.
 
-    The verdict, False included, is kept on the tail per (w.root_permutation,
-    m), as its coroot depths are, so a tail is acted on once per torus.
+    The verdict, False included, is kept on the tail per w.root_permutation,
+    as its coroot depths are, so a tail is acted on once per Weyl element.
     """
     if tail._equivariant is None:
         tail._equivariant = {}
-    key = (w.root_permutation, m)
-    verdict = tail._equivariant.get(key)
+    verdict = tail._equivariant.get(w.root_permutation)
     if verdict is None:
         twist = tail.expected_twist()  # refuses an oversized conductor before other work
-        verdict = tail._equivariant[key] = tail.weyl_act(w) == twist
+        verdict = tail._equivariant[w.root_permutation] = tail.weyl_act(w) == twist
     return verdict
 
 

@@ -705,25 +705,31 @@ def dense(line: dict, monos) -> list:
 def piece_vectors(lattice, deg) -> tuple[tuple, list]:
     """The slot and the piece's independent vectors in slot coordinates, read
     off `piece_at_degree`: a unit vector per pure monomial, in slot order,
-    then each extra line."""
+    then each reduced row."""
     monos, pure, lines = lattice.piece_at_degree(deg)
     units = [dense({m: Fraction(1)}, monos) for m in monos if m in pure]
     return monos, units + [dense(line, monos) for line in lines]
 
 
+def extra_lines(lattice, deg) -> list:
+    """The piece's lines besides its pure monomials, by definition: the
+    Cartan line at a twisted degree >= 0 and the Lagrangian lines at a break
+    degree."""
+    real = lattice.real
+    lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
+    return lines + [line for rec in lattice.break_pieces if rec["degree"] == deg
+                    for line in rec["lagrangian"]]
+
+
 def piece_by_definition(lattice, deg) -> tuple[list, list]:
     """The slot by the generator scan and a spanning set of the piece built
     from its definition, in slot coordinates: a unit vector per monomial at
-    or above its threshold, the Cartan line at a twisted degree >= 0 and the
-    Lagrangian lines at a break degree."""
-    real = lattice.real
-    monos = monomials_by_scan(real, deg)
+    or above its threshold, then the extra lines."""
+    monos = monomials_by_scan(lattice.real, deg)
     vectors = [dense({(gen, n): Fraction(1)}, monos) for gen, n in monos
                if n >= lattice.threshold(gen)]
-    lines = real.m_lines_at_degree(deg) if real.twisted and deg >= 0 else []
-    lines += [line for rec in lattice.break_pieces if rec["degree"] == deg
-              for line in rec["lagrangian"]]
-    vectors += [dense(line, monos) for line in lines if all(m in monos for m in line)]
+    vectors += [dense(line, monos) for line in extra_lines(lattice, deg)
+                if all(m in monos for m in line)]
     return monos, vectors
 
 

@@ -172,7 +172,7 @@ def test_criterion_8_symplectic_forms():
             real = Realization(d, ladder, x)
             for j in range(1, len(ladder.levels)):
                 piece = v_piece_at_degree(real, j, ladder.half_depths[j - 1])
-                if not piece["vectors"]:
+                if not piece:
                     continue
                 found_any = True
                 form = symplectic_form_on_piece(real, j, piece)

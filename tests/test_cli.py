@@ -755,6 +755,35 @@ def test_verify_sl2_window_bound(capsys, monkeypatch):
         assert f"bound {tails.WINDOW_STEPS_BOUND}" in error["message"]
 
 
+def test_verify_sl2_refuses_a_lift_the_torus_cannot_carry(capsys):
+    # a window with den > 1 can lift to a term off Z on the split torus or
+    # off 1/2 + Z on the ramified one; the request is refused before the
+    # tail is classified, naming the window and the exponent, and a den-2
+    # window whose lift stays on Z is answered with the bytes it had before
+    def window(den, *qs):
+        return {"lo": qs[0], "hi": "1", "den": den, "terms": [{"q": q, "coeff": "1"} for q in qs]}
+
+    def verify(*grid):
+        return run_main(capsys, "verify-sl2", "--input", json.dumps({"grid": list(grid)}))
+
+    answered = window(2, "-4", "-3")
+    status, out = verify(answered)
+    assert (status, out) == (0, '{"points":1,"stratum_counts":{"G-zero":0,"nonsplit-toral":0,'
+                                '"split-toral":1},"violations":[]}\n')
+    refused = ((window(4, "-3", "-11/4"), "1/4", "ramified torus"),
+               (window(2, "-3", "-5/2"), "0", "ramified torus"),
+               (window(2, "-4", "-7/2"), "1/2", "split torus"))
+    for bad, exponent, torus in refused:
+        for grid, k in (([bad], 0), ([answered, bad], 1)):
+            status, out = verify(*grid)
+            error = json.loads(out)["error"]
+            assert status == 1 and error["code"] == "invalid-argument", out
+            message = error["message"]
+            assert message.startswith(f"grid window {k}: "), message
+            assert f"exponent {exponent} " in message and torus in message, message
+            assert "m=" not in message and "equivariant" not in message, message
+
+
 def test_verify_sl2_grid_bound(capsys, monkeypatch):
     # the square root costs about n^2 on a window of n steps, so a grid's
     # squared step counts share the budget of one window at the bound; the

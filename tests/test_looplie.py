@@ -20,10 +20,11 @@ from polarium.tails import Tail
 from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import (AdjustedLattice, LaurentMatrix, bracket_closure_on_window, cyclo_rank,
-                      cyclo_value, eigen_regular_check, in_span_by_rref, matrix_positions,
-                      monomials_by_scan, pair_lines, piece_by_definition, piece_vectors,
-                      psi_on_window, span_contains, window_basis, with_adjust)
+from .oracles import (AdjustedLattice, LaurentMatrix, as_field, bracket_closure_on_window,
+                      cyclo_rank, cyclo_value, dense, eigen_regular_check, extra_lines,
+                      in_span_by_rref, matrix_positions, monomials_by_scan, pair_lines,
+                      piece_by_definition, piece_vectors, psi_on_window, ref_rref,
+                      span_contains, window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -172,7 +173,7 @@ def test_symplectic_sl2_matches_residue_oracle(a1):
     real = Realization(d, ladder, rho_over(a1, 2))
     piece = v_piece_at_degree(real, 1, ladder.half_depths[0])
     form = symplectic_form_on_piece(real, 1, piece)
-    assert piece["monomials"] == [(("r", 0), 0), (("r", 1), 1)]
+    assert piece == [{(("r", 0), 0): 1}, {(("r", 1), 1): 1}]
     # independent residue-trace oracle
     dual = LaurentMatrix(2, {-1: [[F(1, 2), 0], [0, F(-1, 2)]]})
     e = LaurentMatrix.monomial(2, 0, 1, 0)
@@ -187,7 +188,7 @@ def test_symplectic_sl2_matches_residue_oracle(a1):
 def test_symplectic_no_break_precondition(a1):
     d, ladder = sl2_depth_one(a1)
     real = Realization(d, ladder, (F(0),))  # integral grading: piece is zero
-    assert v_piece_at_degree(real, 1, ladder.half_depths[0])["vectors"] == []
+    assert v_piece_at_degree(real, 1, ladder.half_depths[0]) == []
 
 
 def test_symplectic_sl3_both_breaks(a2):
@@ -225,9 +226,9 @@ def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
                 deg = F(k, n) + e
                 piece = v_piece_at_degree(real, 1, deg)
                 monos = real.monomials_at_degree(deg)
-                assert piece["monomials"] == monos
-                assert len(piece["vectors"]) == len(monos) - 1
-                for vec in piece["vectors"]:
+                assert all(set(vec) <= set(monos) for vec in piece)
+                assert len(piece) == len(monos) - 1
+                for vec in piece:
                     lm = as_laurent(real, {m: cyclo_value(c).as_rational()
                                            for m, c in vec.items()})
                     assert all(lm.residue_pair(dual) == 0 for dual in cartan), (n, deg)
@@ -665,6 +666,38 @@ def test_membership_matches_dense_reference(a1, a2):
                 assert got == expected(piece, line), (J.real.datum, line)
                 needs_extra += got and any(n < C.threshold(gen) for gen, n in line)
     assert needs_extra
+
+
+def test_piece_rows_are_the_reduced_extra_lines(a1, a2):
+    # each piece's reduced rows and pivots are the reference rref of the
+    # extra lines of its definition cut to the monomials below their
+    # thresholds, and `piece_at_degree` hands out those rows as lines on
+    # them; on the goldens, the answered benchmark lattices and their
+    # corrupted copies, at each slot degree of t^n, -3 <= n <= 4, and at each
+    # break degree. Some piece has two rows, and some twisted piece a row
+    # from its Cartan line
+    intact = golden_lattices(a1, a2) + list(answered_universe_lattices().values())
+    intact += [lattice_from_request(GOLDENS / name)
+               for name in ("jlattice_request.json", "jlattice_mixed_conductor_request.json")]
+    most_rows, cartan_rows = 0, 0
+    for J in intact:
+        real = J.real
+        degrees = {real.degree((gen, n)) for gen in real.generators() for n in range(-3, 5)}
+        degrees |= {rec["degree"] for rec in J.break_pieces}
+        for C in [J] + adjusted_copies(J):
+            for deg in sorted(degrees):
+                rest = [(gen, n) for gen, n in monomials_by_scan(real, deg)
+                        if n < C.threshold(gen)]
+                lines = extra_lines(C, deg)
+                reduced, pivots = ref_rref([[as_field(line.get(m, 0)) for m in rest]
+                                            for line in lines])
+                *_, got_rest, rows, got_pivots = C._piece(deg)
+                assert (list(got_rest), rows, got_pivots) == \
+                    (rest, reduced[:len(pivots)], pivots), (real.datum, deg)
+                assert [dense(line, rest) for line in C.piece_at_degree(deg)[2]] == rows
+                most_rows = max(most_rows, len(rows))
+                cartan_rows += real.twisted and bool(rows)
+    assert most_rows >= 2 and cartan_rows
 
 
 def recorded_blocks(monkeypatch):

@@ -360,11 +360,13 @@ def test_equivariance_verdict_memoised_per_torus(a2, monkeypatch):
 
     monkeypatch.setattr(Tail, "weyl_act", counted)
     for _ in range(3):
-        assert is_equivariant(lam, coxeter.w, 3)
-        assert not is_equivariant(lam, split.w, 1)   # a False verdict is kept too
+        assert is_equivariant(lam, coxeter.w)
+        assert not is_equivariant(lam, split.w)   # a False verdict is kept too
     assert len(calls) == 2
-    # another m with the same w, and another w with the same m, are computed anew
-    assert is_equivariant(lam, coxeter.w, 6)
-    assert not is_equivariant(lam, split.w, 3)
-    assert len(calls) == 4
-    assert [mat for _, mat in calls] == [coxeter.w.matrix, a2.identity_element().matrix] * 2
+    # the verdict is keyed by the Weyl element alone: another one is computed anew
+    reflection = next(tc for tc in list_torus_classes(a2) if tc.m == 2)
+    assert not is_equivariant(lam, reflection.w)
+    assert is_equivariant(lam, coxeter.w) and not is_equivariant(lam, reflection.w)
+    assert len(calls) == 3
+    assert [mat for _, mat in calls] == [coxeter.w.matrix, a2.identity_element().matrix,
+                                         reflection.w.matrix]

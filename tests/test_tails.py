@@ -75,7 +75,7 @@ def test_equivariance_rescaling(a2):
                         vec[k] = vec[k] + c * b[k]
                 terms[F(a, tc.m)] = tuple(vec)
             lam = Tail(a2, tc.m, terms)
-            assert is_equivariant(lam, tc.w, tc.m)
+            assert is_equivariant(lam, tc.w)
             acted = lam.weyl_act(tc.w)
             for q, cov in lam.terms.items():
                 z = zeta(tc.m, int(q * tc.m))
