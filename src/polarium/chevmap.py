@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import floor, lcm
 from typing import NamedTuple
 
 from .cyclo import _normalized, _reduce, euler_phi, sqrt_cyclo
-from .errors import InvalidArgumentError, NoSqrtInBaseField, PrecisionError
+from .errors import InvalidArgumentError, PolariumError, PrecisionError
 from .polar import classify
 from .rootdata import build
 from .tails import LaurentWindow, Tail
@@ -29,9 +29,10 @@ def _a1():
 def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     """Canonical square root on the guaranteed window.
 
-    The leading exponent must be even in the window lattice and the leading
-    coefficient a supported square (see sqrt_cyclo); the root's first nonzero
-    coefficient is positive, which pins the branch.
+    The leading coefficient must be a supported square (see sqrt_cyclo); the
+    root's first nonzero coefficient is positive, which pins the branch. The
+    root of a valuation v is at v/2 + k/den for the window's steps k, so an
+    odd v * den puts the root on the doubled lattice (1/(2 den))Z.
 
     With a = lead * (1 + u), the root is sqrt(lead) * s for s = sqrt(1 + u),
     whose coefficients obey 2 s_k = u_k - sum of s_p s_(k-p) over 0 < p < k.
@@ -45,8 +46,6 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     v = a.valuation()
     if v is None:
         raise PrecisionError("series is zero on its window; valuation unknown")
-    if (v * a.den) % 2 != 0:
-        raise NoSqrtInBaseField(f"odd leading valuation {v}")
     lead = a.coeff(v)
     s0 = sqrt_cyclo(lead)
     inv_lead = lead.inverse()
@@ -81,9 +80,10 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
             S[k] = nums
             terms[v / 2 + Fraction(k, a.den)] = s0 * _normalized(L, nums, 2 ** (2 * k - 1) * D ** k)
         scale *= 4 * D
-    # v * den is even and v < hi, so the bounds lie on the window lattice
-    # with lo < hi, and each exponent v/2 + k/den lies below a.hi - v/2
-    return LaurentWindow._derived(v / 2, a.hi - v / 2, terms, a.den)
+    # v < hi, so v/2 < a.hi - v/2, and both bounds and each exponent
+    # v/2 + k/den lie on the lattice of den, doubled when v * den is odd
+    den = a.den if v * a.den % 2 == 0 else 2 * a.den
+    return LaurentWindow._derived(v / 2, a.hi - v / 2, terms, den)
 
 
 class Sl2Stratum(NamedTuple):
@@ -133,27 +133,31 @@ def _nonsplit_class() -> TorusClass:
     return TorusClass(rd, s_alpha, 2)
 
 
-def sl2_crosscheck(a: LaurentWindow) -> bool:
-    """Lift through the characteristic map and compare with the closed form.
+def sl2_crosscheck(a: LaurentWindow) -> tuple[Sl2Stratum, bool]:
+    """The closed-form stratum of a, and whether the lift through the
+    characteristic map lands on it.
 
-    The lift solves -b^2 = a after t = tau^e: e = 1 and the split torus when
-    the valuation is even, e = 2 and the ramified torus when it is odd. It
-    classifies the resulting tail and matches stratum kind and index against
-    sl2_stratum.
+    The lift solves -b^2 = a: b has valuation v/2, on the split torus when
+    v is even and on the ramified one when it is odd. Only its principal
+    part reaches the tail (q >= 0 is an exponent <= -1 of b), and root step
+    k, at p - v/2, comes from the window's step k at p, so the root is taken
+    of -a cut just after its last step at or below max(v/2 - 1, v): every
+    principal step, and always the lead, whose square root may be refused.
     """
     table = sl2_stratum(a)
-    neg_a = a.neg()
-    v = neg_a.valuation()
-    lifted_kind, lifted_n = "G-zero", None
+    v = a.valuation()
+    lifted = Sl2Stratum("G-zero")
     if v is not None:
-        e = 1 if int(v) % 2 == 0 else 2
-        b = sqrt_series(neg_a.scale_exponents(e)).scale_exponents(Fraction(1, e))
-        tc = split_torus_class(_a1()) if e == 1 else _nonsplit_class()
-        datum = classify(tc, _tail_from_series(b, e))
+        hi = min(a.hi, Fraction(floor(max(v / 2 - 1, v) * a.den) + 1, a.den))
+        principal = {q: -c for q, c in a.terms.items() if q < hi}
+        m = 1 if v % 2 == 0 else 2
+        b = sqrt_series(LaurentWindow._derived(a.lo, hi, principal, a.den))
+        tc = split_torus_class(_a1()) if m == 1 else _nonsplit_class()
+        datum = classify(tc, _tail_from_series(b, m))
         if not datum.lam.is_zero():
-            lifted_kind = "split-toral" if e == 1 else "nonsplit-toral"
-            lifted_n = int(datum.lam.depth() + Fraction(1, e))
-    return (table.kind, table.n) == (lifted_kind, lifted_n)
+            lifted = Sl2Stratum("split-toral" if m == 1 else "nonsplit-toral",
+                                int(datum.lam.depth() + Fraction(1, m)))
+    return table, table == lifted
 
 
 # -- the default verification grid ---------------------------------------
@@ -183,16 +187,17 @@ def default_grid() -> list[LaurentWindow]:
 
 
 def verify_sl2(grid: list[LaurentWindow] | None = None) -> dict:
-    """Run the SL2 partition table and the cross-check over a grid."""
+    """Run the SL2 partition table and the cross-check over a grid; a
+    window's refusal is raised again in its class, naming the window."""
     grid = default_grid() if grid is None else grid
     counts = {"split-toral": 0, "nonsplit-toral": 0, "G-zero": 0}
     violations = []
     for k, a in enumerate(grid):
-        counts[sl2_stratum(a).kind] += 1
         try:
-            agreed = sl2_crosscheck(a)
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"grid window {k}: {exc}") from None
+            table, agreed = sl2_crosscheck(a)
+        except PolariumError as exc:
+            raise type(exc)(f"grid window {k}: {exc}") from None
+        counts[table.kind] += 1
         if not agreed:
             violations.append({"point": k, "kind": "crosscheck"})
     return {"points": len(grid), "stratum_counts": counts, "violations": violations}

@@ -30,12 +30,6 @@ class PrecisionError(PolariumError):
     code = "precision-error"
 
 
-class NoSqrtInBaseField(PolariumError):
-    """Odd valuation: the square root requires a ramified quadratic extension."""
-
-    code = "no-sqrt-in-F"
-
-
 class FieldExtensionRequired(PolariumError):
     """The leading coefficient has no square root in the working cyclotomic field."""
 

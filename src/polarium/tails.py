@@ -49,11 +49,13 @@ TWIST_PHI_BOUND = 400
 # phi(L)^2 per product and more per inverse. A `homogeneous` datum's
 # coefficients live at its regular number m, with phi(m) <= 16 up to rank 16.
 COEFF_PHI_BOUND = 24
-# A wire window runs the square root on 2 (hi - lo) den steps (an odd
-# valuation doubles them), and the recursion is quadratic in that count, so
-# a verify-sl2 grid may hold windows whose squared step counts sum to at most
-# this bound squared: one window of 256 steps, or many shorter ones. The
-# default grid's 265 windows have 12 steps each or fewer.
+# A wire window counts 2 (hi - lo) den steps, the steps of its square root
+# read at t = tau^2, and a verify-sl2 grid may hold windows whose squared
+# step counts sum to at most this bound squared: one window of 256 steps, or
+# many shorter ones. The recursion is quadratic in its steps, and the lift
+# runs it only on the window's principal steps (chevmap.sl2_crosscheck), at
+# most half of the count. The default grid's 265 windows count 12 steps each
+# or fewer.
 WINDOW_STEPS_BOUND = 256
 
 
@@ -289,20 +291,6 @@ class LaurentWindow:
     def valuation(self) -> Fraction | None:
         """Least exponent with a nonzero coefficient, None when zero on the window."""
         return min(self.terms) if self.terms else None
-
-    def neg(self) -> "LaurentWindow":
-        return LaurentWindow._derived(self.lo, self.hi,
-                                      {q: -c for q, c in self.terms.items()}, self.den)
-
-    def scale_exponents(self, r) -> "LaurentWindow":
-        """Substitute t -> t^(1/r) viewed on exponents: q maps to q*r, a
-        multiple of 1/(den * r.denominator) when q is one of 1/den."""
-        r = Fraction(r)
-        if r <= 0:
-            raise InvalidArgumentError("exponent scale must be positive")
-        return LaurentWindow._derived(self.lo * r, self.hi * r,
-                                      {q * r: c for q, c in self.terms.items()},
-                                      self.den * r.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentWindow):

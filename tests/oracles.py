@@ -35,7 +35,12 @@ as membership and slots were computed before a piece kept its pure
 monomials apart from its extra lines. `pair_lines` pairs the dual with the
 bracket of two lines as break forms were paired before they were read off
 each row's functional: bracket by bracket, each bracket monomial looked up
-in the dual, optionally cut to a band's exponents. Responses are checked
+in the dual, optionally cut to a band's exponents. `full_window_crosscheck`
+is the SL2 lift as it was before the square root was cut to the window's
+principal part: it negates the whole window, reads it at t = tau^e and
+scales the root back, then builds and classifies the tail with the
+package's own `_tail_from_series` and `classify`, so the two routes differ
+in the window the root is taken on alone. Responses are checked
 against the shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
@@ -54,13 +59,17 @@ from math import lcm
 import jsonschema
 import sympy
 
+from polarium.chevmap import (Sl2Stratum, _nonsplit_class, _tail_from_series, sl2_stratum,
+                              sqrt_series)
 from polarium.cyclo import CycloNumber
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError,
                              PrecisionError)
 from polarium.jsonio import schemas
 from polarium.looplie import JLattice
+from polarium.polar import classify
+from polarium.rootdata import build
 from polarium.tails import LaurentWindow, Tail
-from polarium.tori import TorusClass
+from polarium.tori import TorusClass, split_torus_class
 
 
 def closure_roots_from_cartan(cartan) -> set:
@@ -655,6 +664,40 @@ def window_product(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
             if lo <= q < hi:
                 terms[q] = terms.get(q, CycloNumber.zero()) + ca * cb
     return LaurentWindow(lo, hi, terms, lcm(a.den, b.den))
+
+
+def neg_window(a: LaurentWindow) -> LaurentWindow:
+    """-a on the window of a."""
+    return LaurentWindow(a.lo, a.hi, {q: -c for q, c in a.terms.items()}, a.den)
+
+
+def scale_window(a: LaurentWindow, r) -> LaurentWindow:
+    """a read at t = tau^r on exponents: q maps to q * r, a multiple of
+    1/(den * r.denominator) when q is one of 1/den."""
+    r = Fraction(r)
+    return LaurentWindow(a.lo * r, a.hi * r, {q * r: c for q, c in a.terms.items()},
+                         a.den * r.denominator)
+
+
+def full_window_crosscheck(a: LaurentWindow) -> tuple:
+    """`chevmap.sl2_crosscheck` with the square root taken over the whole
+    window, as it was before the lift kept the principal part alone: -a is
+    read at t = tau^e (e = 1 at an even valuation, 2 at an odd one), so its
+    valuation is even on the window lattice, and the root is read back at
+    tau = t^(1/e) before its tail is classified."""
+    table = sl2_stratum(a)
+    neg = neg_window(a)
+    v = neg.valuation()
+    lifted = Sl2Stratum("G-zero")
+    if v is not None:
+        e = 1 if v % 2 == 0 else 2
+        b = scale_window(sqrt_series(scale_window(neg, e)), Fraction(1, e))
+        tc = split_torus_class(build("A1")) if e == 1 else _nonsplit_class()
+        datum = classify(tc, _tail_from_series(b, e))
+        if not datum.lam.is_zero():
+            lifted = Sl2Stratum("split-toral" if e == 1 else "nonsplit-toral",
+                                int(datum.lam.depth() + Fraction(1, e)))
+    return table, table == lifted
 
 
 def charpoly_map(diag: list) -> list:

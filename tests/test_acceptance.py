@@ -85,7 +85,7 @@ def test_criterion_1_sl2_partition_table():
 def test_criterion_2_sl2_crosscheck():
     with criterion(2, "lift-and-classify route agrees with the closed form on the grid", 30.0):
         grid = default_grid()
-        agreed = sum(1 for point in grid if sl2_crosscheck(point))
+        agreed = sum(1 for point in grid if sl2_crosscheck(point)[1])
         assert agreed == len(grid)
 
 

@@ -1,23 +1,27 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from polarium.chevmap import (Sl2Stratum, default_grid, sl2_crosscheck,
                               sl2_stratum, sqrt_series, verify_sl2)
-from polarium.errors import (InvalidArgumentError, NoSqrtInBaseField,
-                             PrecisionError)
+from polarium.cyclo import CycloNumber, euler_phi, zeta
+from polarium.errors import (FieldExtensionRequired, InvalidArgumentError,
+                             PolariumError, PrecisionError)
 from polarium.tails import LaurentWindow
 
-from .oracles import charpoly_map, window_product
+from .oracles import (charpoly_map, full_window_crosscheck, neg_window,
+                      window_product)
 
 
 def test_charpoly_sl2_square():
     a = LaurentWindow(-2, 4, {F(-2): 1, F(0): 3})
-    out = charpoly_map([a, a.neg()])
+    out = charpoly_map([a, neg_window(a)])
     assert len(out) == 1
     e2 = out[0]
     # e2 = -a^2
-    expected = window_product(a, a).neg()
+    expected = neg_window(window_product(a, a))
     for q in expected.terms:
         assert e2.coeff(q) == expected.coeff(q)
 
@@ -60,17 +64,20 @@ def test_sqrt_examples():
         if q not in (F(-4), F(-3)):
             assert square.coeff(q) == 0
 
-    with pytest.raises(NoSqrtInBaseField):
-        sqrt_series(LaurentWindow(-3, 3, {F(-3): 1}))
+    # an odd valuation puts the root on the doubled lattice
+    a = LaurentWindow(-3, 3, {F(-3): 1, F(-2): 2})
+    s3 = sqrt_series(a)
+    assert (s3.lo, s3.hi, s3.den) == (F(-3, 2), F(9, 2), 2)
+    assert s3.coeff(F(-3, 2)) == 1 and s3.coeff(F(-1, 2)) == 1 and s3.coeff(F(1, 2)) == F(-1, 2)
+    assert window_product(s3, s3) == a
     with pytest.raises(PrecisionError):
         sqrt_series(LaurentWindow(0, 4, {}))
 
 
 def test_sqrt_squares_back_on_grid():
     for a in default_grid():
-        neg = a.neg()
-        v = neg.valuation()
-        if v is None or int(v) % 2:
+        neg = neg_window(a)
+        if neg.valuation() is None:
             continue
         s = sqrt_series(neg)
         square = window_product(s, s)
@@ -89,10 +96,11 @@ def test_stratum_table():
 
 
 def test_crosscheck_spot_values():
-    assert sl2_crosscheck(LaurentWindow(-4, 2, {F(-4): -1}))
-    assert sl2_crosscheck(LaurentWindow(-3, 3, {F(-3): -1}))
-    assert sl2_crosscheck(LaurentWindow(-1, 5, {F(-1): 1}))
-    assert sl2_crosscheck(LaurentWindow(0, 6, {F(0): 2}))
+    for a, stratum in ((LaurentWindow(-4, 2, {F(-4): -1}), Sl2Stratum("split-toral", 2)),
+                       (LaurentWindow(-3, 3, {F(-3): -1}), Sl2Stratum("nonsplit-toral", 1)),
+                       (LaurentWindow(-1, 5, {F(-1): 1}), Sl2Stratum("G-zero")),
+                       (LaurentWindow(0, 6, {F(0): 2}), Sl2Stratum("G-zero"))):
+        assert sl2_crosscheck(a) == (stratum, True)
 
 
 def test_verify_sl2_default_grid():
@@ -103,3 +111,68 @@ def test_verify_sl2_default_grid():
     assert counts["nonsplit-toral"] > 0
     assert counts["G-zero"] > 0
     assert sum(counts.values()) == report["points"]
+
+
+def _outcome(crosscheck, a):
+    try:
+        return crosscheck(a)
+    except PolariumError as exc:
+        return type(exc), str(exc)
+
+
+# for the last three, -lead has no square root in the working field
+LIFT_LEADS = (1, -1, 4, F(-9, 4), 2, -2, F(1, 2), zeta(3, 1), -4 * zeta(4, 1), zeta(8, 3),
+              3, F(-5, 4), 1 + 2 * zeta(5, 1))
+
+
+def _coefficient(rng):
+    if rng.random() < 0.7:
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+    L = rng.choice((3, 4, 8))
+    return CycloNumber(L, [rng.randint(-2, 2) for _ in range(euler_phi(L))])
+
+
+def _lift_windows(seed: int, count: int) -> list[LaurentWindow]:
+    """Seeded windows with den 1-4: a lead at an integral valuation from -9
+    to 2 (odd and even) or, on den > 1, at a fractional one, further terms
+    on about half the steps after it up to a width of 1 to 7, and all-zero
+    windows ending on both sides of exponent -1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        den = rng.randint(1, 4)
+        v = F(rng.randint(-9, 2))
+        if den > 1 and rng.random() < 0.1:
+            v += F(rng.randint(1, den - 1), den)
+        lo = v - F(rng.randint(0, den), den)
+        hi = v + F(rng.randint(1, 7 * den), den)
+        if rng.random() < 0.03:
+            out.append(LaurentWindow(lo, hi, {}, den))
+            continue
+        terms = {v: rng.choice(LIFT_LEADS)}
+        for k in range(1, int((hi - v) * den)):
+            if rng.random() < 0.5:
+                terms[v + F(k, den)] = _coefficient(rng)
+        out.append(LaurentWindow(lo, hi, terms, den))
+    return out
+
+
+def test_principal_lift_matches_the_full_window_lift():
+    # the lift takes the square root of the window's principal part alone;
+    # the root over the whole window at t = tau^e must give the same stratum
+    # and verdict, or refuse with the same error class and message, on the
+    # default grid and on seeded windows reaching every refusal kind
+    kinds = Counter()
+    for a in default_grid() + _lift_windows(33, 1200):
+        got = _outcome(sl2_crosscheck, a)
+        assert got == _outcome(full_window_crosscheck, a), a
+        if isinstance(got[0], Sl2Stratum):
+            assert got[1], a
+            kinds[got[0].kind] += 1
+        else:
+            kinds[got[0], " ".join(got[1].split()[:2])] += 1
+    assert min(kinds[kind] for kind in ("split-toral", "nonsplit-toral", "G-zero")) > 100, kinds
+    assert kinds[InvalidArgumentError, "stratum defined"] > 20, kinds
+    assert kinds[InvalidArgumentError, "lifted term"] > 100, kinds
+    assert kinds[PrecisionError, "window ends"] > 5, kinds
+    assert sum(n for kind, n in kinds.items() if kind[0] is FieldExtensionRequired) > 100, kinds

@@ -784,6 +784,27 @@ def test_verify_sl2_refuses_a_lift_the_torus_cannot_carry(capsys):
             assert "m=" not in message and "equivariant" not in message, message
 
 
+def test_verify_sl2_names_the_window_of_every_refusal(capsys):
+    # a refusal keeps its class, code and exit status and names the window
+    # it came from, whether the closed-form stratum or the square root of
+    # the lead refuses it
+    answered = {"lo": "-4", "hi": "1", "den": 2,
+                "terms": [{"q": "-4", "coeff": "1"}, {"q": "-3", "coeff": "1"}]}
+    refused = (
+        ({"lo": "-5/2", "hi": "1", "den": 2, "terms": [{"q": "-5/2", "coeff": "1"}]},
+         "invalid-argument", "stratum defined for integral-exponent input"),
+        ({"lo": "-4", "hi": "-2", "terms": []},
+         "precision-error", "window ends before exponent -1; stratum unknown"),
+        ({"lo": "2", "hi": "4", "terms": [{"q": "2", "coeff": "-3"}]},
+         "field-extension-required", "square root of 3 not available in the working field"),
+    )
+    for window, code, message in refused:
+        status, out = run_main(capsys, "verify-sl2", "--input",
+                               json.dumps({"grid": [answered, window]}))
+        assert status == 1, out
+        assert json.loads(out)["error"] == {"code": code, "message": f"grid window 1: {message}"}
+
+
 def test_verify_sl2_grid_bound(capsys, monkeypatch):
     # the square root costs about n^2 on a window of n steps, so a grid's
     # squared step counts share the budget of one window at the bound; the

@@ -21,7 +21,8 @@ from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
 from polarium.linalg import dot_int
 from polarium.tails import LaurentWindow
 
-from .oracles import RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, window_product
+from .oracles import (RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, scale_window,
+                      window_product)
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24)
 
@@ -241,20 +242,16 @@ def test_inverse_matches_reference_at_41():
 
 
 def _sqrt_windows() -> list[LaurentWindow]:
-    """The default grid at even valuation, odd valuations read at t = tau^2,
-    den-2 windows: the grid at t^(1/2) and windows with half-integer steps
-    between integer valuations, and seeded windows with den 1, 2 and 3 whose
-    later coefficients sit at conductors 1/3/4/5/12 with fractional
-    coefficients, so the root's recursion runs on one grid at a conductor
-    and a denominator above 1."""
+    """The default grid, odd valuations (a root on den 2) included, den-2
+    windows: the grid at t^(1/2) (a root on den 4 at an odd valuation) and
+    windows with half-integer steps between integer valuations, and seeded
+    windows with den 1, 2 and 3 whose later coefficients sit at conductors
+    1/3/4/5/12 with fractional coefficients, so the root's recursion runs on
+    one grid at a conductor and a denominator above 1."""
     out = []
     for a in default_grid():
-        v = a.valuation()
-        if v is None:
-            continue
-        out.append(a if v % 2 == 0 else a.scale_exponents(2))
-        if v % 2 == 0:
-            out.append(a.scale_exponents(Fraction(1, 2)))
+        if a.valuation() is not None:
+            out += [a, scale_window(a, Fraction(1, 2))]
     for v in range(-5, 3):
         for lead in (1, -1, 2, Fraction(-1, 2), zeta(3, 1), 4 * zeta(8, 3)):
             terms = {Fraction(v): lead, Fraction(2 * v + 1, 2): 1,
@@ -278,6 +275,9 @@ def _sqrt_windows() -> list[LaurentWindow]:
 def test_sqrt_series_squares_back_on_its_window():
     windows = _sqrt_windows()
     assert sum(w.den == 2 for w in windows) > 50
+    doubled = 0
     for a in windows:
         s = sqrt_series(a)
         assert window_product(s, s) == LaurentWindow(a.valuation(), a.hi, a.terms, a.den), a
+        doubled += s.den == 2 * a.den
+    assert doubled > 200

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polarium.chevmap import sqrt_series, verify_sl2
+from polarium.chevmap import sl2_crosscheck, sqrt_series, verify_sl2
 from polarium.cyclo import CycloNumber, euler_phi, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
 from polarium.linalg import dot_int
@@ -13,8 +13,8 @@ from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
                             tail_from_json, tail_to_json, window_from_json)
 from polarium.tori import list_torus_classes
 
-from .oracles import (add_tails, dot_int_oracle, ref_dot_int, weyl_image_oracle,
-                      window_product, window_sum)
+from .oracles import (add_tails, dot_int_oracle, ref_dot_int, scale_window,
+                      weyl_image_oracle, window_product, window_sum)
 
 
 def test_pair_coroot_fundamental_weight(a1):
@@ -302,9 +302,10 @@ def test_derived_tails_pass_the_public_checks(a2, b2, g2, monkeypatch):
 
 
 def test_derived_windows_pass_the_public_checks(monkeypatch):
-    # neg, scale_exponents and sqrt_series build windows unchecked; over the
-    # default grid, and on windows with den 2 and 3 and cyclotomic
-    # coefficients, the public constructor must accept each one unchanged
+    # sqrt_series and the principal cut of sl2_crosscheck build windows
+    # unchecked; over the default grid, and on windows with den 1, 2 and 3,
+    # cyclotomic coefficients and odd v * den (a root on the doubled
+    # lattice), the public constructor must accept each one unchanged
     made = []
     original = LaurentWindow._derived
 
@@ -316,12 +317,19 @@ def test_derived_windows_pass_the_public_checks(monkeypatch):
     monkeypatch.setattr(LaurentWindow, "_derived", staticmethod(recorded))
     grid = [LaurentWindow(F(-4), F(3, 2), {F(-4): 1, F(-7, 2): zeta(3, 1), F(-1): F(1, 2)}, 2),
             LaurentWindow(F(-4), F(2), {F(-4): -1, F(-11, 3): F(2, 3), F(0): zeta(5, 2)}, 3),
-            LaurentWindow(F(-6), F(0), {F(-6): zeta(4, 1), F(-5): zeta(8, 3)})]
+            LaurentWindow(F(-6), F(0), {F(-6): zeta(4, 1), F(-5): zeta(8, 3)}),
+            LaurentWindow(F(-5), F(1), {F(-5): -1, F(-4): zeta(4, 1), F(-3): F(1, 2)}),
+            LaurentWindow(F(-3), F(1), {F(-3): 4, F(-8, 3): zeta(3, 2), F(-2): 1}, 3)]
     for a in grid:
         for e in (1, 2, F(1, 3)):
-            sqrt_series(a.neg().scale_exponents(e))
+            sqrt_series(scale_window(a, e))
+        try:
+            sl2_crosscheck(a)
+        except InvalidArgumentError:  # a lifted term off the torus
+            pass
     verify_sl2()
-    assert len(made) > 600
+    assert len(made) > 550, len(made)
+    assert {out.den for out in made} == {1, 2, 3, 6, 9, 18}
     for out in made:
         checked = LaurentWindow(out.lo, out.hi, out.terms, out.den)
         assert (checked.lo, checked.hi, checked.den) == (out.lo, out.hi, out.den)
@@ -361,14 +369,6 @@ def test_window_add_overlap():
     # support is bounded below by lo, so disjoint windows still add soundly
     d = window_sum(a, LaurentWindow(6, 8, {F(6): 1}))
     assert d.hi == 4 and d.coeff(1) == 2
-
-
-def test_window_exponent_scaling():
-    a = LaurentWindow(-3, 3, {F(-3): 1, F(2): 5})
-    tau = a.scale_exponents(2)
-    assert tau.valuation() == -6 and tau.coeff(4) == 5
-    back = tau.scale_exponents(F(1, 2))
-    assert back == a
 
 
 def test_window_json_round_trip():
