@@ -14,11 +14,21 @@ from math import floor, lcm
 from typing import NamedTuple
 
 from .cyclo import _normalized, _reduce, euler_phi, sqrt_cyclo
-from .errors import InvalidArgumentError, PolariumError, PrecisionError
+from .errors import InvalidArgumentError, PolariumError, PrecisionError, ResourceLimitError
 from .polar import classify
 from .rootdata import build
 from .tails import LaurentWindow, Tail
 from .tori import TorusClass, split_torus_class
+
+
+# Most principal steps times coefficient bits (see `_lift_bits`) that the
+# square roots of a wire grid may take, summed over its windows. Root step k
+# carries about k times the bits of the coefficients on their common
+# denominator D, since the recursion scales step k by (4 D)^k, and it sums
+# about k/2 products of such numbers; 63 principal steps of dense conductor-35
+# coefficients over 65 bits take about 1 s on a 2-vCPU VM, and the integer
+# windows that CI times count 315 or fewer.
+LIFT_BITS_BOUND = 4096
 
 
 @cache
@@ -133,6 +143,26 @@ def _nonsplit_class() -> TorusClass:
     return TorusClass(rd, s_alpha, 2)
 
 
+def _principal_end(a: LaurentWindow, v: Fraction) -> Fraction:
+    """Where the principal part of a window of valuation v ends: just after
+    its last step at or below max(v/2 - 1, v), or at the window's end."""
+    return min(a.hi, Fraction(floor(max(v / 2 - 1, v) * a.den) + 1, a.den))
+
+
+def _lift_bits(a: LaurentWindow) -> int:
+    """The principal steps of a window times the bit height of their
+    coefficients on one common denominator D: the bits of D or of the
+    largest numerator over D, whichever is larger; 0 for a zero window."""
+    v = a.valuation()
+    if v is None:
+        return 0
+    hi = _principal_end(a, v)
+    coeffs = [c for q, c in a.terms.items() if q < hi]
+    den = lcm(*(c.den for c in coeffs))
+    height = max(den, *(abs(x) * (den // c.den) for c in coeffs for x in c.nums))
+    return int((hi - v) * a.den) * height.bit_length()
+
+
 def sl2_crosscheck(a: LaurentWindow) -> tuple[Sl2Stratum, bool]:
     """The closed-form stratum of a, and whether the lift through the
     characteristic map lands on it.
@@ -148,7 +178,7 @@ def sl2_crosscheck(a: LaurentWindow) -> tuple[Sl2Stratum, bool]:
     v = a.valuation()
     lifted = Sl2Stratum("G-zero")
     if v is not None:
-        hi = min(a.hi, Fraction(floor(max(v / 2 - 1, v) * a.den) + 1, a.den))
+        hi = _principal_end(a, v)
         principal = {q: -c for q, c in a.terms.items() if q < hi}
         m = 1 if v % 2 == 0 else 2
         b = sqrt_series(LaurentWindow._derived(a.lo, hi, principal, a.den))
@@ -188,8 +218,17 @@ def default_grid() -> list[LaurentWindow]:
 
 def verify_sl2(grid: list[LaurentWindow] | None = None) -> dict:
     """Run the SL2 partition table and the cross-check over a grid; a
-    window's refusal is raised again in its class, naming the window."""
-    grid = default_grid() if grid is None else grid
+    window's refusal is raised again in its class, naming the window. A
+    given grid is refused first when its windows' lift bits sum past
+    LIFT_BITS_BOUND."""
+    if grid is None:
+        grid = default_grid()
+    else:
+        bits = sum(map(_lift_bits, grid))
+        if bits > LIFT_BITS_BOUND:
+            raise ResourceLimitError(
+                f"the grid windows' principal steps times coefficient bits sum to {bits}, "
+                f"larger than bound {LIFT_BITS_BOUND}")
     counts = {"split-toral": 0, "nonsplit-toral": 0, "G-zero": 0}
     violations = []
     for k, a in enumerate(grid):

@@ -32,6 +32,16 @@ a Lagrangian scale, is `Fraction(1) / x`, so that no int divides to a
 float. Coefficients are printed as `CycloNumber`s, an `int` or a
 `Fraction` at conductor 1.
 
+Degrees live on one integer grid per realization. Every root height
+<x, alpha>, break and half-depth of a datum, and on twisted data every
+multiple of 1/n, lies in (1/N)Z for the N that `Realization` fixes at
+construction, the lcm of their denominators, and a degree is the int k that
+stands for k/N: heights, slots, thresholds, the keys of a lattice's pieces,
+break-piece degrees and moveability codegrees alike. A `Fraction` enters
+only through `Realization.grid(q)`, for a break, a half-depth or a tail
+exponent, and leaves only through `Realization.fraction(k)`, where a degree
+is printed or named in a message.
+
 The lattice core is one for both presentations. It asks a `Realization` for
 four things: generator levels (`level_of_gen`), the Levi lines at a degree
 (`m_lines_at_degree`), brackets and the dual. On split data a root has its
@@ -52,7 +62,7 @@ parts.
 
 The lattice layer works on the structure a piece already has. A slot, the
 monomials of one degree, is read in closed form: the generators are bucketed
-once by the fractional part of their height. A piece is its pure monomials
+once by their height mod N. A piece is its pure monomials
 (G t^n with n at or above the threshold of G) plus its reduced rows, one
 `rref` of the twisted Cartan line at a degree >= 0 and the break
 Lagrangians on the other coordinates; a line lies in the piece exactly
@@ -69,7 +79,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import ceil, floor, lcm
+from math import gcd, lcm
 from operator import sub
 
 from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
@@ -138,22 +148,27 @@ class Realization:
         self._root_at = {pos: idx for idx, pos in self.position.items()}
         if self.twisted:
             self._init_twisted(x)
-            self.dual = self._realize_dual_twisted()
         else:
             self._init_split(x)
-            self.dual = self._realize_dual_split()
-        # one integer sum per root over the common denominator of x
+        # one integer sum per root over the common denominator of x, reduced
+        # by their gcd to the heights' own denominator
         den = lcm(*(v.denominator for v in self.x))
         nums = [v.numerator * (den // v.denominator) for v in self.x]
-        self._heights = tuple(Fraction(sum(a * b for a, b in zip(nums, root)), den)
-                              for root in rd.roots)
-        # the generators by the fractional part of their height, in generator
-        # order, each with the integer part: a slot is one bucket
-        self._buckets: dict[Fraction, list[tuple[Gen, int]]] = {}
+        sums = [sum(a * b for a, b in zip(nums, root)) for root in rd.roots]
+        common = gcd(den, *sums)
+        height_den = den // common
+        # the grid 1/N holds every height, break and half-depth and, on
+        # twisted data, the 1/n grid of the Cartan lines
+        self.N = lcm(height_den, *(q.denominator for q in chain(ladder.breaks, ladder.half_depths)),
+                     self.n if self.twisted else 1)
+        self._heights = tuple(s // common * (self.N // height_den) for s in sums)
+        # the generators by their height mod N, in generator order, each with
+        # the integer part of its height: a slot is one bucket
+        self._buckets: dict[int, list[tuple[Gen, int]]] = {}
         for gen in self.generators():
-            height = self._heights[gen[1]] if gen[0] == "r" else _ZERO
-            base = floor(height)
-            self._buckets.setdefault(height - base, []).append((gen, base))
+            base, rest = divmod(self._heights[gen[1]] if gen[0] == "r" else 0, self.N)
+            self._buckets.setdefault(rest, []).append((gen, base))
+        self.dual = self._realize_dual_twisted() if self.twisted else self._realize_dual_split()
         self._partners: dict[Gen, tuple] = {}
 
     # -- setup ---------------------------------------------------------
@@ -209,7 +224,7 @@ class Realization:
         # q = j + i/n, which is regular semisimple exactly when gcd(i,n)=1;
         # tr(E_ab G) reads G at (b, a), so E_ab t^e pairs with E_ba t^-e.
         (q, _cov), = self.datum.lam.terms.items()
-        lines = self.m_lines_at_degree(-q)
+        lines = self.m_lines_at_degree(-self.grid(q))
         if not lines:  # only an unvalidated datum gets here: w fixes no nonzero covector
             raise InvalidArgumentError("twisted tail exponent must not be an integer")
         dual: Functional = {}
@@ -219,30 +234,32 @@ class Realization:
 
     # -- graded combinatorics -------------------------------------------
 
-    def root_height(self, idx: int) -> Fraction:
-        return self._heights[idx]
+    def grid(self, q: Fraction) -> int:
+        """The degree q as the int k with q = k/N; q is a break, a half-depth
+        or a twisted tail exponent, whose denominator divides N."""
+        return q.numerator * (self.N // q.denominator)
 
-    def degree(self, mono: Monomial) -> Fraction:
+    def fraction(self, deg: int) -> Fraction:
+        """The degree deg/N, where a degree is printed or named."""
+        return Fraction(deg, self.N)
+
+    def degree(self, mono: Monomial) -> int:
+        """The degree height(G) + n of G t^n, on the grid."""
         (kind, idx), n = mono
         if kind == "r":
-            return self.root_height(idx) + n
-        return Fraction(n)
+            return self._heights[idx] + n * self.N
+        return n * self.N
 
     def generators(self) -> list[Gen]:
         gens: list[Gen] = [("r", idx) for idx in range(len(self.rd.roots))]
         gens += [("h", k) for k in range(self.rd.ss_rank)]
         return gens
 
-    def monomials_at_degree(self, deg: Fraction) -> list[Monomial]:
+    def monomials_at_degree(self, deg: int) -> list[Monomial]:
         """G t^n of degree deg, in generator order: the generators whose height
-        has the fractional part of deg, at n = floor(deg) - floor(height)."""
-        base = floor(deg)
-        return [(gen, base - n) for gen, n in self._buckets.get(deg - base, ())]
-
-    def degree_step(self) -> Fraction:
-        """Spacing of the grading: 1/lcm of the root-height denominators."""
-        return Fraction(1, lcm(*(self.root_height(idx).denominator
-                                 for idx in range(len(self.rd.roots)))))
+        is congruent to deg mod N, at n = deg div N - height div N."""
+        base, rest = divmod(deg, self.N)
+        return [(gen, base - n) for gen, n in self._buckets.get(rest, ())]
 
     def _structure_constants(self, gu: Gen, gv: Gen) -> tuple:
         """[gu, gv] in generator coordinates, read off the root datum:
@@ -327,9 +344,12 @@ class Realization:
 
     # -- M-part ----------------------------------------------------------
 
-    def m_lines_at_degree(self, deg: Fraction) -> list[dict[Monomial, int]]:
+    def m_lines_at_degree(self, deg: int) -> list[dict[Monomial, int]]:
         """Graded lines of the levi Cartan/Levi part at the given degree,
-        inside its slot wherever the slot is nonempty."""
+        inside its slot wherever the slot is nonempty. A twisted degree
+        deg/N = j + k/n + f, 0 <= k < n and 0 <= f < 1/n, gives the line
+        X^k t^j, with j read by truncation toward zero: off the 1/n grid
+        (f > 0) a negative degree takes the j above its floor."""
         if not self.twisted:
             out = []
             for mono in self.monomials_at_degree(deg):
@@ -337,11 +357,12 @@ class Realization:
                 if kind == "h" or idx in self.datum.levi:
                     out.append({mono: _ONE})
             return out
-        n = self.n
-        k = int((deg * n) % n)
+        n, N = self.n, self.N
+        k = deg * n % (n * N) // N
         if k == 0:
             return []
-        j = int(deg - Fraction(k, n))
+        rest = deg * n - k * N
+        j = rest // (n * N) if rest >= 0 else -(-rest // (n * N))
         return [{(("r", self._root_at[(a, b)]), p + j): _ONE
                  for a, b, p in _shift_power(n, k)}]
 
@@ -359,13 +380,13 @@ class JLattice:
     def __init__(self, real: Realization, kind: str = "J"):
         self.real = real
         self.kind = kind
-        self.breaks = list(real.ladder.breaks)
-        self.half_depths = list(real.ladder.half_depths)
+        self.breaks = [real.grid(r) for r in real.ladder.breaks]
+        self.half_depths = [real.grid(s) for s in real.ladder.half_depths]
         self._thresholds = {gen: self._base_threshold(gen) for gen in real.generators()}
         self.break_pieces: list[dict] = []
         # degree -> (monomials, pure monomials, the monomials outside the
         # pure ones, the extra lines reduced on them, their pivots)
-        self._pieces: dict[Fraction, tuple] = {}
+        self._pieces: dict[int, tuple] = {}
         self._brackets: list[tuple[dict, dict, dict]] | None = None
         if kind == "J":
             self._assemble_breaks()
@@ -381,9 +402,9 @@ class JLattice:
         height = self.real.degree((gen, 0))
         j = self.real.level_of_gen[gen]
         if j == 0:
-            return ceil(-height)
+            return -(height // self.real.N)
         bound = self.half_depths[j - 1] if self.kind == "J" else self.breaks[j - 1]
-        return floor(bound - height) + 1
+        return (bound - height) // self.real.N + 1
 
     def _assemble_breaks(self) -> None:
         real = self.real
@@ -396,7 +417,7 @@ class JLattice:
             vectors = [_coords_to_map(piece, coords) for coords in lagrangian(form)]
             self.break_pieces.append({"j": j, "degree": s, "lagrangian": vectors})
 
-    def piece_at_degree(self, deg: Fraction) -> tuple[tuple[Monomial, ...], frozenset, tuple]:
+    def piece_at_degree(self, deg: int) -> tuple[tuple[Monomial, ...], frozenset, tuple]:
         """The monomials of the ambient graded slot, the pure ones among them
         and the piece's reduced rows as lines on the other monomials, which
         together span the piece. The rows reduce the twisted Cartan line at
@@ -405,13 +426,13 @@ class JLattice:
         monos, pure, rest, rows, _pivots = self._piece(deg)
         return monos, pure, tuple(_coords_to_line(rest, row) for row in rows)
 
-    def _piece(self, deg: Fraction) -> tuple:
+    def _piece(self, deg: int) -> tuple:
         piece = self._pieces.get(deg)
         if piece is None:
             piece = self._pieces[deg] = self._compute_piece(deg)
         return piece
 
-    def _compute_piece(self, deg: Fraction) -> tuple:
+    def _compute_piece(self, deg: int) -> tuple:
         real = self.real
         monos = tuple(real.monomials_at_degree(deg))
         pure = frozenset(m for m in monos if m[1] >= self.threshold(m[0]))
@@ -444,7 +465,7 @@ class JLattice:
         out += [line for rec in self.break_pieces for line in rec["lagrangian"]]
         if real.twisted:
             out += [line for k in range(1, real.n)
-                    for line in real.m_lines_at_degree(Fraction(k, real.n))]
+                    for line in real.m_lines_at_degree(k * real.N // real.n)]
         return out
 
     def generator_brackets(self) -> list[tuple[dict, dict, dict]]:
@@ -460,7 +481,7 @@ class JLattice:
         real = self.real
         thresholds = []
         for gen in real.generators():
-            entry = {"q": str(real.degree((gen, self.threshold(gen))))}
+            entry = {"q": str(real.fraction(real.degree((gen, self.threshold(gen)))))}
             if gen[0] == "r":
                 entry["root"] = gen[1]
             else:
@@ -470,7 +491,7 @@ class JLattice:
         for rec in self.break_pieces:
             lagrangians.append({
                 "j": rec["j"],
-                "degree": str(rec["degree"]),
+                "degree": str(real.fraction(rec["degree"])),
                 "basis": [
                     [{"root": m[0][1] if m[0][0] == "r" else None,
                       "torus": m[0][1] if m[0][0] == "h" else None,
@@ -479,7 +500,7 @@ class JLattice:
                 ],
             })
         return {"kind": self.kind, "thresholds": thresholds, "lagrangians": lagrangians,
-                "breaks": [str(b) for b in self.breaks]}
+                "breaks": [str(b) for b in real.ladder.breaks]}
 
 
 def _integral(c):
@@ -505,7 +526,7 @@ def _coords_to_map(vectors: list[dict], coords) -> dict:
 # -- complements and symplectic forms ------------------------------------
 
 
-def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> list[dict]:
+def v_piece_at_degree(real: Realization, j: int, deg: int) -> list[dict]:
     """Basis of the level-j complement directions at a fixed degree.
 
     The level-j monomials of the slot, cut to the kernel of the residue-trace
@@ -527,7 +548,8 @@ def v_piece_at_degree(real: Realization, j: int, deg: Fraction) -> list[dict]:
     expected = len(monos) - len(levi)
     if len(vectors) != expected:
         raise InternalInvariantViolation(
-            f"complement dimension {len(vectors)} != expected {expected} at degree {deg}"
+            f"complement dimension {len(vectors)} != expected {expected} "
+            f"at degree {real.fraction(deg)}"
         )
     return vectors
 
@@ -614,7 +636,7 @@ def bracket_closure_violations(lattice: JLattice) -> list[dict]:
     for fault, line in claims:
         if line and not lattice.contains_line(line):
             out.append({**{k: _mono_json(g) for k, g in fault.items()},
-                        "degree": str(real.degree(next(iter(line))))})
+                        "degree": str(real.fraction(real.degree(next(iter(line)))))})
     return out
 
 
@@ -666,20 +688,22 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         raise InvalidArgumentError(f"variant must be J or K, got {variant}")
     ladder = ladder or extract(datum)
     real = Realization(datum, ladder, x)
-    top = max([Fraction(1)] + list(ladder.breaks))
-    gamma_max = top + 1
-    step = real.degree_step()
+    # on the grid: the step of the grading is the gcd of N and the heights
+    N = real.N
+    step = gcd(N, *real._heights)
+    gamma_max = max([N] + [real.grid(r) for r in ladder.breaks]) + N
 
     # K couples strictly positive codegrees only; J reaches down to the break
     # blocks, where Lagrangian rows pair with the residual half of the slot.
     if variant == "K":
         gamma_min = step
     else:
-        gamma_min = -max([Fraction(0)] + list(ladder.half_depths))
-    first, last = ceil(gamma_min / step), floor(gamma_max / step)
+        gamma_min = -max([0] + [real.grid(s) for s in ladder.half_depths])
+    first, last = -(-gamma_min // step), gamma_max // step
     if last - first + 1 > CODEGREE_BOUND:
         raise ResourceLimitError(
-            f"codegree scan over [{gamma_min}, {gamma_max}] at step {step} visits "
+            f"codegree scan over [{real.fraction(gamma_min)}, {real.fraction(gamma_max)}] "
+            f"at step {real.fraction(step)} visits "
             f"{last - first + 1} codegrees, more than bound {CODEGREE_BOUND}")
     lattice = JLattice(real, variant)
     candidates = {k * step for k in range(first, last + 1)}
@@ -699,7 +723,7 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
         ok = len(rows) == len(cols) == r
         if not ok:
             defects += 1
-        blocks.append({"gamma": str(gamma), "rows": len(rows), "cols": len(cols),
+        blocks.append({"gamma": str(real.fraction(gamma)), "rows": len(rows), "cols": len(cols),
                        "rank": r, "full": ok})
     return {
         "variant": variant,
@@ -729,7 +753,7 @@ def _pairing_block(real: Realization, rows: list[dict], cols: list[dict],
     return matrix
 
 
-def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction) -> list[dict]:
+def _group_complement_rows(real: Realization, lattice: JLattice, gamma: int) -> list[dict]:
     """Lattice vectors outside the Levi whose principal target is codegree gamma.
 
     Level j contributes at delta = gamma + r_j: its Lagrangian rows, then each
@@ -763,7 +787,7 @@ def _group_complement_rows(real: Realization, lattice: JLattice, gamma: Fraction
 
 
 def _coset_complement_cols(real: Realization, lattice: JLattice, variant: str,
-                           gamma: Fraction) -> list[dict]:
+                           gamma: int) -> list[dict]:
     """Functional basis of the coset lattice's non-Levi part at codegree gamma.
 
     In variant J a functional vanishes on every pure monomial of the piece,

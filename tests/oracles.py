@@ -32,10 +32,15 @@ controls are `AdjustedLattice` copies, a `JLattice` with lowered or raised
 thresholds. A lattice piece is also rebuilt from its definition in the
 dense coordinates of its slot, the slot found by scanning every generator,
 as membership and slots were computed before a piece kept its pure
-monomials apart from its extra lines. `pair_lines` pairs the dual with the
-bracket of two lines as break forms were paired before they were read off
-each row's functional: bracket by bracket, each bracket monomial looked up
-in the dual, optionally cut to a band's exponents. `full_window_crosscheck`
+monomials apart from its extra lines. The lattice layer's degrees are ints
+on the realization's grid 1/N; `ref_monomials_at_degree`,
+`ref_m_lines_at_degree` and `ref_base_threshold` are the slot, the Levi
+lines and the thresholds as they were read in `Fraction` degrees, from
+heights summed in `Fraction`s, before the grid. `pair_lines` pairs the
+dual with the bracket of two lines as break forms were paired before they
+were read off each row's functional: bracket by bracket, each bracket
+monomial looked up in the dual, optionally cut to a band's exponents.
+`full_window_crosscheck`
 is the SL2 lift as it was before the square root was cut to the window's
 principal part: it negates the whole window, reads it at t = tau^e and
 scales the root back, then builds and classifies the tail with the
@@ -52,9 +57,9 @@ must agree with it on value, conductor and printed bytes.
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 
 import jsonschema
 import sympy
@@ -729,15 +734,69 @@ def charpoly_map(diag: list) -> list:
 # -- the lattice window sweep ----------------------------------------------
 
 
-def monomials_by_scan(real, deg) -> list:
-    """G t^n of degree deg, scanning every generator in order: the shift
-    deg - height(G) must be an integer."""
+@cache
+def ref_heights(real) -> tuple:
+    """<x, root> for each root of a realization, summed in Fractions."""
+    return tuple(sum((v * a for v, a in zip(real.x, root)), Fraction(0))
+                 for root in real.rd.roots)
+
+
+def _ref_height(real, gen) -> Fraction:
+    return ref_heights(real)[gen[1]] if gen[0] == "r" else Fraction(0)
+
+
+def monomials_by_scan(real, deg: int) -> list:
+    """G t^n of grid degree deg, scanning every generator in order: the
+    shift deg/N - height(G) must be an integer."""
     out = []
     for gen in real.generators():
-        shift = deg - real.root_height(gen[1]) if gen[0] == "r" else Fraction(deg)
+        shift = Fraction(deg, real.N) - _ref_height(real, gen)
         if shift.denominator == 1:
             out.append((gen, int(shift)))
     return out
+
+
+def ref_monomials_at_degree(real, deg: Fraction) -> list:
+    """G t^n of degree deg, in generator order: the generators whose height
+    has the fractional part of deg, at n = floor(deg) - floor(height)."""
+    base = floor(deg)
+    out = []
+    for gen in real.generators():
+        height = _ref_height(real, gen)
+        if height - floor(height) == deg - base:
+            out.append((gen, base - floor(height)))
+    return out
+
+
+def ref_m_lines_at_degree(real, deg: Fraction) -> list:
+    """The Levi lines at degree deg: on split data the h_k and Levi root
+    monomials of the slot; on twisted data X^k t^j for k = int(deg n mod n)
+    and j = int(deg - k/n), where X^k has a one at (a, (a + k) mod n) times
+    t^((a + k) div n), the root at each position found in fundamental-weight
+    coordinates."""
+    if not real.twisted:
+        return [{mono: 1} for mono in ref_monomials_at_degree(real, deg)
+                if mono[0][0] == "h" or mono[0][1] in real.datum.levi]
+    n = real.n
+    k = int((deg * n) % n)
+    if k == 0:
+        return []
+    j = int(deg - Fraction(k, n))
+    root_at = {pos: idx for idx, pos in matrix_positions(real.rd).items()}
+    return [{(("r", root_at[(a, (a + k) % n)]), (a + k) // n + j): 1 for a in range(n)}]
+
+
+def ref_base_threshold(lattice, gen) -> int:
+    """Least n with G t^n pure, in Fraction degrees: deg >= 0 at level 0,
+    deg past the level's half depth (J) or break (K) above it."""
+    real = lattice.real
+    height = _ref_height(real, gen)
+    j = real.level_of_gen[gen]
+    if j == 0:
+        return ceil(-height)
+    ladder = real.ladder
+    bound = ladder.half_depths[j - 1] if lattice.kind == "J" else ladder.breaks[j - 1]
+    return floor(bound - height) + 1
 
 
 def dense(line: dict, monos) -> list:

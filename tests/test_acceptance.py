@@ -171,7 +171,7 @@ def test_criterion_8_symplectic_forms():
         for name, d, ladder, x in golden_set():
             real = Realization(d, ladder, x)
             for j in range(1, len(ladder.levels)):
-                piece = v_piece_at_degree(real, j, ladder.half_depths[j - 1])
+                piece = v_piece_at_degree(real, j, real.grid(ladder.half_depths[j - 1]))
                 if not piece:
                     continue
                 found_any = True
@@ -215,8 +215,8 @@ def test_criterion_10_epipelagic_grading():
         a1, a2 = build("A1"), build("A2")
         _name, d, ladder, x = golden_set()[0]  # sl2 depth 1 at rho/2
         real = Realization(d, ladder, x)
-        assert len(real.monomials_at_degree(F(0))) == 1
-        assert len(real.monomials_at_degree(F(1, 2))) == 2
+        assert len(real.monomials_at_degree(real.grid(F(0)))) == 1
+        assert len(real.monomials_at_degree(real.grid(F(1, 2)))) == 2
         for rd, ms in ((a1, (2,)), (a2, (2, 3, 5))):
             table = regular_numbers(rd)["regular"]
             for m in ms:

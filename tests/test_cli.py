@@ -834,6 +834,59 @@ def test_verify_sl2_grid_bound(capsys, monkeypatch):
     assert "131072" in error["message"] and f"bound {tails.WINDOW_STEPS_BOUND}^2" in error["message"]
 
 
+def test_verify_sl2_lift_bits_bound(capsys, monkeypatch):
+    # the square root's numbers grow with the principal steps times the bits
+    # of the coefficients on their common denominator; a grid whose windows
+    # sum past the bound is refused before any square root is taken, and
+    # the windows that CI times are answered
+    import polarium.chevmap as chevmap
+    import polarium.tails as tails
+
+    def dense(k, dens):
+        coeffs = [f"{(i * 7 + k) % 23 + 1}" + (f"/{949 + (i + 3 * k) % dens}" if dens else "")
+                  for i in range(24)]
+        return {"conductor": 35, "coeffs": coeffs}
+
+    def window(lo, hi, dens):
+        terms = [{"q": str(lo), "coeff": "-1"}]
+        terms += [{"q": str(q), "coeff": dense(q - lo, dens)} for q in range(lo + 1, hi)]
+        return {"lo": str(lo), "hi": str(hi), "terms": terms}
+
+    def verify(*grid):
+        return run_main(capsys, "verify-sl2", "--input", json.dumps({"grid": list(grid)}))
+
+    lead_only = window(-2, 126, 0)  # its lead is its one principal step
+    integer = window(-127, 1, 0)  # 63 principal steps of 5 bits
+    grids = [tails.grid_from_json([w]) for w in (lead_only, integer)]
+    assert [chevmap._lift_bits(grid[0]) for grid in grids] == [1, 315]
+    lead = tails.grid_from_json([{"lo": "-2", "hi": "126", "terms": [{"q": "-2", "coeff": "-4/49"}]}])
+    assert chevmap._lift_bits(lead[0]) == 6  # one step, max(49, 4) has 6 bits
+    # 31 principal steps over the 8 denominators 949..956
+    mid = window(-63, 1, 8)
+    mid_bits = chevmap._lift_bits(tails.grid_from_json([mid])[0])
+    assert mid_bits <= chevmap.LIFT_BITS_BOUND < 2 * mid_bits
+    for w in (lead_only, integer, mid):
+        status, out = verify(w)
+        assert status == 0 and json.loads(out)["violations"] == [], out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("square root taken past the lift bits bound")
+
+    monkeypatch.setattr(chevmap, "sqrt_series", refuse)
+    # the same 63 steps over the 47 denominators 949..995: 306 bits each
+    heavy = window(-127, 1, 47)
+    start = time.perf_counter()
+    refused = [verify(heavy)]
+    assert time.perf_counter() - start < 1
+    refused.append(verify(mid, mid))
+    for status, out in refused:
+        assert status == 1, out
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource-limit"
+        assert f"bound {chevmap.LIFT_BITS_BOUND}" in error["message"]
+    assert "sum to 19278," in refused[0][1]
+
+
 def test_wire_coefficient_conductor_bound(capsys, monkeypatch):
     # the coefficients of a tail or a window are lifted to the lcm L of their
     # conductors; phi(L) past the bound is refused before any tail or window

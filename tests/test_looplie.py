@@ -10,7 +10,7 @@ from polarium import cli, jsonio, looplie
 from polarium.cyclo import CycloNumber
 from polarium.errors import InternalInvariantViolation
 from polarium.linalg import rank
-from polarium.looplie import (Realization, bracket_closure_violations,
+from polarium.looplie import (JLattice, Realization, bracket_closure_violations,
                               build_j_lattice, lagrangian, moveability_check,
                               psi_lambda_check, root_positions, symplectic_form_on_piece,
                               v_piece_at_degree)
@@ -23,7 +23,8 @@ from polarium.yuseq import YuLadder, extract
 from .oracles import (AdjustedLattice, LaurentMatrix, as_field, bracket_closure_on_window,
                       cyclo_rank, cyclo_value, dense, eigen_regular_check, extra_lines,
                       in_span_by_rref, matrix_positions, monomials_by_scan, pair_lines,
-                      piece_by_definition, piece_vectors, psi_on_window, ref_rref,
+                      piece_by_definition, piece_vectors, psi_on_window, ref_base_threshold,
+                      ref_m_lines_at_degree, ref_monomials_at_degree, ref_rref,
                       span_contains, window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -95,9 +96,10 @@ def nonzero_terms(lm):
 def test_mp_graded_piece_sl2(a1):
     d, ladder = sl2_depth_one(a1)
     real = Realization(d, ladder, rho_over(a1, 2))
-    assert real.monomials_at_degree(F(1, 2)) == [(("r", 0), 0), (("r", 1), 1)]
-    assert real.monomials_at_degree(F(0)) == [(("h", 0), 0)]
-    assert Realization(d, ladder, (F(0),)).monomials_at_degree(F(1, 2)) == []
+    assert real.monomials_at_degree(real.grid(F(1, 2))) == [(("r", 0), 0), (("r", 1), 1)]
+    assert real.monomials_at_degree(real.grid(F(0))) == [(("h", 0), 0)]
+    integral = Realization(d, ladder, (F(0),))
+    assert integral.monomials_at_degree(integral.grid(F(1, 2))) == []
 
 
 def test_graded_additivity(a1, a2):
@@ -171,7 +173,7 @@ def test_vj_split_examples(a1, a2):
 def test_symplectic_sl2_matches_residue_oracle(a1):
     d, ladder = sl2_depth_one(a1)
     real = Realization(d, ladder, rho_over(a1, 2))
-    piece = v_piece_at_degree(real, 1, ladder.half_depths[0])
+    piece = v_piece_at_degree(real, 1, real.grid(ladder.half_depths[0]))
     form = symplectic_form_on_piece(real, 1, piece)
     assert piece == [{(("r", 0), 0): 1}, {(("r", 1), 1): 1}]
     # independent residue-trace oracle
@@ -188,14 +190,14 @@ def test_symplectic_sl2_matches_residue_oracle(a1):
 def test_symplectic_no_break_precondition(a1):
     d, ladder = sl2_depth_one(a1)
     real = Realization(d, ladder, (F(0),))  # integral grading: piece is zero
-    assert v_piece_at_degree(real, 1, ladder.half_depths[0]) == []
+    assert v_piece_at_degree(real, 1, real.grid(ladder.half_depths[0])) == []
 
 
 def test_symplectic_sl3_both_breaks(a2):
     d, ladder = sl3_two_break(a2)
     real = Realization(d, ladder, rho_over(a2, 2))
     for j in (1, 2):
-        piece = v_piece_at_degree(real, j, ladder.half_depths[j - 1])
+        piece = v_piece_at_degree(real, j, real.grid(ladder.half_depths[j - 1]))
         form = symplectic_form_on_piece(real, j, piece)
         k = len(form)
         assert k == 2
@@ -223,7 +225,7 @@ def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
             power = power.mul(x)
         for k in range(1, n):
             for e in (-1, 0, 1):
-                deg = F(k, n) + e
+                deg = real.grid(F(k, n) + e)
                 piece = v_piece_at_degree(real, 1, deg)
                 monos = real.monomials_at_degree(deg)
                 assert all(set(vec) <= set(monos) for vec in piece)
@@ -237,7 +239,8 @@ def test_twisted_complement_is_trace_orthogonal_to_cartan(a2, a3):
 def test_lagrangian_outputs(a1):
     d, ladder = sl2_depth_one(a1)
     real = Realization(d, ladder, rho_over(a1, 2))
-    form = symplectic_form_on_piece(real, 1, v_piece_at_degree(real, 1, ladder.half_depths[0]))
+    form = symplectic_form_on_piece(
+        real, 1, v_piece_at_degree(real, 1, real.grid(ladder.half_depths[0])))
     lag = lagrangian(form)
     assert len(lag) == 1
     assert [repr(cyclo_value(c)) for c in lag[0]] == ["1*z1^0", "0"]
@@ -333,8 +336,8 @@ def test_build_epipelagic_equals_positive_part(a1, a2):
         step = F(1, real.n)
         deg = -2
         while deg <= 2:
-            monos = real.monomials_at_degree(F(deg))
-            _, vectors = piece_vectors(J, F(deg))
+            monos = real.monomials_at_degree(real.grid(F(deg)))
+            _, vectors = piece_vectors(J, real.grid(F(deg)))
             expected = len(monos) if deg > 0 else 0
             assert len(vectors) == expected, (rd.type_label(), deg)
             deg += step
@@ -488,7 +491,7 @@ def test_thresholds_match_scan_from_below(a1, a2):
                 n0 = scanned(adjusted, gen)
                 assert adjusted.threshold(gen) == n0, (J.real.datum, gen, steps)
                 entry = adjusted.to_json()["thresholds"][J.real.generators().index(gen)]
-                assert entry["q"] == str(J.real.degree((gen, n0)))
+                assert entry["q"] == str(J.real.fraction(J.real.degree((gen, n0))))
 
 
 def test_module_generators_span_each_piece(a1, a2):
@@ -500,10 +503,10 @@ def test_module_generators_span_each_piece(a1, a2):
         out = []
         for g in J.module_generators():
             k = deg - J.real.degree(next(iter(g)))
-            if k >= 0 and k.denominator == 1:
+            if k >= 0 and k % J.real.N == 0:
                 vec = [F(0)] * len(monos)
                 for (gen, n), c in g.items():
-                    vec[index[(gen, n + int(k))]] = c
+                    vec[index[(gen, n + k // J.real.N)]] = c
                 out.append(vec)
         return out
 
@@ -531,12 +534,12 @@ def test_module_generators_span_each_piece(a1, a2):
 def test_piece_memo_isolated_from_adjusted_copies(a1):
     d, ladder = sl2_depth_one(a1)
     J = build_j_lattice(d, ladder, rho_over(a1, 2))
-    degrees = [F(k, 2) for k in range(-4, 6)]
+    degrees = [J.real.grid(F(k, 2)) for k in range(-4, 6)]
     before = [J.piece_at_degree(deg) for deg in degrees]
     lowered = with_adjust(J, ("r", 1), 1)  # f t enters at degree 1/2
     after_copy = [lowered.piece_at_degree(deg) for deg in degrees]
     changed = [deg for deg, p, q in zip(degrees, before, after_copy) if p != q]
-    assert changed == [F(1, 2)]
+    assert changed == [J.real.grid(F(1, 2))]
     assert [J.piece_at_degree(deg) for deg in degrees] == before
     fresh = build_j_lattice(d, ladder, rho_over(a1, 2))
     assert [fresh.piece_at_degree(deg) for deg in degrees] == before
@@ -574,17 +577,15 @@ def lattice_from_request(path: Path):
 
 
 def test_slot_matches_generator_scan(a1, a2):
-    # the closed-form slot equals the scan over every generator at each step
-    # degree in [-3, 4] and halfway between steps, split and twisted
+    # the closed-form slot equals the scan over every generator at each
+    # degree k/N in [-3, 4], split and twisted
     reals = [J.real for J in golden_lattices(a1, a2)]
     reals += [J.real for J in answered_universe_lattices().values()]
     assert any(real.twisted for real in reals)
     for real in reals:
-        step = real.degree_step()
-        for k in range(-3 * step.denominator, 4 * step.denominator + 1):
-            for deg in (k * step, k * step + step / 2):
-                assert real.monomials_at_degree(deg) == monomials_by_scan(real, deg), \
-                    (real.datum, deg)
+        for deg in range(-3 * real.N, 4 * real.N + 1):
+            assert real.monomials_at_degree(deg) == monomials_by_scan(real, deg), \
+                (real.datum, deg)
 
 
 def lattice_realizations(a1, a2) -> list:
@@ -609,24 +610,53 @@ def test_levi_lines_lie_in_their_slot(a1, a2):
     # the lattice layer reads the Levi lines of a degree unfiltered: each
     # lies in the slot wherever the slot is nonempty, a twisted line is the
     # slot's root monomials on the 1/n grid, and off that grid a twisted slot
-    # is empty; checked at each step degree in [-4, 4] and halfway between
+    # is empty; checked at each degree k/N in [-4, 4]
     reals = lattice_realizations(a1, a2)
     assert {real.twisted for real in reals} == {False, True}
     assert len(reals) > 20
     for real in reals:
-        step = real.degree_step()
-        for k in range(-4 * step.denominator, 4 * step.denominator + 1):
-            for deg in (k * step, k * step + step / 2):
-                slot = set(real.monomials_at_degree(deg))
-                lines = real.m_lines_at_degree(deg)
-                if not real.twisted:
-                    assert all(slot.issuperset(line) for line in lines), (real.datum, deg)
-                    continue
-                assert bool(slot) == ((deg * real.n).denominator == 1), (real.datum, deg)
-                roots = {m for m in slot if m[0][0] == "r"}
-                if slot:
-                    assert [set(line) for line in lines] == ([roots] if roots else []), \
-                        (real.datum, deg)
+        for deg in range(-4 * real.N, 4 * real.N + 1):
+            slot = set(real.monomials_at_degree(deg))
+            lines = real.m_lines_at_degree(deg)
+            if not real.twisted:
+                assert all(slot.issuperset(line) for line in lines), (real.datum, deg)
+                continue
+            assert bool(slot) == (deg * real.n % real.N == 0), (real.datum, deg)
+            roots = {m for m in slot if m[0][0] == "r"}
+            if slot:
+                assert [set(line) for line in lines] == ([roots] if roots else []), \
+                    (real.datum, deg)
+
+
+def test_degree_grid_matches_fraction_references(a1, a2):
+    # the slot, the Levi lines and the thresholds on the grid 1/N equal
+    # their Fraction-degree references at every k/N in [-4, 4], and each
+    # break and half-depth lies on the grid, on every lattice datum (the
+    # known failures and the goldens included); the twisted half-depths 3/8
+    # and 3/10 lie off the 1/n grid, where a negative twisted degree reads
+    # j by truncation toward zero
+    reals = lattice_realizations(a1, a2)
+    off_grid = {s for real in reals if real.twisted for s in real.ladder.half_depths
+                if (s * real.n).denominator != 1}
+    assert {F(3, 8), F(3, 10)} <= off_grid
+    assert any(real.rd.type_label() == "A2" and len(real.ladder.breaks) == 2 for real in reals)
+    for real in reals:
+        for q in real.ladder.breaks + real.ladder.half_depths:
+            assert real.fraction(real.grid(q)) == q, (real.datum, q)
+        for deg in range(-4 * real.N, 4 * real.N + 1):
+            q = F(deg, real.N)
+            assert real.fraction(deg) == q
+            assert real.monomials_at_degree(deg) == ref_monomials_at_degree(real, q), \
+                (real.datum, q)
+            assert real.m_lines_at_degree(deg) == ref_m_lines_at_degree(real, q), (real.datum, q)
+        # a K lattice assembles no break piece, so the known failures build
+        # one too; its J thresholds are read with its kind switched
+        lattice = JLattice(real, "K")
+        for kind in ("K", "J"):
+            lattice.kind = kind
+            for gen in real.generators():
+                assert lattice._base_threshold(gen) == ref_base_threshold(lattice, gen), \
+                    (real.datum, kind, gen)
 
 
 def test_membership_matches_dense_reference(a1, a2):

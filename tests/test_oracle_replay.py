@@ -4,8 +4,9 @@ against their oracles.
 Every member of `perfbench/workloads.lattice_universe()`,
 `strata_universe()` and `light_universe()` goes through `cli.main`, and its
 exit status and stdout sha256 must equal the entry in
-`perfbench/oracle/<workload>.json`. A member recorded as a known failure only
-has to finish without raising. Nothing under `perfbench/` is written.
+`perfbench/oracle/<workload>.json`. A member recorded as a known failure
+must exit 3 and print the recorded envelope, byte for byte, as one line.
+Nothing under `perfbench/` is written.
 """
 
 import sys
@@ -32,6 +33,8 @@ def _replay(workload: str) -> None:
         outputs[rid] = resp.stdout
         entry = entries[rid]
         if entry.get("known_failure"):
+            assert resp.status == 3, (rid, resp.stdout[:200])
+            assert resp.stdout == entry["known_failure"] + "\n", rid
             continue
         assert resp.status == entry["exit"], (rid, resp.stdout[:200])
         assert harness.sha256(resp.stdout) == entry["stdout_sha256"], rid
