@@ -13,7 +13,7 @@ from functools import cache
 from math import floor, lcm
 from typing import NamedTuple
 
-from .cyclo import _normalized, _reduce, euler_phi, sqrt_cyclo
+from .cyclo import common_grid, euler_phi, from_grid, reduce_poly, sqrt_cyclo
 from .errors import InvalidArgumentError, PolariumError, PrecisionError, ResourceLimitError
 from .polar import classify
 from .rootdata import build
@@ -47,11 +47,11 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     With a = lead * (1 + u), the root is sqrt(lead) * s for s = sqrt(1 + u),
     whose coefficients obey 2 s_k = u_k - sum of s_p s_(k-p) over 0 < p < k.
     The recursion runs without division: with every u_k = U_k / D on one
-    integer grid at conductor L, S_k = 2^(2k-1) D^k s_k lies in Z[zeta_L] and
-    S_k = 4^(k-1) D^(k-1) U_k - sum of S_p S_(k-p) over 0 < p < k. The sum
-    is taken on unreduced integer polynomials, each product S_p S_(k-p)
-    twice for p < k - p, and reduced once per k by `_reduce`; s_k is read
-    back with one gcd.
+    integer grid at conductor L (`common_grid`), S_k = 2^(2k-1) D^k s_k lies
+    in Z[zeta_L] and S_k = 4^(k-1) D^(k-1) U_k - sum of S_p S_(k-p) over
+    0 < p < k. The sum is taken on unreduced integer polynomials, each
+    product S_p S_(k-p) twice for p < k - p, and reduced once per k by
+    `reduce_poly`; s_k is read back with one gcd.
     """
     v = a.valuation()
     if v is None:
@@ -63,10 +63,9 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     # runs on the step k.
     n = int((a.hi - v) * a.den)
     u = {int((q - v) * a.den): c * inv_lead for q, c in a.terms.items() if q != v}
-    L = lcm(*(c.conductor for c in u.values()))
-    D = lcm(*(c.den for c in u.values()))
+    L, D, rows = common_grid(list(u.values()))
     phi = euler_phi(L)
-    U = {k: [x * (D // c.den) for x in c.lift(L).nums] for k, c in u.items()}
+    U = dict(zip(u, rows))
     S: list = [None] * n  # S[k], reduced, where it is nonzero
     terms = {v / 2: s0}
     scale = 1  # (4 D)^(k-1)
@@ -85,10 +84,10 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
         if k in U:
             for i, x in enumerate(U[k]):
                 acc[i] += scale * x
-        nums = _reduce(L, acc)
+        nums = reduce_poly(L, acc)
         if any(nums):
             S[k] = nums
-            terms[v / 2 + Fraction(k, a.den)] = s0 * _normalized(L, nums, 2 ** (2 * k - 1) * D ** k)
+            terms[v / 2 + Fraction(k, a.den)] = s0 * from_grid(L, nums, 2 ** (2 * k - 1) * D ** k)
         scale *= 4 * D
     # v < hi, so v/2 < a.hi - v/2, and both bounds and each exponent
     # v/2 + k/den lie on the lattice of den, doubled when v * den is odd

@@ -48,7 +48,7 @@ def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
         return extract(datum)
     nroots = len(datum.rd.roots)
     breaks = [parse_fraction(b) for b in doc["breaks"]]
-    # repeated breaks are left to the ladder's centralizer check
+    # a validated ladder's centralizer check refuses repeated breaks
     drops = [f"{r} before {s}" for r, s in zip(breaks, breaks[1:]) if s < r]
     if drops:
         raise InvalidArgumentError(f"ladder breaks decrease: {', '.join(drops)}")
@@ -56,6 +56,8 @@ def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
     if any(i >= nroots for level in levels for i in level):
         raise InvalidArgumentError(f"ladder level index out of range: "
                                    f"{datum.rd.type_label()} has {nroots} roots")
+    if len(levels) != len(breaks) + 1:  # unvalidated, such a ladder would index past its levels
+        raise InvalidArgumentError("ladder rejected: level count must be break count + 1")
     components = decompose_lambda(datum, breaks)
     try:
         return YuLadder(datum, breaks, levels, components,

@@ -16,6 +16,11 @@ a * c = N(a), positive as Q(zeta_L) is totally complex for L >= 3, so
 An int or a Fraction operand scales the numerators and the denominator;
 it never becomes an element of its own.
 
+A family of values shares one integer grid (`common_grid`): numerators at
+the lcm of their conductors over the lcm of their denominators. There,
+equality, sums and integer pairings (`dot_int`) are integer work, and
+`from_grid` reads a row back with one gcd.
+
 The conductor L grows lazily (lcm) as mixed-conductor operations demand.
 Compatibility of generators across conductors is fixed once and for all by
 zeta_L := zeta_M^(M/L) whenever L | M; a lift keeps the denominator, since
@@ -29,9 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import (ArithmeticDomainError, FieldExtensionRequired,
                      InvalidArgumentError)
+from .linalg import rref
 
 Coeffs = tuple[Fraction, ...]
 
@@ -95,7 +102,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce(L: int, poly: list[int]) -> tuple[int, ...]:
+def reduce_poly(L: int, poly: list[int]) -> tuple[int, ...]:
     """An integer polynomial of any degree reduced modulo Phi_L, padded to
     phi(L) coefficients. Phi_L divides z^L - 1, so each power z^k with
     k >= L first folds onto z^(k-L), one addition per coefficient. Phi_L is
@@ -129,19 +136,19 @@ def _lift_nums(nums: tuple[int, ...], L: int, L2: int) -> tuple[int, ...]:
     k = L2 // L
     poly = [0] * ((len(nums) - 1) * k + 1)
     poly[::k] = nums
-    return _reduce(L2, poly)
+    return reduce_poly(L2, poly)
 
 
 def _mul_nums(L: int, a, b) -> tuple[int, ...]:
     """The numerators of a * b at conductor L: the integer product of the
-    two polynomials, reduced modulo Phi_L by `_reduce`."""
+    two polynomials, reduced modulo Phi_L by `reduce_poly`."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 if y:
                     out[j] += x * y
-    return _reduce(L, out)
+    return reduce_poly(L, out)
 
 
 def _conjugate(L: int, nums, k: int) -> tuple[int, ...]:
@@ -150,7 +157,7 @@ def _conjugate(L: int, nums, k: int) -> tuple[int, ...]:
     poly = [0] * L
     for i, n in enumerate(nums):
         poly[i * k % L] = n
-    return _reduce(L, poly)
+    return reduce_poly(L, poly)
 
 
 class CycloNumber:
@@ -239,8 +246,6 @@ class CycloNumber:
             sparse = [0] * len(nums)
             sparse[:phi1 * k:k] = candidate
             return _make(L1, candidate, self.den) if tuple(sparse) == nums else None
-        from .linalg import rref  # linalg imports this module
-
         basis = [_lift_nums(tuple(int(j == i) for j in range(phi1)), L1, L) for i in range(phi1)]
         # Rational coordinates of self in the lifted basis, if any.
         aug = [[Fraction(b[j]) for b in basis] + [c] for j, c in enumerate(self.coeffs)]
@@ -257,27 +262,18 @@ class CycloNumber:
 
     def _scaled(self, p: int, q: int) -> "CycloNumber":
         """self * p/q for integers p and q > 0, at the same conductor."""
-        return _normalized(self.conductor, [n * p for n in self.nums], self.den * q)
+        return from_grid(self.conductor, [n * p for n in self.nums], self.den * q)
 
     def _shifted(self, p: int, q: int) -> "CycloNumber":
         """self + p/q for integers p and q > 0, at the same conductor."""
         nums = [n * q for n in self.nums]
         nums[0] += p * self.den
-        return _normalized(self.conductor, nums, self.den * q)
+        return from_grid(self.conductor, nums, self.den * q)
 
     def _combine(self, other: "CycloNumber", sign: int) -> "CycloNumber":
-        """self + sign * other at the lcm of the conductors."""
-        L, L2 = self.conductor, other.conductor
-        a, b = self.nums, other.nums
-        if L != L2:
-            L = lcm(L, L2)
-            a, b = _lift_nums(a, self.conductor, L), _lift_nums(b, L2, L)
-        da, db = self.den, other.den
-        if da == db:
-            return _normalized(L, [x + sign * y for x, y in zip(a, b)], da)
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        return _normalized(L, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
+        """self + sign * other, a sum of rows on the common grid."""
+        L, D, (a, b) = common_grid((self, other))
+        return from_grid(L, [x + sign * y for x, y in zip(a, b)], D)
 
     def __add__(self, other):
         if type(other) is not CycloNumber:
@@ -313,8 +309,8 @@ class CycloNumber:
             a, b = _lift_nums(a, self.conductor, L), _lift_nums(b, L2, L)
         den = self.den * other.den
         if len(a) == 1:
-            return _normalized(L, [a[0] * b[0]], den)
-        return _normalized(L, _mul_nums(L, a, b), den)
+            return from_grid(L, [a[0] * b[0]], den)
+        return from_grid(L, _mul_nums(L, a, b), den)
 
     __rmul__ = __mul__
 
@@ -332,7 +328,7 @@ class CycloNumber:
         for g in conjugates[1:]:
             c = _mul_nums(L, c, g)
         norm = _mul_nums(L, nums, c)[0]
-        return _normalized(L, [x * den for x in c], norm)
+        return from_grid(L, [x * den for x in c], norm)
 
     def __truediv__(self, other):
         if type(other) is not CycloNumber:
@@ -403,15 +399,41 @@ def _make(conductor: int, nums: tuple[int, ...], den: int) -> CycloNumber:
     return c
 
 
-def _normalized(conductor: int, nums: list[int], den: int) -> CycloNumber:
+def from_grid(conductor: int, nums: list[int], den: int) -> CycloNumber:
     """An element from integer numerators over a positive denominator,
-    divided by their one gcd (zero comes out as 0/1)."""
+    divided by their one gcd (zero is 0/1): `common_grid`'s inverse."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             nums = [n // g for n in nums]
             den //= g
     return _make(conductor, tuple(nums), den)
+
+
+def common_grid(values, L: int | None = None, D: int | None = None) -> tuple:
+    """(L, D, rows): row i holds values[i]'s numerators at conductor L over
+    denominator D, by default the lcms of the values' conductors and of
+    their denominators (1 for none); a given L or D must be a multiple."""
+    if L is None:
+        L = lcm(*[x.conductor for x in values])
+    if D is None:
+        D = lcm(*[x.den for x in values])
+    rows = []
+    for x in values:
+        nums = x.nums if x.conductor == L else _lift_nums(x.nums, x.conductor, L)
+        f = D // x.den
+        rows.append(nums if f == 1 else tuple([n * f for n in nums]))
+    return L, D, tuple(rows)
+
+
+def dot_int(ints, u) -> CycloNumber:
+    """Pair an integer vector with a covector: its weighted entries' rows on
+    their common grid, summed as ints. The result lives at their lcm
+    conductor (1 when no weight is nonzero), whatever their values."""
+    weighted = [(k, a) for k, a in zip(ints, u) if k]
+    L, D, rows = common_grid([a for _, a in weighted])
+    weights = [k for k, _ in weighted]
+    return from_grid(L, [sum(map(mul, weights, col)) for col in zip(*rows)] or [0], D)
 
 
 def as_cyclo(x) -> CycloNumber:
@@ -428,7 +450,7 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     if conductor < 1:
         raise InvalidArgumentError(f"conductor must be >= 1, got {conductor}")
     e = exponent % conductor
-    return _make(conductor, _reduce(conductor, [0] * e + [1]), 1)
+    return _make(conductor, reduce_poly(conductor, [0] * e + [1]), 1)
 
 
 def sqrt_cyclo(c: CycloNumber) -> CycloNumber:

@@ -16,7 +16,9 @@ Gaussian elimination, with two paths chosen by the entries:
 - Any other matrix (some entry is a `CycloNumber`) takes the field path:
   an `int` entry enters as its `Fraction`, zero tests use truthiness, a
   pivot's reciprocal is `1 / p`, and every result keeps the conductor the
-  field arithmetic gives it.
+  field arithmetic gives it. It needs only the entries' own operators, so
+  this module imports nothing from `cyclo`, and `cyclo` eliminates with
+  `rref` where a retraction needs it.
 
 A rational matrix has one reduced row echelon form and one set of pivot
 columns, so both paths return the same values, never a float, and an `int`
@@ -33,16 +35,6 @@ lattice layer reduces only the rows of a piece that are not units, on the
 coordinates the units leave; with no such rows, `in_span` asks that the
 target vanish there. `independent` picks, in one elimination, the vectors outside the span
 of the vectors before them.
-
-`dot_int`, the pairing of an integer vector with a covector, accumulates
-integers in one pass: every entry with a nonzero weight is read at the lcm
-of those entries' conductors, its numerators are scaled to the lcm of their
-denominators and summed as ints, and one `CycloNumber` is built at the end
-with one gcd. When every weighted entry is rational (conductor 1) the sum is
-one integer, with no per-entry list and no Euler phi. It combines eigenspace
-basis vectors into a tail's covectors (partition sampling and the regular
-tail of a homogeneous datum). A tail's Weyl images and the conjugacy search
-do not call it: they read each term's integer grid (`tails.Tail.grids`).
 """
 
 from __future__ import annotations
@@ -50,30 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclo import CycloNumber, _normalized, euler_phi
-
 Vector = tuple  # of ints, Fractions and CycloNumbers
-
-
-def dot_int(ints, u: tuple[CycloNumber, ...]) -> CycloNumber:
-    """Pair an integer vector with a CycloNumber covector.
-
-    The result lives at the lcm of the conductors of the entries with a
-    nonzero weight (1 when there are none), whatever their values.
-    """
-    terms = [(k, a) for k, a in zip(ints, u) if k]
-    if not terms:
-        return CycloNumber.zero()
-    L = lcm(*(a.conductor for _, a in terms))
-    den = lcm(*(a.den for _, a in terms))
-    if L == 1:
-        return _normalized(1, [sum(k * a.nums[0] * (den // a.den) for k, a in terms)], den)
-    acc = [0] * euler_phi(L)
-    for k, a in terms:
-        nums = a.nums if a.conductor == L else a.lift(L).nums  # a lift keeps the denominator
-        f = k * (den // a.den)
-        acc = [s + f * c for s, c in zip(acc, nums)]
-    return _normalized(L, acc, den)
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -122,7 +91,7 @@ def _is_rational(rows) -> bool:
     return all(type(v) is Fraction or type(v) is int for row in rows for v in row)
 
 
-def _primitive(row: list[int]) -> list[int]:
+def primitive(row: list[int]) -> list[int]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return row if g < 2 else [v // g for v in row]
@@ -132,8 +101,8 @@ def _integer_row(row) -> list[int]:
     """A row of ints and Fractions as a primitive integer row on the same line."""
     den = lcm(*(v.denominator for v in row))
     if den == 1:
-        return _primitive([v.numerator for v in row])
-    return _primitive([v.numerator * (den // v.denominator) for v in row])
+        return primitive([v.numerator for v in row])
+    return primitive([v.numerator * (den // v.denominator) for v in row])
 
 
 def _echelon(rows: list[list[int]], reduce: bool) -> list[int]:
@@ -158,7 +127,7 @@ def _echelon(rows: list[list[int]], reduce: bool) -> list[int]:
             if b and i != r:
                 g = gcd(a, b)
                 ca, cb = a // g, b // g
-                rows[i] = _primitive([ca * v - cb * w for v, w in zip(rows[i], prow)])
+                rows[i] = primitive([ca * v - cb * w for v, w in zip(rows[i], prow)])
         pivots.append(col)
         r += 1
         if r == nrows:

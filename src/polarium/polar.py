@@ -6,19 +6,21 @@ set of roots whose coroot differentials annihilate the tail. Classification
 asserts (never repairs) that this set is rationally closed and stable under
 the twisting element: in characteristic zero a failure is an implementation
 bug, not data.
+
+Equivariance and conjugacy both ask whether a Weyl element sends one tail
+to another, and take the answer of `tails.sends` on `cyclo`'s integer grid.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
+from .cyclo import dot_int
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
-from .linalg import dot_int
 from .rootdata import RootDatum, WeylElement, is_q_closed, stable_under
-from .tails import Tail, _grid, is_equivariant
+from .tails import Tail, is_equivariant, paired_grids, sends
 from .tori import TorusClass, list_torus_classes, regular_class_of_order
 
 # partition-check work grows linearly in both counts; each bound is 20 times
@@ -114,14 +116,9 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     identity on the central coordinates, so u w1 = w2 u exactly when
     p_u p_1 = p_2 p_u on the simple roots.
 
-    Before the search, each pair of terms at one exponent is put on one
-    integer grid (`tails._grid`), at the lcm of both conductors and of both
-    denominators; a tail's own grid (`Tail.grids`) serves when it already
-    sits there. Two values over one denominator at one conductor are equal
-    exactly when their numerators are, so u(lam1) = lam2 when each row of
-    u's covector matrix times each grid column of lam1 equals the matching
-    numerator of lam2. The integers are compared exponent by exponent from
-    the top, stopping at the first that differs.
+    Before the search, the two tails' terms are put on one integer grid per
+    exponent (`tails.paired_grids`), once; each u that passes the filter is
+    then tested on ints alone (`tails.sends`).
     """
     rd = d1.rd
     if rd.roots != d2.rd.roots:
@@ -129,23 +126,11 @@ def conjugate_oracle(d1: PolarDatum, d2: PolarDatum) -> bool:
     lam1, lam2 = d1.lam, d2.lam
     if lam1.terms.keys() != lam2.terms.keys():
         return False
-    pairs = []  # (grid columns of lam1, numerator rows of lam2) per exponent
-    for (q, L1, D1, cols1), (_, L2, D2, cols2) in zip(lam1.grids(), lam2.grids()):
-        L, D = lcm(L1, L2), lcm(D1, D2)
-        if (L1, D1) != (L, D):
-            cols1 = _grid(lam1.terms[q], L, D)
-        if (L2, D2) != (L, D):
-            cols2 = _grid(lam2.terms[q], L, D)
-        pairs.append((cols1, tuple(zip(*cols2))))
+    pairs = paired_grids(lam1, lam2)
     p1, p2 = d1.torus.w.root_permutation, d2.torus.w.root_permutation
     for u in rd.weyl_elements():
         pu = u.root_permutation
-        if any(pu[p1[s]] != p2[pu[s]] for s in range(rd.ss_rank)):
-            continue
-        cov = u.covector_matrix()
-        if all(sum(map(mul, row, col)) == x
-               for cols, rows in pairs for row, nums in zip(cov, rows)
-               for col, x in zip(cols, nums)):
+        if all(pu[p1[s]] == p2[pu[s]] for s in range(rd.ss_rank)) and sends(u, pairs):
             return True
     return False
 

@@ -34,7 +34,7 @@ from operator import add, mul
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
-from .linalg import _primitive
+from .linalg import primitive
 
 IntVec = tuple[int, ...]
 
@@ -428,7 +428,7 @@ def q_closure(rd: RootDatum, subset) -> frozenset[int]:
         if pivot is None:
             continue
         y0, v0 = annihilator[pivot], values[pivot]
-        annihilator = tuple(_primitive([v0 * a - v * b for a, b in zip(y, y0)])
+        annihilator = tuple(primitive([v0 * a - v * b for a, b in zip(y, y0)])
                             for k, (y, v) in enumerate(zip(annihilator, values)) if k != pivot)
     return frozenset(k for k, root in enumerate(rd.roots)
                      if not any(rd.pairing(y, root) for y in annihilator))

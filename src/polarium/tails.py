@@ -14,17 +14,18 @@ covector pairs nonzero with the coroot, or None where the pairing vanishes.
 the positive coroots are paired.
 
 Each term has one integer grid, which the tail keeps from its first use
-(`Tail.grids`): its entries' numerators at the term's common conductor L,
-scaled to their common denominator D, one column per power of zeta_L. An
-element of Q(zeta_L) has one numerator vector over a given denominator in
-the power basis (Cohen, A Course in Computational Algebraic Number Theory,
-section 4.2), so the three readers of a tail work on ints alone:
+(`Tail.grids`): its entries on their common grid (`cyclo.common_grid`),
+numerators at the term's common conductor L over its common denominator D,
+read as one column per power of zeta_L. Values on one grid are equal exactly
+when their numerators are, so the readers of a tail work on ints alone:
 - a coroot pairs to zero with a term exactly when its integer dot product
   with every column is 0 (`pair_coroot`);
 - the Weyl image of a term multiplies the matrix rows by the columns, and
   each image entry is one normalization over D (`Tail.weyl_act`);
-- conjugacy compares those products with the other tail's grid
-  (`polar.conjugate_oracle`).
+- whether w sends one tail to another (`sends`) multiplies those rows by
+  the first tail's columns and compares with the second's numerators on one
+  grid per exponent (`paired_grids`); equivariance (the image is the tail's
+  twist) and conjugacy (`polar.conjugate_oracle`) both ask it.
 No CycloNumber is built for a pairing or for a comparison.
 """
 
@@ -34,8 +35,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .cyclo import (CycloNumber, _normalized, cyclo_from_json, cyclo_to_json, euler_phi,
-                    parse_fraction, zeta)
+from .cyclo import (CycloNumber, common_grid, cyclo_from_json, cyclo_to_json, euler_phi,
+                    from_grid, parse_fraction, zeta)
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rootdata import RootDatum, WeylElement
 
@@ -120,14 +121,13 @@ class Tail:
 
     def grids(self) -> tuple:
         """(q, L, D, columns) for each term by descending exponent, built on
-        first use: the term's entries on one integer grid (`_grid`) at the
-        lcm L of their conductors and the lcm D of their denominators."""
+        first use: column j holds the z^j numerators of the term's entries on
+        their common grid (`cyclo.common_grid`)."""
         if self._grids is None:
             grids = []
             for q in sorted(self.terms, reverse=True):
-                c = self.terms[q]
-                L, D = lcm(*(x.conductor for x in c)), lcm(*(x.den for x in c))
-                grids.append((q, L, D, _grid(c, L, D)))
+                L, D, rows = common_grid(self.terms[q])
+                grids.append((q, L, D, tuple(zip(*rows))))
             self._grids = tuple(grids)
         return self._grids
 
@@ -149,7 +149,7 @@ class Tail:
         out = {}
         for q, L, D, columns in self.grids():
             # w is invertible, so each image term is nonzero
-            out[q] = tuple(_normalized(L, [sum(map(mul, row, col)) for col in columns], D)
+            out[q] = tuple(from_grid(L, [sum(map(mul, row, col)) for col in columns], D)
                            for row in mat)
         return Tail._derived(self.rd, self.m, out)
 
@@ -164,12 +164,14 @@ class Tail:
         """Each term q scaled by zeta_m^(q*m): the equivariance reference.
 
         That root of unity is zeta_d^a for q = a/d in lowest terms, so a term
-        at an integer exponent is left as it is. The product of zeta_d^a with
-        an entry lives at the lcm of d and the entry's conductor; past
-        TWIST_PHI_BOUND for phi of that lcm the tail is refused before any
-        root of unity or cyclotomic polynomial is built.
+        at an integer exponent, or a tail of such terms, is left as it is. The
+        product of zeta_d^a with an entry lives at the lcm of d and the entry's
+        conductor; past TWIST_PHI_BOUND for phi of that lcm the tail is
+        refused before any root of unity or cyclotomic polynomial is built.
         """
         twisted = {q: c for q, c in self.terms.items() if q.denominator > 1}
+        if not twisted:
+            return self
         for q, c in twisted.items():
             L = lcm(q.denominator, *(x.conductor for x in c))
             if euler_phi(L) > TWIST_PHI_BOUND:
@@ -219,30 +221,46 @@ def pair_coroot(tail: Tail, coroot) -> Fraction | None:
     return None
 
 
-def _grid(c: Covector, L: int, D: int) -> tuple[tuple[int, ...], ...]:
-    """The covector's entries on one integer grid at conductor L and
-    denominator D, multiples of the entries' conductors and denominators:
-    column j holds each entry's z^j numerator at L, scaled to D. Entry i
-    is sum_j column_j[i] z^j / D, and 1, z, ..., z^(phi(L)-1) is a basis of
-    Q(zeta_L), so an integer vector pairs to zero with the covector exactly
-    when it is orthogonal to every column."""
-    return tuple(zip(*([n * (D // x.den) for n in x.lift(L).nums] for x in c)))
+def paired_grids(lam: Tail, image: Tail) -> list:
+    """Per exponent of two tails with the same exponents, from the top, lam's
+    grid columns and image's numerator rows on their common grid; a tail's
+    own grid serves when it already sits there."""
+    pairs = []
+    for (q, L1, D1, cols), (_, L2, D2, image_cols) in zip(lam.grids(), image.grids()):
+        L, D = lcm(L1, L2), lcm(D1, D2)
+        if (L1, D1) != (L, D):
+            cols = tuple(zip(*common_grid(lam.terms[q], L, D)[2]))
+        if (L2, D2) != (L, D):
+            image_cols = tuple(zip(*common_grid(image.terms[q], L, D)[2]))
+        pairs.append((cols, tuple(zip(*image_cols))))
+    return pairs
+
+
+def sends(w: WeylElement, pairs) -> bool:
+    """Whether w sends lam to image, given their `paired_grids`: each row of
+    w's covector matrix times each column of lam must equal the matching
+    numerator of image, exponent by exponent from the top, stopping at the
+    first that differs."""
+    cov = w.covector_matrix()
+    return all(sum(map(mul, row, col)) == x
+               for cols, rows in pairs for row, nums in zip(cov, rows)
+               for col, x in zip(cols, nums))
 
 
 def is_equivariant(tail: Tail, w: WeylElement) -> bool:
     """Fixed-point condition for a torus twisted by w: w sends each term
-    q = a/d in lowest terms to zeta_d^a times itself. That twist does not
-    depend on the torus's period.
+    q = a/d in lowest terms to zeta_d^a times itself (`sends` the tail to
+    its `expected_twist`). That twist does not depend on the torus's period.
 
     The verdict, False included, is kept on the tail per w.root_permutation,
-    as its coroot depths are, so a tail is acted on once per Weyl element.
+    as its coroot depths are, so a tail is tested once per Weyl element.
     """
     if tail._equivariant is None:
         tail._equivariant = {}
     verdict = tail._equivariant.get(w.root_permutation)
     if verdict is None:
         twist = tail.expected_twist()  # refuses an oversized conductor before other work
-        verdict = tail._equivariant[w.root_permutation] = tail.weyl_act(w) == twist
+        verdict = tail._equivariant[w.root_permutation] = sends(w, paired_grids(tail, twist))
     return verdict
 
 

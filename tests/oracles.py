@@ -45,7 +45,10 @@ is the SL2 lift as it was before the square root was cut to the window's
 principal part: it negates the whole window, reads it at t = tau^e and
 scales the root back, then builds and classifies the tail with the
 package's own `_tail_from_series` and `classify`, so the two routes differ
-in the window the root is taken on alone. Responses are checked
+in the window the root is taken on alone. `equivariant_by_image` is the
+equivariance condition as it was decided before one integer test served it
+and conjugacy: the tail's Weyl image built as a tail and compared with its
+twist as CycloNumbers across conductors. Responses are checked
 against the shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
@@ -521,6 +524,11 @@ def conjugate_by_products(d1, d2) -> bool:
                 weyl_image_oracle(u, c) == terms2[q] for q, c in terms1.items()):
             return True
     return False
+
+
+def equivariant_by_image(tail: Tail, w) -> bool:
+    """Whether w sends the tail to its expected twist, by building the image."""
+    return tail.weyl_act(w) == tail.expected_twist()
 
 
 def validate_response(command: str, doc) -> None:

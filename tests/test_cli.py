@@ -154,11 +154,15 @@ def test_moveability_exit_codes(capsys, tmp_path):
 def test_user_ladder_bytes(capsys):
     # the sl3 two-break datum with decreasing breaks (refused before its
     # bands are cut), with a repeated break (the bands partition the tail,
-    # the centralizer identity fails), and the A2 zero tail without breaks,
-    # as moveability and yu-sequence print them
+    # the centralizer identity fails), with one break and three levels at
+    # rho/2 for both variants (refused by shape, validated or not), and the
+    # A2 zero tail without breaks, as moveability and yu-sequence print them
     sl3 = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
            '{"q":"1","coeff":["-1","2"]}]}},"ladder":{"breaks":%s,'
            '"levels":[[],[1,4],[0,1,2,3,4,5]]}}')
+    one_break = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
+                 '{"q":"1","coeff":["-1","2"]}]}},"x":"rho/2","variant":"%s","ladder":'
+                 '{"breaks":["1"],"levels":[[],[1,4],[0,1,2,3,4,5]]%s}}')
     rejected = '{"error":{"code":"invalid-argument","message":"ladder rejected: %s"}}\n'
     zero = '{"type":"A2","lambda":{"m":1,"terms":[]}}'
     cases = [
@@ -166,6 +170,9 @@ def test_user_ladder_bytes(capsys):
          '{"error":{"code":"invalid-argument","message":"ladder breaks decrease: 2 before 1"}}\n'),
         ("moveability", sl3 % '["1","1"]', 1,
          rejected % "centralizer identity fails at level 2: [1, 4] vs [0, 1, 2, 3, 4, 5]"),
+        *(("moveability", one_break % (variant, validate), 1,
+           rejected % "level count must be break count + 1")
+          for validate in ('', ',"validate":false') for variant in "JK"),
         ("moveability", '{"datum":%s}' % zero, 0,
          '{"blocks":[],"full_rank":true,"rank_defects":0,"type":"A2","variant":"J"}\n'),
     ]

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarium import cyclo
-from polarium.cyclo import (CycloNumber, cyclo_from_json, cyclo_to_json,
-                            cyclotomic_polynomial, euler_phi, reduce_conductor,
-                            sqrt_cyclo, zeta)
+from polarium.cyclo import (CycloNumber, common_grid, cyclo_from_json, cyclo_to_json,
+                            cyclotomic_polynomial, dot_int, euler_phi, from_grid,
+                            reduce_conductor, sqrt_cyclo, zeta)
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired,
                              InvalidArgumentError)
-from polarium.linalg import dot_int, rank
+from polarium.linalg import rank
 
 from .oracles import cyclo_rank, dot_int_oracle
 
@@ -86,7 +87,7 @@ def test_cyclotomic_polynomials_and_reduction_tables_match_sympy():
         if L <= 105:  # x^k for phi <= k < 2*phi, the top degrees a product reaches
             phi = euler_phi(L)
             for k in range(phi, 2 * phi):
-                row = cyclo._reduce(L, [0] * k + [1])
+                row = cyclo.reduce_poly(L, [0] * k + [1])
                 assert list(row) == _sympy_coeffs(sympy.Poly(x**k, x).rem(modulus), phi), (L, k)
                 assert all(type(c) is int for c in row)
 
@@ -183,6 +184,34 @@ def test_dot_int_matches_oracle(pair):
     assert got == expected
     assert got.conductor == expected.conductor
     assert got.coeffs == expected.coeffs
+
+
+def test_common_grid_round_trip():
+    # values at mixed conductors and denominators, zero at conductors 1 and
+    # 7, on their own grid and on a grid at multiples of its L and D: row i
+    # is values[i] times D at conductor L, and from_grid reads it back
+    rng = random.Random(35)
+    values = [CycloNumber(L, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10)))
+                              for _ in range(euler_phi(L))]) for L in (1, 3, 4, 5, 12, 8, 1)]
+    values += [CycloNumber.zero(), CycloNumber.zero(7), zeta(5, 2) / 4]
+    L0 = lcm(*(x.conductor for x in values))
+    D0 = lcm(*(x.den for x in values))
+    assert (L0, D0) == (840, 60)
+    for given in ((None, None), (2 * L0, 7 * D0)):
+        L, D, rows = common_grid(values, *given)
+        assert (L, D) == ((L0, D0) if given[0] is None else given)
+        assert len(rows) == len(values)
+        for x, row in zip(values, rows):
+            assert len(row) == euler_phi(L) and all(type(n) is int for n in row)
+            assert sum((n * zeta(L, j) for j, n in enumerate(row)), CycloNumber.zero()) == x * D
+            back = from_grid(L, list(row), D)
+            assert back == x and back.conductor == L
+            assert (back.nums, back.den) == (x.lift(L).nums, x.den)
+        assert rows[-3] == rows[-2] == (0,) * euler_phi(L)
+    assert common_grid([]) == (1, 1, ())
+    assert common_grid([], 12, 5) == (12, 5, ())
+    zero = from_grid(7, [0] * 6, 35)
+    assert zero.is_zero() and (zero.nums, zero.den) == ((0,) * 6, 1)
 
 
 def test_sqrt_supported_values():

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarium.chevmap import default_grid, sqrt_series
-from polarium.cyclo import (CycloNumber, cyclo_to_json, euler_phi, reduce_conductor,
-                            sqrt_cyclo, zeta)
+from polarium.cyclo import (CycloNumber, cyclo_to_json, dot_int, euler_phi,
+                            reduce_conductor, sqrt_cyclo, zeta)
 from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
-from polarium.linalg import dot_int
 from polarium.tails import LaurentWindow
 
 from .oracles import (RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, scale_window,

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from polarium import linalg, looplie
+from polarium import cyclo, linalg, looplie
 from polarium.cyclo import CycloNumber, euler_phi, zeta
 from polarium.linalg import in_span, independent, nullspace, rank, rref
 from polarium.polar import classify, epipelagic_datum
@@ -222,7 +222,7 @@ def test_retraction_by_elimination_runs_on_rationals(monkeypatch):
         calls.append(len(rows))
         return got
 
-    monkeypatch.setattr(linalg, "rref", checked)
+    monkeypatch.setattr(cyclo, "rref", checked)
     rng = random.Random(22)
     for L in range(2, 31):
         for d in (d for d in range(1, L) if L % d == 0):

@@ -8,8 +8,8 @@ import pytest
 
 import polarium.polar as polar
 import polarium.tails as tails
-from polarium import cli
-from polarium.cyclo import zeta
+from polarium import cli, jsonio
+from polarium.cyclo import dot_int, reduce_conductor, zeta
 from polarium.errors import InvalidArgumentError
 from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             conjugate_oracle, epipelagic_datum,
@@ -17,10 +17,11 @@ from polarium.polar import (PolarDatum, classify, conjugate_datum,
                             sample_equivariant_tail)
 from polarium.rootdata import WeylElement, build
 from polarium.tails import Tail, is_equivariant
-from polarium.tori import TorusClass, list_torus_classes, split_torus_class
+from polarium.tori import (TorusClass, list_torus_classes, regular_class_of_order,
+                           split_torus_class)
 
-from .oracles import (conjugate_by_products, regular_vector_by_scan, stabilizer,
-                      subgroup_generated)
+from .oracles import (conjugate_by_products, equivariant_by_image, regular_vector_by_scan,
+                      stabilizer, subgroup_generated)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -310,14 +311,13 @@ def test_conjugate_oracle_builds_each_grid_once(a2, monkeypatch):
     # tails sit on different grids, so each of their terms is put on the
     # common grid once per call, not once per u
     built = []
-    original = tails._grid
+    original = tails.common_grid
 
-    def counted(c, L, D):
+    def counted(values, L=None, D=None):
         built.append((L, D))
-        return original(c, L, D)
+        return original(values, L, D)
 
-    monkeypatch.setattr(tails, "_grid", counted)
-    monkeypatch.setattr(polar, "_grid", counted)
+    monkeypatch.setattr(tails, "common_grid", counted)
     split = split_torus_class(a2)
     d1 = classify(split, Tail(a2, 1, {F(2): [F(1, 2), 1], F(1): [zeta(3, 1), 2]}))
     d2 = classify(split, Tail(a2, 1, {F(2): [F(1, 3), 1], F(1): [zeta(4, 1), 2]}))
@@ -352,13 +352,13 @@ def test_equivariance_verdict_memoised_per_torus(a2, monkeypatch):
     coxeter, split = ep.torus, split_torus_class(a2)
     lam = Tail(a2, 3, ep.lam.terms)  # a fresh tail: the datum's own has a memo already
     calls = []
-    original = Tail.weyl_act
+    original = tails.sends
 
-    def counted(self, w):
-        calls.append((self, w.matrix))
-        return original(self, w)
+    def counted(w, pairs):
+        calls.append((pairs, w.matrix))
+        return original(w, pairs)
 
-    monkeypatch.setattr(Tail, "weyl_act", counted)
+    monkeypatch.setattr(tails, "sends", counted)
     for _ in range(3):
         assert is_equivariant(lam, coxeter.w)
         assert not is_equivariant(lam, split.w)   # a False verdict is kept too
@@ -370,3 +370,70 @@ def test_equivariance_verdict_memoised_per_torus(a2, monkeypatch):
     assert len(calls) == 3
     assert [mat for _, mat in calls] == [coxeter.w.matrix, a2.identity_element().matrix,
                                          reflection.w.matrix]
+
+
+def _twisted_tails(rng: random.Random):
+    """(torus class, tail, verdict) for tails of eigenvectors of a regular
+    class of order m, each term scaled by a root of unity of order up to 8
+    over a small denominator, its entries at their own least conductors. A
+    zeta_m^j eigenvector at exponent a/m is equivariant exactly when
+    a = j mod m; at another a it is twisted by the wrong root of unity."""
+    for label, m in (("A2", 3), ("B2", 4), ("G2", 6), ("A3", 4)):
+        tc = regular_class_of_order(build(label), m)
+        eigen = [j for j in range(m) if tc.eigenspace(j)]
+        for _ in range(12):
+            terms, verdict = {}, True
+            for _ in range(rng.randint(1, 3)):
+                j = rng.choice(eigen)
+                a = j + m * rng.randrange(3) if rng.random() < 0.5 else rng.randrange(3 * m)
+                if F(a, m) in terms:
+                    continue
+                basis = tc.eigenspace(j)
+                scale = zeta(rng.randint(1, 8), rng.randint(0, 7)) / rng.randint(1, 3)
+                weights = [rng.randint(1, 2) for _ in basis]
+                terms[F(a, m)] = tuple(reduce_conductor(scale * dot_int(weights, column))
+                                       for column in zip(*basis))
+                verdict = verdict and (a - j) % m == 0
+            yield tc, Tail(tc.rd, m, terms), verdict
+
+
+def test_is_equivariant_matches_image_reference(monkeypatch):
+    # the integer test against the image definition, on fresh copies of the
+    # tails: every partition-check sample (A2/B2/G2/A3, seeds 0-7) and every
+    # homogeneous datum of the light and lattice workloads under each torus
+    # class of its root datum, and eigenvector tails twisted by the right or
+    # a wrong root of unity at mixed conductors
+    seen = {}
+    original = polar.is_equivariant
+
+    def recorded(tail, w):
+        seen[id(tail)] = tail
+        return original(tail, w)
+
+    monkeypatch.setattr(polar, "is_equivariant", recorded)
+    cases = []
+    for label in ("A2", "B2", "G2", "A3"):
+        seen.clear()
+        for seed in range(8):
+            partition_check(build(label), samples=12, seed=seed, disjoint_pairs=4)
+        cases += [(tail, tc) for tail in seen.values() for tc in list_torus_classes(build(label))]
+    data = workloads.load_lattice_data()
+    keys = ([workloads.epipelagic_key(t, m) for t, m in workloads.EPIPELAGIC_LATTICE]
+            + [workloads.homogeneous_key(*c) for c in workloads.HOMOGENEOUS_LATTICE])
+    homogeneous = [jsonio.datum_from_json(data[key]) for key in keys] + [
+        homogeneous_datum(build(t), m, i)
+        for t, m, i in [(t, m, 1) for t, m in workloads.LIGHT_EPIPELAGIC]
+        + list(workloads.LIGHT_HOMOGENEOUS)]
+    for d in homogeneous:
+        cases += [(d.lam, tc) for tc in list_torus_classes(d.rd)]
+    twisted = list(_twisted_tails(random.Random(35)))
+    cases += [(lam, tc) for tc, lam, _ in twisted]
+    verdicts = [is_equivariant(Tail._derived(lam.rd, lam.m, lam.terms), tc.w)
+                for lam, tc in cases]
+    assert verdicts == [equivariant_by_image(lam, tc.w) for lam, tc in cases]
+    assert verdicts[-len(twisted):] == [verdict for _, _, verdict in twisted]
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+    assert 10 < sum(verdict for _, _, verdict in twisted) < len(twisted) - 10
+    mixed = [c for _, lam, _ in twisted for c in lam.terms.values()
+             if len({x.conductor for x in c}) > 1]
+    assert len(mixed) > 30

@@ -3,18 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+import polarium.polar as polar
 from polarium.chevmap import sl2_crosscheck, sqrt_series, verify_sl2
-from polarium.cyclo import CycloNumber, euler_phi, zeta
+from polarium.cyclo import CycloNumber, dot_int, euler_phi, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
-from polarium.linalg import dot_int
 from polarium.polar import partition_check
 from polarium.rootdata import build
 from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
                             tail_from_json, tail_to_json, window_from_json)
 from polarium.tori import list_torus_classes
 
-from .oracles import (add_tails, dot_int_oracle, ref_dot_int, scale_window,
-                      weyl_image_oracle, window_product, window_sum)
+from .oracles import (add_tails, dot_int_oracle, equivariant_by_image, ref_dot_int,
+                      scale_window, weyl_image_oracle, window_product, window_sum)
 
 
 def test_pair_coroot_fundamental_weight(a1):
@@ -273,6 +273,16 @@ def test_derived_tails_pass_the_public_checks(a2, b2, g2, monkeypatch):
         return tail
 
     monkeypatch.setattr(Tail, "_derived", staticmethod(recorded))
+    # the sampler's tails are also acted on as the equivariance reference
+    # does, which builds each image and twist as a tail
+    checked_equivariant = polar.is_equivariant
+
+    def equivariant(tail, w):
+        verdict = checked_equivariant(tail, w)
+        assert verdict == equivariant_by_image(tail, w)
+        return verdict
+
+    monkeypatch.setattr(polar, "is_equivariant", equivariant)
     rng = random.Random(23)
     for rd in (a2, b2, g2):
         for m in (1, 2, 3, 4):
