@@ -13,7 +13,7 @@ from functools import cache
 from math import floor, lcm
 from typing import NamedTuple
 
-from .cyclo import common_grid, euler_phi, from_grid, reduce_poly, sqrt_cyclo
+from .cyclo import CycloNumber, common_grid, euler_phi, from_grid, reduce_poly, sqrt_cyclo
 from .errors import InvalidArgumentError, PolariumError, PrecisionError, ResourceLimitError
 from .polar import classify
 from .rootdata import build
@@ -34,6 +34,14 @@ LIFT_BITS_BOUND = 4096
 @cache
 def _a1():
     return build("A1")
+
+
+@cache
+def _a1_classes() -> tuple[TorusClass, TorusClass]:
+    """The split (m = 1) and ramified (w = s_alpha, m = 2) torus classes of
+    A1 that the lifts land on, built once like the root datum."""
+    rd = _a1()
+    return split_torus_class(rd), TorusClass(rd, rd.weyl_elements()[1], 2)
 
 
 def sqrt_series(a: LaurentWindow) -> LaurentWindow:
@@ -136,12 +144,6 @@ def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
     return Tail._derived(_a1(), m, terms)
 
 
-def _nonsplit_class() -> TorusClass:
-    rd = _a1()
-    s_alpha = rd.weyl_elements()[1]
-    return TorusClass(rd, s_alpha, 2)
-
-
 def _principal_end(a: LaurentWindow, v: Fraction) -> Fraction:
     """Where the principal part of a window of valuation v ends: just after
     its last step at or below max(v/2 - 1, v), or at the window's end."""
@@ -181,8 +183,7 @@ def sl2_crosscheck(a: LaurentWindow) -> tuple[Sl2Stratum, bool]:
         principal = {q: -c for q, c in a.terms.items() if q < hi}
         m = 1 if v % 2 == 0 else 2
         b = sqrt_series(LaurentWindow._derived(a.lo, hi, principal, a.den))
-        tc = split_torus_class(_a1()) if m == 1 else _nonsplit_class()
-        datum = classify(tc, _tail_from_series(b, m))
+        datum = classify(_a1_classes()[m - 1], _tail_from_series(b, m))
         if not datum.lam.is_zero():
             lifted = Sl2Stratum("split-toral" if m == 1 else "nonsplit-toral",
                                 int(datum.lam.depth() + Fraction(1, m)))
@@ -201,17 +202,23 @@ GRID_WIDTH = 6  # each window ends this far past its valuation
 
 
 def default_grid() -> list[LaurentWindow]:
-    """Deterministic windows covering every stratum boundary case."""
+    """Deterministic windows covering every stratum boundary case.
+
+    The windows are the module's own constants: integer bounds, nonzero
+    rational coefficients at integer exponents inside them, so each is built
+    as a valid window (`LaurentWindow._derived`) with nothing parsed or
+    checked again; a fresh list of fresh windows on every call."""
     grid = []
     for v in GRID_VALUATIONS:
+        lo, hi = Fraction(v), Fraction(v + GRID_WIDTH)
         for lead in GRID_LEADS:
             for pattern in GRID_PATTERNS:
-                terms = {Fraction(v): lead}
+                terms = {lo: CycloNumber.from_rational(lead)}
                 for off, c in enumerate(pattern, start=1):
-                    terms[Fraction(v + off)] = Fraction(c)
-                grid.append(LaurentWindow(v, v + GRID_WIDTH, terms))
+                    terms[lo + off] = CycloNumber.from_rational(c)
+                grid.append(LaurentWindow._derived(lo, hi, terms, 1))
     # All-zero windows on both sides of the decidability line.
-    grid.append(LaurentWindow(-1, 4, {}))
+    grid.append(LaurentWindow._derived(Fraction(-1), Fraction(4), {}, 1))
     return grid
 
 

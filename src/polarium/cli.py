@@ -101,9 +101,23 @@ def _run_jlattice(doc: dict) -> tuple[dict, int]:
 
 def _run_moveability(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json(doc["datum"])
-    ladder = _ladder_from_request(datum, doc.get("ladder"))
+    ladder_doc = doc.get("ladder")
+    ladder = _ladder_from_request(datum, ladder_doc)
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
-    report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
+    try:
+        report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
+    except InternalInvariantViolation as exc:
+        # an unvalidated user ladder vouches for its own breaks: when the
+        # check then fails an invariant, a break that is not a depth of the
+        # tail is the input's fault
+        if ladder_doc and not ladder_doc.get("validate", True):
+            depths = yuseq.breaks(datum)
+            off = [r for r in ladder.breaks if r not in depths]
+            if off:
+                raise InvalidArgumentError(
+                    f"ladder rejected: break {off[0]} is not a depth of the tail: "
+                    f"[{', '.join(map(str, depths))}]") from exc
+        raise
     return report, 0 if report["full_rank"] else 2
 
 

@@ -453,42 +453,66 @@ def zeta(conductor: int, exponent: int = 1) -> CycloNumber:
     return _make(conductor, reduce_poly(conductor, [0] * e + [1]), 1)
 
 
+def _unit_part(c: CycloNumber, M: int) -> tuple[int, Fraction] | None:
+    """The first e in 0..M-1 with c * zeta_M^(-e) a positive rational q, and
+    q; None when there is none. c lives at a conductor dividing M.
+
+    c = q zeta_M^e exactly when c's numerators at M are a positive multiple
+    of those of zeta_M^e, as the numerators are canonical, so each e is one
+    proportionality test on ints. zeta_M^(e+1) is read off zeta_M^e times z:
+    a shift, and z^phi(M) rewritten through Phi_M when the top one is
+    nonzero."""
+    nums, den = c.lift(M).nums, c.den
+    j, n = next((j, n) for j, n in enumerate(nums) if n)
+    phi = len(nums)
+    low = cyclotomic_polynomial(M)[:phi]
+    power = [1] + [0] * (phi - 1)
+    for e in range(M):
+        p = power[j]
+        if p * n > 0 and all(a * p == b * n for a, b in zip(nums, power)):
+            return e, Fraction(n, p * den)
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            power = [x - top * y for x, y in zip(power, low)]
+    return None
+
+
 def sqrt_cyclo(c: CycloNumber) -> CycloNumber:
     """A square root of c, for c of the form (rational)^2 * 2^eps * root of unity.
 
     Covers squares of rationals, their negatives, doubles, and root-of-unity
-    multiples; anything else raises FieldExtensionRequired. The returned root
-    is canonical: its first nonzero coefficient is positive.
+    multiples; anything else raises FieldExtensionRequired. With M the lcm
+    of c's conductor and 8, c = q zeta_M^e for the first e in 0..M-1 that
+    leaves a positive rational q (`_unit_part`), and the root is
+    sqrt(q) zeta_2M^e. The returned root is canonical: its first nonzero
+    coefficient is positive.
     """
     if c.is_zero():
         return CycloNumber.zero(c.conductor)
     M = lcm(c.conductor, 8)
-    lifted = c.lift(M)
-    for e in range(M):
-        u = lifted * zeta(M, -e % M)
-        if u.is_rational():
-            q = u.as_rational()
-            if q <= 0:
-                continue
-            # sqrt(q) = sqrt(num * den) / den = base * sqrt(v), v squarefree;
-            # num and den are coprime, so their factorizations concatenate
-            num, v = 1, 1
-            for p, k in _factor(q.numerator) + _factor(q.denominator):
-                num *= p ** (k // 2)
-                v *= p ** (k % 2)
-            base = Fraction(num, q.denominator)
-            if v == 1:
-                root = CycloNumber.from_rational(base)
-            elif v == 2:
-                sqrt2 = zeta(8, 1) + zeta(8, -1)
-                root = base * sqrt2
-            else:
-                raise FieldExtensionRequired(
-                    f"square root of {q} not available in the working field"
-                )
-            s = root * zeta(2 * M, e)
-            return reduce_conductor(_canonical_sign(s))
-    raise FieldExtensionRequired(f"{c!r} is not a supported square times a root of unity")
+    found = _unit_part(c, M)
+    if found is None:
+        raise FieldExtensionRequired(f"{c!r} is not a supported square times a root of unity")
+    e, q = found
+    # sqrt(q) = sqrt(num * den) / den = base * sqrt(v), v squarefree;
+    # num and den are coprime, so their factorizations concatenate
+    num, v = 1, 1
+    for p, k in _factor(q.numerator) + _factor(q.denominator):
+        num *= p ** (k // 2)
+        v *= p ** (k % 2)
+    base = Fraction(num, q.denominator)
+    if v == 1:
+        root = CycloNumber.from_rational(base)
+    elif v == 2:
+        sqrt2 = zeta(8, 1) + zeta(8, -1)
+        root = base * sqrt2
+    else:
+        raise FieldExtensionRequired(
+            f"square root of {q} not available in the working field"
+        )
+    s = root * zeta(2 * M, e)
+    return reduce_conductor(_canonical_sign(s))
 
 
 def _canonical_sign(s: CycloNumber) -> CycloNumber:

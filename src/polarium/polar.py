@@ -94,8 +94,13 @@ def classify(tc: TorusClass, lam: Tail) -> PolarDatum:
 
 
 def conjugate_torus(tc: TorusClass, u: WeylElement) -> TorusClass:
-    """The class of u w u^-1, a product born with its inverse u w^-1 u^-1."""
-    return TorusClass(tc.rd, u.compose(tc.w).compose(u.inverse()), tc.m)
+    """The class of u w u^-1, a product born with its inverse u w^-1 u^-1.
+
+    It keeps tc's period and inherits its eigenspace dimensions, which are
+    read off traces and so are the same on the whole conjugacy class; its
+    eigenspaces are solved afresh when asked for, and each is checked
+    against the inherited dimension."""
+    return TorusClass._derived(tc, u.compose(tc.w).compose(u.inverse()))
 
 
 def conjugate_datum(d: PolarDatum, u: WeylElement) -> PolarDatum:

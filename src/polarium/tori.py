@@ -8,7 +8,10 @@ The eigenspace dimensions are integers read off the traces of w^0, ...,
 w^(k-1), k the order of w, which the w^m = 1 check computes anyway: k divides
 m and the traces repeat with period k; each is read off the coroots at the
 simple roots' images under w^j. A period above PERIOD_BOUND is refused
-before any trace is taken. A basis of the zeta_m^i eigenspace is solved by a
+before any trace is taken. The traces are counted once per class built from
+an element: traces are class functions, so a conjugate u·w·u^-1
+(`polar.conjugate_torus`) inherits the order and the dimensions of its
+source and counts nothing. A basis of the zeta_m^i eigenspace is solved by a
 cyclotomic nullspace only when a caller asks for it, once per class, and its
 length is checked against that trace count.
 
@@ -97,6 +100,17 @@ class TorusClass:
         self.w = w
         self.eigendims = _eigendims(traces, m)
         self.eigenspaces: dict[int, list[Covector]] = {}
+
+    @classmethod
+    def _derived(cls, source: "TorusClass", w: WeylElement) -> "TorusClass":
+        """The class of a conjugate w = u·source.w·u^-1, built from valid data:
+        traces are class functions, so w has the source's order and
+        eigenspace dimensions, and nothing is counted again. Its eigenspaces
+        are solved afresh on first use."""
+        tc = cls.__new__(cls)
+        tc.rd, tc.m, tc.w, tc.eigendims = source.rd, source.m, w, source.eigendims
+        tc.eigenspaces = {}
+        return tc
 
     def eigenspace(self, i: int) -> list[Covector]:
         """Basis of the zeta_m^i eigenspace on the dual Cartan, solved on first use."""

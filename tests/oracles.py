@@ -48,7 +48,9 @@ package's own `_tail_from_series` and `classify`, so the two routes differ
 in the window the root is taken on alone. `equivariant_by_image` is the
 equivariance condition as it was decided before one integer test served it
 and conjugacy: the tail's Weyl image built as a tail and compared with its
-twist as CycloNumbers across conductors. Responses are checked
+twist as CycloNumbers across conductors. `sqrt_by_trial` is the square
+root as it was before its root-of-unity factor was read off the
+numerators: one trial product per power of zeta_M. Responses are checked
 against the shipped schemas by `jsonschema` itself.
 
 `RefCyclo` is the cyclotomic field as it was computed before the package
@@ -67,17 +69,15 @@ from math import ceil, floor, lcm
 import jsonschema
 import sympy
 
-from polarium.chevmap import (Sl2Stratum, _nonsplit_class, _tail_from_series, sl2_stratum,
-                              sqrt_series)
-from polarium.cyclo import CycloNumber
+from polarium.chevmap import Sl2Stratum, _a1_classes, _tail_from_series, sl2_stratum, sqrt_series
+from polarium.cyclo import CycloNumber, reduce_conductor, zeta
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError,
                              PrecisionError)
 from polarium.jsonio import schemas
 from polarium.looplie import JLattice
 from polarium.polar import classify
-from polarium.rootdata import build
 from polarium.tails import LaurentWindow, Tail
-from polarium.tori import TorusClass, split_torus_class
+from polarium.tori import TorusClass
 
 
 def closure_roots_from_cartan(cartan) -> set:
@@ -705,8 +705,7 @@ def full_window_crosscheck(a: LaurentWindow) -> tuple:
     if v is not None:
         e = 1 if v % 2 == 0 else 2
         b = scale_window(sqrt_series(scale_window(neg, e)), Fraction(1, e))
-        tc = split_torus_class(build("A1")) if e == 1 else _nonsplit_class()
-        datum = classify(tc, _tail_from_series(b, e))
+        datum = classify(_a1_classes()[e - 1], _tail_from_series(b, e))
         if not datum.lam.is_zero():
             lifted = Sl2Stratum("split-toral" if e == 1 else "nonsplit-toral",
                                 int(datum.lam.depth() + Fraction(1, e)))
@@ -1102,6 +1101,34 @@ def ref_dot_int(ints, u) -> RefCyclo:
         for i, c in enumerate(a.lift(L).coeffs):
             acc[i] += k * c
     return RefCyclo(L, acc)
+
+
+def sqrt_by_trial(c: CycloNumber) -> CycloNumber:
+    """`cyclo.sqrt_cyclo` as it was before the unit was read off the
+    numerators: one trial product c * zeta_M^(-e) per e in 0..M-1 until one
+    is a positive rational q, then the root sqrt(q) zeta_2M^e with its first
+    nonzero coefficient positive, at its least conductor."""
+    if c.is_zero():
+        return CycloNumber.zero(c.conductor)
+    M = lcm(c.conductor, 8)
+    lifted = c.lift(M)
+    for e in range(M):
+        u = lifted * zeta(M, -e % M)
+        if not u.is_rational() or u.as_rational() <= 0:
+            continue
+        q = u.as_rational()
+        num = sympy.factorint(q.numerator * q.denominator)
+        v = sympy.prod([p for p, k in num.items() if k % 2])
+        if v not in (1, 2):
+            raise FieldExtensionRequired(f"square root of {q}")
+        base = sympy.sqrt(sympy.Rational(q.numerator, q.denominator) / v)
+        root = CycloNumber.from_rational(Fraction(int(base.p), int(base.q)))
+        if v == 2:
+            root = root * (zeta(8, 1) + zeta(8, -1))
+        s = root * zeta(2 * M, e)
+        first = next(x for x in s.nums if x)
+        return reduce_conductor(s if first > 0 else -s)
+    raise FieldExtensionRequired(f"{c!r} is not a supported square times a root of unity")
 
 
 def ref_sqrt(c: RefCyclo) -> RefCyclo:

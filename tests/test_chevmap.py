@@ -103,6 +103,31 @@ def test_crosscheck_spot_values():
         assert sl2_crosscheck(a) == (stratum, True)
 
 
+def test_default_grid_windows_match_checked_construction():
+    # each window built from the module's constants is the window the checked
+    # constructor builds from the same bounds and terms
+    from polarium.chevmap import GRID_LEADS, GRID_PATTERNS, GRID_VALUATIONS, GRID_WIDTH
+
+    expected = [LaurentWindow(v, v + GRID_WIDTH,
+                              {F(v + off): c for off, c in enumerate((lead, *pattern))})
+                for v in GRID_VALUATIONS for lead in GRID_LEADS for pattern in GRID_PATTERNS]
+    expected.append(LaurentWindow(-1, 4, {}))
+    grid = default_grid()
+    assert len(grid) == len(expected) == 265
+    for got, want in zip(grid, expected):
+        assert (type(got.lo), type(got.hi)) == (F, F)
+        assert (got.lo, got.hi, got.den) == (want.lo, want.hi, want.den)
+        assert list(got.terms) == list(want.terms)
+        for q, c in got.terms.items():
+            assert type(q) is F
+            w = want.terms[q]
+            assert (c.conductor, c.nums, c.den) == (w.conductor, w.nums, w.den)
+    # a fresh list of fresh windows on every call
+    again = default_grid()
+    assert again == grid and all(a is not b and a.terms is not b.terms
+                                 for a, b in zip(again, grid))
+
+
 def test_verify_sl2_default_grid():
     report = verify_sl2()
     assert report["violations"] == []

@@ -155,14 +155,22 @@ def test_user_ladder_bytes(capsys):
     # the sl3 two-break datum with decreasing breaks (refused before its
     # bands are cut), with a repeated break (the bands partition the tail,
     # the centralizer identity fails), with one break and three levels at
-    # rho/2 for both variants (refused by shape, validated or not), and the
-    # A2 zero tail without breaks, as moveability and yu-sequence print them
+    # rho/2 for both variants (refused by shape, validated or not), with
+    # one break at 5, not one of its depths 1 and 2, at rho/2 (variant J:
+    # unvalidated, its break form fails on the input's break and is
+    # refused; validated, the ladder passed its checks and the failure
+    # stays an invariant violation; variant K answers with its rank
+    # report either way), and the A2 zero tail without breaks, as
+    # moveability and yu-sequence print them
     sl3 = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
            '{"q":"1","coeff":["-1","2"]}]}},"ladder":{"breaks":%s,'
            '"levels":[[],[1,4],[0,1,2,3,4,5]]}}')
     one_break = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
                  '{"q":"1","coeff":["-1","2"]}]}},"x":"rho/2","variant":"%s","ladder":'
                  '{"breaks":["1"],"levels":[[],[1,4],[0,1,2,3,4,5]]%s}}')
+    off_depth = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
+                 '{"q":"1","coeff":["-1","2"]}]}},"x":"rho/2","variant":"%s","ladder":'
+                 '{"breaks":["5"],"levels":[[],[0,1,2,3,4,5]]%s}}')
     rejected = '{"error":{"code":"invalid-argument","message":"ladder rejected: %s"}}\n'
     zero = '{"type":"A2","lambda":{"m":1,"terms":[]}}'
     cases = [
@@ -173,14 +181,43 @@ def test_user_ladder_bytes(capsys):
         *(("moveability", one_break % (variant, validate), 1,
            rejected % "level count must be break count + 1")
           for validate in ('', ',"validate":false') for variant in "JK"),
+        ("moveability", off_depth % ("J", ',"validate":false'), 1,
+         rejected % "break 5 is not a depth of the tail: [1, 2]"),
+        ("moveability", off_depth % ("J", ""), 3,
+         '{"error":{"code":"internal-invariant-violation",'
+         '"message":"symplectic form is degenerate on the break piece"}}\n'),
         ("moveability", '{"datum":%s}' % zero, 0,
          '{"blocks":[],"full_rank":true,"rank_defects":0,"type":"A2","variant":"J"}\n'),
     ]
     for command, text, expected_status, expected_out in cases:
         assert run_main(capsys, command, "--input", text) == (expected_status, expected_out)
+    for validate in ('', ',"validate":false'):
+        status, out = run_main(capsys, "moveability", "--input", off_depth % ("K", validate))
+        assert (status, json.loads(out)["rank_defects"]) == (2, 12)
     status, out = run_main(capsys, "yu-sequence", "--input", zero)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest().startswith("3f53626e2fe2a747")
+
+
+def test_user_datum_refusals(capsys):
+    # each PolarDatum validation refusal, reached by a yu-sequence request
+    # that gives its levi: a w-unstable levi, a non-equivariant tail, a
+    # levi coroot pairing nonzero and a non-levi coroot pairing to zero
+    cases = [
+        ('{"type":"A2","torus":{"m":3,"w":[[-1,1],[-1,0]]},"levi":[0,2],'
+         '"lambda":{"m":3,"terms":[]}}',
+         "levi subset not stable under the twisting element"),
+        ('{"type":"A2","torus":{"m":2,"w":[[-1,1],[0,1]]},"levi":[],'
+         '"lambda":{"m":2,"terms":[{"q":"1","coeff":["1","0"]}]}}',
+         "tail violates the torus equivariance condition"),
+        ('{"type":"A2","levi":[0,2],"lambda":{"m":1,"terms":[{"q":"1","coeff":["1","1"]}]}}',
+         "tail not central: coroot 0 pairs nonzero"),
+        ('{"type":"A2","levi":[],"lambda":{"m":1,"terms":[]}}',
+         "tail not G-regular: coroot 0 pairing vanishes"),
+    ]
+    for text, message in cases:
+        assert run_main(capsys, "yu-sequence", "--input", text) == (
+            1, '{"error":{"code":"invalid-argument","message":"%s"}}\n' % message)
 
 
 def test_error_exit_codes(capsys, tmp_path):

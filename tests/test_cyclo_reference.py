@@ -21,7 +21,7 @@ from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
 from polarium.tails import LaurentWindow
 
 from .oracles import (RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, scale_window,
-                      window_product)
+                      sqrt_by_trial, window_product)
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24)
 
@@ -202,6 +202,35 @@ def test_sqrt_matches_reference(q, factor, L, e, other):
     for c in (q * q * factor * zeta(L, e), other):
         check_raises_alike(lambda: sqrt_cyclo(c), lambda: ref_sqrt(RefCyclo.of(c)),
                            FieldExtensionRequired)
+
+
+def test_sqrt_at_conductor_105_matches_the_trial_loop():
+    # M = lcm(105, 8) = 840: zeta_105^48 has a numerator 2 at 105 and
+    # zeta_105^k for k in 24, 52, 87 one at 840, so a multiple of it is
+    # matched with entries other than +-1; the unit sits anywhere in
+    # 0..839, on either sign, times 2 or 3, and the roots land at
+    # conductors 35 to 840; two values are no square times a root of unity,
+    # and neither is a third at 840: zeta_105^24 read there with its
+    # numerators 2 read as 1, the support of a root of unity without its
+    # proportions
+    cases = [q * zeta(105, k)
+             for k, q in ((1, Fraction(4, 9)), (24, Fraction(-1)), (48, Fraction(2)),
+                          (52, Fraction(-18, 49)), (83, Fraction(-3)), (87, Fraction(25)))]
+    flattened = [n // 2 if abs(n) == 2 else n for n in zeta(105, 24).lift(840).nums]
+    cases += [1 + zeta(105, 1), CycloNumber(840, flattened)]
+    roots = 0
+    for c in cases:
+        try:
+            expected = sqrt_by_trial(c)
+        except FieldExtensionRequired:
+            with pytest.raises(FieldExtensionRequired):
+                sqrt_cyclo(c)
+            continue
+        s = sqrt_cyclo(c)
+        assert (s.conductor, s.nums, s.den) == (expected.conductor, expected.nums, expected.den)
+        assert s * s == c
+        roots += 1
+    assert roots == 5
 
 
 def _random_element(rng: random.Random, L: int) -> CycloNumber:

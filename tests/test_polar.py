@@ -88,6 +88,28 @@ def test_stabilizer_generated_by_reflections(a1, a2, b2):
             assert generated == {u.matrix for u in st["elements"]}
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2"])
+def test_conjugate_torus_inherits_the_trace_count(label):
+    # the conjugate keeps the source's period and eigenspace dimensions, as
+    # a class built afresh from u w u^-1 counts them from its traces, and it
+    # starts with no eigenspace of its own
+    rd = build(label)
+    for tc in list_torus_classes(rd):
+        tc.eigenspace(1)
+        for u in rd.weyl_elements():
+            moved = polar.conjugate_torus(tc, u)
+            w = u.compose(tc.w).compose(u.inverse())
+            fresh = TorusClass(rd, w, tc.m)
+            assert moved.w == w and moved.rd is rd
+            assert (moved.m, moved.eigendims) == (fresh.m, fresh.eigendims)
+            assert moved.eigenspaces == {}
+    # a solved eigenspace of a conjugate passes the dimension check
+    for tc in list_torus_classes(rd):
+        moved = polar.conjugate_torus(tc, rd.weyl_elements()[-1])
+        for i in range(tc.m):
+            assert len(moved.eigenspace(i)) == tc.eigendims[i]
+
+
 def test_conjugate_oracle_reflexive_and_translates(a2):
     rng = random.Random(17)
     tc = split_torus_class(a2)
