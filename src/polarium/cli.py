@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 import sys
 
-from . import chevmap, jsonio, looplie, polar, yuseq
-from .cyclo import parse_fraction
+from . import chevmap, jsonio, looplie, polar
 from .errors import InternalInvariantViolation, InvalidArgumentError, PolariumError
-from .rootdata import build, rootdatum_to_json
-from .tails import grid_from_json
+from .rootdata import build
 from .tori import list_torus_classes, regular_numbers
-from .yuseq import YuLadder, decompose_lambda, extract
+from .yuseq import extract
 
 
 def _load_input(path: str | None) -> dict:
@@ -43,29 +41,6 @@ def _load_input(path: str | None) -> dict:
     return doc
 
 
-def _ladder_from_request(datum, doc: dict | None) -> YuLadder:
-    if not doc:
-        return extract(datum)
-    nroots = len(datum.rd.roots)
-    breaks = [parse_fraction(b) for b in doc["breaks"]]
-    # a validated ladder's centralizer check refuses repeated breaks
-    drops = [f"{r} before {s}" for r, s in zip(breaks, breaks[1:]) if s < r]
-    if drops:
-        raise InvalidArgumentError(f"ladder breaks decrease: {', '.join(drops)}")
-    levels = [frozenset(level) for level in doc["levels"]]
-    if any(i >= nroots for level in levels for i in level):
-        raise InvalidArgumentError(f"ladder level index out of range: "
-                                   f"{datum.rd.type_label()} has {nroots} roots")
-    if len(levels) != len(breaks) + 1:  # unvalidated, such a ladder would index past its levels
-        raise InvalidArgumentError("ladder rejected: level count must be break count + 1")
-    components = decompose_lambda(datum, breaks)
-    try:
-        return YuLadder(datum, breaks, levels, components,
-                        validate=doc.get("validate", True))
-    except InternalInvariantViolation as exc:  # a user ladder's fault is in the input
-        raise InvalidArgumentError(f"ladder rejected: {exc}") from exc
-
-
 def _run_classify(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json({k: v for k, v in doc.items() if k != "levi"})
     return jsonio.datum_to_json(datum), 0
@@ -74,7 +49,7 @@ def _run_classify(doc: dict) -> tuple[dict, int]:
 def _run_yu_sequence(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json(doc)
     ladder = extract(datum)
-    out = {"datum": jsonio.datum_to_json(datum), "ladder": yuseq.ladder_to_json(ladder)}
+    out = {"datum": jsonio.datum_to_json(datum), "ladder": jsonio.ladder_to_json(ladder)}
     return out, 0
 
 
@@ -94,7 +69,7 @@ def _run_jlattice(doc: dict) -> tuple[dict, int]:
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
     lattice = looplie.build_j_lattice(datum, ladder, x)
     psi = looplie.psi_lambda_check(lattice)
-    out = {"jlattice": lattice.to_json(), "psi_lambda": psi,
+    out = {"jlattice": jsonio.jlattice_to_json(lattice), "psi_lambda": psi,
            "bracket_closure": "verified"}
     return out, 0
 
@@ -102,7 +77,7 @@ def _run_jlattice(doc: dict) -> tuple[dict, int]:
 def _run_moveability(doc: dict) -> tuple[dict, int]:
     datum = jsonio.datum_from_json(doc["datum"])
     ladder_doc = doc.get("ladder")
-    ladder = _ladder_from_request(datum, ladder_doc)
+    ladder = jsonio.ladder_from_json(datum, ladder_doc)
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
     try:
         report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
@@ -111,33 +86,28 @@ def _run_moveability(doc: dict) -> tuple[dict, int]:
         # check then fails an invariant, a break that is not a depth of the
         # tail is the input's fault
         if ladder_doc and not ladder_doc.get("validate", True):
-            depths = yuseq.breaks(datum)
-            off = [r for r in ladder.breaks if r not in depths]
-            if off:
-                raise InvalidArgumentError(
-                    f"ladder rejected: break {off[0]} is not a depth of the tail: "
-                    f"[{', '.join(map(str, depths))}]") from exc
+            jsonio.refuse_off_depth(datum, ladder)
         raise
     return report, 0 if report["full_rank"] else 2
 
 
 def _run_verify_sl2(doc: dict) -> tuple[dict, int]:
     grid_spec = doc.get("grid", "default")
-    grid = None if grid_spec == "default" else grid_from_json(grid_spec)
+    grid = None if grid_spec == "default" else jsonio.grid_from_json(grid_spec)
     report = chevmap.verify_sl2(grid)
     return report, 0 if not report["violations"] else 2
 
 
 def _run_regular_numbers(doc: dict) -> tuple[dict, int]:
     rd = build(doc["type"])
-    out = {"type": rootdatum_to_json(rd)["type"], **regular_numbers(rd)}
+    out = {"type": jsonio.type_to_json(rd), **regular_numbers(rd)}
     return out, 0
 
 
 def _run_list_tori(doc: dict) -> tuple[dict, int]:
     rd = build(doc["type"])
     classes = [jsonio.torus_to_json(tc) for tc in list_torus_classes(rd)]
-    return {"type": rootdatum_to_json(rd)["type"], "classes": classes}, 0
+    return {"type": jsonio.type_to_json(rd), "classes": classes}, 0
 
 
 def _run_partition_check(doc: dict) -> tuple[dict, int]:

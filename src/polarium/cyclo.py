@@ -525,40 +525,11 @@ def _canonical_sign(s: CycloNumber) -> CycloNumber:
 
 
 def reduce_conductor(c: CycloNumber) -> CycloNumber:
-    """Rewrite at the smallest divisor conductor containing the element."""
-    L = c.conductor
-    divisors = sorted(d for d in range(1, L + 1) if L % d == 0)
-    for d in divisors[:-1]:
-        retracted = c.try_retract(d)
+    """Rewrite at the least conductor whose field holds the element. As
+    Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), that conductor divides
+    L, and L/p holds c for some prime p of L until L reaches it."""
+    for p, _ in _factor(c.conductor):
+        retracted = c.try_retract(c.conductor // p)
         if retracted is not None:
-            return retracted
+            return reduce_conductor(retracted)
     return c
-
-
-# -- JSON encoding -----------------------------------------------------
-
-def cyclo_to_json(c: CycloNumber) -> dict:
-    return {"conductor": c.conductor, "coeffs": [str(x) for x in c.coeffs]}
-
-
-def parse_fraction(s) -> Fraction:
-    """A rational from wire input; a malformed one or a zero denominator is
-    an invalid argument."""
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgumentError(f"malformed rational {s!r}") from exc
-
-
-def cyclo_from_json(doc: dict) -> CycloNumber:
-    """A wire coefficient. phi(L) >= sqrt(L/2), so a conductor above twice
-    the square of the coefficient count cannot match it; it is refused
-    before anything factors L."""
-    conductor = int(doc["conductor"])
-    count = len(doc["coeffs"])
-    if conductor > 2 * count * count:
-        raise InvalidArgumentError(
-            f"conductor {conductor} refused: phi(L) >= sqrt(L/2) exceeds the "
-            f"coefficient count {count}")
-    coeffs = tuple(parse_fraction(s) for s in doc["coeffs"])
-    return CycloNumber(conductor, coeffs)

@@ -1,4 +1,6 @@
-"""Canonical JSON encoding/decoding for every wire type, plus schema checks.
+"""The wire format: the JSON codecs of every type that crosses it, the
+bounds on wire input, which a decoder checks before it builds anything,
+and the request schema checks.
 
 Output is byte-deterministic: sorted keys, tight separators, rationals as
 "p/q" strings. Request documents are checked against the shipped JSON
@@ -15,13 +17,30 @@ import re
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from math import lcm
 
-from .cyclo import parse_fraction
-from .errors import InternalInvariantViolation, InvalidArgumentError
+from .cyclo import CycloNumber, as_cyclo, euler_phi
+from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
+from .looplie import JLattice
 from .polar import PolarDatum, classify
-from .rootdata import RootDatum, WeylElement, build, rootdatum_to_json
-from .tails import tail_from_json, tail_to_json
+from .rootdata import RootDatum, WeylElement, build
+from .tails import LaurentWindow, Tail
 from .tori import TorusClass, split_torus_class
+from .yuseq import YuLadder, breaks, decompose_lambda, extract
+
+# Largest phi(L) for L the lcm of the conductors of a wire tail's or
+# window's coefficients. Dense arithmetic at conductor L costs about
+# phi(L)^2 per product and more per inverse. A `homogeneous` datum's
+# coefficients live at its regular number m, with phi(m) <= 16 up to rank 16.
+COEFF_PHI_BOUND = 24
+# A wire window counts 2 (hi - lo) den steps, the steps of its square root
+# read at t = tau^2, and a verify-sl2 grid may hold windows whose squared
+# step counts sum to at most this bound squared: one window of 256 steps, or
+# many shorter ones. The recursion is quadratic in its steps, and the lift
+# runs it only on the window's principal steps (chevmap.sl2_crosscheck), at
+# most half of the count. The default grid's 265 windows count 12 steps each
+# or fewer.
+WINDOW_STEPS_BOUND = 256
 
 
 def canonical_dumps(obj) -> str:
@@ -209,7 +228,96 @@ def validate_request(command: str, doc) -> None:
     raise InvalidArgumentError(f"requests rejected by schema: {error.message}") from error
 
 
-# -- torus / datum codecs -------------------------------------------------
+# -- codecs ---------------------------------------------------------------
+
+
+def parse_fraction(s) -> Fraction:
+    """A rational from wire input; a malformed one or a zero denominator is
+    an invalid argument."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgumentError(f"malformed rational {s!r}") from exc
+
+
+def cyclo_to_json(c: CycloNumber) -> dict:
+    return {"conductor": c.conductor, "coeffs": [str(x) for x in c.coeffs]}
+
+
+def cyclo_from_json(doc: dict) -> CycloNumber:
+    """A wire coefficient. phi(L) >= sqrt(L/2), so a conductor above twice
+    the square of the coefficient count cannot match it; it is refused
+    before anything factors L."""
+    conductor = int(doc["conductor"])
+    count = len(doc["coeffs"])
+    if conductor > 2 * count * count:
+        raise InvalidArgumentError(
+            f"conductor {conductor} refused: phi(L) >= sqrt(L/2) exceeds the "
+            f"coefficient count {count}")
+    coeffs = tuple(parse_fraction(s) for s in doc["coeffs"])
+    return CycloNumber(conductor, coeffs)
+
+
+def tail_to_json(tail: Tail) -> dict:
+    return {
+        "m": tail.m,
+        "terms": [
+            {"q": str(q), "coeff": [cyclo_to_json(x) for x in c]}
+            for q, c in sorted(tail.terms.items())
+        ],
+    }
+
+
+def _terms_from_json(doc: dict, covectors: bool) -> dict:
+    """Exponent -> coefficient list of the terms of a wire tail, whose term
+    holds a covector, or of a wire window, whose term holds one coefficient.
+    They are refused when phi(L) passes COEFF_PHI_BOUND for L the lcm of
+    their conductors, and phi(L) >= sqrt(L/2) refuses L above twice the
+    bound's square before L is factored."""
+    terms = {}
+    for entry in doc.get("terms", []):
+        coeff = entry["coeff"] if covectors else [entry["coeff"]]
+        terms[parse_fraction(entry["q"])] = [
+            cyclo_from_json(x) if isinstance(x, dict)
+            else CycloNumber.from_rational(parse_fraction(x)) for x in coeff]
+    L = lcm(*(c.conductor for coeff in terms.values() for c in coeff))
+    if L > 2 * COEFF_PHI_BOUND ** 2 or euler_phi(L) > COEFF_PHI_BOUND:
+        raise ResourceLimitError(
+            f"coefficients live at conductor {L}: phi({L}) larger than bound {COEFF_PHI_BOUND}")
+    return terms
+
+
+def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
+    terms = _terms_from_json(doc, covectors=True)
+    return Tail(rd, int(doc.get("m", 1)), terms)
+
+
+def grid_from_json(docs: list) -> list[LaurentWindow]:
+    """The windows of a verify-sl2 grid, refused before any is built when
+    the squares of their step counts 2 (hi - lo) den sum past
+    WINDOW_STEPS_BOUND squared; an empty window counts 0 and is refused as
+    it is built."""
+    spans = [(parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), int(doc.get("den", 1)))
+             for doc in docs]
+    total = sum(max(2 * (hi - lo) * den, 0) ** 2 for lo, hi, den in spans)
+    if total > WINDOW_STEPS_BOUND ** 2:
+        raise ResourceLimitError(
+            f"the grid windows' squared step counts 2 (hi - lo) den sum to {total}, "
+            f"larger than bound {WINDOW_STEPS_BOUND}^2")
+    return [LaurentWindow(lo, hi, {q: c for q, (c,) in
+                                   _terms_from_json(doc, covectors=False).items()}, den)
+            for doc, (lo, hi, den) in zip(docs, spans)]
+
+
+def type_to_json(rd: RootDatum):
+    """The type of a root datum: "A2" for one simple factor, else the list
+    of [letter, rank] factors with ["torus", rank] last."""
+    spec = [[letter, n] for letter, n in rd.factors]
+    if rd.torus_rank:
+        spec.append(["torus", rd.torus_rank])
+    if len(spec) == 1 and spec[0][0] != "torus":
+        return f"{spec[0][0]}{spec[0][1]}"
+    return spec
 
 
 def torus_to_json(tc: TorusClass) -> dict:
@@ -226,7 +334,7 @@ def torus_from_json(rd: RootDatum, doc: dict) -> TorusClass:
 
 def datum_to_json(d: PolarDatum) -> dict:
     return {
-        "type": rootdatum_to_json(d.rd)["type"],
+        "type": type_to_json(d.rd),
         "torus": {"m": d.torus.m, "w": [list(row) for row in d.torus.w.matrix]},
         "levi": sorted(d.levi),
         "lambda": tail_to_json(d.lam),
@@ -269,3 +377,71 @@ def parse_coweight(rd: RootDatum, value) -> tuple[Fraction, ...] | None:
             f"apartment point has {len(coords)} coordinates, expected {rd.dim}"
         )
     return coords
+
+
+def ladder_to_json(ladder: YuLadder) -> dict:
+    return {
+        "breaks": [str(b) for b in ladder.breaks],
+        "half_depths": [str(s) for s in ladder.half_depths],
+        "levels": [sorted(level) for level in ladder.levels],
+        "components": [tail_to_json(part) for part in ladder.components],
+    }
+
+
+def refuse_off_depth(datum: PolarDatum, ladder: YuLadder) -> None:
+    """Refuse a user ladder, naming its first break that is not a depth of
+    the datum's tail."""
+    depths = breaks(datum)
+    off = [r for r in ladder.breaks if r not in depths]
+    if off:
+        raise InvalidArgumentError(f"ladder rejected: break {off[0]} is not a depth of the "
+                                   f"tail: [{', '.join(map(str, depths))}]")
+
+
+def ladder_from_json(datum: PolarDatum, doc: dict | None) -> YuLadder:
+    """The ladder a request gives for datum, the extracted one when it gives
+    none. A user ladder's fault is in the input, so each refusal is an
+    invalid argument; a validated one must also break at depths of the tail."""
+    if not doc:
+        return extract(datum)
+    nroots = len(datum.rd.roots)
+    break_seq = [parse_fraction(b) for b in doc["breaks"]]
+    # a validated ladder's centralizer check refuses repeated breaks
+    drops = [f"{r} before {s}" for r, s in zip(break_seq, break_seq[1:]) if s < r]
+    if drops:
+        raise InvalidArgumentError(f"ladder breaks decrease: {', '.join(drops)}")
+    levels = [frozenset(level) for level in doc["levels"]]
+    if any(i >= nroots for level in levels for i in level):
+        raise InvalidArgumentError(f"ladder level index out of range: "
+                                   f"{datum.rd.type_label()} has {nroots} roots")
+    if len(levels) != len(break_seq) + 1:  # unvalidated, such a ladder would index past its levels
+        raise InvalidArgumentError("ladder rejected: level count must be break count + 1")
+    components = decompose_lambda(datum, break_seq)
+    validate = doc.get("validate", True)
+    try:
+        ladder = YuLadder(datum, break_seq, levels, components, validate=validate)
+    except InternalInvariantViolation as exc:
+        raise InvalidArgumentError(f"ladder rejected: {exc}") from exc
+    if validate:
+        refuse_off_depth(datum, ladder)
+    return ladder
+
+
+def jlattice_to_json(lattice: JLattice) -> dict:
+    real = lattice.real
+    thresholds = [{"q": str(real.fraction(real.degree((gen, lattice.threshold(gen))))),
+                   "root" if gen[0] == "r" else "torus": gen[1]} for gen in real.generators()]
+    lagrangians = []
+    for rec in lattice.break_pieces:
+        lagrangians.append({
+            "j": rec["j"],
+            "degree": str(real.fraction(rec["degree"])),
+            "basis": [
+                [{"root": m[0][1] if m[0][0] == "r" else None,
+                  "torus": m[0][1] if m[0][0] == "h" else None,
+                  "n": m[1], "coeff": cyclo_to_json(as_cyclo(c))} for m, c in line.items()]
+                for line in rec["lagrangian"]
+            ],
+        })
+    return {"kind": lattice.kind, "thresholds": thresholds, "lagrangians": lagrangians,
+            "breaks": [str(b) for b in real.ladder.breaks]}

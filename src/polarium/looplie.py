@@ -82,7 +82,7 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from operator import sub
 
-from .cyclo import CycloNumber, as_cyclo, cyclo_to_json
+from .cyclo import CycloNumber, as_cyclo
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
 from .linalg import in_span, independent, nullspace, rank, rref
@@ -476,31 +476,6 @@ class JLattice:
             self._brackets = [(u, v, _bracket_lines(real, u, v))
                               for u, v in combinations(self.module_generators(), 2)]
         return self._brackets
-
-    def to_json(self) -> dict:
-        real = self.real
-        thresholds = []
-        for gen in real.generators():
-            entry = {"q": str(real.fraction(real.degree((gen, self.threshold(gen)))))}
-            if gen[0] == "r":
-                entry["root"] = gen[1]
-            else:
-                entry["torus"] = gen[1]
-            thresholds.append(entry)
-        lagrangians = []
-        for rec in self.break_pieces:
-            lagrangians.append({
-                "j": rec["j"],
-                "degree": str(real.fraction(rec["degree"])),
-                "basis": [
-                    [{"root": m[0][1] if m[0][0] == "r" else None,
-                      "torus": m[0][1] if m[0][0] == "h" else None,
-                      "n": m[1], "coeff": cyclo_to_json(as_cyclo(c))} for m, c in line.items()]
-                    for line in rec["lagrangian"]
-                ],
-            })
-        return {"kind": self.kind, "thresholds": thresholds, "lagrangians": lagrangians,
-                "breaks": [str(b) for b in real.ladder.breaks]}
 
 
 def _integral(c):

@@ -447,14 +447,3 @@ def stable_under(rd: RootDatum, w: WeylElement, subset) -> bool:
     perm = w.root_permutation
     s = set(subset)
     return all(perm[i] in s for i in s)
-
-
-# -- JSON ---------------------------------------------------------------
-
-def rootdatum_to_json(rd: RootDatum) -> dict:
-    spec = [[letter, n] for letter, n in rd.factors]
-    if rd.torus_rank:
-        spec.append(["torus", rd.torus_rank])
-    if len(spec) == 1 and spec[0][0] != "torus":
-        return {"type": f"{spec[0][0]}{spec[0][1]}"}
-    return {"type": spec}

@@ -35,8 +35,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .cyclo import (CycloNumber, common_grid, cyclo_from_json, cyclo_to_json, euler_phi,
-                    from_grid, parse_fraction, zeta)
+from .cyclo import CycloNumber, common_grid, euler_phi, from_grid, zeta
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rootdata import RootDatum, WeylElement
 
@@ -45,19 +44,6 @@ Covector = tuple[CycloNumber, ...]
 # Largest phi(L) at which a root-of-unity twist is computed (see
 # Tail.expected_twist); phi(1000) = 400.
 TWIST_PHI_BOUND = 400
-# Largest phi(L) for L the lcm of the conductors of a wire tail's or
-# window's coefficients. Dense arithmetic at conductor L costs about
-# phi(L)^2 per product and more per inverse. A `homogeneous` datum's
-# coefficients live at its regular number m, with phi(m) <= 16 up to rank 16.
-COEFF_PHI_BOUND = 24
-# A wire window counts 2 (hi - lo) den steps, the steps of its square root
-# read at t = tau^2, and a verify-sl2 grid may hold windows whose squared
-# step counts sum to at most this bound squared: one window of 256 steps, or
-# many shorter ones. The recursion is quadratic in its steps, and the lift
-# runs it only on the window's principal steps (chevmap.sl2_crosscheck), at
-# most half of the count. The default grid's 265 windows count 12 steps each
-# or fewer.
-WINDOW_STEPS_BOUND = 256
 
 
 def covector(values, dim: int | None = None) -> Covector:
@@ -321,63 +307,3 @@ class LaurentWindow:
     def __repr__(self):
         body = " + ".join(f"{c!r}*t^{q}" for q, c in sorted(self.terms.items())) or "0"
         return f"LaurentWindow[{self.lo},{self.hi})({body})"
-
-
-# -- JSON ---------------------------------------------------------------
-
-def tail_to_json(tail: Tail) -> dict:
-    return {
-        "m": tail.m,
-        "terms": [
-            {"q": str(q), "coeff": [cyclo_to_json(x) for x in c]}
-            for q, c in sorted(tail.terms.items())
-        ],
-    }
-
-
-def _coefficient_from_json(x) -> CycloNumber:
-    return cyclo_from_json(x) if isinstance(x, dict) \
-        else CycloNumber.from_rational(parse_fraction(x))
-
-
-def _bound_conductors(values) -> None:
-    """Refuse coefficients whose common conductor L has phi(L) above
-    COEFF_PHI_BOUND; phi(L) >= sqrt(L/2) refuses L above twice its square
-    before L is factored."""
-    L = lcm(*(c.conductor for c in values))
-    if L > 2 * COEFF_PHI_BOUND ** 2 or euler_phi(L) > COEFF_PHI_BOUND:
-        raise ResourceLimitError(
-            f"coefficients live at conductor {L}: phi({L}) larger than bound {COEFF_PHI_BOUND}")
-
-
-def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
-    terms = {}
-    for entry in doc.get("terms", []):
-        terms[parse_fraction(entry["q"])] = [_coefficient_from_json(x) for x in entry["coeff"]]
-    _bound_conductors(c for coeff in terms.values() for c in coeff)
-    return Tail(rd, int(doc.get("m", 1)), terms)
-
-
-def grid_from_json(docs: list) -> list[LaurentWindow]:
-    """The windows of a verify-sl2 grid, refused before any is built when
-    the squares of their step counts 2 (hi - lo) den sum past
-    WINDOW_STEPS_BOUND squared; an empty window counts 0 and is refused as
-    it is built."""
-    total = 0
-    for doc in docs:
-        lo, hi = parse_fraction(doc["lo"]), parse_fraction(doc["hi"])
-        total += max(2 * (hi - lo) * int(doc.get("den", 1)), 0) ** 2
-    if total > WINDOW_STEPS_BOUND ** 2:
-        raise ResourceLimitError(
-            f"the grid windows' squared step counts 2 (hi - lo) den sum to {total}, "
-            f"larger than bound {WINDOW_STEPS_BOUND}^2")
-    return [window_from_json(doc) for doc in docs]
-
-
-def window_from_json(doc: dict) -> LaurentWindow:
-    lo, hi, den = parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), int(doc.get("den", 1))
-    terms = {}
-    for entry in doc.get("terms", []):
-        terms[parse_fraction(entry["q"])] = _coefficient_from_json(entry["coeff"])
-    _bound_conductors(terms.values())
-    return LaurentWindow(lo, hi, terms, den)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InternalInvariantViolation, InvalidArgumentError
 from .polar import PolarDatum
 from .rootdata import is_q_closed, stable_under
-from .tails import Tail, tail_to_json
+from .tails import Tail
 
 
 def breaks(d: PolarDatum) -> list[Fraction]:
@@ -116,12 +116,3 @@ def extract(d: PolarDatum) -> YuLadder:
     """Full ladder extraction with machine-checked constructor."""
     seq = breaks(d)
     return YuLadder(d, seq, levi_ladder(d, seq), decompose_lambda(d, seq))
-
-
-def ladder_to_json(ladder: YuLadder) -> dict:
-    return {
-        "breaks": [str(b) for b in ladder.breaks],
-        "half_depths": [str(s) for s in ladder.half_depths],
-        "levels": [sorted(level) for level in ladder.levels],
-        "components": [tail_to_json(part) for part in ladder.components],
-    }

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarium import cyclo
-from polarium.cyclo import (CycloNumber, common_grid, cyclo_from_json, cyclo_to_json,
-                            cyclotomic_polynomial, dot_int, euler_phi, from_grid,
-                            reduce_conductor, sqrt_cyclo, zeta)
+from polarium.cyclo import (CycloNumber, common_grid, cyclotomic_polynomial, dot_int,
+                            euler_phi, from_grid, reduce_conductor, sqrt_cyclo, zeta)
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired,
                              InvalidArgumentError)
+from polarium.jsonio import cyclo_from_json, cyclo_to_json
 from polarium.linalg import rank
 
 from .oracles import cyclo_rank, dot_int_oracle

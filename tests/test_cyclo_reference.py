@@ -11,13 +11,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarium.chevmap import default_grid, sqrt_series
-from polarium.cyclo import (CycloNumber, cyclo_to_json, dot_int, euler_phi,
-                            reduce_conductor, sqrt_cyclo, zeta)
+from polarium.cyclo import CycloNumber, dot_int, euler_phi, reduce_conductor, sqrt_cyclo, zeta
 from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
+from polarium.jsonio import cyclo_to_json
 from polarium.tails import LaurentWindow
 
 from .oracles import (RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, scale_window,
@@ -125,6 +125,9 @@ def test_scalar_operands_match_reference(a, k, n):
 
 @settings(max_examples=100, deadline=None)
 @given(elements(), st.sampled_from((1, 2, 3, 4, 5, 6)))
+# the square root of -18/49 zeta_105^52 read at 1680, where sqrt_cyclo builds
+# it, before its conductor is reduced to 840
+@example(sqrt_cyclo(Fraction(-18, 49) * zeta(105, 52)).lift(1680), 1)
 def test_lift_retract_reduce_match_reference(a, multiple):
     L2 = a.conductor * multiple
     if L2 > 48:

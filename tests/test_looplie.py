@@ -490,7 +490,7 @@ def test_thresholds_match_scan_from_below(a1, a2):
                 adjusted = with_adjust(J, gen, steps)
                 n0 = scanned(adjusted, gen)
                 assert adjusted.threshold(gen) == n0, (J.real.datum, gen, steps)
-                entry = adjusted.to_json()["thresholds"][J.real.generators().index(gen)]
+                entry = jsonio.jlattice_to_json(adjusted)["thresholds"][J.real.generators().index(gen)]
                 assert entry["q"] == str(J.real.fraction(J.real.degree((gen, n0))))
 
 
@@ -601,7 +601,7 @@ def lattice_realizations(a1, a2) -> list:
             continue
         seen.add(key)
         d = jsonio.datum_from_json(doc["datum"])
-        ladder = cli._ladder_from_request(d, doc.get("ladder"))
+        ladder = jsonio.ladder_from_json(d, doc.get("ladder"))
         reals.append(Realization(d, ladder, jsonio.parse_coweight(d.rd, doc.get("x"))))
     return reals
 

@@ -7,10 +7,10 @@ import polarium.polar as polar
 from polarium.chevmap import sl2_crosscheck, sqrt_series, verify_sl2
 from polarium.cyclo import CycloNumber, dot_int, euler_phi, zeta
 from polarium.errors import InvalidArgumentError, ResourceLimitError
+from polarium.jsonio import grid_from_json, tail_from_json, tail_to_json
 from polarium.polar import partition_check
 from polarium.rootdata import build
-from polarium.tails import (LaurentWindow, Tail, is_equivariant, pair_coroot,
-                            tail_from_json, tail_to_json, window_from_json)
+from polarium.tails import LaurentWindow, Tail, is_equivariant, pair_coroot
 from polarium.tori import list_torus_classes
 
 from .oracles import (add_tails, dot_int_oracle, equivariant_by_image, ref_dot_int,
@@ -387,4 +387,4 @@ def test_window_json_round_trip():
     doc = {"lo": "-3/2", "hi": "2", "den": 2,
            "terms": [{"q": "-3/2", "coeff": {"conductor": 1, "coeffs": ["1"]}},
                      {"q": "1/2", "coeff": "-2"}]}
-    assert window_from_json(doc) == w
+    assert grid_from_json([doc]) == [w]

@@ -8,8 +8,7 @@ from polarium.errors import InternalInvariantViolation
 from polarium.polar import classify, epipelagic_datum, sample_equivariant_tail
 from polarium.tails import Tail, pair_coroot
 from polarium.tori import list_torus_classes, split_torus_class
-from polarium.yuseq import (YuLadder, breaks, decompose_lambda, extract,
-                            ladder_to_json, levi_ladder)
+from polarium.yuseq import YuLadder, breaks, decompose_lambda, extract, levi_ladder
 
 from .oracles import add_tails
 
@@ -163,7 +162,7 @@ def test_no_breaks_gives_the_tail_as_one_component(a2):
 
 
 def test_ladder_json(a2):
-    doc = ladder_to_json(extract(sl3_datum(a2)))
+    doc = jsonio.ladder_to_json(extract(sl3_datum(a2)))
     assert doc["breaks"] == ["1", "2"]
     assert doc["half_depths"] == ["1/2", "1"]
     assert doc["levels"] == [[], [1, 4], [0, 1, 2, 3, 4, 5]]
