@@ -100,7 +100,7 @@ def sqrt_series(a: LaurentWindow) -> LaurentWindow:
     # v < hi, so v/2 < a.hi - v/2, and both bounds and each exponent
     # v/2 + k/den lie on the lattice of den, doubled when v * den is odd
     den = a.den if v * a.den % 2 == 0 else 2 * a.den
-    return LaurentWindow._derived(v / 2, a.hi - v / 2, terms, den)
+    return LaurentWindow(v / 2, a.hi - v / 2, terms, den)
 
 
 class Sl2Stratum(NamedTuple):
@@ -128,10 +128,10 @@ def sl2_stratum(a: LaurentWindow) -> Sl2Stratum:
 def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
     """The tail of diag(b, -b) dt in dt/t exponents, truncated at q >= 0.
 
-    Each kept term is 2c for a nonzero window coefficient c, a covector of
-    the rank-1 datum, so the tail is built without a second check. Only an
-    exponent is checked: the split torus (m = 1) carries terms in Z and the
-    ramified one (m = 2) in 1/2 + Z, the exponents of denominator m, and
+    Each kept term is 2c for a nonzero window coefficient c, a valid
+    covector of the rank-1 datum. Whether the torus carries the lift is
+    decided by the exponents: the split torus (m = 1) carries terms in Z and
+    the ramified one (m = 2) in 1/2 + Z, the exponents of denominator m, and
     from a wire window with den > 1 a term can land elsewhere."""
     terms = {}
     for p, c in b.terms.items():
@@ -141,7 +141,7 @@ def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
                 torus = "split torus (Z)" if m == 1 else "ramified torus (1/2 + Z)"
                 raise InvalidArgumentError(f"lifted term at exponent {q} is off the {torus}")
             terms[q] = (2 * c,)
-    return Tail._derived(_a1(), m, terms)
+    return Tail(_a1(), m, terms)
 
 
 def _principal_end(a: LaurentWindow, v: Fraction) -> Fraction:
@@ -182,7 +182,7 @@ def sl2_crosscheck(a: LaurentWindow) -> tuple[Sl2Stratum, bool]:
         hi = _principal_end(a, v)
         principal = {q: -c for q, c in a.terms.items() if q < hi}
         m = 1 if v % 2 == 0 else 2
-        b = sqrt_series(LaurentWindow._derived(a.lo, hi, principal, a.den))
+        b = sqrt_series(LaurentWindow(a.lo, hi, principal, a.den))
         datum = classify(_a1_classes()[m - 1], _tail_from_series(b, m))
         if not datum.lam.is_zero():
             lifted = Sl2Stratum("split-toral" if m == 1 else "nonsplit-toral",
@@ -205,9 +205,8 @@ def default_grid() -> list[LaurentWindow]:
     """Deterministic windows covering every stratum boundary case.
 
     The windows are the module's own constants: integer bounds, nonzero
-    rational coefficients at integer exponents inside them, so each is built
-    as a valid window (`LaurentWindow._derived`) with nothing parsed or
-    checked again; a fresh list of fresh windows on every call."""
+    rational coefficients at integer exponents inside them, so each is a
+    valid window; a fresh list of fresh windows on every call."""
     grid = []
     for v in GRID_VALUATIONS:
         lo, hi = Fraction(v), Fraction(v + GRID_WIDTH)
@@ -216,9 +215,9 @@ def default_grid() -> list[LaurentWindow]:
                 terms = {lo: CycloNumber.from_rational(lead)}
                 for off, c in enumerate(pattern, start=1):
                     terms[lo + off] = CycloNumber.from_rational(c)
-                grid.append(LaurentWindow._derived(lo, hi, terms, 1))
+                grid.append(LaurentWindow(lo, hi, terms, 1))
     # All-zero windows on both sides of the decidability line.
-    grid.append(LaurentWindow._derived(Fraction(-1), Fraction(4), {}, 1))
+    grid.append(LaurentWindow(Fraction(-1), Fraction(4), {}, 1))
     return grid
 
 

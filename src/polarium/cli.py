@@ -80,7 +80,8 @@ def _run_moveability(doc: dict) -> tuple[dict, int]:
     ladder = jsonio.ladder_from_json(datum, ladder_doc)
     x = jsonio.parse_coweight(datum.rd, doc.get("x"))
     try:
-        report = looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))
+        report = {"type": jsonio.type_to_json(datum.rd),
+                  **looplie.moveability_check(datum, ladder, x, variant=doc.get("variant", "J"))}
     except InternalInvariantViolation as exc:
         # an unvalidated user ladder vouches for its own breaks: when the
         # check then fails an invariant, a break that is not a depth of the
@@ -112,13 +113,13 @@ def _run_list_tori(doc: dict) -> tuple[dict, int]:
 
 def _run_partition_check(doc: dict) -> tuple[dict, int]:
     rd = build(doc["type"])
-    report = polar.partition_check(
+    report = {"type": jsonio.type_to_json(rd), **polar.partition_check(
         rd,
         samples=int(doc.get("samples", 200)),
         seed=int(doc.get("seed", 0)),
         zero_only=bool(doc.get("zero_only", False)),
         disjoint_pairs=int(doc.get("disjoint_pairs", 50)),
-    )
+    )}
     return report, 0 if not report["violations"] else 2
 
 

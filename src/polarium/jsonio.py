@@ -1,6 +1,7 @@
 """The wire format: the JSON codecs of every type that crosses it, the
 bounds on wire input, which a decoder checks before it builds anything,
-and the request schema checks.
+the shape of a wire tail or window, which its decoder checks because the
+constructors check nothing, and the request schema checks.
 
 Output is byte-deterministic: sorted keys, tight separators, rationals as
 "p/q" strings. Request documents are checked against the shipped JSON
@@ -288,15 +289,30 @@ def _terms_from_json(doc: dict, covectors: bool) -> dict:
 
 
 def tail_from_json(rd: RootDatum, doc: dict) -> Tail:
-    terms = _terms_from_json(doc, covectors=True)
-    return Tail(rd, int(doc.get("m", 1)), terms)
+    """A wire tail. Once every term is read, each is refused at a negative
+    exponent, off the grid of 1/m or with a covector of the wrong length; a
+    zero covector is dropped."""
+    m = int(doc.get("m", 1))
+    terms = {}
+    for q, c in _terms_from_json(doc, covectors=True).items():
+        if q < 0:
+            raise InvalidArgumentError(f"exponent {q} negative; tails live at q >= 0")
+        if (q * m).denominator != 1:
+            raise InvalidArgumentError(f"exponent {q} has denominator not dividing m={m}")
+        if len(c) != rd.dim:
+            raise InvalidArgumentError(f"covector has length {len(c)}, expected {rd.dim}")
+        if not all(x.is_zero() for x in c):
+            terms[q] = tuple(c)
+    return Tail(rd, m, terms)
 
 
 def grid_from_json(docs: list) -> list[LaurentWindow]:
     """The windows of a verify-sl2 grid, refused before any is built when
     the squares of their step counts 2 (hi - lo) den sum past
-    WINDOW_STEPS_BOUND squared; an empty window counts 0 and is refused as
-    it is built."""
+    WINDOW_STEPS_BOUND squared; an empty window counts 0. Then window by
+    window, once its terms are read, an empty window, a bound off the grid
+    of 1/den, and a term outside [lo, hi) or off that grid are refused; a
+    zero coefficient is dropped."""
     spans = [(parse_fraction(doc["lo"]), parse_fraction(doc["hi"]), int(doc.get("den", 1)))
              for doc in docs]
     total = sum(max(2 * (hi - lo) * den, 0) ** 2 for lo, hi, den in spans)
@@ -304,9 +320,24 @@ def grid_from_json(docs: list) -> list[LaurentWindow]:
         raise ResourceLimitError(
             f"the grid windows' squared step counts 2 (hi - lo) den sum to {total}, "
             f"larger than bound {WINDOW_STEPS_BOUND}^2")
-    return [LaurentWindow(lo, hi, {q: c for q, (c,) in
-                                   _terms_from_json(doc, covectors=False).items()}, den)
-            for doc, (lo, hi, den) in zip(docs, spans)]
+    windows = []
+    for doc, (lo, hi, den) in zip(docs, spans):
+        read = _terms_from_json(doc, covectors=False)
+        if hi <= lo:
+            raise InvalidArgumentError(f"empty window [{lo}, {hi})")
+        for bound in (lo, hi):
+            if (bound * den).denominator != 1:
+                raise InvalidArgumentError(f"bound {bound} not a multiple of 1/{den}")
+        terms = {}
+        for q, (c,) in read.items():
+            if not lo <= q < hi:
+                raise InvalidArgumentError(f"exponent {q} outside window [{lo}, {hi})")
+            if (q * den).denominator != 1:
+                raise InvalidArgumentError(f"exponent {q} not a multiple of 1/{den}")
+            if not c.is_zero():
+                terms[q] = c
+        windows.append(LaurentWindow(lo, hi, terms, den))
+    return windows
 
 
 def type_to_json(rd: RootDatum):
@@ -401,7 +432,8 @@ def refuse_off_depth(datum: PolarDatum, ladder: YuLadder) -> None:
 def ladder_from_json(datum: PolarDatum, doc: dict | None) -> YuLadder:
     """The ladder a request gives for datum, the extracted one when it gives
     none. A user ladder's fault is in the input, so each refusal is an
-    invalid argument; a validated one must also break at depths of the tail."""
+    invalid argument; a validated one must also break at depths of the tail
+    and be generic."""
     if not doc:
         return extract(datum)
     nroots = len(datum.rd.roots)
@@ -424,6 +456,15 @@ def ladder_from_json(datum: PolarDatum, doc: dict | None) -> YuLadder:
         raise InvalidArgumentError(f"ladder rejected: {exc}") from exc
     if validate:
         refuse_off_depth(datum, ladder)
+        # generic (GE1, Yu 2001, section 8): a root entering at level j + 1
+        # pairs with band component j at depth exactly break j
+        for j, (r, part) in enumerate(zip(ladder.breaks, ladder.components)):
+            depths = part.coroot_depths()
+            for idx in sorted(ladder.levels[j + 1] - ladder.levels[j]):
+                if depths[idx] != r:
+                    raise InvalidArgumentError(
+                        f"ladder rejected: root {idx} pairs with band component {j} at "
+                        f"depth {depths[idx]}, not at its break {r}")
     return ladder
 
 

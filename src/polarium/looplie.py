@@ -702,7 +702,6 @@ def moveability_check(datum: PolarDatum, ladder: YuLadder | None = None,
                        "rank": r, "full": ok})
     return {
         "variant": variant,
-        "type": real.rd.type_label(),
         "blocks": blocks,
         "rank_defects": defects,
         "full_rank": defects == 0,

@@ -187,8 +187,7 @@ def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
     terms, at exponents a/m with 0 <= a <= 3m.
 
     Each covector is a combination with coefficients not all zero of an
-    independent eigenspace basis, so it is nonzero, and the tail is built
-    without a second check."""
+    independent eigenspace basis, so it is nonzero."""
     rd, m = tc.rd, tc.m
     terms = {}
     for _ in range(rng.randint(0, 3)):
@@ -199,13 +198,13 @@ def sample_equivariant_tail(tc: TorusClass, rng: random.Random) -> Tail:
         coeffs = [rng.randint(-3, 3) for _ in basis]
         if any(coeffs):
             terms[Fraction(a, m)] = tuple(dot_int(coeffs, column) for column in zip(*basis))
-    return Tail._derived(rd, m, terms)
+    return Tail(rd, m, terms)
 
 
 def _one_sample(rd: RootDatum, classes, seed: int, zero_only: bool) -> dict:
     rng = random.Random(seed)
     tc = classes[rng.randrange(len(classes))]
-    lam = Tail.zero(rd, tc.m) if zero_only else sample_equivariant_tail(tc, rng)
+    lam = Tail(rd, tc.m, {}) if zero_only else sample_equivariant_tail(tc, rng)
     record: dict = {"violations": [], "m": tc.m}
     try:
         d = classify(tc, lam)
@@ -271,7 +270,6 @@ def partition_check(rd: RootDatum, samples: int = 200, seed: int = 0,
             violations.append({"kind": "distinct-depths-conjugate", "samples": [i1, i2]})
 
     return {
-        "type": rd.type_label(),
         "samples": samples,
         "seed": seed,
         "classified": len(data),

@@ -6,6 +6,10 @@ stands for c_q * t^(-q) * dt/t. Covectors live on the character side of the
 ambient root datum (fundamental-weight coordinates), so pairing with a
 coroot is an integer dot product on the coefficients.
 
+A Tail and a LaurentWindow each have one constructor, which takes valid
+terms and checks nothing: the program builds valid ones, and `jsonio` checks
+the shape of a wire tail or window as it decodes it.
+
 Strata labels and Yu ladders read one table per tail: the depth of
 <alpha^vee, tail> for every root alpha, i.e. the largest exponent whose
 covector pairs nonzero with the coroot, or None where the pairing vanishes.
@@ -36,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .cyclo import CycloNumber, common_grid, euler_phi, from_grid, zeta
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import ResourceLimitError
 from .rootdata import RootDatum, WeylElement
 
 Covector = tuple[CycloNumber, ...]
@@ -46,55 +50,15 @@ Covector = tuple[CycloNumber, ...]
 TWIST_PHI_BOUND = 400
 
 
-def covector(values, dim: int | None = None) -> Covector:
-    """Coerce rationals/CycloNumbers into a covector tuple."""
-    out = tuple(
-        v if isinstance(v, CycloNumber) else CycloNumber.from_rational(Fraction(v))
-        for v in values
-    )
-    if dim is not None and len(out) != dim:
-        raise InvalidArgumentError(f"covector has length {len(out)}, expected {dim}")
-    return out
-
-
 class Tail:
-    """An element of t*/t*_tn: finitely many covector terms at exponents q >= 0."""
+    """An element of t*/t*_tn: nonzero covectors, tuples of rd.dim
+    CycloNumbers, at Fraction exponents q >= 0 with denominators dividing m."""
 
     __slots__ = ("rd", "m", "terms", "_grids", "_depths", "_equivariant")
 
     def __init__(self, rd: RootDatum, m: int, terms: dict):
-        if m < 1:
-            raise InvalidArgumentError(f"conductor must be >= 1, got {m}")
-        self.rd = rd
-        self.m = m
-        clean: dict[Fraction, Covector] = {}
-        for q, c in terms.items():
-            q = Fraction(q)
-            if q < 0:
-                raise InvalidArgumentError(f"exponent {q} negative; tails live at q >= 0")
-            check_exponent(q, m)
-            c = covector(c, rd.dim)
-            if not all(x.is_zero() for x in c):
-                clean[q] = c
-        self.terms = clean
-        self._grids: tuple | None = None
-        self._depths: tuple | None = None
-        self._equivariant: dict | None = None
-
-    @classmethod
-    def _derived(cls, rd: RootDatum, m: int, terms: dict) -> "Tail":
-        """A tail built from valid data: its exponents are q >= 0 with
-        denominators dividing m and its covectors are nonzero tuples of
-        CycloNumbers of length rd.dim, so nothing is parsed or checked
-        again."""
-        tail = cls.__new__(cls)
-        tail.rd, tail.m, tail.terms = rd, m, terms
-        tail._grids = tail._depths = tail._equivariant = None
-        return tail
-
-    @staticmethod
-    def zero(rd: RootDatum, m: int = 1) -> "Tail":
-        return Tail(rd, m, {})
+        self.rd, self.m, self.terms = rd, m, terms
+        self._grids = self._depths = self._equivariant = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,14 +101,14 @@ class Tail:
             # w is invertible, so each image term is nonzero
             out[q] = tuple(from_grid(L, [sum(map(mul, row, col)) for col in columns], D)
                            for row in mat)
-        return Tail._derived(self.rd, self.m, out)
+        return Tail(self.rd, self.m, out)
 
     def restrict(self, lo, hi) -> "Tail":
         """Terms with exponent in the band lo < q <= hi; None leaves a side
         unbounded."""
         kept = {q: c for q, c in self.terms.items()
                 if (lo is None or q > lo) and (hi is None or q <= hi)}
-        return Tail._derived(self.rd, self.m, kept)
+        return Tail(self.rd, self.m, kept)
 
     def expected_twist(self) -> "Tail":
         """Each term q scaled by zeta_m^(q*m): the equivariance reference.
@@ -168,7 +132,7 @@ class Tail:
         for q, c in twisted.items():
             z = zeta(q.denominator, q.numerator)
             out[q] = tuple(z * x for x in c)
-        return Tail._derived(self.rd, self.m, out)
+        return Tail(self.rd, self.m, out)
 
     def __eq__(self, other):
         if not isinstance(other, Tail):
@@ -186,12 +150,6 @@ class Tail:
             return "Tail(0)"
         bits = [f"t^-{q}*{tuple(map(repr, c))}" for q, c in sorted(self.terms.items())]
         return f"Tail(m={self.m}; " + " + ".join(bits) + ")"
-
-
-def check_exponent(q: Fraction, m: int) -> None:
-    """Refuse an exponent whose denominator does not divide the conductor m."""
-    if (q * m).denominator != 1:
-        raise InvalidArgumentError(f"exponent {q} has denominator not dividing m={m}")
 
 
 def pair_coroot(tail: Tail, coroot) -> Fraction | None:
@@ -254,40 +212,13 @@ def is_equivariant(tail: Tail, w: WeylElement) -> bool:
 
 
 class LaurentWindow:
-    """Coefficients on [lo, hi) with explicit precision; exponents in (1/den)Z."""
+    """Nonzero CycloNumber coefficients at Fraction exponents in [lo, hi),
+    known to that precision; lo < hi and the exponents lie in (1/den)Z."""
 
     __slots__ = ("den", "lo", "hi", "terms")
 
-    def __init__(self, lo, hi, terms: dict | None = None, den: int = 1):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise InvalidArgumentError(f"empty window [{lo}, {hi})")
-        for bound in (lo, hi):
-            if (bound * den).denominator != 1:
-                raise InvalidArgumentError(f"bound {bound} not a multiple of 1/{den}")
-        self.den = den
-        self.lo = lo
-        self.hi = hi
-        clean = {}
-        for q, c in (terms or {}).items():
-            q = Fraction(q)
-            if not (lo <= q < hi):
-                raise InvalidArgumentError(f"exponent {q} outside window [{lo}, {hi})")
-            if (q * den).denominator != 1:
-                raise InvalidArgumentError(f"exponent {q} not a multiple of 1/{den}")
-            c = c if isinstance(c, CycloNumber) else CycloNumber.from_rational(Fraction(c))
-            if not c.is_zero():
-                clean[q] = c
-        self.terms = clean
-
-    @classmethod
-    def _derived(cls, lo: Fraction, hi: Fraction, terms: dict, den: int) -> "LaurentWindow":
-        """A window built from valid data: lo < hi are multiples of 1/den and
-        the terms are nonzero CycloNumbers at multiples of 1/den in
-        [lo, hi), so nothing is parsed or checked again."""
-        window = cls.__new__(cls)
-        window.lo, window.hi, window.terms, window.den = lo, hi, terms, den
-        return window
+    def __init__(self, lo: Fraction, hi: Fraction, terms: dict, den: int = 1):
+        self.lo, self.hi, self.terms, self.den = lo, hi, terms, den
 
     def coeff(self, q) -> CycloNumber:
         return self.terms.get(Fraction(q), CycloNumber.zero())

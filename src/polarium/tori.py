@@ -33,11 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .cyclo import CycloNumber, euler_phi, zeta
+from .cyclo import CycloNumber, as_cyclo, euler_phi, zeta
 from .errors import InternalInvariantViolation, InvalidArgumentError, ResourceLimitError
 from .linalg import nullspace
 from .rootdata import RootDatum, WeylElement
-from .tails import Covector, covector
+from .tails import Covector
 
 PERIOD_BOUND = 1_000_000
 
@@ -124,16 +124,10 @@ class TorusClass:
         rd, m = self.rd, self.m
         action = self.w.covector_matrix()
         z = zeta(m, i)
-        rows = []
+        rows = [[CycloNumber.from_rational(x) for x in row] for row in action]
         for r in range(rd.dim):
-            row = []
-            for c in range(rd.dim):
-                entry = CycloNumber.from_rational(action[r][c])
-                if r == c:
-                    entry = entry - z
-                row.append(entry)
-            rows.append(row)
-        basis = [covector(v) for v in nullspace(rows, rd.dim)]
+            rows[r][r] = rows[r][r] - z
+        basis = [tuple(map(as_cyclo, v)) for v in nullspace(rows, rd.dim)]
         if len(basis) != self.eigendims[i]:
             raise InternalInvariantViolation(
                 f"eigenspace dimension check: the zeta_{m}^{i} eigenspace has "

@@ -64,13 +64,13 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 
 import jsonschema
 import sympy
 
 from polarium.chevmap import Sl2Stratum, _a1_classes, _tail_from_series, sl2_stratum, sqrt_series
-from polarium.cyclo import CycloNumber, reduce_conductor, zeta
+from polarium.cyclo import CycloNumber, as_cyclo, reduce_conductor, zeta
 from polarium.errors import (ArithmeticDomainError, FieldExtensionRequired, InvalidArgumentError,
                              PrecisionError)
 from polarium.jsonio import schemas
@@ -637,6 +637,45 @@ def eigen_regular_check(rd, m: int, max_samples: int = 3000) -> bool:
     return False
 
 
+def cyclo_terms(terms: dict) -> dict:
+    """Test terms as `Tail` and `LaurentWindow` take them: each exponent a
+    Fraction, each int or Fraction a CycloNumber, each covector a tuple, and
+    zero terms dropped. No wire bound applies."""
+    out = {}
+    for q, c in terms.items():
+        if isinstance(c, (list, tuple)):
+            c = tuple(map(as_cyclo, c))
+            if any(not x.is_zero() for x in c):
+                out[Fraction(q)] = c
+        elif not (c := as_cyclo(c)).is_zero():
+            out[Fraction(q)] = c
+    return out
+
+
+def tail_is_valid(tail: Tail) -> bool:
+    """What the wire checks of a tail, restated: m >= 1 (the request
+    schema), and each term a nonzero tuple of rd.dim CycloNumbers at a
+    Fraction exponent q >= 0 whose denominator divides m
+    (`jsonio.tail_from_json`)."""
+    return tail.m >= 1 and all(
+        type(q) is Fraction and q >= 0 and (q * tail.m).denominator == 1
+        and type(c) is tuple and len(c) == tail.rd.dim
+        and all(type(x) is CycloNumber for x in c) and not all(x.is_zero() for x in c)
+        for q, c in tail.terms.items())
+
+
+def window_is_valid(window: LaurentWindow) -> bool:
+    """What `jsonio.grid_from_json` checks of a wire window, restated:
+    Fraction bounds lo < hi on the grid of 1/den, and each term a nonzero
+    CycloNumber at a Fraction exponent in [lo, hi) on that grid."""
+    lo, hi, den = window.lo, window.hi, window.den
+    return type(lo) is type(hi) is Fraction and lo < hi and den >= 1 \
+        and (lo * den).denominator == (hi * den).denominator == 1 and all(
+            type(q) is Fraction and lo <= q < hi and (q * den).denominator == 1
+            and type(c) is CycloNumber and not c.is_zero()
+            for q, c in window.terms.items())
+
+
 def add_tails(a: Tail, b: Tail) -> Tail:
     """a + b, exponent by exponent, at the lcm of the two conductors; a
     coefficient that sums to zero drops out."""
@@ -645,7 +684,7 @@ def add_tails(a: Tail, b: Tail) -> Tail:
         for q, c in src.terms.items():
             old = terms.get(q)
             terms[q] = list(c) if old is None else [x + y for x, y in zip(old, c)]
-    return Tail(a.rd, lcm(a.m, b.m), terms)
+    return Tail(a.rd, lcm(a.m, b.m), cyclo_terms(terms))
 
 
 def window_sum(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
@@ -659,7 +698,7 @@ def window_sum(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
         for q, c in src.terms.items():
             if lo <= q < hi:
                 terms[q] = terms.get(q, CycloNumber.zero()) + c
-    return LaurentWindow(lo, hi, terms, lcm(a.den, b.den))
+    return LaurentWindow(lo, hi, cyclo_terms(terms), lcm(a.den, b.den))
 
 
 def window_product(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
@@ -676,7 +715,7 @@ def window_product(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
             q = qa + qb
             if lo <= q < hi:
                 terms[q] = terms.get(q, CycloNumber.zero()) + ca * cb
-    return LaurentWindow(lo, hi, terms, lcm(a.den, b.den))
+    return LaurentWindow(lo, hi, cyclo_terms(terms), lcm(a.den, b.den))
 
 
 def neg_window(a: LaurentWindow) -> LaurentWindow:
@@ -724,7 +763,7 @@ def charpoly_map(diag: list) -> list:
         raise InvalidArgumentError("diagonal entries do not sum to zero")
     lo = min(d.lo for d in diag)
     window_hi = min(d.hi for d in diag)
-    one = LaurentWindow(0, window_hi - min(lo, Fraction(0)) + 1, {Fraction(0): 1},
+    one = LaurentWindow(0, window_hi - min(lo, Fraction(0)) + 1, cyclo_terms({0: 1}),
                         den=diag[0].den)
     elems = [one]
     for entry in diag:
@@ -966,6 +1005,20 @@ def _ref_reduce(L: int, poly: list) -> tuple:
     return tuple(poly) + (Fraction(0),) * (ref_phi(L) - len(poly))
 
 
+@lru_cache(maxsize=None)
+def _ref_powers(L: int) -> tuple:
+    """The integer coefficients of zeta_L^j for 0 <= j < L: each is x times
+    the one before, with x^phi replaced through the monic Phi_L."""
+    low = [int(c) for c in ref_modulus(L)[:-1]]
+    row, rows = [1] + [0] * (len(low) - 1), []
+    for _ in range(L):
+        rows.append(tuple(row))
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [x - top * c for x, c in zip(row, low)]
+    return tuple(rows)
+
+
 class RefCyclo:
     """An element of Q(zeta_L) as a tuple of Fraction coefficients."""
 
@@ -995,9 +1048,28 @@ class RefCyclo:
         poly[::k] = self.coeffs
         return RefCyclo(L2, _ref_reduce(L2, poly))
 
+    def conjugate(self, k: int) -> "RefCyclo":
+        """The Galois conjugate zeta_L -> zeta_L^k, for k prime to L."""
+        L = self.conductor
+        powers = _ref_powers(L)
+        out = [Fraction(0)] * len(self.coeffs)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, x in enumerate(powers[i * k % L]):
+                    if x:
+                        out[j] += c * x
+        return RefCyclo(L, out)
+
     def try_retract(self, L1: int) -> "RefCyclo | None":
-        """Coordinates in the lifted power basis of Q(zeta_L1), by one rref."""
+        """Coordinates in the lifted power basis of Q(zeta_L1), by one rref.
+
+        A unit k = 1 mod L1, k != 1, fixes Q(zeta_L1), so an element its
+        conjugation moves is not there and the rref is skipped; no such k
+        exists when L is L1, or 2 L1 with L1 odd."""
         L, phi1 = self.conductor, ref_phi(L1)
+        k = next((k for k in range(1 + L1, L, L1) if gcd(k, L) == 1), None)
+        if k is not None and self.conjugate(k) != self:
+            return None
         basis = [RefCyclo(L1, [int(j == i) for j in range(phi1)]).lift(L) for i in range(phi1)]
         aug = [[b.coeffs[j] for b in basis] + [c] for j, c in enumerate(self.coeffs)]
         reduced, pivots = ref_rref(aug)

@@ -24,7 +24,7 @@ from polarium.tori import (is_springer_regular, list_torus_classes,
                            regular_numbers, split_torus_class)
 from polarium.yuseq import YuLadder, extract
 
-from .oracles import (add_tails, cyclo_rank, cyclo_value, eigen_regular_check,
+from .oracles import (add_tails, cyclo_rank, cyclo_terms, cyclo_value, eigen_regular_check,
                       springer_regular_sampled, stabilizer, subgroup_generated, window_basis,
                       with_adjust)
 
@@ -48,11 +48,11 @@ def rho_over(rd, k):
 
 def golden_set():
     a1, a2 = build("A1"), build("A2")
-    d1 = classify(split_torus_class(a1), Tail(a1, 1, {F(1): [1]}))
+    d1 = classify(split_torus_class(a1), Tail(a1, 1, cyclo_terms({F(1): [1]})))
     e1 = epipelagic_datum(a1, 2)
     e2 = epipelagic_datum(a2, 3)
     d3 = classify(split_torus_class(a2),
-                  Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
+                  Tail(a2, 1, cyclo_terms({F(2): [3, 0], F(1): [-1, 2]})))
     return [
         ("sl2-depth-1-toral", d1, extract(d1), rho_over(a1, 2)),
         ("sl2-epipelagic-m2", e1, extract(e1), None),
@@ -128,7 +128,7 @@ def test_criterion_6_yu_ladders():
     with criterion(6, "depth-break ladder worked example and centralizer identities", 60.0):
         a2 = build("A2")
         d = classify(split_torus_class(a2),
-                     Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
+                     Tail(a2, 1, cyclo_terms({F(2): [3, 0], F(1): [-1, 2]})))
         ladder = extract(d)
         assert ladder.breaks == [1, 2]
         assert ladder.levels == [frozenset(), frozenset({1, 4}), frozenset(range(6))]
@@ -201,10 +201,10 @@ def test_criterion_9_moveability():
                 report = moveability_check(d, ladder, x, variant=variant)
                 assert report["full_rank"], (name, variant, report["blocks"])
         a2 = build("A2")
-        lam = Tail(a2, 1, {F(1): [1, 0]})
+        lam = Tail(a2, 1, cyclo_terms({F(1): [1, 0]}))
         bad = PolarDatum(split_torus_class(a2), frozenset(), lam, validate=False)
         forced = YuLadder(bad, [F(1)], [frozenset(), frozenset(range(6))],
-                          [lam, Tail.zero(a2)], validate=False)
+                          [lam, Tail(a2, 1, {})], validate=False)
         report = moveability_check(bad, forced, variant="K")
         assert report["rank_defects"] >= 1
         assert not report["full_rank"]

@@ -11,12 +11,12 @@ from polarium.errors import (FieldExtensionRequired, InvalidArgumentError,
                              PolariumError, PrecisionError)
 from polarium.tails import LaurentWindow
 
-from .oracles import (charpoly_map, full_window_crosscheck, neg_window,
-                      window_product)
+from .oracles import (charpoly_map, cyclo_terms, full_window_crosscheck, neg_window,
+                      window_is_valid, window_product)
 
 
 def test_charpoly_sl2_square():
-    a = LaurentWindow(-2, 4, {F(-2): 1, F(0): 3})
+    a = LaurentWindow(-2, 4, cyclo_terms({F(-2): 1, F(0): 3}))
     out = charpoly_map([a, neg_window(a)])
     assert len(out) == 1
     e2 = out[0]
@@ -34,9 +34,9 @@ def test_charpoly_zero_input():
 
 def test_charpoly_sl3_against_expansion():
     # diagonal (1, t, -1-t): check e2 and e3 against hand expansion
-    x1 = LaurentWindow(0, 6, {F(0): 1})
-    x2 = LaurentWindow(0, 6, {F(1): 1})
-    x3 = LaurentWindow(0, 6, {F(0): -1, F(1): -1})
+    x1 = LaurentWindow(0, 6, cyclo_terms({F(0): 1}))
+    x2 = LaurentWindow(0, 6, cyclo_terms({F(1): 1}))
+    x3 = LaurentWindow(0, 6, cyclo_terms({F(0): -1, F(1): -1}))
     e2, e3 = charpoly_map([x1, x2, x3])
     # e2 = x1 x2 + x1 x3 + x2 x3 = t + (-1 - t) + (-t - t^2) = -1 - t - t^2
     assert e2.coeff(0) == -1 and e2.coeff(1) == -1 and e2.coeff(2) == -1
@@ -45,16 +45,16 @@ def test_charpoly_sl3_against_expansion():
 
 
 def test_charpoly_requires_trace_zero():
-    a = LaurentWindow(0, 4, {F(0): 1})
+    a = LaurentWindow(0, 4, cyclo_terms({F(0): 1}))
     with pytest.raises(InvalidArgumentError):
         charpoly_map([a, a])
 
 
 def test_sqrt_examples():
-    s = sqrt_series(LaurentWindow(2, 8, {F(2): 1}))
+    s = sqrt_series(LaurentWindow(2, 8, cyclo_terms({F(2): 1})))
     assert s.valuation() == 1 and s.coeff(1) == 1
 
-    s2 = sqrt_series(LaurentWindow(-4, 2, {F(-4): 1, F(-3): 1}))
+    s2 = sqrt_series(LaurentWindow(-4, 2, cyclo_terms({F(-4): 1, F(-3): 1})))
     assert s2.coeff(-2) == 1
     assert s2.coeff(-1) == F(1, 2)
     assert s2.coeff(0) == F(-1, 8)
@@ -65,7 +65,7 @@ def test_sqrt_examples():
             assert square.coeff(q) == 0
 
     # an odd valuation puts the root on the doubled lattice
-    a = LaurentWindow(-3, 3, {F(-3): 1, F(-2): 2})
+    a = LaurentWindow(-3, 3, cyclo_terms({F(-3): 1, F(-2): 2}))
     s3 = sqrt_series(a)
     assert (s3.lo, s3.hi, s3.den) == (F(-3, 2), F(9, 2), 2)
     assert s3.coeff(F(-3, 2)) == 1 and s3.coeff(F(-1, 2)) == 1 and s3.coeff(F(1, 2)) == F(-1, 2)
@@ -86,36 +86,38 @@ def test_sqrt_squares_back_on_grid():
 
 
 def test_stratum_table():
-    assert sl2_stratum(LaurentWindow(-4, 2, {F(-4): 1})) == Sl2Stratum("split-toral", 2)
-    assert sl2_stratum(LaurentWindow(-3, 3, {F(-3): 1})) == Sl2Stratum("nonsplit-toral", 1)
-    assert sl2_stratum(LaurentWindow(-1, 5, {F(-1): 1})) == Sl2Stratum("G-zero")
-    assert sl2_stratum(LaurentWindow(-8, 0, {F(-2): 5})) == Sl2Stratum("split-toral", 1)
+    for lo, hi, q, c, stratum in ((-4, 2, -4, 1, Sl2Stratum("split-toral", 2)),
+                                  (-3, 3, -3, 1, Sl2Stratum("nonsplit-toral", 1)),
+                                  (-1, 5, -1, 1, Sl2Stratum("G-zero")),
+                                  (-8, 0, -2, 5, Sl2Stratum("split-toral", 1))):
+        assert sl2_stratum(LaurentWindow(lo, hi, cyclo_terms({q: c}))) == stratum
     assert sl2_stratum(LaurentWindow(-1, 5, {})) == Sl2Stratum("G-zero")
     with pytest.raises(PrecisionError):
         sl2_stratum(LaurentWindow(-8, -4, {}))
 
 
 def test_crosscheck_spot_values():
-    for a, stratum in ((LaurentWindow(-4, 2, {F(-4): -1}), Sl2Stratum("split-toral", 2)),
-                       (LaurentWindow(-3, 3, {F(-3): -1}), Sl2Stratum("nonsplit-toral", 1)),
-                       (LaurentWindow(-1, 5, {F(-1): 1}), Sl2Stratum("G-zero")),
-                       (LaurentWindow(0, 6, {F(0): 2}), Sl2Stratum("G-zero"))):
-        assert sl2_crosscheck(a) == (stratum, True)
+    for lo, hi, q, c, stratum in ((-4, 2, -4, -1, Sl2Stratum("split-toral", 2)),
+                                  (-3, 3, -3, -1, Sl2Stratum("nonsplit-toral", 1)),
+                                  (-1, 5, -1, 1, Sl2Stratum("G-zero")),
+                                  (0, 6, 0, 2, Sl2Stratum("G-zero"))):
+        assert sl2_crosscheck(LaurentWindow(lo, hi, cyclo_terms({q: c}))) == (stratum, True)
 
 
 def test_default_grid_windows_match_checked_construction():
-    # each window built from the module's constants is the window the checked
-    # constructor builds from the same bounds and terms
+    # each window built from the module's constants is the window the test
+    # builder makes from the same bounds and terms, and passes the checks the
+    # wire decoder makes
     from polarium.chevmap import GRID_LEADS, GRID_PATTERNS, GRID_VALUATIONS, GRID_WIDTH
 
-    expected = [LaurentWindow(v, v + GRID_WIDTH,
-                              {F(v + off): c for off, c in enumerate((lead, *pattern))})
+    expected = [LaurentWindow(v, v + GRID_WIDTH, cyclo_terms(
+                    {F(v + off): c for off, c in enumerate((lead, *pattern))}))
                 for v in GRID_VALUATIONS for lead in GRID_LEADS for pattern in GRID_PATTERNS]
     expected.append(LaurentWindow(-1, 4, {}))
     grid = default_grid()
     assert len(grid) == len(expected) == 265
     for got, want in zip(grid, expected):
-        assert (type(got.lo), type(got.hi)) == (F, F)
+        assert window_is_valid(got)
         assert (got.lo, got.hi, got.den) == (want.lo, want.hi, want.den)
         assert list(got.terms) == list(want.terms)
         for q, c in got.terms.items():
@@ -178,7 +180,7 @@ def _lift_windows(seed: int, count: int) -> list[LaurentWindow]:
         for k in range(1, int((hi - v) * den)):
             if rng.random() < 0.5:
                 terms[v + F(k, den)] = _coefficient(rng)
-        out.append(LaurentWindow(lo, hi, terms, den))
+        out.append(LaurentWindow(lo, hi, cyclo_terms(terms), den))
     return out
 
 

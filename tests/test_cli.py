@@ -160,8 +160,10 @@ def test_user_ladder_bytes(capsys):
     # the ladder passes its checks and is refused for that break under
     # either variant; unvalidated, variant J's break form fails on the
     # input's break and is refused, and variant K answers with its rank
-    # report), and the A2 zero tail without breaks, as moveability and
-    # yu-sequence print them
+    # report), with one break at 2 whose band holds the roots of depth 1
+    # (validated, the ladder passes its checks and is refused as not
+    # generic at both points under either variant), and the A2 zero tail
+    # without breaks, as moveability and yu-sequence print them
     sl3 = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
            '{"q":"1","coeff":["-1","2"]}]}},"ladder":{"breaks":%s,'
            '"levels":[[],[1,4],[0,1,2,3,4,5]]}}')
@@ -171,6 +173,9 @@ def test_user_ladder_bytes(capsys):
     off_depth = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
                  '{"q":"1","coeff":["-1","2"]}]}},"x":"rho/2","variant":"%s","ladder":'
                  '{"breaks":["5"],"levels":[[],[0,1,2,3,4,5]]%s}}')
+    skip_depth = ('{"datum":{"type":"A2","lambda":{"m":1,"terms":[{"q":"2","coeff":["3","0"]},'
+                  '{"q":"1","coeff":["-1","2"]}]}},"x":"%s","variant":"%s","ladder":'
+                  '{"breaks":["2"],"levels":[[],[0,1,2,3,4,5]]}}')
     rejected = '{"error":{"code":"invalid-argument","message":"ladder rejected: %s"}}\n'
     zero = '{"type":"A2","lambda":{"m":1,"terms":[]}}'
     cases = [
@@ -184,6 +189,9 @@ def test_user_ladder_bytes(capsys):
         *(("moveability", off_depth % (variant, validate), 1,
            rejected % "break 5 is not a depth of the tail: [1, 2]")
           for variant, validate in (("J", ',"validate":false'), ("J", ""), ("K", ""))),
+        *(("moveability", skip_depth % (x, variant), 1,
+           rejected % "root 1 pairs with band component 0 at depth 1, not at its break 2")
+          for x in ("zero", "rho/2") for variant in "JK"),
         ("moveability", '{"datum":%s}' % zero, 0,
          '{"blocks":[],"full_rank":true,"rank_defects":0,"type":"A2","variant":"J"}\n'),
     ]
@@ -345,8 +353,10 @@ def test_zero_apartment_preset(capsys):
 @pytest.mark.parametrize("label", [[["A", 1], ["torus", 1]], [["A", 1], ["A", 2]]],
                          ids=["A1xT1", "A1xA2"])
 def test_array_form_type_printed_back(capsys, label):
-    for command in ("regular-numbers", "list-tori"):
-        status, out = run_main(capsys, command, "--input", json.dumps({"type": label}))
+    # every report that names its type spells it as a request does
+    for command, extra in (("regular-numbers", {}), ("list-tori", {}),
+                           ("partition-check", {"samples": 3})):
+        status, out = run_main(capsys, command, "--input", json.dumps({"type": label, **extra}))
         assert status == 0 and json.loads(out)["type"] == label
 
 

@@ -20,8 +20,8 @@ from polarium.errors import ArithmeticDomainError, FieldExtensionRequired
 from polarium.jsonio import cyclo_to_json
 from polarium.tails import LaurentWindow
 
-from .oracles import (RefCyclo, ref_dot_int, ref_reduce_conductor, ref_sqrt, scale_window,
-                      sqrt_by_trial, window_product)
+from .oracles import (RefCyclo, cyclo_terms, ref_dot_int, ref_reduce_conductor, ref_sqrt,
+                      scale_window, sqrt_by_trial, window_product)
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24)
 
@@ -287,7 +287,7 @@ def _sqrt_windows() -> list[LaurentWindow]:
         for lead in (1, -1, 2, Fraction(-1, 2), zeta(3, 1), 4 * zeta(8, 3)):
             terms = {Fraction(v): lead, Fraction(2 * v + 1, 2): 1,
                      Fraction(2 * v + 3, 2): Fraction(-1, 2), Fraction(v + 2): zeta(4, 1)}
-            out.append(LaurentWindow(v, v + 4, terms, den=2))
+            out.append(LaurentWindow(v, v + 4, cyclo_terms(terms), den=2))
     rng = random.Random(30)
     for lead in (1, -4, Fraction(9, 4), 2, zeta(3, 1), 4 * zeta(4, 1), zeta(8, 3)):
         for den in (1, 2, 3):
@@ -299,7 +299,7 @@ def _sqrt_windows() -> list[LaurentWindow]:
                     terms[v + Fraction(k, den)] = CycloNumber(
                         L, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
                             for _ in range(euler_phi(L))])
-            out.append(LaurentWindow(v, v + 7, terms, den))
+            out.append(LaurentWindow(v, v + 7, cyclo_terms(terms), den))
     return out
 
 

@@ -17,7 +17,7 @@ from polarium.tails import Tail
 from polarium.tori import split_torus_class
 from polarium.yuseq import extract
 
-from .oracles import greedy_independent, in_span_by_rref, ref_rref
+from .oracles import cyclo_terms, greedy_independent, in_span_by_rref, ref_rref
 
 
 def _rational(rng):
@@ -242,7 +242,7 @@ def _lattice_cases():
         d = epipelagic_datum(build(label), m)
         cases.append((d, extract(d), None))
     a2 = build("A2")
-    d = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
+    d = classify(split_torus_class(a2), Tail(a2, 1, cyclo_terms({F(2): [3, 0], F(1): [-1, 2]})))
     cases.append((d, extract(d), tuple(v / 2 for v in a2.rho_coweight())))
     return cases
 

@@ -21,10 +21,10 @@ from polarium.tori import regular_numbers, split_torus_class
 from polarium.yuseq import YuLadder, extract
 
 from .oracles import (AdjustedLattice, LaurentMatrix, as_field, bracket_closure_on_window,
-                      cyclo_rank, cyclo_value, dense, eigen_regular_check, extra_lines,
-                      in_span_by_rref, matrix_positions, monomials_by_scan, pair_lines,
-                      piece_by_definition, piece_vectors, psi_on_window, ref_base_threshold,
-                      ref_m_lines_at_degree, ref_monomials_at_degree, ref_rref,
+                      cyclo_rank, cyclo_terms, cyclo_value, dense, eigen_regular_check,
+                      extra_lines, in_span_by_rref, matrix_positions, monomials_by_scan,
+                      pair_lines, piece_by_definition, piece_vectors, psi_on_window,
+                      ref_base_threshold, ref_m_lines_at_degree, ref_monomials_at_degree, ref_rref,
                       span_contains, window_basis, with_adjust)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -40,12 +40,12 @@ def rho_over(rd, k):
 
 
 def sl2_depth_one(a1):
-    d = classify(split_torus_class(a1), Tail(a1, 1, {F(1): [1]}))
+    d = classify(split_torus_class(a1), Tail(a1, 1, cyclo_terms({F(1): [1]})))
     return d, extract(d)
 
 
 def sl3_two_break(a2):
-    d = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
+    d = classify(split_torus_class(a2), Tail(a2, 1, cyclo_terms({F(2): [3, 0], F(1): [-1, 2]})))
     return d, extract(d)
 
 
@@ -122,7 +122,7 @@ def test_structure_table_matches_matrix_commutator():
     reals = []
     for label in ("A1", "A2", "A3", "A4"):
         rd = build(label)
-        d = classify(split_torus_class(rd), Tail.zero(rd))
+        d = classify(split_torus_class(rd), Tail(rd, 1, {}))
         reals.append(Realization(d, extract(d)))
     for label, m in (("A2", 3), ("A3", 4), ("A4", 5)):
         d = epipelagic_datum(build(label), m)
@@ -161,7 +161,7 @@ def test_vj_split_examples(a1, a2):
     assert split(ladder) == [[], [1, 4], [0, 2, 3, 5]]
     real = Realization(d, ladder, rho_over(a2, 2))
     assert [g for g in real.generators() if real.level_of_gen[g] == 0] == [("h", 0), ("h", 1)]
-    g0 = classify(split_torus_class(a2), Tail.zero(a2))
+    g0 = classify(split_torus_class(a2), Tail(a2, 1, {}))
     assert split(extract(g0)) == [sorted(range(6))]
     d1, lad1 = sl2_depth_one(a1)
     assert split(lad1)[1] == [0, 1]
@@ -345,7 +345,7 @@ def test_build_epipelagic_equals_positive_part(a1, a2):
 
 
 def test_build_full_datum_nonneg_part(a2):
-    g0 = classify(split_torus_class(a2), Tail.zero(a2))
+    g0 = classify(split_torus_class(a2), Tail(a2, 1, {}))
     J = build_j_lattice(g0, extract(g0), tuple(F(0) for _ in range(2)))
     assert J.contains_line({(("r", 0), 0): ONE})
     assert not J.contains_line({(("r", 0), -1): ONE})
@@ -818,8 +818,8 @@ def test_lattice_values_are_ints_where_integral(a1, a2, monkeypatch):
     # data alike
     blocks = recorded_blocks(monkeypatch)
     e1, e2 = epipelagic_datum(a1, 2), epipelagic_datum(a2, 3)
-    halves = classify(split_torus_class(a2), Tail(a2, 1, {F(2): [F(3, 2), 0],
-                                                           F(1): [F(-1, 3), 2]}))
+    halves = classify(split_torus_class(a2), Tail(a2, 1, cyclo_terms({F(2): [F(3, 2), 0],
+                                                                       F(1): [F(-1, 3), 2]})))
     mixed = json.loads((GOLDENS / "moveability_mixed_conductor_request.json").read_text())
     cyclotomic = jsonio.datum_from_json(mixed["datum"])
     cases = [(*sl2_depth_one(a1), rho_over(a1, 2), True), (e1, extract(e1), None, True),
@@ -907,10 +907,10 @@ def test_moveability_full_rank_goldens(a1, a2):
 
 
 def test_moveability_negative_control(a2):
-    lam = Tail(a2, 1, {F(1): [1, 0]})  # kills alpha_2: not G-regular
+    lam = Tail(a2, 1, cyclo_terms({F(1): [1, 0]}))  # kills alpha_2: not G-regular
     bad = PolarDatum(split_torus_class(a2), frozenset(), lam, validate=False)
     ladder = YuLadder(bad, [F(1)], [frozenset(), frozenset(range(6))],
-                      [lam, Tail.zero(a2)], validate=False)
+                      [lam, Tail(a2, 1, {})], validate=False)
     report = moveability_check(bad, ladder, variant="K")
     assert not report["full_rank"]
     assert report["rank_defects"] >= 1

@@ -10,11 +10,11 @@ from polarium.tails import Tail, pair_coroot
 from polarium.tori import list_torus_classes, split_torus_class
 from polarium.yuseq import YuLadder, breaks, decompose_lambda, extract, levi_ladder
 
-from .oracles import add_tails
+from .oracles import add_tails, cyclo_terms
 
 
 def sl3_datum(a2):
-    return classify(split_torus_class(a2), Tail(a2, 1, {F(2): [3, 0], F(1): [-1, 2]}))
+    return classify(split_torus_class(a2), Tail(a2, 1, cyclo_terms({F(2): [3, 0], F(1): [-1, 2]})))
 
 
 def test_breaks_worked_example(a2):
@@ -23,7 +23,7 @@ def test_breaks_worked_example(a2):
 
 
 def test_breaks_full_and_epipelagic(a1, a2):
-    g0 = classify(split_torus_class(a2), Tail.zero(a2))
+    g0 = classify(split_torus_class(a2), Tail(a2, 1, {}))
     assert breaks(g0) == []
     assert breaks(epipelagic_datum(a1, 2)) == [F(1, 2)]
 
@@ -45,14 +45,14 @@ def test_decompose_bands(a2):
 
 
 def test_extract_full_datum_zero(a2):
-    ladder = extract(classify(split_torus_class(a2), Tail.zero(a2)))
+    ladder = extract(classify(split_torus_class(a2), Tail(a2, 1, {})))
     assert len(ladder.breaks) == 0
     assert len(ladder.levels) == 1
     assert ladder.components[0].is_zero()
 
 
 def test_extract_a1_depth_one(a1):
-    d = classify(split_torus_class(a1), Tail(a1, 1, {F(1): [1]}))
+    d = classify(split_torus_class(a1), Tail(a1, 1, cyclo_terms({F(1): [1]})))
     ladder = extract(d)
     assert ladder.breaks == [1]
     assert ladder.components[0] == d.lam
@@ -65,7 +65,7 @@ def test_sub_break_exponents_absorbed_into_first_band(a2):
     tc = next(tc for tc in list_torus_classes(a2) if tc.m == 2)
     lo = tc.eigenspace(1)[0]
     hi = tc.eigenspace(0)[0]
-    lam = Tail(a2, 2, {F(1, 2): lo, F(2): hi})
+    lam = Tail(a2, 2, cyclo_terms({F(1, 2): lo, F(2): hi}))
     d = classify(tc, lam)
     ladder = extract(d)
     if ladder.breaks[0] > F(1, 2):
@@ -104,7 +104,7 @@ def test_each_tail_paired_once_per_coroot_pair(a3, monkeypatch):
         return original(tail, coroot)
 
     monkeypatch.setattr(tails, "pair_coroot", counted)
-    lam = Tail(a3, 1, {F(1): [1, 0, 0], F(2): [0, 1, 0]})
+    lam = Tail(a3, 1, cyclo_terms({F(1): [1, 0, 0], F(2): [0, 1, 0]}))
     d = classify(split_torus_class(a3), lam)
     d.depth_multiset()
     ladder = extract(d)
@@ -136,8 +136,8 @@ def test_ladder_reassembly_is_a_partition_of_the_exponents(a2):
     seq = breaks(d)
     levels = levi_ladder(d, seq)
     low, high, top = decompose_lambda(d, seq)
-    doubled = Tail(a2, 1, {F(1): [-2, 4]})
-    shared = Tail(a2, 1, {F(1): [1, -2], F(2): [3, 0]})
+    doubled = Tail(a2, 1, cyclo_terms({F(1): [-2, 4]}))
+    shared = Tail(a2, 1, cyclo_terms({F(1): [1, -2], F(2): [3, 0]}))
     for parts in ([doubled, high, top], [doubled, shared, top]):
         with pytest.raises(InternalInvariantViolation,
                            match="band components do not reassemble the tail"):
@@ -150,7 +150,7 @@ def test_no_breaks_gives_the_tail_as_one_component(a2):
     # without breaks the one band is unbounded on both sides: the zero tail
     # on the split and the twisted classes of A2, and a central tail on
     # A1 x T1, whose coroot pairing vanishes
-    data = [classify(tc, Tail.zero(a2, tc.m)) for tc in list_torus_classes(a2)]
+    data = [classify(tc, Tail(a2, tc.m, {})) for tc in list_torus_classes(a2)]
     assert any(not d.torus.w.is_identity() for d in data)
     data.append(jsonio.datum_from_json({"type": [["A", 1], ["torus", 1]], "lambda": {
         "m": 1, "terms": [{"q": "1", "coeff": ["0", "1"]}]}}))
