@@ -36,6 +36,8 @@ def _load_input(path: str | None) -> dict:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"malformed JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise jsonio.nesting_refusal() from exc
     if not isinstance(doc, dict):
         raise InvalidArgumentError("input document must be a JSON object")
     return doc
@@ -195,6 +197,8 @@ def _parse_argv(argv: list[str]) -> tuple[str, dict, dict]:
             fields[_FIELD_FLAGS[flag]] = json.loads(value)
         except json.JSONDecodeError:
             fields[_FIELD_FLAGS[flag]] = value
+        except RecursionError as exc:
+            raise jsonio.nesting_refusal() from exc
     if options["--format"] not in ("json", "table"):
         raise InvalidArgumentError(f"--format must be json or table, got {options['--format']!r}")
     return argv[0], fields, options

@@ -5,10 +5,12 @@ constructors check nothing, and the request schema checks.
 
 Output is byte-deterministic: sorted keys, tight separators, rationals as
 "p/q" strings. Request documents are checked against the shipped JSON
-Schemas before any computation touches them. Validity is decided by a plain
-predicate compiled once per command from its schema (`compile_checker`);
-`jsonschema` is imported only when that predicate rejects a document, to
-word the rejection exactly as `jsonschema.validate` would.
+Schemas before any computation touches them, once their nesting is within
+its bound. Validity is decided by a plain predicate compiled once per
+command from its schema (`compile_checker`). A rejection is worded by an
+error walker compiled from the same schema on the command's first rejection
+(`compile_walker`), exactly as jsonschema 4.26's `best_match` words it; the
+program never imports `jsonschema`, which the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ COEFF_PHI_BOUND = 24
 # most half of the count. The default grid's 265 windows count 12 steps each
 # or fewer.
 WINDOW_STEPS_BOUND = 256
+# Deepest nesting of lists and objects in a request document, the document
+# itself counting 1. A schema-valid request nests about 10 levels; json.loads
+# and repr recurse, and fail near 1000.
+NESTING_BOUND = 100
 
 
 def canonical_dumps(obj) -> str:
@@ -77,14 +83,14 @@ def _unsupported(what: str):
     return InternalInvariantViolation(f"schema uses {what}, outside the compiled subset")
 
 
-def compile_checker(schema: dict):
-    """Predicate deciding Draft 2020-12 validity of a document against schema.
+def _compile(schema: dict, build):
+    """Compile schema node by node: build(s, node, ref) makes the function of
+    one schema object s, compiling its subschemas with node and its `$ref`
+    target with ref.
 
     Covers the keywords of `_KEYWORDS`, with `$ref` only into the schema's
-    own `$defs`; any other keyword raises `InternalInvariantViolation`. Each
-    keyword constrains only the instances of its own type, as in the spec:
-    `minimum` fails only when `instance < minimum` (NaN passes), `pattern`
-    is a `re.search`, and `items` covers the elements after `prefixItems`.
+    own `$defs`, each compiled once, a single type name and an enum of
+    strings; anything else raises `InternalInvariantViolation`.
     """
     defs = schema.get("$defs", {})
     refs: dict = {}
@@ -103,34 +109,49 @@ def compile_checker(schema: dict):
         unknown = sorted(s.keys() - _KEYWORDS - {"$defs"})
         if unknown:
             raise _unsupported(f"keyword {unknown[0]!r}")
-        checks = []
-        if "type" in s:
-            if s["type"] not in _TYPES:
-                raise _unsupported(f"type {s['type']!r}")
-            checks.append(_TYPES[s["type"]])
-        if "$ref" in s:
-            checks.append(ref(s["$ref"]))
-        if s.keys() & {"required", "properties", "additionalProperties"}:
-            checks.append(_object_check(s, node))
-        if s.keys() & {"items", "prefixItems", "minItems", "maxItems"}:
-            checks.append(_array_check(s, node))
-        if "minimum" in s:
-            low, is_number = s["minimum"], _TYPES["number"]
-            checks.append(lambda x: not is_number(x) or not x < low)
-        if "pattern" in s:
-            search = re.compile(s["pattern"]).search
-            checks.append(lambda x: not isinstance(x, str) or search(x) is not None)
-        if "enum" in s:
-            if not all(isinstance(v, str) for v in s["enum"]):
-                raise _unsupported("an enum of non-strings")
-            values = frozenset(s["enum"])
-            checks.append(lambda x: isinstance(x, str) and x in values)
-        if "oneOf" in s:
-            branches = [node(b) for b in s["oneOf"]]
-            checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
-        return _all_of(checks)
+        if "type" in s and not (isinstance(s["type"], str) and s["type"] in _TYPES):
+            raise _unsupported(f"type {s['type']!r}")
+        if "enum" in s and not all(isinstance(v, str) for v in s["enum"]):
+            raise _unsupported("an enum of non-strings")
+        return build(s, node, ref)
 
     return node(schema)
+
+
+def compile_checker(schema: dict):
+    """Predicate deciding Draft 2020-12 validity of a document against schema.
+
+    Each keyword constrains only the instances of its own type, as in the
+    spec: `minimum` fails only when `instance < minimum` (NaN passes),
+    `pattern` is a `re.search`, and `items` covers the elements after
+    `prefixItems`.
+    """
+    return _compile(schema, _check_node)
+
+
+def _check_node(s: dict, node, ref):
+    checks = []
+    if "type" in s:
+        checks.append(_TYPES[s["type"]])
+    if "$ref" in s:
+        checks.append(ref(s["$ref"]))
+    if s.keys() & {"required", "properties", "additionalProperties"}:
+        checks.append(_object_check(s, node))
+    if s.keys() & {"items", "prefixItems", "minItems", "maxItems"}:
+        checks.append(_array_check(s, node))
+    if "minimum" in s:
+        low, is_number = s["minimum"], _TYPES["number"]
+        checks.append(lambda x: not is_number(x) or not x < low)
+    if "pattern" in s:
+        search = re.compile(s["pattern"]).search
+        checks.append(lambda x: not isinstance(x, str) or search(x) is not None)
+    if "enum" in s:
+        values = frozenset(s["enum"])
+        checks.append(lambda x: isinstance(x, str) and x in values)
+    if "oneOf" in s:
+        branches = [node(b) for b in s["oneOf"]]
+        checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
+    return _all_of(checks)
 
 
 def _all_of(checks: list):
@@ -190,6 +211,123 @@ def _array_check(s: dict, node):
     return check
 
 
+# -- rejection wording ----------------------------------------------------
+
+# An error is (path, keyword, message, matches, context): the path from the
+# walked instance to the failing one, the failing keyword and its message,
+# whether the failing instance has the type its own schema names, and, for a
+# oneOf no branch fits, every branch's errors with paths from the same
+# instance. This is what jsonschema 4.26's `best_match` reads of an error.
+
+
+def compile_walker(schema: dict):
+    """The errors of a document against schema, in the order and words of
+    jsonschema 4.26's `iter_errors`: keywords in the schema's key order,
+    `$ref` transparent, `properties` in schema order, `required` in order,
+    `items` by index after `prefixItems`, and a oneOf stopping at its first
+    valid branch. `additionalProperties` with a schema value, whose extras
+    jsonschema walks in set order, is refused."""
+    return _compile(schema, _walk_node)
+
+
+def _walk_node(s: dict, node, ref):
+    if isinstance(s.get("additionalProperties"), dict):
+        raise _unsupported("additionalProperties with a schema")
+    props = {k: node(v) for k, v in s.get("properties", {}).items()}
+    prefix = [node(p) for p in s.get("prefixItems", ())]
+    items = node(s["items"]) if "items" in s else None
+    branches = [(b, node(b)) for b in s.get("oneOf", ())]
+    target = ref(s["$ref"]) if "$ref" in s else None
+    matches = _TYPES.get(s.get("type"), lambda x: False)
+
+    def walk(x) -> list:
+        errors = []
+
+        def own(k, message, context=()):
+            errors.append(((), k, message, matches(x), context))
+
+        def descend(step, sub, y):
+            errors.extend(((step, *path), *rest) for path, *rest in sub(y))
+
+        for k, v in s.items():
+            if k == "type":
+                if not _TYPES[v](x):
+                    own(k, f"{x!r} is not of type {v!r}")
+            elif k == "$ref":
+                errors += target(x)
+            elif k == "enum":
+                if not (isinstance(x, str) and x in v):
+                    own(k, f"{x!r} is not one of {v!r}")
+            elif k == "minimum":
+                if _TYPES["number"](x) and x < v:
+                    own(k, f"{x!r} is less than the minimum of {v!r}")
+            elif k == "pattern":
+                if isinstance(x, str) and not re.search(v, x):
+                    own(k, f"{x!r} does not match {v!r}")
+            elif k == "oneOf":
+                context = []
+                for i, (b, sub) in enumerate(branches):
+                    found = sub(x)
+                    if not found:
+                        more = [c for c, later in branches[i + 1:] if not later(x)]
+                        if more:
+                            own(k, f"{x!r} is valid under each of "
+                                   f"{', '.join(map(repr, more + [b]))}")
+                        break
+                    context += found
+                else:
+                    own(k, f"{x!r} is not valid under any of the given schemas", context)
+            elif isinstance(x, dict):
+                if k == "required":
+                    for p in v:
+                        if p not in x:
+                            own(k, f"{p!r} is a required property")
+                elif k == "properties":
+                    for p, sub in props.items():
+                        if p in x:
+                            descend(p, sub, x[p])
+                elif k == "additionalProperties" and v is False:
+                    extras = sorted(p for p in x if p not in props)
+                    if extras:
+                        verb = "was" if len(extras) == 1 else "were"
+                        own(k, f"Additional properties are not allowed "
+                               f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            elif isinstance(x, list):
+                if k == "prefixItems":
+                    for i, (sub, y) in enumerate(zip(prefix, x)):
+                        descend(i, sub, y)
+                elif k == "items":
+                    for i in range(len(prefix), len(x)):
+                        descend(i, items, x[i])
+                elif k == "minItems" and len(x) < v:
+                    own(k, f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}")
+                elif k == "maxItems" and len(x) > v:
+                    own(k, f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}")
+        return errors
+    return walk
+
+
+def _relevance(error) -> tuple:
+    """jsonschema's relevance key: shallower first, then the later path, a
+    keyword other than oneOf, and a failing instance off its schema's type
+    (its constant "strong keyword" entry is left out)."""
+    path, keyword, _message, matches, _context = error
+    return -len(path), path, keyword != "oneOf", not matches
+
+
+def _best_match(errors: list):
+    """The error jsonschema 4.26's `best_match` picks: the first most
+    relevant one, then, while it has a context, the least relevant error of
+    that context unless the two least relevant ones tie."""
+    best = max(errors, key=_relevance)
+    while best[4]:
+        least = sorted(best[4], key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            return best
+        best = least[0]
+    return best
+
+
 def _request_schema(key: str) -> dict:
     store = schemas()
     return {**store["requests"][key], "$defs": store["$defs"]}
@@ -202,14 +340,27 @@ def _request_checker(key: str):
 
 
 @cache
-def _request_validator(key: str):
-    """jsonschema's checked validator of one request schema, built on first reject."""
-    import jsonschema
+def _request_walker(key: str):
+    """The error walker of one request schema, built on its first rejection."""
+    return compile_walker(_request_schema(key))
 
-    schema = _request_schema(key)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def nesting_refusal() -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"request refused: lists and objects nest deeper than bound {NESTING_BOUND}")
+
+
+def _check_nesting(doc) -> None:
+    """Refuse a document whose lists and objects nest past NESTING_BOUND,
+    level by level, without recursion."""
+    level = [doc]
+    for _ in range(NESTING_BOUND):
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+        if not level:
+            return
+    if any(isinstance(x, (dict, list)) for x in level):
+        raise nesting_refusal()
 
 
 def validate_request(command: str, doc) -> None:
@@ -217,16 +368,14 @@ def validate_request(command: str, doc) -> None:
     key = command.replace("-", "_")
     if key not in schemas()["requests"]:
         raise InvalidArgumentError(f"no requests schema for command {command}")
+    _check_nesting(doc)
     if _request_checker(key)(doc):
         return
-    import jsonschema
-
-    # best_match over every error, as jsonschema.validate reports it
-    error = jsonschema.exceptions.best_match(_request_validator(key).iter_errors(doc))
-    if error is None:
+    errors = _request_walker(key)(doc)
+    if not errors:
         raise InternalInvariantViolation(
-            f"compiled {command} request check rejects a document jsonschema accepts")
-    raise InvalidArgumentError(f"requests rejected by schema: {error.message}") from error
+            f"compiled {command} request check rejects a document its walker accepts")
+    raise InvalidArgumentError(f"requests rejected by schema: {_best_match(errors)[2]}")
 
 
 # -- codecs ---------------------------------------------------------------

@@ -452,30 +452,26 @@ def test_schema_reject_names_the_best_match_among_several_errors(capsys):
 
 def test_one_checker_per_command(capsys, monkeypatch):
     # the compiled check is built on the first request of a command, and
-    # jsonschema's checked validator on its first rejection; both are reused
-    import jsonschema
-
+    # its error walker on its first rejection; both are reused
     from polarium import jsonio
 
-    compiled, checked = [], []
-    compile_checker = jsonio.compile_checker
-    monkeypatch.setattr(jsonio, "compile_checker",
-                        lambda s: compiled.append(s) or compile_checker(s))
-    cls = jsonschema.validators.validator_for(jsonio.schemas())
-    original = cls.check_schema.__func__
-    monkeypatch.setattr(cls, "check_schema",
-                        classmethod(lambda c, s: checked.append(s) or original(c, s)))
+    built = {"compile_checker": [], "compile_walker": []}
+    for name, calls in built.items():
+        compile_ = getattr(jsonio, name)
+        monkeypatch.setattr(jsonio, name,
+                            lambda s, compile_=compile_, calls=calls: calls.append(s) or compile_(s))
     jsonio._request_checker.cache_clear()
-    jsonio._request_validator.cache_clear()
+    jsonio._request_walker.cache_clear()
     for request in ('{"type":"A1","m":2}', '{"type":"A2","m":3}'):
         status, _ = run_main(capsys, "epipelagic", "--input", request)
         assert status == 0
+    assert len(built["compile_checker"]) == 1 and not built["compile_walker"]
     for request in ('{"type":"A1","m":0}', '{"type":"A1"}'):
         status, _ = run_main(capsys, "epipelagic", "--input", request)
         assert status == 1
-    assert len(compiled) == 1 and len(checked) == 1
+    assert len(built["compile_checker"]) == 1 and len(built["compile_walker"]) == 1
     jsonio._request_checker.cache_clear()
-    jsonio._request_validator.cache_clear()
+    jsonio._request_walker.cache_clear()
 
 
 def test_accepted_request_imports_no_jsonschema():
@@ -488,6 +484,74 @@ def test_accepted_request_imports_no_jsonschema():
     assert json.loads(proc.stdout)["type"] == "A1"
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert not imported & {"jsonschema", "argparse", "dataclasses"}
+
+
+# Runs the CLI on its arguments in a fresh interpreter, then reports on
+# stderr whether jsonschema was imported; with "block" as the first argument,
+# importing jsonschema fails from the start.
+_REPORT_JSONSCHEMA = """import sys
+if sys.argv[1] == "block":
+    sys.modules["jsonschema"] = None
+from polarium.cli import main
+status = main(sys.argv[2:])
+print("jsonschema" in sys.modules and sys.modules["jsonschema"] is not None, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("list-tori", "--input", '{"type":"A1"}'), 0),
+    (("classify", "--input", '{"type":"A1"}'), 1),
+    (("regular-numbers", "--input", '{"type":[["A",0]]}'), 1),
+])
+def test_requests_answer_without_jsonschema(argv, status):
+    # the runtime never imports jsonschema: with its import blocked, a request
+    # prints the bytes it prints without the block, and an interpreter that
+    # has answered it holds no jsonschema
+    blocked, free = [subprocess.run([sys.executable, "-c", _REPORT_JSONSCHEMA, mode, *argv],
+                                    capture_output=True, text=True) for mode in ("block", "free")]
+    assert blocked.returncode == free.returncode == status
+    assert blocked.stdout == free.stdout
+    assert blocked.stderr == free.stderr == "False\n"
+    if status == 1:
+        assert json.loads(free.stdout)["error"]["message"].startswith("requests rejected by schema: ")
+
+
+def _nested_type(lists: int) -> str:
+    return "[" * lists + "]" * lists
+
+
+NESTING_REFUSAL = {"code": "invalid-argument",
+                   "message": "request refused: lists and objects nest deeper than bound 100"}
+
+
+@pytest.mark.parametrize("depth", [101, 984, 100_000])
+@pytest.mark.parametrize("via", ["--input", "--type"])
+def test_over_deep_request_refused(capsys, via, depth):
+    # depth counts the request document itself; json.loads recurses, and
+    # fails near 1000 levels, and a recursion error is refused the same way
+    lists = depth - 1
+    value = f'{{"type":{_nested_type(lists)}}}' if via == "--input" else _nested_type(lists)
+    status, out = run_main(capsys, "regular-numbers", via, value)
+    assert status == 1
+    assert json.loads(out)["error"] == NESTING_REFUSAL
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+def test_nesting_within_the_bound_keeps_the_schema_message(capsys, depth):
+    import jsonschema
+
+    from polarium.jsonio import schemas
+
+    doc = {"type": json.loads(_nested_type(depth - 1))}
+    schema = dict(schemas()["requests"]["regular_numbers"], **{"$defs": schemas()["$defs"]})
+    expected = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    for argv in (("--input", json.dumps(doc)), ("--type", json.dumps(doc["type"]))):
+        status, out = run_main(capsys, "regular-numbers", *argv)
+        assert status == 1
+        assert json.loads(out)["error"] == {
+            "code": "invalid-argument",
+            "message": f"requests rejected by schema: {expected.message}"}
 
 
 def test_flags_are_request_fields(capsys):

@@ -1,13 +1,16 @@
 """The compiled request checks against jsonschema, the independent oracle.
 
-`jsonio.compile_checker` decides validity by itself; jsonschema only words a
-rejection. Every verdict here is compared with `Draft202012Validator.is_valid`
-on the same document: documents generated from each request schema, the
-same documents after one hostile mutation, every request document of the
-benchmark universes and every golden request. Each rejection must also reach
-the user as the envelope of jsonschema's best match. Every generated valid
-document is also run through the CLI on small types, which must answer with
-one canonical JSON document and a documented exit status in bounded time.
+`jsonio.compile_checker` decides validity, and `jsonio.compile_walker` words
+a rejection; the program never imports jsonschema. Every verdict here is
+compared with `Draft202012Validator.is_valid` on the same document:
+documents generated from each request schema, the same documents after one
+hostile mutation, every single hostile edit of the golden requests and of
+the first benchmark documents of each command, every request document of
+the benchmark universes and every golden request. Each rejection must also
+reach the user as the envelope of jsonschema's best match. Every generated
+valid document is also run through the CLI on small types, which must answer
+with one canonical JSON document and a documented exit status in bounded
+time.
 """
 
 import copy
@@ -15,6 +18,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +50,7 @@ def _schema(command: str) -> dict:
     return {**store["requests"][command.replace("-", "_")], "$defs": store["$defs"]}
 
 
+@cache
 def _oracle(command: str):
     return jsonschema.Draft202012Validator(_schema(command))
 
@@ -93,54 +98,80 @@ def _paths(doc, path=()):
             yield from _paths(v, path + (i,))
 
 
+EXTRA_KEYS = ("extra", "power", "eigendims")
+
+
+def _edit(doc, path, kind, arg):
+    """doc after one hostile edit at path: "replace" its value by arg, or,
+    when it is an object, "drop" its key arg or add the "extra" key arg.
+    Only the containers along path are copied."""
+    if path:
+        edited = copy.copy(doc)
+        edited[path[0]] = _edit(doc[path[0]], path[1:], kind, arg)
+        return edited
+    if kind == "replace":
+        return copy.deepcopy(arg)
+    edited = dict(doc)
+    if kind == "drop":
+        del edited[arg]
+    else:
+        edited[arg] = 1
+    return edited
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 def _mutate(data, doc):
     """One hostile edit: replace a value, drop a key or add one."""
-    doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     kind = data.draw(st.sampled_from(("replace", "drop", "extra")))
     if kind == "replace":
-        value = data.draw(st.sampled_from(HOSTILE))
-        if not path:
-            return value
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = copy.deepcopy(value)
+        return _edit(doc, path, kind, data.draw(st.sampled_from(HOSTILE)))
+    node = _at(doc, path)
+    if not isinstance(node, dict):
         return doc
-    node = doc
-    for step in path:
-        node = node[step]
-    if isinstance(node, dict):
-        if kind == "drop" and node:
-            del node[data.draw(st.sampled_from(sorted(node)))]
-        else:
-            node[data.draw(st.sampled_from(("extra", "power", "eigendims")))] = 1
-    return doc
+    if kind == "drop" and node:
+        return _edit(doc, path, kind, data.draw(st.sampled_from(sorted(node))))
+    return _edit(doc, path, "extra", data.draw(st.sampled_from(EXTRA_KEYS)))
+
+
+def _edits(doc):
+    """Every single hostile edit of doc: each value replaced by each HOSTILE
+    value, and each object with each of its keys dropped or each extra key
+    added."""
+    for path in _paths(doc):
+        for value in HOSTILE:
+            yield _edit(doc, path, "replace", value)
+        node = _at(doc, path)
+        if isinstance(node, dict):
+            for key in node:
+                yield _edit(doc, path, "drop", key)
+            for key in EXTRA_KEYS:
+                yield _edit(doc, path, "extra", key)
 
 
 def _assert_agrees(command: str, doc, capsys) -> None:
     """Compiled verdict equals jsonschema's; a reject prints its best match."""
-    valid = _oracle(command).is_valid(doc)
+    errors = list(_oracle(command).iter_errors(doc))
+    valid = not errors
     assert jsonio._request_checker(command.replace("-", "_"))(doc) is valid, (command, doc)
     if valid:
         return
+    message = f"requests rejected by schema: {jsonschema.exceptions.best_match(errors).message}"
     if not isinstance(doc, dict):
         # the CLI refuses a non-object document before any schema is read
         with pytest.raises(InvalidArgumentError) as exc:
             jsonio.validate_request(command, doc)
-        expected = jsonschema.exceptions.best_match(_oracle(command).iter_errors(doc))
-        assert str(exc.value) == f"requests rejected by schema: {expected.message}"
+        assert str(exc.value) == message
         return
-    _command, fields, _options = cli._parse_argv([command])
-    seen = {**doc, **fields}
-    if _oracle(command).is_valid(seen):
-        return  # a CLI default filled the gap; the request would run
-    expected = jsonschema.exceptions.best_match(_oracle(command).iter_errors(seen))
     status = cli.main([command, "--input", json.dumps(doc)])
     assert status == 1
     assert capsys.readouterr().out == jsonio.canonical_dumps({"error": {
-        "code": "invalid-argument",
-        "message": f"requests rejected by schema: {expected.message}"}})
+        "code": "invalid-argument", "message": message}})
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -224,6 +255,8 @@ EDGE_CASES = [
      [{"b": "x"}, {"a": "x"}, {"a": True}]),
     ({"additionalProperties": {"type": "integer"}}, [{"b": 1}, {"b": "x"}]),
     ({"required": ["a"]}, [{"a": None}, {}, [], "a"]),
+    ({"properties": {"b": {"type": "integer"}, "a": {"type": "integer"}}, "required": ["d", "c"]},
+     [{"a": "x", "b": "y", "c": 1, "d": 1}, {}, {"a": 1, "b": 1}]),
     ({"minItems": 1, "maxItems": 2}, [[], [1], [1, 2, 3], {}]),
     ({"enum": ["J", "K"]}, ["J", "L", 1, ["J"]]),
     ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, [1, -1, 0.5, -0.5, "x"]),
@@ -236,6 +269,22 @@ def test_compiled_keyword_semantics_match_jsonschema(schema, instances):
     oracle = jsonschema.Draft202012Validator(schema)
     for x in instances:
         assert check(x) is oracle.is_valid(x), (schema, x)
+
+
+@pytest.mark.parametrize("schema, instances", [
+    case for case in EDGE_CASES if not isinstance(case[0].get("additionalProperties"), dict)])
+def test_walker_errors_match_jsonschema(schema, instances):
+    # the overlapping oneOf here is the one place "valid under each" shows
+    walk = jsonio.compile_walker(schema)
+    oracle = jsonschema.Draft202012Validator(schema)
+    for x in instances:
+        expected = list(oracle.iter_errors(x))
+        errors = walk(x)
+        assert [(p, k, m) for p, k, m, _, _ in errors] == [
+            (tuple(e.path), e.validator, e.message) for e in expected], (schema, x)
+        if expected:
+            best = jsonschema.exceptions.best_match(expected)
+            assert jsonio._best_match(errors)[2] == best.message, (schema, x)
 
 
 def test_shipped_schemas_fit_the_metaschema():
@@ -254,13 +303,85 @@ def test_shipped_schemas_fit_the_metaschema():
     {"enum": [1, 2]},
 ])
 def test_compiling_outside_the_subset_raises(schema):
-    with pytest.raises(InternalInvariantViolation):
-        jsonio.compile_checker(schema)
+    for compile_ in (jsonio.compile_checker, jsonio.compile_walker):
+        with pytest.raises(InternalInvariantViolation):
+            compile_(schema)
 
 
 def test_compiled_reject_that_jsonschema_accepts_is_an_internal_fault(capsys, monkeypatch):
-    # the two must never disagree; if they do, the request is not run
+    # the predicate and the walker must never disagree; if the predicate
+    # rejects a document the walker cannot word, the request is not run
     monkeypatch.setattr(jsonio, "_request_checker", lambda key: lambda doc: False)
     status = cli.main(["epipelagic", "--input", '{"type":"A1","m":2}'])
     assert status == 3
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "internal-invariant-violation"
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "internal-invariant-violation", "message":
+                     "compiled epipelagic request check rejects a document its walker accepts"}
+
+
+# Rejections worded by hand from jsonschema 4.26's keywords and best match.
+A1_DATUM = {"type": "A1", "lambda": {"m": 1, "terms": []}}
+WORDING = [
+    # the two least relevant errors of the oneOf context tie
+    ("regular-numbers", {"type": 5}, "5 is not valid under any of the given schemas"),
+    # the deepest error of the oneOf context wins
+    ("regular-numbers", {"type": [["A", 0]]}, "0 is less than the minimum of 1"),
+    # the shallowest error wins at the top level
+    ("classify", {"type": "A1", "lambda": {"m": 1.5, "terms": []}, "x": 1, "y": 2},
+     "Additional properties are not allowed ('x', 'y' were unexpected)"),
+    ("classify", {**A1_DATUM, "power": 1},
+     "Additional properties are not allowed ('power' was unexpected)"),
+    # extras are named in sorted order, not in the document's
+    ("regular-numbers", {"type": "A1", "y": 1, "x": 2},
+     "Additional properties are not allowed ('x', 'y' were unexpected)"),
+    ("regular-numbers", {"type": [["A"]]}, "['A'] is too short"),
+    ("regular-numbers", {"type": [["A", 1, 2]]}, "['A', 1, 2] is too long"),
+    ("partition-check", {"type": "A1", "samples": math.nan}, "nan is not of type 'integer'"),
+    ("moveability", {"datum": A1_DATUM, "variant": "L"}, "'L' is not one of ['J', 'K']"),
+    ("regular-numbers", {}, "'type' is a required property"),
+    # of two sibling errors, the later path wins: samples after disjoint_pairs
+    ("partition-check", {"type": "A1", "samples": 0, "disjoint_pairs": -1},
+     "0 is less than the minimum of 1"),
+    ("classify", {"type": "A1", "lambda": {"m": 1, "terms": [{"q": "1/x", "coeff": []}]}},
+     "'1/x' does not match '^-?[0-9]+(/[0-9]+)?$'"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", WORDING)
+def test_rejection_wording(command, doc, message, capsys):
+    expected = jsonschema.exceptions.best_match(_oracle(command).iter_errors(doc))
+    assert expected.message == message
+    status = cli.main([command, "--input", json.dumps(doc)])
+    assert status == 1
+    assert capsys.readouterr().out == jsonio.canonical_dumps({"error": {
+        "code": "invalid-argument", "message": f"requests rejected by schema: {message}"}})
+
+
+def _first_requests(per_command: int = 10):
+    """The golden requests and the first documents of each command in each
+    benchmark universe."""
+    yield from ((command, json.loads(text)) for command, text in _golden_requests())
+    for make in workloads.UNIVERSES.values():
+        taken: dict = {}
+        for req in make().values():
+            if req.text is not None and taken.get(req.command, 0) < per_command:
+                taken[req.command] = taken.get(req.command, 0) + 1
+                yield req.command, json.loads(req.text)
+
+
+def test_every_single_hostile_edit_agrees_with_jsonschema(capsys):
+    # an edit that gives a document already checked is not checked again
+    seen = set()
+    for command, doc in _first_requests():
+        for edited in _edits(doc):
+            key = command, json.dumps(edited)
+            if key not in seen:
+                seen.add(key)
+                _assert_agrees(command, edited, capsys)
+
+
+def test_walker_refuses_additional_properties_with_a_schema():
+    schema = {"type": "object", "additionalProperties": {"type": "integer"}}
+    assert jsonio.compile_checker(schema)({"a": 1})
+    with pytest.raises(InternalInvariantViolation):
+        jsonio.compile_walker(schema)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polarium"
 OWNER = "jsonio"
-WIRE_BOUNDS = frozenset({"COEFF_PHI_BOUND", "WINDOW_STEPS_BOUND"})
+WIRE_BOUNDS = frozenset({"COEFF_PHI_BOUND", "WINDOW_STEPS_BOUND", "NESTING_BOUND"})
 
 
 def _is_codec(name: str) -> bool:
