@@ -346,25 +346,31 @@ def _request_walker(key: str):
 
 
 def nesting_refusal() -> InvalidArgumentError:
+    """The refusal of a request nesting past NESTING_BOUND, also when
+    json.loads meets it as a RecursionError."""
     return InvalidArgumentError(
         f"request refused: lists and objects nest deeper than bound {NESTING_BOUND}")
 
 
+_CONTAINERS = frozenset({dict, list})
+
+
 def _check_nesting(doc) -> None:
-    """Refuse a document whose lists and objects nest past NESTING_BOUND,
-    level by level, without recursion."""
-    level = [doc]
+    """Refuse a document whose lists and objects, the types json.loads
+    makes, nest past NESTING_BOUND; level by level, without recursion."""
+    level = [doc] if type(doc) in _CONTAINERS else []
     for _ in range(NESTING_BOUND):
-        level = [v for x in level if isinstance(x, (dict, list))
-                 for v in (x.values() if isinstance(x, dict) else x)]
         if not level:
             return
-    if any(isinstance(x, (dict, list)) for x in level):
+        level = [v for x in level for v in (x.values() if type(x) is dict else x)
+                 if type(v) in _CONTAINERS]
+    if level:
         raise nesting_refusal()
 
 
 def validate_request(command: str, doc) -> None:
-    """Raise `InvalidArgumentError` with jsonschema's best match unless doc fits."""
+    """Raise `InvalidArgumentError` unless doc nests within NESTING_BOUND and
+    fits its command's schema, worded as jsonschema's best match."""
     key = command.replace("-", "_")
     if key not in schemas()["requests"]:
         raise InvalidArgumentError(f"no requests schema for command {command}")

@@ -255,11 +255,12 @@ EDGE_CASES = [
      [{"b": "x"}, {"a": "x"}, {"a": True}]),
     ({"additionalProperties": {"type": "integer"}}, [{"b": 1}, {"b": "x"}]),
     ({"required": ["a"]}, [{"a": None}, {}, [], "a"]),
-    ({"properties": {"b": {"type": "integer"}, "a": {"type": "integer"}}, "required": ["d", "c"]},
-     [{"a": "x", "b": "y", "c": 1, "d": 1}, {}, {"a": 1, "b": 1}]),
     ({"minItems": 1, "maxItems": 2}, [[], [1], [1, 2, 3], {}]),
     ({"enum": ["J", "K"]}, ["J", "L", 1, ["J"]]),
     ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, [1, -1, 0.5, -0.5, "x"]),
+    # errors follow the schema's order of properties and of required names
+    ({"properties": {"b": {"type": "integer"}, "a": {"type": "integer"}}, "required": ["d", "c"]},
+     [{"a": "x", "b": "y", "c": 1, "d": 1}, {}, {"a": 1, "b": 1}]),
 ]
 
 
