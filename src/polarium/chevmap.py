@@ -32,15 +32,11 @@ LIFT_BITS_BOUND = 4096
 
 
 @cache
-def _a1():
-    return build("A1")
-
-
-@cache
 def _a1_classes() -> tuple[TorusClass, TorusClass]:
     """The split (m = 1) and ramified (w = s_alpha, m = 2) torus classes of
-    A1 that the lifts land on, built once like the root datum."""
-    rd = _a1()
+    A1 that the lifts land on, built once; the lifted tails take their
+    datum from them."""
+    rd = build("A1")
     return split_torus_class(rd), TorusClass(rd, rd.weyl_elements()[1], 2)
 
 
@@ -141,7 +137,7 @@ def _tail_from_series(b: LaurentWindow, m: int) -> Tail:
                 torus = "split torus (Z)" if m == 1 else "ramified torus (1/2 + Z)"
                 raise InvalidArgumentError(f"lifted term at exponent {q} is off the {torus}")
             terms[q] = (2 * c,)
-    return Tail(_a1(), m, terms)
+    return Tail(_a1_classes()[m - 1].rd, m, terms)
 
 
 def _principal_end(a: LaurentWindow, v: Fraction) -> Fraction:

@@ -31,12 +31,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm, prod
 from operator import add, mul
+from threading import Lock
 
 from .errors import (InternalInvariantViolation, InvalidArgumentError, ResourceLimitError,
                      UnsupportedFeatureError)
 from .linalg import primitive
 
 IntVec = tuple[int, ...]
+TypeKey = tuple[tuple[tuple[str, int], ...], int]  # (factors, torus rank)
 
 WEYL_ORDER_BOUND = 100_000
 DIMENSION_BOUND = 16
@@ -46,8 +48,6 @@ _SIMPLE_RANKS = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     if letter == "G":
-        if n != 2:
-            raise UnsupportedFeatureError("G admits only rank 2")
         return [[2, -1], [-3, 2]]
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     if letter in ("A", "B", "C"):
@@ -58,54 +58,76 @@ def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
             c[n - 1][n - 2] = -2
         if letter == "C" and n >= 2:
             c[n - 2][n - 1] = -2
-    elif letter == "D":
+    else:  # D
         for i in range(n - 2):
             c[i][i + 1] = -1
             c[i + 1][i] = -1
         c[n - 3][n - 1] = -1
         c[n - 1][n - 3] = -1
-    else:
-        raise UnsupportedFeatureError(f"unsupported Cartan type {letter}")
     return c
 
 
-def _parse_type(spec) -> tuple[list[tuple[str, int]], int]:
-    """Accepts "A2", "G2", or [["A",2],["torus",1],...]."""
+def _parse_type(spec) -> TypeKey:
+    """The canonical type (factors, torus rank) of "A2", "g2" or
+    [["A",2],["torus",1],...], the torus ranks summed wherever they stand;
+    refused, before anything is built, when a factor is unsupported (G
+    other than G2 included) or the dimension is 0 or past DIMENSION_BOUND."""
     if isinstance(spec, str):
         letter, rank = spec[0].upper(), spec[1:]
         if not rank.isdigit():
             raise InvalidArgumentError(f"malformed type label {spec!r}")
-        return [(letter, int(rank))], 0
-    factors: list[tuple[str, int]] = []
-    torus = 0
-    for entry in spec:
-        name, rank = entry[0], int(entry[1])
-        if name.lower() == "torus":
-            torus += rank
-        else:
-            factors.append((name.upper(), rank))
-    return factors, torus
+        factors, torus = [(letter, int(rank))], 0
+    else:
+        factors = []
+        torus = 0
+        for entry in spec:
+            name, rank = entry[0], int(entry[1])
+            if name.lower() == "torus":
+                torus += rank
+            else:
+                factors.append((name.upper(), rank))
+    for letter, n in factors:
+        if letter not in _SIMPLE_RANKS:
+            raise UnsupportedFeatureError(f"unsupported Cartan type {letter}{n}")
+        if n < _SIMPLE_RANKS[letter]:
+            raise UnsupportedFeatureError(f"{letter}{n} below minimal rank")
+    dim = sum(n for _, n in factors) + torus
+    if dim == 0:
+        raise InvalidArgumentError("empty root datum")
+    if dim > DIMENSION_BOUND:
+        raise ResourceLimitError(
+            f"root datum of dimension {dim} larger than bound {DIMENSION_BOUND}")
+    if any(letter == "G" and n != 2 for letter, n in factors):
+        raise UnsupportedFeatureError("G admits only rank 2")
+    return tuple(factors), torus
+
+
+def _degrees(key: TypeKey) -> list[int]:
+    """Degrees of the basic invariants of W on the cocharacter space,
+    factor by factor; each central-torus coordinate adds a degree 1."""
+    factors, torus_rank = key
+    out = []
+    for letter, n in factors:
+        if letter == "A":
+            out += range(2, n + 2)
+        elif letter in ("B", "C"):
+            out += range(2, 2 * n + 1, 2)
+        elif letter == "D":
+            out += [*range(2, 2 * n - 1, 2), n]
+        else:  # G2
+            out += [2, 6]
+    return out + [1] * torus_rank
 
 
 class RootDatum:
-    """A split root datum with full root/coroot enumeration."""
+    """A split root datum with full root/coroot enumeration; `build` makes
+    and shares them, one per canonical type."""
 
-    def __init__(self, type_spec):
-        factors, torus_rank = _parse_type(type_spec)
-        for letter, n in factors:
-            if letter not in _SIMPLE_RANKS:
-                raise UnsupportedFeatureError(f"unsupported Cartan type {letter}{n}")
-            if n < _SIMPLE_RANKS[letter]:
-                raise UnsupportedFeatureError(f"{letter}{n} below minimal rank")
-        self.factors = tuple(factors)
+    def __init__(self, factors: tuple[tuple[str, int], ...], torus_rank: int):
+        self.factors = factors
         self.torus_rank = torus_rank
         self.ss_rank = sum(n for _, n in factors)
         self.dim = self.ss_rank + torus_rank
-        if self.dim == 0:
-            raise InvalidArgumentError("empty root datum")
-        if self.dim > DIMENSION_BOUND:
-            raise ResourceLimitError(
-                f"root datum of dimension {self.dim} larger than bound {DIMENSION_BOUND}")
 
         # Block-diagonal Cartan matrix, entries <alpha_i^vee, alpha_j>.
         r = self.ss_rank
@@ -213,19 +235,8 @@ class RootDatum:
     # -- Weyl group --------------------------------------------------------
 
     def degrees(self) -> list[int]:
-        """Degrees of the basic invariants of W on the cocharacter space,
-        factor by factor; each central-torus coordinate adds a degree 1."""
-        out = []
-        for letter, n in self.factors:
-            if letter == "A":
-                out += range(2, n + 2)
-            elif letter in ("B", "C"):
-                out += range(2, 2 * n + 1, 2)
-            elif letter == "D":
-                out += [*range(2, 2 * n - 1, 2), n]
-            else:  # G2
-                out += [2, 6]
-        return out + [1] * self.torus_rank
+        """The degrees of W, factor by factor (`_degrees`)."""
+        return _degrees((self.factors, self.torus_rank))
 
     def weyl_order(self) -> int:
         """|W| as the product of the degrees."""
@@ -242,10 +253,10 @@ class RootDatum:
         its BFS parent w (`_born_left`) with its full permutation. The index
         of s_i·w is kept for every parent w and every i, found or new.
         """
-        if self._weyl_cache is not None:
-            return self._weyl_cache
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise ResourceLimitError(f"Weyl group larger than bound {WEYL_ORDER_BOUND}")
+        if self._weyl_cache is not None:
+            return self._weyl_cache
         r = self.ss_rank
         order = [self.identity_element()]
         index = {order[0].root_permutation[:r]: 0}
@@ -405,9 +416,44 @@ class WeylElement:
         return f"WeylElement{self.matrix}"
 
 
+# The data this process keeps, by canonical type, least recently requested
+# first, each with its closed-form weight; `build` alone reads and edits it,
+# under the lock, as a library caller may build from several threads.
+_INTERNED: dict[TypeKey, tuple[RootDatum, int]] = {}
+_INTERNED_LOCK = Lock()
+
+
+def _closed_form_weight(key: TypeKey) -> int:
+    """What a datum of the type may hold besides its q-closure memo, read off
+    the degrees: its roots, twice the sum of the degrees less one, and |W|,
+    the product of the degrees, when W may be enumerated."""
+    degrees = _degrees(key)
+    order = prod(degrees)
+    return 2 * sum(d - 1 for d in degrees) + (order if order <= WEYL_ORDER_BOUND else 0)
+
+
 def build(type_spec) -> RootDatum:
-    """Construct the split root datum for a type label."""
-    return RootDatum(type_spec)
+    """The split root datum of a type label, one per canonical type while
+    the process retains it: its roots, Weyl enumeration and tables, covector
+    matrices and q-closure memo serve every later request of the type.
+
+    A datum weighs its closed-form weight plus its `is_q_closed` memo
+    entries. On each call the least recently requested data are dropped
+    whole while the retained total passes WEYL_ORDER_BOUND; a dropped type
+    is built afresh on its next request, and a datum heavier than the bound
+    by itself is handed out unretained. A type is refused, on every call,
+    before anything is built or retained."""
+    key = _parse_type(type_spec)
+    with _INTERNED_LOCK:
+        rd, fixed = _INTERNED.pop(key, None) or (RootDatum(*key), _closed_form_weight(key))
+        total = fixed + len(rd._q_closed)
+        if total <= WEYL_ORDER_BOUND:
+            total += sum(w + len(d._q_closed) for d, w in _INTERNED.values())
+            while total > WEYL_ORDER_BOUND:
+                d, w = _INTERNED.pop(next(iter(_INTERNED)))
+                total -= w + len(d._q_closed)
+            _INTERNED[key] = rd, fixed
+    return rd
 
 
 def q_closure(rd: RootDatum, subset) -> frozenset[int]:

@@ -1,6 +1,18 @@
 import pytest
 
+from polarium import rootdata
 from polarium.rootdata import build
+
+
+@pytest.fixture
+def fresh_root_data():
+    """An empty root-datum intern table for one test, as in a fresh process,
+    so a test that forbids Weyl enumeration or an eigenspace solve cannot
+    pass on a datum some earlier test warmed; the process's table is put
+    back afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootdata, "_INTERNED", {})
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -621,6 +621,7 @@ def _refuse(*args):
     raise AssertionError("closed-form request reached Weyl enumeration or a nullspace")
 
 
+@pytest.mark.usefixtures("fresh_root_data")
 def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
     # |W| of D8 is 5 160 960: only the degrees may be read
     import polarium.rootdata as rootdata
@@ -637,6 +638,7 @@ def test_regular_numbers_from_degrees_alone(capsys, monkeypatch):
         assert json.loads(out) == {"type": label, "regular": regular, "elliptic": elliptic}
 
 
+@pytest.mark.usefixtures("fresh_root_data")
 def test_non_regular_homogeneous_refused_from_degrees(capsys, monkeypatch):
     # a non-regular number is refused from the degrees before W is
     # enumerated; a regular one past the Weyl order bound stays a resource limit

@@ -6,9 +6,13 @@ Every member of `perfbench/workloads.lattice_universe()`,
 exit status and stdout sha256 must equal the entry in
 `perfbench/oracle/<workload>.json`. A member recorded as a known failure
 must exit 3 and print the recorded envelope, byte for byte, as one line.
-Nothing under `perfbench/` is written.
+Each universe is replayed twice in one process: in its own order, then in
+a seeded shuffled order that keeps each `classify -> yu-sequence` chain in
+its order, so no answer depends on what earlier requests left behind (root
+data are shared across requests). Nothing under `perfbench/` is written.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -21,12 +25,41 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _shuffled(universe: dict, seed: int) -> list[str]:
+    """The request ids in a seeded random order in which each chain keeps
+    the places its members drew, filled in its own order."""
+    order = list(universe)
+    random.Random(seed).shuffle(order)
+
+    def chain(rid):
+        while universe[rid].chain_from is not None:
+            rid = universe[rid].chain_from
+        return rid
+
+    members, places = {}, {}
+    for rid in universe:
+        members.setdefault(chain(rid), []).append(rid)
+    for place, rid in enumerate(order):
+        places.setdefault(chain(rid), []).append(place)
+    for head, rids in members.items():
+        for place, rid in zip(places[head], rids):
+            order[place] = rid
+    return order
+
+
 def _replay(workload: str) -> None:
     oracle = harness.load_oracle(workload)
     assert oracle["universe_sha256"] == workloads.universe_digest(workload)
     entries = oracle["entries"]
+    universe = workloads.UNIVERSES[workload]()
+    for order in (list(universe), _shuffled(universe, seed=1)):
+        _replay_in_order(universe, order, entries)
+
+
+def _replay_in_order(universe: dict, order: list[str], entries: dict) -> None:
     outputs = {}
-    for rid, req in workloads.UNIVERSES[workload]().items():
+    for rid in order:
+        req = universe[rid]
         text = req.text if req.chain_from is None else outputs[req.chain_from]
         resp = harness.send(cli.main, req.command, text)
         assert resp.error is None, (rid, resp.error)

@@ -159,6 +159,7 @@ def test_homogeneous_examples(a1, a2):
         homogeneous_datum(a2, 3, 3)
 
 
+@pytest.mark.usefixtures("fresh_root_data")
 @pytest.mark.parametrize("label, m, i", HOMOGENEOUS_CASES)
 def test_homogeneous_datum_solves_one_eigenspace(label, m, i, monkeypatch):
     # the chosen class's eigenspace at index i is the only one solved, and

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -87,6 +88,7 @@ def test_unsupported_types():
         build("F4")
 
 
+@pytest.mark.usefixtures("fresh_root_data")
 def test_weyl_order_bound(monkeypatch):
     import polarium.rootdata as rootdata
 
@@ -107,6 +109,7 @@ def test_weyl_order_bound(monkeypatch):
         build("A4").weyl_elements()
 
 
+@pytest.mark.usefixtures("fresh_root_data")
 def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
     # a torus-less request uses only the identity element, even past the bound
     import polarium.rootdata as rootdata
@@ -122,6 +125,93 @@ def test_trivial_classify_needs_no_weyl_enumeration(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["torus"]["w"] == [[int(i == j) for j in range(dim)] for i in range(dim)]
         assert len(out["levi"]) == dim * (dim + 1)
+
+
+def test_cached_enumeration_still_checks_the_bound(monkeypatch):
+    import polarium.rootdata as rootdata
+
+    a4 = build("A4")
+    assert len(a4.weyl_elements()) == 120
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_BOUND", 100)
+    with pytest.raises(ResourceLimitError):
+        a4.weyl_elements()
+
+
+def test_one_datum_per_canonical_type():
+    # a type is its simple factors in order and its total torus rank,
+    # however it is spelled
+    assert build("A2") is build("a2") is build([["A", 2]]) is build([["a", 2], ["torus", 0]])
+    product = build([["A", 1], ["torus", 1], ["B", 2], ["torus", 2]])
+    for spec in ([["torus", 3], ["A", 1], ["B", 2]], [["A", 1], ["B", 2], ["torus", 3]],
+                 [["a", 1], ["TORUS", 2], ["b", 2], ["torus", 1]]):
+        assert build(spec) is product
+    assert (product.factors, product.torus_rank) == ((("A", 1), ("B", 2)), 3)
+    # the order of the simple factors fixes the coordinates
+    assert build([["B", 2], ["A", 1], ["torus", 3]]) is not product
+
+
+@pytest.mark.usefixtures("fresh_root_data")
+def test_refused_types_are_never_interned(monkeypatch):
+    import polarium.rootdata as rootdata
+
+    def refuse(*args):
+        raise AssertionError("roots built for a refused type")
+
+    build("A1")
+    monkeypatch.setattr(rootdata.RootDatum, "_close_roots", refuse)
+    for spec, error in (("E8", UnsupportedFeatureError), ("A80", ResourceLimitError),
+                        ([["A", 1], ["torus", 16]], ResourceLimitError)):
+        for _ in range(3):
+            with pytest.raises(error):
+                build(spec)
+    assert list(rootdata._INTERNED) == [((("A", 1),), 0)]
+
+
+def _retained(rootdata) -> tuple[list[str], int]:
+    """The retained types, least recent first, and their total weight: each
+    datum's roots, q-closure memo entries and |W| when W may be enumerated."""
+    data = [rd for rd, _ in rootdata._INTERNED.values()]
+    weight = sum(len(rd.roots) + len(rd._q_closed)
+                 + (rd.weyl_order() if rd.weyl_order() <= rootdata.WEYL_ORDER_BOUND else 0)
+                 for rd in data)
+    return [rd.type_label() for rd in data], weight
+
+
+@pytest.mark.usefixtures("fresh_root_data")
+def test_retention_bound_evicts_least_recent_data(monkeypatch, capsys):
+    import polarium.rootdata as rootdata
+    from polarium.cli import main
+
+    def list_tori(label):
+        assert main(["list-tori", "--type", label]) == 0
+        return capsys.readouterr().out
+
+    # A3 weighs 12 roots + 24, B3 18 + 48, A4 20 + 120 and D4 24 + 192
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_BOUND", 200)
+    first = list_tori("A3")
+    a3 = build("A3")
+    seen = []
+    for label in ("B3", "A4"):
+        list_tori(label)
+        seen.append(_retained(rootdata))
+    assert seen == [(["A3", "B3"], 102), (["A4"], 140)]
+    # the evicted A3 is built afresh and answers the same bytes
+    assert list_tori("A3") == first
+    assert build("A3") is not a3
+    assert _retained(rootdata) == (["A4", "A3"], 176)
+    # memo entries weigh too: 30 of them on A3 push it out when A4 is asked for
+    rd = build("A3")
+    for pair in itertools.islice(itertools.combinations(range(len(rd.roots)), 2), 30):
+        is_q_closed(rd, pair)
+    assert _retained(rootdata) == (["A4", "A3"], 206)
+    build("A4")
+    assert _retained(rootdata) == (["A4"], 140)
+    # a datum heavier than the bound by itself is handed out, and nothing
+    # is evicted for it
+    d4 = build("D4")
+    assert len(d4.weyl_elements()) == 192
+    assert build("D4") is not d4
+    assert _retained(rootdata) == (["A4"], 140)
 
 
 def test_composite_with_torus():
